@@ -16,6 +16,9 @@ All numeric output uses ``%.12e`` formatting with LF line endings, and every
 code path is deterministic: identical configurations produce byte-identical
 files, including under parallel sweep execution (results are buffered and
 written in input order).
+
+Exit codes: 0 on success, 1 on a solver failure or an I/O error, 2 on a
+configuration or usage error.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
-
 
 from . import potential, solver
 from .config import ConfigError, RunConfig, load_config, parse_config_text
@@ -80,8 +81,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     """Run the continuation solver and write fields, report, and history."""
     try:
         state, log = solver.continuation_solve(cfg.spec, cfg.controls)
-    except solver.DivergenceError as err:
-        print(f"solve failed: {err}", file=sys.stderr)
+    except solver.SOLVER_ERRORS as err:
+        print(f"solve failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     _write_csv(out_dir / "fields.csv", ["x", "rho", "u", "mu", "c"], _fields_rows(state))
     report = compute_report(state, cfg.spec, eps=log.final_eps)
@@ -96,21 +97,9 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _sweep_value_cold(args) -> tuple[str, DiagnosticsReport | None, solver.State | None]:
-    """Solve one sweep value from a cold start (process-pool worker)."""
+    """Process-pool entry point: (status, report, state) of one cold-started sweep value."""
     spec_base, controls, key, value = args
-    if key == "delta":
-        spec_v = replace(spec_base, potential=replace(spec_base.potential, delta=value))
-        ctl_v = controls
-        eps_final = controls.eps_schedule[-1]
-    else:
-        spec_v = replace(spec_base, eps=value)
-        ctl_v = replace(controls, eps_schedule=(value,))
-        eps_final = value
-    try:
-        state, _ = solver.continuation_solve(spec_v, ctl_v)
-        return "ok", compute_report(state, spec_v, eps=eps_final), state
-    except solver._SWEEP_ERRORS as err:
-        return f"failed({type(err).__name__})", None, None
+    return solver._sweep_value(spec_base, key, value, controls, warm=None)[:3]
 
 
 def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path) -> int:
@@ -119,16 +108,13 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
     With ``sweep.max_parallel = 1`` (the default) the values are solved
     sequentially with warm starts; larger settings solve each value
     independently from a cold start, distributing them over a process pool.
-    Either way the output files depend only on the configuration.
+    Either way the output files depend only on the configuration.  An invalid
+    key or value list exits 2 before anything is solved.
     """
-    if sweep_key not in ("delta", "eps"):
-        print(f"sweep: unknown sweep key {sweep_key!r}", file=sys.stderr)
-        return 2
-    if not values:
-        print("sweep: values list is empty", file=sys.stderr)
-        return 2
-    if any(b >= a for a, b in zip(values, values[1:])):
-        print("sweep: values must be strictly decreasing toward the limit", file=sys.stderr)
+    try:
+        values = solver.check_sweep(sweep_key, values)
+    except ValueError as err:
+        print(f"sweep: {err}", file=sys.stderr)
         return 2
 
     if cfg.max_parallel == 1:
@@ -139,10 +125,7 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
         jobs = [(cfg.spec, cfg.controls, sweep_key, v) for v in values]
         workers = min(cfg.max_parallel, len(values))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_value_cold, jobs))
-        statuses = [r[0] for r in results]
-        reports = [r[1] for r in results]
-        states = [r[2] for r in results]
+            statuses, reports, states = zip(*pool.map(_sweep_value_cold, jobs))
 
     header = [sweep_key, "status"] + DiagnosticsReport.csv_header()
     rows = []

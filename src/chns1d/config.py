@@ -73,7 +73,6 @@ class RunConfig:
     output_dir: Path
     max_parallel: int
     table_grid: np.ndarray
-    raw: dict
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -198,7 +197,6 @@ def parse_config_text(text: str) -> RunConfig:
         output_dir=Path(_get(values, "output.dir", str)),
         max_parallel=max_parallel,
         table_grid=table_grid,
-        raw=values,
     )
 
 

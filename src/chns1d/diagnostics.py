@@ -13,15 +13,13 @@ of the density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import mesh, potential
 from .mesh import Field
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solver import ProblemSpec, State
+from .solver import ProblemSpec, State, _c_rhs, _mu_rhs, _upwind_flux
 
 __all__ = [
     "DiagnosticsReport",
@@ -179,12 +177,8 @@ def continuity_residual(state: "State") -> float:
     value is basis-dependent by construction.
     """
     g = state.rho.grid
-    n, h, L = g.n_cells, g.spacing_h, g.length_L
-    rho, u = state.rho.values, state.u.values
-    uf = np.zeros(n + 1)
-    uf[1:-1] = 0.5 * (u[:-1] + u[1:])
-    flux = np.zeros(n + 1)
-    flux[1:-1] = np.maximum(uf[1:-1], 0.0) * rho[:-1] + np.minimum(uf[1:-1], 0.0) * rho[1:]
+    L = g.length_L
+    flux = _upwind_flux(state.rho.values, state.u.values)
     x = g.cell_centers()
     w = _TENT_HALF_WIDTH * L
     worst = 0.0
@@ -231,13 +225,8 @@ def mean_projection_residuals(
     """Compatibility defects |∫ rhs| of the two Neumann problems at this state."""
     e = spec.eps if eps is None else eps
     g = spec.grid
-    rho, u, c = state.rho.values, state.u.values, state.c.values
-    dc = mesh.gradient(state.c, "neumann").values
-    dF = potential.dF_delta(c, spec.potential)
-    rhs_mu = e * rho * c + rho * u * dc - e * spec.rho0 * spec.c0
-    rhs_c = rho * dF - rho * state.mu.values
-    proj_mu = abs(mesh.integrate(Field(g, rhs_mu)))
-    proj_c = abs(mesh.integrate(Field(g, rhs_c)))
+    proj_mu = abs(mesh.integrate(Field(g, _mu_rhs(state, e, spec))))
+    proj_c = abs(mesh.integrate(Field(g, _c_rhs(state, spec))))
     return proj_mu, proj_c
 
 

@@ -3,10 +3,10 @@
 Fields live at cell centers x_i = (i + 1/2) h on the interval (0, L).  Ghost
 cells implement the two boundary conditions used throughout: ``neumann``
 reflects the adjacent cell value (zero normal derivative at the wall) and
-``dirichlet0`` negates it (zero wall value).  The discrete gradient/divergence
-pair satisfies exact summation by parts for these extensions, and the midpoint
-quadrature makes flux divergences telescope exactly, which is what the mass
-bookkeeping of the solvers relies on.
+``dirichlet0`` negates it (zero wall value).  The discrete gradient, which
+doubles as the divergence, satisfies exact summation by parts for these
+extensions, and the midpoint quadrature makes flux divergences telescope
+exactly, which is what the mass bookkeeping of the solvers relies on.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "SolvabilityError",
     "DegenerateWeightError",
     "gradient",
-    "divergence",
     "laplacian_apply",
     "laplacian_solve",
     "integrate",
@@ -63,9 +62,6 @@ class Grid:
 
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.spacing_h
-
-    def cell_edges(self) -> np.ndarray:
-        return np.arange(self.n_cells + 1) * self.spacing_h
 
     def field(self, values) -> "Field":
         """Wrap values (scalar or array of length n_cells) as a Field."""
@@ -111,11 +107,6 @@ def gradient(f: Field, bc: str) -> Field:
     _check_bc(bc)
     ext = _extend(f.values, bc)
     return Field(f.grid, (ext[2:] - ext[:-2]) / (2.0 * f.grid.spacing_h))
-
-
-def divergence(f: Field, bc: str) -> Field:
-    """1-D divergence (same stencil as gradient); adjoint to -gradient under integrate."""
-    return gradient(f, bc)
 
 
 def laplacian_apply(f: Field, bc: str) -> Field:

@@ -56,6 +56,7 @@ __all__ = [
     "SolveControls",
     "SingularSystemError",
     "DivergenceError",
+    "SOLVER_ERRORS",
     "constant_state",
     "solve_continuity",
     "solve_momentum",
@@ -64,6 +65,7 @@ __all__ = [
     "solve_c",
     "picard_step",
     "continuation_solve",
+    "check_sweep",
     "delta_sweep",
     "eps_sweep",
     "StageLog",
@@ -224,6 +226,20 @@ def _face_velocities(u: np.ndarray) -> np.ndarray:
     return uf
 
 
+def _upwind_flux(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Mass flux at the n+1 faces as the continuity bands assemble it (zero at the walls)."""
+    uf = _face_velocities(u)
+    flux = np.zeros(uf.size)
+    flux[1:-1] = np.maximum(uf[1:-1], 0.0) * rho[:-1] + np.minimum(uf[1:-1], 0.0) * rho[1:]
+    return flux
+
+
+def _with_source(rhs: np.ndarray, spec: ProblemSpec, name: str) -> np.ndarray:
+    """Add the manufactured source of equation ``name``, if the spec carries one."""
+    src = None if spec.mms_sources is None else getattr(spec.mms_sources, name)
+    return rhs if src is None else rhs + src.values
+
+
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     """Tridiagonal bands of eps^2 I + upwind advection - eps^4 Lap (Neumann)."""
     n, h = g.n_cells, g.spacing_h
@@ -262,9 +278,7 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     ab[1, :] = diag
     ab[0, 1:] = upper
     ab[2, :-1] = lower
-    b = np.full(n, eps**2 * spec.rho0)
-    if spec.mms_sources is not None and spec.mms_sources.continuity is not None:
-        b = b + spec.mms_sources.continuity.values
+    b = _with_source(np.full(n, eps**2 * spec.rho0), spec, "continuity")
     rho = solve_banded((1, 1), ab, b)
     if np.min(rho) < -1.0e-9 * max(spec.rho0, 1.0):
         raise SingularSystemError(
@@ -304,9 +318,7 @@ def solve_momentum(state: State, sigma: float, eps: float, spec: ProblemSpec) ->
     the fixed-point iteration itself uses :func:`solve_flow_coupled`, whose
     fixed points satisfy exactly this equation.
     """
-    rhs = sigma * _momentum_forcing(state, eps, spec)
-    if spec.mms_sources is not None and spec.mms_sources.momentum is not None:
-        rhs = rhs + spec.mms_sources.momentum.values
+    rhs = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
     return mesh.laplacian_solve(Field(spec.grid, rhs / spec.fluid.visc), "dirichlet0")
 
 
@@ -381,17 +393,13 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
         add(ru, 2 * lo, +sigma * pi_slope[lo] / (2.0 * h))
 
     b = np.empty(2 * n)
-    b_cont = np.full(n, eps**2 * spec.rho0)
-    if spec.mms_sources is not None and spec.mms_sources.continuity is not None:
-        b_cont = b_cont + spec.mms_sources.continuity.values
+    b_cont = _with_source(np.full(n, eps**2 * spec.rho0), spec, "continuity")
     # move the u_old part of the correction flux to the right side
-    flux_old = rho_f * _face_velocities(u_t)
+    flux_old = rho_f * uf
     b_cont += (flux_old[1:] - flux_old[:-1]) / h
     b[0::2] = b_cont
 
-    b_mom = sigma * _momentum_forcing(state, eps, spec)
-    if spec.mms_sources is not None and spec.mms_sources.momentum is not None:
-        b_mom = b_mom + spec.mms_sources.momentum.values
+    b_mom = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
     b_mom -= sigma * mesh.gradient(Field(g, pi_slope * rho_t), "neumann").values
     b[1::2] = b_mom
 
@@ -405,6 +413,19 @@ def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
     return rhs - mean, abs(mean * g.length_L)
 
 
+def _mu_rhs(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
+    """eps rho c + rho u c' - eps rho0 c0: the mu right side without sigma or source."""
+    rho, u, c = state.rho.values, state.u.values, state.c.values
+    dc = mesh.gradient(state.c, "neumann").values
+    return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
+
+
+def _c_rhs(state: State, spec: ProblemSpec) -> np.ndarray:
+    """rho dF_delta(c) - rho mu: the c right side without sigma or source."""
+    rho = state.rho.values
+    return rho * dF_delta(state.c.values, spec.potential) - rho * state.mu.values
+
+
 def solve_mu(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the chemical-potential Poisson problem and pin its constant.
 
@@ -415,14 +436,9 @@ def solve_mu(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple
     mu equals that of dF_delta(c).
     """
     g = spec.grid
-    rho, u, c = state.rho.values, state.u.values, state.c.values
-    dc = mesh.gradient(state.c, "neumann").values
-    rhs = sigma * (eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0)
-    if spec.mms_sources is not None and spec.mms_sources.mu is not None:
-        rhs = rhs + spec.mms_sources.mu.values
-    rhs0, proj = _projection(rhs, g)
+    rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, eps, spec), spec, "mu"), g)
     mu_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
-    target = mesh.integrate(Field(g, rho * dF_delta(c, spec.potential)))
+    target = mesh.integrate(Field(g, state.rho.values * dF_delta(state.c.values, spec.potential)))
     return mesh.mean_shift(mu_hat, target, state.rho), proj
 
 
@@ -440,10 +456,7 @@ def solve_c(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[
     """
     g = spec.grid
     rho = state.rho.values
-    rhs = sigma * (rho * dF_delta(state.c.values, spec.potential) - rho * state.mu.values)
-    if spec.mms_sources is not None and spec.mms_sources.c is not None:
-        rhs = rhs + spec.mms_sources.c.values
-    rhs0, proj = _projection(rhs, g)
+    rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, spec), spec, "c"), g)
     c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
     drho = mesh.gradient(state.rho, "neumann").values
     dc_hat = mesh.gradient(c_hat, "neumann").values
@@ -555,10 +568,6 @@ class ConvergenceLog:
     stages: list[StageLog] = field(default_factory=list)
 
     @property
-    def final_sigma(self) -> float:
-        return self.stages[-1].sigma
-
-    @property
     def final_eps(self) -> float:
         return self.stages[-1].eps
 
@@ -645,12 +654,9 @@ class SweepReport:
     def any_failed(self) -> bool:
         return any(s != "ok" for s in self.statuses)
 
-    def column(self, getter) -> list:
-        """Apply a report accessor to every successful row (None elsewhere)."""
-        return [getter(r) if r is not None else None for r in self.reports]
 
-
-_SWEEP_ERRORS = (
+# Errors that end one solve; sweeps record them per value, commands exit 1.
+SOLVER_ERRORS = (
     DivergenceError,
     SingularSystemError,
     mesh.SolvabilityError,
@@ -660,43 +666,71 @@ _SWEEP_ERRORS = (
 )
 
 
+def check_sweep(key: str, values) -> tuple:
+    """Validate a sweep key and its values; return the values as floats.
+
+    The values must be nonempty, lie in (0, 1) (which excludes NaN), and
+    decrease strictly toward the limit.
+    """
+    if key not in ("delta", "eps"):
+        raise ValueError(f"unknown sweep key {key!r}")
+    vs = tuple(float(v) for v in values)
+    if not vs:
+        raise ValueError("values list is empty")
+    if any(not (0.0 < v < 1.0) for v in vs):
+        raise ValueError(f"{key} values must lie in (0, 1), got {vs}")
+    if any(b >= a for a, b in zip(vs, vs[1:])):
+        raise ValueError(f"{key} values must be strictly decreasing toward the limit, got {vs}")
+    return vs
+
+
+def _sweep_value(
+    spec_base: ProblemSpec,
+    key: str,
+    value: float,
+    controls: SolveControls,
+    warm: Optional[State],
+) -> tuple:
+    """Solve one sweep value; returns (status, report, state, log).
+
+    A cold start (``warm`` None) runs the full continuation; a warm start runs
+    one stage at the final eps from ``warm``.  A solver error becomes the
+    status ``failed(<Type>)`` with None in the other three places.
+    """
+    from .diagnostics import compute_report
+
+    if key == "delta":
+        spec_v = replace(spec_base, potential=replace(spec_base.potential, delta=value))
+        eps_final = controls.eps_schedule[-1]
+    else:
+        spec_v = replace(spec_base, eps=value)
+        eps_final = value
+    if warm is not None:
+        ctl_v = replace(controls, sigma_schedule=(1.0,), eps_schedule=(eps_final,))
+    else:
+        ctl_v = controls if key == "delta" else replace(controls, eps_schedule=(value,))
+    try:
+        state, log = continuation_solve(spec_v, ctl_v, initial_state=warm)
+        return "ok", compute_report(state, spec_v, eps=eps_final), state, log
+    except SOLVER_ERRORS as err:
+        return f"failed({type(err).__name__})", None, None, None
+
+
 def _sweep(
     spec_base: ProblemSpec,
     key: str,
     values: tuple,
     controls: SolveControls,
 ) -> SweepReport:
-    from .diagnostics import compute_report
-
-    statuses: list[str] = []
-    reports: list = []
-    states: list = []
-    logs: list = []
+    """Solve the values in order, each warm-started from the last success."""
+    rows = []
     warm: Optional[State] = None
-    for i, v in enumerate(values):
-        if key == "delta":
-            spec_v = replace(spec_base, potential=replace(spec_base.potential, delta=v))
-            eps_final = controls.eps_schedule[-1]
-        else:
-            spec_v = replace(spec_base, eps=v)
-            eps_final = v
-        if warm is None:
-            ctl_v = controls if key == "delta" else replace(controls, eps_schedule=(v,))
-        else:
-            ctl_v = replace(controls, sigma_schedule=(1.0,), eps_schedule=(eps_final,))
-        try:
-            state, lg = continuation_solve(spec_v, ctl_v, initial_state=warm)
-            warm = state
-            statuses.append("ok")
-            reports.append(compute_report(state, spec_v, eps=eps_final))
-            states.append(state)
-            logs.append(lg)
-        except _SWEEP_ERRORS as err:
-            statuses.append(f"failed({type(err).__name__})")
-            reports.append(None)
-            states.append(None)
-            logs.append(None)
-    return SweepReport(key, tuple(values), statuses, reports, states, logs)
+    for v in values:
+        rows.append(_sweep_value(spec_base, key, v, controls, warm))
+        if rows[-1][0] == "ok":
+            warm = rows[-1][2]
+    statuses, reports, states, logs = (list(col) for col in zip(*rows))
+    return SweepReport(key, values, statuses, reports, states, logs)
 
 
 def delta_sweep(spec_base: ProblemSpec, deltas, controls: SolveControls) -> SweepReport:
@@ -707,19 +741,9 @@ def delta_sweep(spec_base: ProblemSpec, deltas, controls: SolveControls) -> Swee
     artificial pressure, the width-independent norm bounds, and the shrinking
     concentration-bound violations.
     """
-    ds = tuple(float(d) for d in deltas)
-    if not ds:
-        raise ValueError("deltas must be nonempty")
-    if any(not (0.0 < d < 1.0) for d in ds) or any(b >= a for a, b in zip(ds, ds[1:])):
-        raise ValueError(f"deltas must be strictly decreasing within (0, 1), got {ds}")
-    return _sweep(spec_base, "delta", ds, controls)
+    return _sweep(spec_base, "delta", check_sweep("delta", deltas), controls)
 
 
 def eps_sweep(spec_base: ProblemSpec, eps_values, controls: SolveControls) -> SweepReport:
     """Solve a fixed problem for a decreasing list of eps values (warm-started)."""
-    es = tuple(float(e) for e in eps_values)
-    if not es:
-        raise ValueError("eps values must be nonempty")
-    if any(not (0.0 < e < 1.0) for e in es) or any(b >= a for a, b in zip(es, es[1:])):
-        raise ValueError(f"eps values must be strictly decreasing within (0, 1), got {es}")
-    return _sweep(spec_base, "eps", es, controls)
+    return _sweep(spec_base, "eps", check_sweep("eps", eps_values), controls)

@@ -166,6 +166,22 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert "sigma=" in err and "eps=" in err
 
+    def test_solver_error_exits_one_with_named_type(self, tmp_path, monkeypatch, capsys):
+        from chns1d import solver
+
+        def singular(spec, controls, initial_state=None):
+            raise solver.SingularSystemError("transport matrix lost diagonal dominance")
+
+        monkeypatch.setattr(solver, "continuation_solve", singular)
+        rc = cli.main(["solve", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: SingularSystemError: transport matrix")
+        assert not (tmp_path / "o").exists()
+
+
+FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
+
 
 class TestCliSweep:
     def test_empty_values_usage_error(self, tmp_path):
@@ -185,6 +201,38 @@ class TestCliSweep:
              "--sweep-key", "delta", "--values", "0.05,0.1"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.parametrize("values", ["1.5,0.5", "0.5,0", "nan"])
+    def test_invalid_values_usage_error(self, tmp_path, capsys, values, max_parallel):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"domain.n_cells = 64\nsweep.max_parallel = {max_parallel}\n")
+        rc = cli.main(
+            ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--sweep-key", "delta", "--values", values]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("sweep: delta values must lie in (0, 1)")
+        assert not (tmp_path / "o").exists()
+
+    def test_first_value_same_on_both_paths(self, tmp_path):
+        """The first sweep value is a cold solve whether or not a pool runs it."""
+        outs = []
+        for max_parallel in (1, 2):
+            cfg = tmp_path / f"run{max_parallel}.cfg"
+            cfg.write_text(FORCED_N64 + f"sweep.max_parallel = {max_parallel}\n")
+            out = tmp_path / f"out{max_parallel}"
+            rc = cli.main(
+                ["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep-key", "delta", "--values", "0.2,0.1"]
+            )
+            assert rc == 0
+            outs.append(out)
+        seq, par = ((out / "sweep.csv").read_bytes().splitlines() for out in outs)
+        assert seq[1].split(b",")[1] == b"ok"
+        assert seq[1] == par[1]
+        seq, par = ((out / "fields_delta_0.2.csv").read_bytes() for out in outs)
+        assert seq == par
 
     def test_delta_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "run.cfg"
