@@ -61,6 +61,11 @@ def _fields_rows(state: solver.State) -> list[list[str]]:
     return [[_fmt(col[i]) for col in cols] for i in range(x.size)]
 
 
+def _fields_name(sweep_key: str, value: float) -> str:
+    """File name of one sweep value's fields; values closer than 6 digits share it."""
+    return f"fields_{sweep_key}_{value:.6g}.csv"
+
+
 def cmd_potential(cfg: RunConfig, out_dir: Path) -> int:
     """Write the tabulated potential curves and the structural constants."""
     p = cfg.spec.potential
@@ -109,12 +114,18 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
     sequentially with warm starts; larger settings solve each value
     independently from a cold start, distributing them over a process pool.
     Either way the output files depend only on the configuration.  An invalid
-    key or value list exits 2 before anything is solved.
+    key or value list, or values whose field files would share a name, exit 2
+    before anything is solved.
     """
     try:
         values = solver.check_sweep(sweep_key, values)
     except ValueError as err:
         print(f"sweep: {err}", file=sys.stderr)
+        return 2
+    names = [_fields_name(sweep_key, v) for v in values]
+    clash = [repr(v) for v, name in zip(values, names) if names.count(name) > 1]
+    if clash:
+        print(f"sweep: values {', '.join(clash)} would share a field file name", file=sys.stderr)
         return 2
 
     if cfg.max_parallel == 1:
@@ -140,8 +151,8 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
 
     for value, state in zip(values, states):
         if state is not None:
-            name = f"fields_{sweep_key}_{value:.6g}.csv"
-            _write_csv(out_dir / name, ["x", "rho", "u", "mu", "c"], _fields_rows(state))
+            path = out_dir / _fields_name(sweep_key, value)
+            _write_csv(path, ["x", "rho", "u", "mu", "c"], _fields_rows(state))
 
     failed = [f"{v:g}: {s}" for v, s in zip(values, statuses) if s != "ok"]
     if failed:

@@ -95,9 +95,12 @@ def _parse_lines(text: str) -> dict[str, str]:
 def _get(values: dict[str, str], key: str, kind):
     raw = values.get(key, DEFAULTS[key])
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({err})") from None
+    if kind in (float, _float_list) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key}: must be finite")
+    return value
 
 
 def _require(cond: bool, key: str, message: str) -> None:

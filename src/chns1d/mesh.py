@@ -6,7 +6,9 @@ reflects the adjacent cell value (zero normal derivative at the wall) and
 ``dirichlet0`` negates it (zero wall value).  The discrete gradient, which
 doubles as the divergence, satisfies exact summation by parts for these
 extensions, and the midpoint quadrature makes flux divergences telescope
-exactly, which is what the mass bookkeeping of the solvers relies on.
+exactly, which is what the mass bookkeeping of the solvers relies on.  The
+operators are the one place a stencil is written: :func:`bands` reads every
+banded matrix off them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "gradient",
     "laplacian_apply",
     "laplacian_solve",
+    "bands",
+    "banded",
     "integrate",
     "mean_shift",
     "BOUNDARY_CONDITIONS",
@@ -134,16 +138,29 @@ def mean_shift(f: Field, target_weighted_mean: float, weight: Field) -> Field:
     return Field(f.grid, f.values + s)
 
 
-def _banded_neg_laplacian(n: int, h: float, bc: str, shift: float) -> np.ndarray:
-    """Banded storage of shift*I - Laplacian for solve_banded."""
-    h2 = h * h
-    ab = np.zeros((3, n))
-    ab[1, :] = shift + 2.0 / h2
-    ab[0, 1:] = -1.0 / h2
-    ab[2, :-1] = -1.0 / h2
-    edge = 1.0 / h2 if bc == "neumann" else 3.0 / h2
-    ab[1, 0] = shift + edge
-    ab[1, -1] = shift + edge
+def bands(op, g: Grid, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands (diag, upper, lower) of the three-point operator ``op``, such as
+    :func:`gradient`, with ``upper[i]`` = entry (i, i+1) and ``lower[i]`` = (i+1, i).
+
+    Columns three apart touch disjoint rows, so ``op`` applied to three combs
+    (1.0 in every third cell) reads off every column, wall rows included.
+    """
+    n = g.n_cells
+    diag, upper, lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    for k in range(3):
+        comb = np.zeros(n)
+        comb[k::3] = 1.0
+        col = op(Field(g, comb), bc).values
+        diag[k::3] = col[k::3]
+        upper[(k - 1) % 3::3] = col[(k - 1) % 3:-1:3]
+        lower[k::3] = col[k + 1::3]
+    return diag, upper, lower
+
+
+def banded(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Pack tridiagonal bands into the (3, n) storage of ``solve_banded((1, 1), ...)``."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
     return ab
 
 
@@ -162,15 +179,10 @@ def laplacian_solve(rhs: Field, bc: str, shift: float = 0.0) -> Field:
     if shift < 0.0:
         raise ValueError(f"shift must be nonnegative, got {shift}")
     g = rhs.grid
-    n, h = g.n_cells, g.spacing_h
-
-    if shift > 0.0:
-        ab = _banded_neg_laplacian(n, h, bc, shift)
-        return Field(g, solve_banded((1, 1), ab, rhs.values))
-
-    ab = _banded_neg_laplacian(n, h, bc, 0.0)
-    b = -rhs.values
-    if bc == "dirichlet0":
+    diag, upper, lower = bands(laplacian_apply, g, bc)
+    ab = banded(shift - diag, -upper, -lower)
+    b = rhs.values if shift > 0.0 else -rhs.values
+    if shift > 0.0 or bc == "dirichlet0":
         return Field(g, solve_banded((1, 1), ab, b))
 
     # Pure Neumann: enforce compatibility, pin one unknown, return mean-zero.

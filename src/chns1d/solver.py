@@ -272,13 +272,8 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     precision (manufactured sources excepted).
     """
     g = spec.grid
-    n = g.n_cells
-    diag, upper, lower = _continuity_bands(_face_velocities(u.values), eps, g)
-    ab = np.zeros((3, n))
-    ab[1, :] = diag
-    ab[0, 1:] = upper
-    ab[2, :-1] = lower
-    b = _with_source(np.full(n, eps**2 * spec.rho0), spec, "continuity")
+    ab = mesh.banded(*_continuity_bands(_face_velocities(u.values), eps, g))
+    b = _with_source(np.full(g.n_cells, eps**2 * spec.rho0), spec, "continuity")
     rho = solve_banded((1, 1), ab, b)
     if np.min(rho) < -1.0e-9 * max(spec.rho0, 1.0):
         raise SingularSystemError(
@@ -341,11 +336,9 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
     g = spec.grid
     n, h = g.n_cells, g.spacing_h
     p, fp = spec.potential, spec.fluid
-    visc = fp.visc
     rho_t, u_t = state.rho.values, state.u.values
 
     uf = _face_velocities(u_t)
-    diag_c, upper_c, lower_c = _continuity_bands(uf, eps, g)
     rho_f = np.zeros(n + 1)
     rho_f[1:-1] = 0.5 * (rho_t[:-1] + rho_t[1:])
 
@@ -358,51 +351,31 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
         + fp.H
     )
 
+    # Tridiagonal (diag, upper, lower) blocks keyed by (row field, column
+    # field), 0 = rho and 1 = u; the correction flux acts at interior faces.
+    flux = rho_f / (2.0 * h)
+    coef = -sigma * pi_slope
+    grad = mesh.bands(mesh.gradient, g, "neumann")
+    lap = mesh.bands(mesh.laplacian_apply, g, "dirichlet0")
+    blocks = {
+        (0, 0): _continuity_bands(uf, eps, g),
+        (0, 1): (flux[1:] - flux[:-1], flux[1:-1], -flux[1:-1]),
+        (1, 0): (coef * grad[0], coef[1:] * grad[1], coef[:-1] * grad[2]),
+        (1, 1): tuple(fp.visc * band for band in lap),
+    }
+    # Interleaved unknowns (rho_0, u_0, rho_1, ...): entry (2i+r, 2j+c) of the
+    # full matrix sits at ab[3 + 2i+r - 2j-c, 2j+c] in (3, 3) banded storage.
     ab = np.zeros((7, 2 * n))
-
-    def add(r: int, c: int, v: float) -> None:
-        ab[3 + r - c, c] += v
-
-    h2 = h * h
-    for i in range(n):
-        rr, ru = 2 * i, 2 * i + 1
-        # continuity row: density part
-        add(rr, 2 * i, diag_c[i])
-        if i < n - 1:
-            add(rr, 2 * (i + 1), upper_c[i])
-        if i > 0:
-            add(rr, 2 * (i - 1), lower_c[i - 1])
-        # continuity row: velocity-correction flux div(rho_old * u) at interior faces
-        if i < n - 1:
-            add(rr, ru, rho_f[i + 1] / (2.0 * h))
-            add(rr, 2 * (i + 1) + 1, rho_f[i + 1] / (2.0 * h))
-        if i > 0:
-            add(rr, ru, -rho_f[i] / (2.0 * h))
-            add(rr, 2 * (i - 1) + 1, -rho_f[i] / (2.0 * h))
-        # momentum row: viscous operator with zero wall values
-        add(ru, ru, -visc * (3.0 if i in (0, n - 1) else 2.0) / h2)
-        if i < n - 1:
-            add(ru, 2 * (i + 1) + 1, visc / h2)
-        if i > 0:
-            add(ru, 2 * (i - 1) + 1, visc / h2)
-        # momentum row: -sigma * (Pi'(rho_old) rho)' by the wide central stencil
-        # with reflecting ghosts (matching mesh.gradient with 'neumann')
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        add(ru, 2 * hi, -sigma * pi_slope[hi] / (2.0 * h))
-        add(ru, 2 * lo, +sigma * pi_slope[lo] / (2.0 * h))
+    for (r, c), (d, up, lo) in blocks.items():
+        ab[3 + r - c, c::2] = d
+        ab[1 + r - c, 2 + c::2] = up
+        ab[5 + r - c, c:-2:2] = lo
 
     b = np.empty(2 * n)
-    b_cont = _with_source(np.full(n, eps**2 * spec.rho0), spec, "continuity")
-    # move the u_old part of the correction flux to the right side
-    flux_old = rho_f * uf
-    b_cont += (flux_old[1:] - flux_old[:-1]) / h
-    b[0::2] = b_cont
-
-    b_mom = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
-    b_mom -= sigma * mesh.gradient(Field(g, pi_slope * rho_t), "neumann").values
-    b[1::2] = b_mom
-
+    b[0::2] = _with_source(np.full(n, eps**2 * spec.rho0), spec, "continuity")
+    b[0::2] += np.diff(rho_f * uf) / h  # the u_old part of the correction flux
+    b[1::2] = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
+    b[1::2] -= sigma * mesh.gradient(Field(g, pi_slope * rho_t), "neumann").values
     z = solve_banded((3, 3), ab, b)
     return Field(g, np.maximum(z[0::2], 0.0)), Field(g, z[1::2])
 
@@ -517,13 +490,10 @@ def picard_step(
         State(rho_star, u_star, mu_star, state.c), sigma, eps, spec
     )
 
-    if d == 1.0:
-        u_new, mu_new, c_new, rho_new = u_star, mu_star, c_star, rho_star
-    else:
-        u_new = Field(g, d * u_star.values + (1.0 - d) * state.u.values)
-        mu_new = Field(g, d * mu_star.values + (1.0 - d) * state.mu.values)
-        c_new = Field(g, d * c_star.values + (1.0 - d) * state.c.values)
-        rho_new = solve_continuity(u_new, eps, spec)
+    u_new = Field(g, d * u_star.values + (1.0 - d) * state.u.values)
+    mu_new = Field(g, d * mu_star.values + (1.0 - d) * state.mu.values)
+    c_new = Field(g, d * c_star.values + (1.0 - d) * state.c.values)
+    rho_new = solve_continuity(u_new, eps, spec)
 
     residual = (
         max(

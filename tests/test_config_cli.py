@@ -86,6 +86,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="forcing.g1.kind"):
             parse_config_text("forcing.g1.kind = noise")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("forcing.g1.kind = sin\nforcing.g1.amplitude = nan\n", "forcing.g1.amplitude"),
+            ("domain.length = inf\n", "domain.length"),
+        ],
+        ids=["amplitude-nan", "length-inf"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: must be finite\n"
+        assert not (tmp_path / "o").exists()
+
 
 SOLVE_CONFIG = """
 domain.n_cells = 96
@@ -213,6 +228,21 @@ class TestCliSweep:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("sweep: delta values must lie in (0, 1)")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    def test_colliding_field_files_usage_error(self, tmp_path, capsys, max_parallel):
+        """Values that print alike under the field file format would overwrite each other."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"domain.n_cells = 64\nsweep.max_parallel = {max_parallel}\n")
+        rc = cli.main(
+            ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--sweep-key", "delta", "--values", "0.2,0.1000002,0.1000001"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "sweep: values 0.1000002, 0.1000001 would share a field file name\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_first_value_same_on_both_paths(self, tmp_path):

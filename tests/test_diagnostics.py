@@ -182,4 +182,5 @@ class TestReport:
         assert len(lines) == len(header)
         parsed = {ln.split(" = ")[0]: float(ln.split(" = ")[1]) for ln in lines}
         assert parsed["mass1"] == pytest.approx(rep.mass1, rel=1e-12)
-        assert parsed["ei_slack"] == pytest.approx(rep.ei_slack, abs=1e-24)
+        # every key parses back to its value rounded to the printed 13 digits
+        assert parsed == {k: float(f"{v:.12e}") for k, v in zip(header, values)}

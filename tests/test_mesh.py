@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from chns1d.mesh import (
     DegenerateWeightError,
     Field,
     Grid,
     SolvabilityError,
+    banded,
+    bands,
     gradient,
     integrate,
     laplacian_apply,
@@ -94,6 +97,30 @@ class TestDivergenceIdentities:
         rhs = integrate(Field(g, f.values * gradient(w, "neumann").values))
         scale = np.max(np.abs(f.values)) * np.max(np.abs(w.values))
         assert abs(lhs + rhs) <= 1e-12 * scale
+
+
+class TestBands:
+    """The banded matrices are read off the matrix-free operators."""
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
+    def test_bands_reproduce_operator(self, op, bc, n):
+        g = Grid(n, 1.3)
+        f = np.random.default_rng(n).standard_normal(n)
+        diag, upper, lower = bands(op, g, bc)
+        applied = diag * f
+        applied[:-1] += upper * f[1:]
+        applied[1:] += lower * f[:-1]
+        want = op(Field(g, f), bc).values
+        assert np.max(np.abs(applied - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_banded_storage_inverts_laplacian(self):
+        g = Grid(10, 1.0)
+        f = np.random.default_rng(1).standard_normal(10)
+        lap = laplacian_apply(Field(g, f), "dirichlet0").values
+        back = solve_banded((1, 1), banded(*bands(laplacian_apply, g, "dirichlet0")), lap)
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 class TestIntegrate:

@@ -119,6 +119,47 @@ class TestSubSolveTrivialCases:
         assert np.max(np.abs(rho.values - spec.rho0)) <= 1e-10
 
 
+class TestFlowCoupledBlock:
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_solves_linearized_equations(self, pot, fluid, n):
+        """Away from rest the returned pair satisfies both equations of the docstring."""
+        sigma, eps = 0.75, 0.1
+        spec = make_forced_spec(n, pot, fluid)
+        g, h = spec.grid, spec.grid.spacing_h
+        rng = np.random.default_rng(n)
+        rho_t = 1.0 + 0.3 * rng.random(n)
+        u_t = 0.05 * rng.standard_normal(n)
+        mu_t, c_t = rng.standard_normal(n), 0.3 * rng.random(n)
+        state = State(g.field(rho_t), g.field(u_t), g.field(mu_t), g.field(c_t))
+        rho, u = solve_flow_coupled(state, sigma, eps, spec)
+        assert np.min(rho.values) > 0.0
+
+        rho_f = np.zeros(n + 1)
+        rho_f[1:-1] = 0.5 * (rho_t[:-1] + rho_t[1:])
+        correction = rho_f * (solver._face_velocities(u.values) - solver._face_velocities(u_t))
+        terms = [
+            eps**2 * rho.values,
+            np.diff(solver._upwind_flux(rho.values, u_t)) / h,
+            np.diff(correction) / h,
+            -eps**4 * mesh.laplacian_apply(rho, "neumann").values,
+            -np.full(n, eps**2 * spec.rho0),
+        ]
+        assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
+
+        k, gam = fluid.art_exponent, fluid.gamma
+        pi_slope = (
+            k * rho_t ** (k - 1) / np.log(1.0 / pot.delta)
+            + gam * (gam - 1.0) * rho_t ** (gam - 1.0)
+            + fluid.H
+        )
+        terms = [
+            fluid.visc * mesh.laplacian_apply(u, "dirichlet0").values,
+            -sigma * mesh.gradient(g.field(pi_slope * (rho.values - rho_t)), "neumann").values,
+            -sigma * solver._momentum_forcing(state, eps, spec),
+        ]
+        assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
+
+
 class TestPicardStep:
     def test_constant_state_is_fixed_point(self, pot, fluid, controls):
         spec = zero_forcing_spec(64, pot, fluid)
