@@ -42,7 +42,6 @@ DEFAULTS: dict[str, str] = {
     "fluid.art_exponent": "11",
     "problem.m1": "1.0",
     "problem.m2": "0.3",
-    "problem.eps": "1e-2",
     "forcing.g1.kind": "zero",
     "forcing.g1.amplitude": "0.0",
     "forcing.g1.mode": "1",
@@ -153,10 +152,8 @@ def parse_config_text(text: str) -> RunConfig:
 
     m1 = _get(values, "problem.m1", float)
     m2 = _get(values, "problem.m2", float)
-    eps = _get(values, "problem.eps", float)
     _require(m1 > 0.0, "problem.m1", "must be positive")
     _require(-m1 < m2 < m1, "problem.m2", "must lie in (-m1, m1)")
-    _require(0.0 < eps < 1.0, "problem.eps", "must lie in (0, 1)")
 
     g1 = _forcing_field(
         grid,
@@ -180,7 +177,7 @@ def parse_config_text(text: str) -> RunConfig:
     max_picard = _get(values, "solver.max_picard", int)
     try:
         controls = SolveControls(sigmas, damping, max_picard, tol_rel, epss)
-        spec = ProblemSpec(grid, pot, fluid, m1, m2, g1, g2, eps)
+        spec = ProblemSpec(grid, pot, fluid, m1, m2, g1, g2)
     except ValueError as err:
         raise ConfigError(f"solver/problem: {err}") from None
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mesh, potential
 from .mesh import Field
-from .solver import ProblemSpec, State, _c_rhs, _mu_rhs, _upwind_flux
+from .solver import ProblemSpec, State, _c_mass_target, _c_rhs, _mu_rhs, _upwind_flux
 
 __all__ = [
     "DiagnosticsReport",
@@ -144,16 +144,9 @@ def constraint_check(
     uncorrected form integrate(rho c) = m2.
     """
     e = spec.eps if eps is None else eps
-    g = spec.grid
-    rho, c = state.rho.values, state.c.values
     err1 = abs(mesh.integrate(state.rho) - spec.m1)
-    target = spec.m2
-    if e > 0.0:
-        drho = mesh.gradient(state.rho, "neumann").values
-        dc = mesh.gradient(state.c, "neumann").values
-        target += e * mesh.integrate(Field(g, (spec.rho0 - rho) * c))
-        target -= e**3 * mesh.integrate(Field(g, drho * dc))
-    err2 = abs(mesh.integrate(Field(g, rho * c)) - target)
+    target = _c_mass_target(state.rho, state.c, e, spec)
+    err2 = abs(mesh.integrate(Field(spec.grid, state.rho.values * state.c.values)) - target)
     return err1, err2
 
 

@@ -35,7 +35,7 @@ __all__ = [
 
 BOUNDARY_CONDITIONS = ("neumann", "dirichlet0")
 
-# Compatibility tolerance for the pure-Neumann zero-shift solve.
+# Compatibility tolerance for the pure-Neumann solve.
 SOLVABILITY_TOL = 1.0e-10
 
 
@@ -164,25 +164,20 @@ def banded(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray
     return ab
 
 
-def laplacian_solve(rhs: Field, bc: str, shift: float = 0.0) -> Field:
-    """Solve an elliptic two-point problem to machine precision.
-
-    For ``shift == 0`` this inverts the Laplacian: the returned u satisfies
-    Lap(u) = rhs for the given boundary condition.  A pure-Neumann problem is
-    solvable only for mean-free right sides; the right side is checked against
-    :data:`SOLVABILITY_TOL`, the constant null direction is pinned, and the
-    solution is returned with zero mean.  For ``shift > 0`` the returned u
-    satisfies (shift*I - Lap) u = rhs, which is uniquely solvable for either
+def laplacian_solve(rhs: Field, bc: str) -> Field:
+    """Invert the Laplacian to machine precision: Lap(u) = rhs for the given
     boundary condition.
+
+    A pure-Neumann problem is solvable only for mean-free right sides; the
+    right side is checked against :data:`SOLVABILITY_TOL`, the constant null
+    direction is pinned, and the solution is returned with zero mean.
     """
     _check_bc(bc)
-    if shift < 0.0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
     g = rhs.grid
     diag, upper, lower = bands(laplacian_apply, g, bc)
-    ab = banded(shift - diag, -upper, -lower)
-    b = rhs.values if shift > 0.0 else -rhs.values
-    if shift > 0.0 or bc == "dirichlet0":
+    ab = banded(-diag, -upper, -lower)
+    b = -rhs.values
+    if bc == "dirichlet0":
         return Field(g, solve_banded((1, 1), ab, b))
 
     # Pure Neumann: enforce compatibility, pin one unknown, return mean-zero.
@@ -190,7 +185,7 @@ def laplacian_solve(rhs: Field, bc: str, shift: float = 0.0) -> Field:
     scale = float(np.sqrt(np.mean(rhs.values**2)))
     if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
         raise SolvabilityError(
-            f"neumann right side has mean {mean:g}; the zero-shift problem is unsolvable"
+            f"neumann right side has mean {mean:g}; the problem is unsolvable"
         )
     b = b - np.mean(b)
     ab[1, 0] = 1.0

@@ -44,6 +44,7 @@ __all__ = [
     "free_energy_delta",
     "rho_free_energy_delta",
     "pressure",
+    "pressure_slope",
     "constants",
     "structure_holds",
     "junction_gaps",
@@ -217,7 +218,7 @@ _F2PP_PIECES = (_f2pp_p1, _f2pp_p2, _f2pp_p3, _f2pp_p4)
 
 def _piecewise(a: np.ndarray, p: PotentialParams, pieces) -> np.ndarray:
     d = p.delta
-    out = np.empty_like(a)
+    out = np.full_like(a, np.nan)  # NaN selects no piece and stays NaN
     masks = (
         a <= 1.0 - d,
         (a > 1.0 - d) & (a <= 1.0),
@@ -272,28 +273,24 @@ def dF_delta(c, p: PotentialParams):
     0.31142 (it is 1 + (1/2) ln 3 - 15/8 at delta = 0.5).
     """
     arr, scalar = _prep(c)
-    return _ret(
-        np.sign(arr) * _piecewise(np.abs(arr), p, _F2P_PIECES) - p.thetac * arr, scalar
-    )
+    return _ret(f2_delta_prime(arr, p) - p.thetac * arr, scalar)
 
 
 def F_delta(c, p: PotentialParams):
     """Effective double-well potential f2_delta(c) - (thetac/2) c^2."""
     arr, scalar = _prep(c)
-    return _ret(
-        _piecewise(np.abs(arr), p, _F2_PIECES) - 0.5 * p.thetac * arr * arr, scalar
-    )
+    return _ret(f2_delta(arr, p) - 0.5 * p.thetac * arr * arr, scalar)
 
 
 def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
     """rho**k for rho >= 0 via exp(k ln rho), with an explicit overflow ceiling.
 
-    Raises DomainError for negative arguments and OverflowError above
+    Raises DomainError for negative or NaN arguments and OverflowError above
     ``rho_max``; 0**k is 0 for k > 0.
     """
     arr, scalar = _prep(rho)
-    if np.any(arr < 0.0):
-        raise DomainError("guarded_power requires rho >= 0")
+    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+        raise DomainError("guarded_power requires rho >= 0 (NaN is rejected)")
     if np.any(arr > rho_max):
         raise OverflowError(
             f"density {float(np.max(arr)):g} exceeds rho_max={rho_max:g} in power evaluation"
@@ -316,6 +313,21 @@ def pressure(rho, fp: "FluidParams"):
     if np.any(arr < 0.0):
         raise DomainError("pressure requires rho >= 0")
     return _ret((fp.gamma - 1.0) * guarded_power(arr, fp.gamma) + fp.H * arr, scalar)
+
+
+def pressure_slope(rho, delta: float, fp: "FluidParams"):
+    """Slope Pi'(rho) of Pi = artificial_pressure(rho, delta, fp.art_exponent) + pressure(rho, fp).
+
+    Raises DomainError for negative or NaN densities (through guarded_power).
+    """
+    arr, scalar = _prep(rho)
+    k = fp.art_exponent
+    out = (
+        k * guarded_power(arr, k - 1) / np.log(1.0 / delta)
+        + fp.gamma * (fp.gamma - 1.0) * guarded_power(arr, fp.gamma - 1.0)
+        + fp.H
+    )
+    return _ret(out, scalar)
 
 
 def free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):
@@ -424,17 +436,8 @@ def figure1_table(p: PotentialParams, grid) -> np.ndarray:
     derivative minus thetac (exactly zero beyond |c| = 1+delta).
     """
     c = np.asarray(grid, dtype=float)
-    f2d = f2_delta(c, p)
-    f2p = f2_delta_prime(c, p)
     f2pp = f2_delta_prime2(c, p)
     return np.column_stack(
-        [
-            c,
-            f2d,
-            f2d - 0.5 * p.thetac * c * c,
-            f2p,
-            f2p - p.thetac * c,
-            f2pp,
-            f2pp - p.thetac,
-        ]
+        [c, f2_delta(c, p), F_delta(c, p), f2_delta_prime(c, p), dF_delta(c, p),
+         f2pp, f2pp - p.thetac]
     )

@@ -44,8 +44,8 @@ from .potential import (
     PotentialParams,
     artificial_pressure,
     dF_delta,
-    guarded_power,
     pressure,
+    pressure_slope,
 )
 
 __all__ = [
@@ -335,21 +335,15 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
     """
     g = spec.grid
     n, h = g.n_cells, g.spacing_h
-    p, fp = spec.potential, spec.fluid
     rho_t, u_t = state.rho.values, state.u.values
 
     uf = _face_velocities(u_t)
     rho_f = np.zeros(n + 1)
     rho_f[1:-1] = 0.5 * (rho_t[:-1] + rho_t[1:])
 
-    # Pi'(rho_old); the artificial-pressure slope keeps the linearization
-    # consistent with the full pressure used in F1.
-    k = fp.art_exponent
-    pi_slope = (
-        k * guarded_power(rho_t, k - 1) / np.log(1.0 / p.delta)
-        + fp.gamma * (fp.gamma - 1.0) * guarded_power(rho_t, fp.gamma - 1.0)
-        + fp.H
-    )
+    # Pi'(rho_old) of the full pressure used in F1, artificial part included,
+    # keeps the linearization consistent.
+    pi_slope = pressure_slope(rho_t, spec.potential.delta, spec.fluid)
 
     # Tridiagonal (diag, upper, lower) blocks keyed by (row field, column
     # field), 0 = rho and 1 = u; the correction flux acts at interior faces.
@@ -361,7 +355,7 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
         (0, 0): _continuity_bands(uf, eps, g),
         (0, 1): (flux[1:] - flux[:-1], flux[1:-1], -flux[1:-1]),
         (1, 0): (coef * grad[0], coef[1:] * grad[1], coef[:-1] * grad[2]),
-        (1, 1): tuple(fp.visc * band for band in lap),
+        (1, 1): tuple(spec.fluid.visc * band for band in lap),
     }
     # Interleaved unknowns (rho_0, u_0, rho_1, ...): entry (2i+r, 2j+c) of the
     # full matrix sits at ab[3 + 2i+r - 2j-c, 2j+c] in (3, 3) banded storage.
@@ -415,6 +409,20 @@ def solve_mu(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple
     return mesh.mean_shift(mu_hat, target, state.rho), proj
 
 
+def _c_mass_target(rho: Field, c: Field, eps: float, spec: ProblemSpec) -> float:
+    """Target of the relative-mass constraint integrate(rho c) = target.
+
+    target = m2 + eps integrate((rho0-rho) c) - eps^3 integrate(rho' c'); solve_c
+    imposes it and diagnostics.constraint_check measures the defect against it.
+    """
+    g = spec.grid
+    drho = mesh.gradient(rho, "neumann").values
+    dc = mesh.gradient(c, "neumann").values
+    i1 = mesh.integrate(Field(g, (spec.rho0 - rho.values) * c.values))
+    i2 = mesh.integrate(Field(g, drho * dc))
+    return spec.m2 + eps * i1 - eps**3 * i2
+
+
 def solve_c(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the concentration Poisson problem and impose the relative-mass constraint.
 
@@ -431,17 +439,13 @@ def solve_c(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[
     rho = state.rho.values
     rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, spec), spec, "c"), g)
     c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
-    drho = mesh.gradient(state.rho, "neumann").values
-    dc_hat = mesh.gradient(c_hat, "neumann").values
-    i0 = mesh.integrate(Field(g, spec.rho0 - rho))
-    i1 = mesh.integrate(Field(g, (spec.rho0 - rho) * c_hat.values))
-    i2 = mesh.integrate(Field(g, drho * dc_hat))
-    denom = mesh.integrate(state.rho) - eps * i0
+    denom = mesh.integrate(state.rho) - eps * mesh.integrate(Field(g, spec.rho0 - rho))
     if denom <= 1.0e-12 * max(1.0, spec.m1):
         raise mesh.DegenerateWeightError(
             f"density-weighted constraint is degenerate (integral {denom:g})"
         )
-    s = (spec.m2 + eps * i1 - eps**3 * i2 - mesh.integrate(Field(g, rho * c_hat.values))) / denom
+    target = _c_mass_target(state.rho, c_hat, eps, spec)
+    s = (target - mesh.integrate(Field(g, rho * c_hat.values))) / denom
     return Field(g, c_hat.values + s), proj
 
 
@@ -473,16 +477,15 @@ def picard_step(
 
     The flow pair is updated through the pressure-coupled block solve, the
     chemical potential and concentration through their Poisson problems with
-    the freshest available fields, and the proposals are blended with the
-    incoming state by the damping factor.  The returned density is the exact
-    continuity solve for the blended velocity, so mass and positivity hold at
-    every iterate.  The residual is the largest relative field update plus
-    both mean-projection magnitudes.
+    the block's density and velocity and the freshest mu, and the proposals
+    are blended with the incoming state by the damping factor.  The one
+    continuity solve of the step gives the returned density, for the blended
+    velocity, so mass and positivity hold at every iterate.  The residual is
+    the largest relative field update plus both mean-projection magnitudes.
     """
     d = controls.damping
     g = spec.grid
-    _, u_star = solve_flow_coupled(state, sigma, eps, spec)
-    rho_star = solve_continuity(u_star, eps, spec)
+    rho_star, u_star = solve_flow_coupled(state, sigma, eps, spec)
     mu_star, proj_mu = solve_mu(
         State(rho_star, u_star, state.mu, state.c), sigma, eps, spec
     )

@@ -71,8 +71,13 @@ class TestConfigParsing:
             parse_config_text("problem.m1 = 1.0\nproblem.m2 = 1.0")
 
     def test_bad_float(self):
-        with pytest.raises(ConfigError, match="problem.eps"):
-            parse_config_text("problem.eps = lots")
+        with pytest.raises(ConfigError, match="problem.m1"):
+            parse_config_text("problem.m1 = lots")
+
+    def test_problem_eps_is_unknown(self):
+        # every solve takes eps from solver.eps_schedule; the key had no reader
+        with pytest.raises(ConfigError, match="problem.eps: unknown configuration key"):
+            parse_config_text("problem.eps = 1e-2")
 
     def test_forcing_kinds(self):
         cfg = parse_config_text(

@@ -13,7 +13,7 @@ from chns1d.diagnostics import (
     total_energy,
 )
 from chns1d.mesh import Grid
-from chns1d.solver import ProblemSpec, State, constant_state, continuation_solve
+from chns1d.solver import ProblemSpec, State, constant_state, continuation_solve, solve_c
 
 
 def synthetic_state(grid: Grid, rho, u, mu, c) -> State:
@@ -82,6 +82,19 @@ class TestConstraints:
         spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=1.0, m2=0.3)
         err1, err2 = constraint_check(constant_state(spec, 1e-2), spec, eps=1e-2)
         assert err1 <= 1e-12 and err2 <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    def test_solve_c_meets_the_checked_target(self, forced_spec, eps):
+        """At a random non-converged state, solve_c imposes the target constraint_check measures."""
+        g = forced_spec.grid
+        rng = np.random.default_rng(7)
+        state = synthetic_state(
+            g, 1.0 + 0.5 * rng.random(g.n_cells), 0.1 * rng.standard_normal(g.n_cells),
+            rng.standard_normal(g.n_cells), 0.3 + 0.2 * rng.standard_normal(g.n_cells),
+        )
+        c, _ = solve_c(state, 0.5, eps, forced_spec)
+        _, err2 = constraint_check(State(state.rho, state.u, state.mu, c), forced_spec, eps=eps)
+        assert err2 <= 1e-13
 
     def test_converged_state(self, forced_spec, controls):
         state, log = continuation_solve(forced_spec, controls)

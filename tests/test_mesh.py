@@ -210,24 +210,6 @@ class TestLaplacianSolve:
         with pytest.raises(SolvabilityError):
             laplacian_solve(g.field(1.0), "neumann")
 
-    def test_shifted_solve(self):
-        # (shift - Lap) u = rhs with manufactured solution cos(pi x)
-        errs = []
-        shift = 2.0
-        for n in (32, 64, 128):
-            g = Grid(n, 1.0)
-            x = g.cell_centers()
-            exact = np.cos(np.pi * x)
-            rhs = g.field((shift + np.pi**2) * exact)
-            got = laplacian_solve(rhs, "neumann", shift=shift).values
-            errs.append(np.max(np.abs(got - exact)))
-        assert min(orders(errs)) >= 1.9
-
-    def test_negative_shift_rejected(self):
-        g = Grid(32, 1.0)
-        with pytest.raises(ValueError):
-            laplacian_solve(g.zeros(), "neumann", shift=-1.0)
-
     def test_mean_zero_output(self):
         g = Grid(64, 1.0)
         x = g.cell_centers()

@@ -15,6 +15,7 @@ from chns1d.potential import (
     figure1_table,
     guarded_power,
     pressure,
+    pressure_slope,
     constants,
     junction_gaps,
     structure_holds,
@@ -67,6 +68,16 @@ class TestRegularizedExtension:
 
     def test_scalar_returns_float(self, pot):
         assert isinstance(f2_delta(0.3, pot), float)
+
+    @pytest.mark.parametrize("fn", [f2_delta, f2_delta_prime, f2_delta_prime2, F_delta, dF_delta])
+    def test_nan_maps_to_nan(self, pot, fn):
+        """NaN selects no piece; it must come back as NaN, not as stale memory."""
+        finite = np.array([0.3, 0.95, 1.05, 1.5])
+        mixed = np.insert(finite, [1, 2, 3, 4], np.nan)
+        out = fn(mixed, pot)
+        assert np.all(np.isnan(out[1::2]))
+        assert np.array_equal(out[0::2], fn(finite, pot))
+        assert np.isnan(fn(float("nan"), pot))
 
 
 class TestDerivatives:
@@ -271,6 +282,25 @@ class TestPressureAndEnergy:
     def test_guarded_power_overflow(self):
         with pytest.raises(OverflowError):
             guarded_power(2.0e6, 11)
+
+    def test_nan_density_rejected(self, fluid):
+        with pytest.raises(DomainError):
+            guarded_power(np.array([1.0, np.nan]), 2.0)
+        with pytest.raises(DomainError):
+            guarded_power(float("nan"), 11)
+        with pytest.raises(DomainError):
+            pressure(float("nan"), fluid)
+
+    def test_pressure_slope_is_derivative(self, pot, fluid):
+        """pressure_slope matches a central difference of artificial plus total pressure."""
+        rho, h = np.linspace(0.2, 1.6, 15), 1e-6
+
+        def pi(r):
+            return potential.artificial_pressure(r, pot.delta, fluid.art_exponent) + pressure(r, fluid)
+
+        fd = (pi(rho + h) - pi(rho - h)) / (2.0 * h)
+        assert np.allclose(pressure_slope(rho, pot.delta, fluid), fd, rtol=1e-7, atol=0.0)
+        assert isinstance(pressure_slope(1.0, pot.delta, fluid), float)
 
     def test_free_energy_unit_state(self, pot, fluid):
         assert potential.free_energy_delta(1.0, 0.0, fluid, pot) == pytest.approx(1.0, abs=1e-15)
