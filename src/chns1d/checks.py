@@ -174,7 +174,7 @@ def _constant_state_checks(cfg: RunConfig) -> list[CheckResult]:
     spec = replace(cfg.spec, g1=cfg.spec.grid.zeros(), g2=cfg.spec.grid.zeros())
     state0 = solver.constant_state(spec, cfg.controls.eps_schedule[0])
     _, res = solver.picard_step(
-        state0, 1.0, cfg.controls.eps_schedule[0], spec, cfg.controls
+        state0, 1.0, cfg.controls.eps_schedule[0], spec, cfg.controls.damping
     )
     out.append(_result("solver.constant_fixed_point", res <= 1.0e-12, f"residual {res:.2e}"))
 

@@ -93,11 +93,12 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     report = compute_report(state, cfg.spec, eps=log.final_eps)
     _write_text(out_dir / "report.txt", report.to_kv_text())
     conv_rows = [
-        [str(si + 1), str(it + 1), _fmt(res)]
+        [str(si + 1), str(it + 1), _fmt(res), _fmt(d)]
         for si, stage in enumerate(log.stages)
-        for it, res in enumerate(stage.residuals)
+        for it, (res, d) in enumerate(zip(stage.residuals, stage.dampings))
     ]
-    _write_csv(out_dir / "convergence.csv", ["stage", "iteration", "residual"], conv_rows)
+    header = ["stage", "iteration", "residual", "damping"]
+    _write_csv(out_dir / "convergence.csv", header, conv_rows)
     return 0
 
 

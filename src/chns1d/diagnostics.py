@@ -13,7 +13,6 @@ of the density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -135,7 +134,7 @@ def energy_inequality(state: "State", spec: "ProblemSpec") -> tuple[float, float
 
 
 def constraint_check(
-    state: "State", spec: "ProblemSpec", eps: Optional[float] = None
+    state: "State", spec: "ProblemSpec", eps: float
 ) -> tuple[float, float]:
     """Absolute defects of the two mass constraints.
 
@@ -143,9 +142,8 @@ def constraint_check(
     constraint including its eps-level corrections; pass eps=0 to check the
     uncorrected form integrate(rho c) = m2.
     """
-    e = spec.eps if eps is None else eps
     err1 = abs(mesh.integrate(state.rho) - spec.m1)
-    target = _c_mass_target(state.rho, state.c, e, spec)
+    target = _c_mass_target(state.rho, state.c, eps, spec)
     err2 = abs(mesh.integrate(Field(spec.grid, state.rho.values * state.c.values)) - target)
     return err1, err2
 
@@ -213,21 +211,19 @@ def norms(state: "State", spec: "ProblemSpec") -> dict:
 
 
 def mean_projection_residuals(
-    state: "State", spec: "ProblemSpec", eps: Optional[float] = None
+    state: "State", spec: "ProblemSpec", eps: float
 ) -> tuple[float, float]:
     """Compatibility defects |∫ rhs| of the two Neumann problems at this state."""
-    e = spec.eps if eps is None else eps
     g = spec.grid
-    proj_mu = abs(mesh.integrate(Field(g, _mu_rhs(state, e, spec))))
+    proj_mu = abs(mesh.integrate(Field(g, _mu_rhs(state, eps, spec))))
     proj_c = abs(mesh.integrate(Field(g, _c_rhs(state, spec))))
     return proj_mu, proj_c
 
 
 def compute_report(
-    state: "State", spec: "ProblemSpec", eps: Optional[float] = None
+    state: "State", spec: "ProblemSpec", eps: float
 ) -> DiagnosticsReport:
     """Assemble the full report for one state (pure; safe to run concurrently)."""
-    e = spec.eps if eps is None else eps
     lhs, rhs, _ = energy_inequality(state, spec)
     nm = norms(state, spec)
     tau = TAU_SUPPORT_FACTOR * spec.rho0
@@ -251,5 +247,5 @@ def compute_report(
         grad_norms=nm["grad"],
         bound_violation=bound_violation(state, tau),
         continuity_residual=continuity_residual(state),
-        mean_projection_residuals=mean_projection_residuals(state, spec, e),
+        mean_projection_residuals=mean_projection_residuals(state, spec, eps),
     )

@@ -1,4 +1,4 @@
-"""Damped fixed-point solver for the stationary two-phase balance system in 1-D.
+"""Adaptively damped fixed-point solver for the stationary two-phase balance system in 1-D.
 
 The unknown quadruple (rho, u, mu, c) satisfies, on (0, L) with eps in (0, 1):
 
@@ -17,10 +17,13 @@ factor sigma in (0, 1] scales every nonlinear right side and is ramped to 1 as
 a continuation strategy; a second continuation drives eps down a schedule.
 
 Each iteration lags the nonlinear couplings at the previous iterate (no global
-Newton linearization).  The one exception, forced by stability, is the
-mass-pressure pair: a velocity proposal obtained from the momentum equation
-with a frozen-density pressure feeds the continuity solve with a perturbation
-gain of order P'(rho0)/(visc * eps^2), which diverges for any useful eps.
+Newton linearization) and blends its proposal with the incoming state by a
+damping factor that starts each stage at ``SolveControls.damping`` and is
+halved on each residual rise, down to 1/8.  The one exception to the lagging,
+forced by stability, is the mass-pressure pair: a velocity proposal obtained
+from the momentum equation with a frozen-density pressure feeds the continuity
+solve with a perturbation gain of order P'(rho0)/(visc * eps^2), which
+diverges for any useful eps.
 :func:`solve_flow_coupled` therefore solves the linearized (rho, u) block as
 one banded system per iteration, with the pressure slope Pi'(rho_old) frozen
 at the previous iterate; every other coupling stays lagged.  The fixed points
@@ -186,10 +189,11 @@ class State:
 
 @dataclass(frozen=True)
 class SolveControls:
-    """Continuation schedules and fixed-point iteration controls."""
+    """Continuation schedules and fixed-point iteration controls; ``damping`` is
+    the starting factor of each stage, halved on each residual rise, down to 1/8."""
 
     sigma_schedule: tuple = (0.25, 0.5, 0.75, 1.0)
-    damping: float = 0.5
+    damping: float = 1.0
     max_picard: int = 500
     tol_rel: float = 1.0e-8
     eps_schedule: tuple = (1.0e-1, 1.0e-2, 1.0e-3)
@@ -453,15 +457,14 @@ def solve_c(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[
 # Fixed-point iteration and continuation
 # ---------------------------------------------------------------------------
 
-def constant_state(spec: ProblemSpec, eps: Optional[float] = None) -> State:
+def constant_state(spec: ProblemSpec, eps: float) -> State:
     """The spatially constant quadruple (rho0, 0, dF_delta(c0), c0).
 
     With zero forcing this is an exact solution for every sigma and eps; it
     seeds the continuation.
     """
-    e = spec.eps if eps is None else eps
     g = spec.grid
-    rho = solve_continuity(g.zeros(), e, spec)
+    rho = solve_continuity(g.zeros(), eps, spec)
     mu0 = dF_delta(spec.c0, spec.potential)
     return State(rho, g.zeros(), g.field(mu0), g.field(spec.c0))
 
@@ -471,19 +474,20 @@ def _rel_update(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def picard_step(
-    state: State, sigma: float, eps: float, spec: ProblemSpec, controls: SolveControls
+    state: State, sigma: float, eps: float, spec: ProblemSpec, damping: float
 ) -> tuple[State, float]:
     """One damped sweep over the four sub-solves.
 
     The flow pair is updated through the pressure-coupled block solve, the
     chemical potential and concentration through their Poisson problems with
     the block's density and velocity and the freshest mu, and the proposals
-    are blended with the incoming state by the damping factor.  The one
+    are blended with the incoming state by ``damping`` (1 takes the proposal;
+    :func:`continuation_solve` starts each stage at ``SolveControls.damping``
+    and halves it on each residual rise, down to 1/8).  The one
     continuity solve of the step gives the returned density, for the blended
     velocity, so mass and positivity hold at every iterate.  The residual is
     the largest relative field update plus both mean-projection magnitudes.
     """
-    d = controls.damping
     g = spec.grid
     rho_star, u_star = solve_flow_coupled(state, sigma, eps, spec)
     mu_star, proj_mu = solve_mu(
@@ -493,9 +497,9 @@ def picard_step(
         State(rho_star, u_star, mu_star, state.c), sigma, eps, spec
     )
 
-    u_new = Field(g, d * u_star.values + (1.0 - d) * state.u.values)
-    mu_new = Field(g, d * mu_star.values + (1.0 - d) * state.mu.values)
-    c_new = Field(g, d * c_star.values + (1.0 - d) * state.c.values)
+    u_new = Field(g, damping * u_star.values + (1.0 - damping) * state.u.values)
+    mu_new = Field(g, damping * mu_star.values + (1.0 - damping) * state.mu.values)
+    c_new = Field(g, damping * c_star.values + (1.0 - damping) * state.c.values)
     rho_new = solve_continuity(u_new, eps, spec)
 
     residual = (
@@ -522,11 +526,12 @@ def _diverged(residuals: list[float]) -> bool:
 
 @dataclass
 class StageLog:
-    """Residual and mass history of one (sigma, eps) continuation stage."""
+    """Residual, damping and mass history of one (sigma, eps) continuation stage."""
 
     sigma: float
     eps: float
     residuals: list[float] = field(default_factory=list)
+    dampings: list[float] = field(default_factory=list)
     mass_errors: list[float] = field(default_factory=list)
 
     @property
@@ -556,9 +561,11 @@ def _run_stage(
     controls: SolveControls,
 ) -> tuple[State, StageLog]:
     log = StageLog(sigma, eps)
+    damping = controls.damping
     for _ in range(controls.max_picard):
-        state, res = picard_step(state, sigma, eps, spec, controls)
+        state, res = picard_step(state, sigma, eps, spec, damping)
         log.residuals.append(res)
+        log.dampings.append(damping)
         log.mass_errors.append(abs(mesh.integrate(state.rho) - spec.m1))
         if _diverged(log.residuals):
             raise DivergenceError(
@@ -567,6 +574,9 @@ def _run_stage(
             )
         if res <= controls.tol_rel:
             break
+        if log.iterations > 1 and res > log.residuals[-2]:
+            # halve, but not below 1/8 (nor below a lower starting factor)
+            damping = max(0.5 * damping, min(damping, 0.125))
     return state, log
 
 
@@ -579,8 +589,10 @@ def continuation_solve(
 
     Every stage warm-starts from the previous one and iterates
     :func:`picard_step` until the residual reaches tol_rel or max_picard steps
-    are spent.  If a sigma stage diverges, the sigma step is bisected once
-    before the failure is raised with the stage attached.
+    are spent; the damping factor starts each stage at ``controls.damping``
+    and is halved, down to 1/8, whenever a residual exceeds the one before.
+    If a sigma stage diverges, the sigma step is bisected once before the
+    failure is raised with the stage attached.
     """
     eps0 = controls.eps_schedule[0]
     stages = [(s, eps0) for s in controls.sigma_schedule]

@@ -157,7 +157,7 @@ class TestCliSolve:
         report = (out / "report.txt").read_text()
         assert "ei_slack" in report and "mass1" in report
         header, rows = read_csv(out / "convergence.csv")
-        assert header == ["stage", "iteration", "residual"]
+        assert header == ["stage", "iteration", "residual", "damping"]
         assert len(rows) >= 4
 
     def test_forced_solve_report(self, tmp_path):
