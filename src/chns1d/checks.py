@@ -4,7 +4,8 @@ Four suites cover the library bottom-up: closed-form potential properties,
 discrete-calculus accuracy of the mesh, exactness of the constant state under
 the fixed-point solver, and constraint bookkeeping on a forced solve.  Each
 check returns a pass/fail row with a numeric detail, so regressions point at
-the failing quantity directly.
+the failing quantity directly; a solver suite whose solve raises one of
+``solver.SOLVER_ERRORS`` returns a single FAIL row naming the error.
 """
 
 from __future__ import annotations
@@ -221,10 +222,18 @@ def _constraint_checks(cfg: RunConfig) -> list[CheckResult]:
     return out
 
 
+def _solver_suite(suite, name: str, cfg: RunConfig) -> list[CheckResult]:
+    """Run a solver suite; a solver error becomes one FAIL row named ``name``."""
+    try:
+        return suite(cfg)
+    except solver.SOLVER_ERRORS as err:
+        return [_result(name, False, f"solver raised {type(err).__name__}: {err}")]
+
+
 def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     """Execute every suite in dependency order; never raises on check failure."""
     results = _potential_checks(cfg.spec.potential)
     results += _mesh_checks()
-    results += _constant_state_checks(cfg)
-    results += _constraint_checks(cfg)
+    results += _solver_suite(_constant_state_checks, "solver.constant_state", cfg)
+    results += _solver_suite(_constraint_checks, "solver.forced_solve", cfg)
     return results

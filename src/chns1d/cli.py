@@ -8,7 +8,9 @@ Subcommands:
   (``fields.csv``), the diagnostics report (``report.txt``), and the residual
   history (``convergence.csv``).
 * ``sweep`` runs a delta or eps sweep and writes one diagnostics row per value
-  (``sweep.csv``) plus per-value field files.
+  (``sweep.csv``) plus per-value field files.  The first value runs the full
+  continuation and every later value warm-starts from its solution (cold if
+  it failed), whether the later values run in this process or on a pool.
 * ``check`` executes the built-in verification suites and exits nonzero on
   any failure.
 
@@ -17,7 +19,8 @@ code path is deterministic: identical configurations produce byte-identical
 files, including under parallel sweep execution (results are buffered and
 written in input order).
 
-Exit codes: 0 on success, 1 on a solver failure or an I/O error, 2 on a
+Exit codes: 0 on success, 1 on a solver failure (one of
+``solver.SOLVER_ERRORS``, ``NotConverged`` included) or an I/O error, 2 on a
 configuration or usage error.
 """
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import potential, solver
@@ -102,21 +106,20 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_value_cold(args) -> tuple[str, DiagnosticsReport | None, solver.State | None]:
-    """Process-pool entry point: (status, report, state) of one cold-started sweep value."""
-    spec_base, controls, key, value = args
-    return solver._sweep_value(spec_base, key, value, controls, warm=None)[:3]
+def _sweep_value_cold(job) -> tuple:
+    """Process-pool entry point: one later sweep value, ``solver._sweep_value(*job)``,
+    warm-started from the state the job carries; ``bench/spans.py`` hooks this name."""
+    return solver._sweep_value(*job)
 
 
 def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path) -> int:
     """Run a regularization sweep and write per-value diagnostics rows.
 
-    With ``sweep.max_parallel = 1`` (the default) the values are solved
-    sequentially with warm starts; larger settings solve each value
-    independently from a cold start, distributing them over a process pool.
-    Either way the output files depend only on the configuration.  An invalid
-    key or value list, or values whose field files would share a name, exit 2
-    before anything is solved.
+    The first value runs the full continuation and every later value
+    warm-starts from its solution (cold if it failed); ``sweep.max_parallel >
+    1`` solves the later values on a process pool, with the same output files.
+    An invalid key or value list, or values whose field files would share a
+    name, exit 2 before anything is solved.
     """
     try:
         values = solver.check_sweep(sweep_key, values)
@@ -129,19 +132,17 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
         print(f"sweep: values {', '.join(clash)} would share a field file name", file=sys.stderr)
         return 2
 
+    run = solver.delta_sweep if sweep_key == "delta" else solver.eps_sweep
     if cfg.max_parallel == 1:
-        run = solver.delta_sweep if sweep_key == "delta" else solver.eps_sweep
         sweep = run(cfg.spec, values, cfg.controls)
-        statuses, reports, states = sweep.statuses, sweep.reports, sweep.states
     else:
-        jobs = [(cfg.spec, cfg.controls, sweep_key, v) for v in values]
-        workers = min(cfg.max_parallel, len(values))
+        workers = min(cfg.max_parallel, max(len(values) - 1, 1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            statuses, reports, states = zip(*pool.map(_sweep_value_cold, jobs))
+            sweep = run(cfg.spec, values, cfg.controls, partial(pool.map, _sweep_value_cold))
 
     header = [sweep_key, "status"] + DiagnosticsReport.csv_header()
     rows = []
-    for value, status, report in zip(values, statuses, reports):
+    for value, status, report in zip(values, sweep.statuses, sweep.reports):
         cells = [_fmt(value), status]
         if report is None:
             cells += ["nan"] * len(DiagnosticsReport.csv_header())
@@ -150,12 +151,12 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
         rows.append(cells)
     _write_csv(out_dir / "sweep.csv", header, rows)
 
-    for value, state in zip(values, states):
+    for value, state in zip(values, sweep.states):
         if state is not None:
             path = out_dir / _fields_name(sweep_key, value)
             _write_csv(path, ["x", "rho", "u", "mu", "c"], _fields_rows(state))
 
-    failed = [f"{v:g}: {s}" for v, s in zip(values, statuses) if s != "ok"]
+    failed = [f"{v:g}: {s}" for v, s in zip(values, sweep.statuses) if s != "ok"]
     if failed:
         print("sweep: failures -> " + "; ".join(failed), file=sys.stderr)
         return 1

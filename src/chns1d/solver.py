@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from itertools import starmap
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -59,6 +61,7 @@ __all__ = [
     "SolveControls",
     "SingularSystemError",
     "DivergenceError",
+    "NotConverged",
     "SOLVER_ERRORS",
     "constant_state",
     "solve_continuity",
@@ -83,6 +86,10 @@ class SingularSystemError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Fixed-point residual grew persistently; carries the failing stage."""
+
+
+class NotConverged(RuntimeError):
+    """A stage spent ``max_picard`` iterations with the residual still above tol_rel."""
 
 
 @dataclass(frozen=True)
@@ -573,11 +580,14 @@ def _run_stage(
                 f"after {log.iterations} iterations (residual {res:g})"
             )
         if res <= controls.tol_rel:
-            break
+            return state, log
         if log.iterations > 1 and res > log.residuals[-2]:
             # halve, but not below 1/8 (nor below a lower starting factor)
             damping = max(0.5 * damping, min(damping, 0.125))
-    return state, log
+    raise NotConverged(
+        f"stage sigma={sigma:g}, eps={eps:g} ended at residual {res:g} "
+        f"after {log.iterations} iterations (tol_rel {controls.tol_rel:g})"
+    )
 
 
 def continuation_solve(
@@ -588,11 +598,12 @@ def continuation_solve(
     """Ramp sigma to 1 at the largest eps, then walk eps down its schedule.
 
     Every stage warm-starts from the previous one and iterates
-    :func:`picard_step` until the residual reaches tol_rel or max_picard steps
-    are spent; the damping factor starts each stage at ``controls.damping``
-    and is halved, down to 1/8, whenever a residual exceeds the one before.
-    If a sigma stage diverges, the sigma step is bisected once before the
-    failure is raised with the stage attached.
+    :func:`picard_step` until the residual reaches tol_rel; a stage that spends
+    max_picard steps above it raises :class:`NotConverged`.  The damping
+    factor starts each stage at ``controls.damping`` and is halved, down to
+    1/8, whenever a residual exceeds the one before.  If a sigma stage
+    diverges, the sigma step is bisected once before the failure is raised
+    with the stage attached.
     """
     eps0 = controls.eps_schedule[0]
     stages = [(s, eps0) for s in controls.sigma_schedule]
@@ -643,6 +654,7 @@ class SweepReport:
 # Errors that end one solve; sweeps record them per value, commands exit 1.
 SOLVER_ERRORS = (
     DivergenceError,
+    NotConverged,
     SingularSystemError,
     mesh.SolvabilityError,
     mesh.DegenerateWeightError,
@@ -706,29 +718,34 @@ def _sweep(
     key: str,
     values: tuple,
     controls: SolveControls,
+    map_later: Optional[Callable] = None,
 ) -> SweepReport:
-    """Solve the values in order, each warm-started from the last success."""
-    rows = []
-    warm: Optional[State] = None
-    for v in values:
-        rows.append(_sweep_value(spec_base, key, v, controls, warm))
-        if rows[-1][0] == "ok":
-            warm = rows[-1][2]
+    """Solve the first value cold and every later value warm from the first
+    value's solution (cold if it failed); ``map_later`` maps the later values'
+    ``_sweep_value`` argument tuples to rows (a pool's map, say), by default in order."""
+    first = _sweep_value(spec_base, key, values[0], controls, None)
+    later = [(spec_base, key, v, controls, first[2]) for v in values[1:]]
+    rows = [first, *(map_later or partial(starmap, _sweep_value))(later)]
     statuses, reports, states, logs = (list(col) for col in zip(*rows))
     return SweepReport(key, values, statuses, reports, states, logs)
 
 
-def delta_sweep(spec_base: ProblemSpec, deltas, controls: SolveControls) -> SweepReport:
+def delta_sweep(
+    spec_base: ProblemSpec, deltas, controls: SolveControls, map_later: Optional[Callable] = None
+) -> SweepReport:
     """Solve a fixed problem for a decreasing list of regularization widths.
 
-    Each width warm-starts from the previous solution (the first runs the full
-    continuation), and the per-width diagnostics expose the vanishing
-    artificial pressure, the width-independent norm bounds, and the shrinking
-    concentration-bound violations.
+    The first width runs the full continuation and every later width
+    warm-starts from its solution (see :func:`_sweep`); the per-width
+    diagnostics expose the vanishing artificial pressure, the width-independent
+    norm bounds, and the shrinking concentration-bound violations.
     """
-    return _sweep(spec_base, "delta", check_sweep("delta", deltas), controls)
+    return _sweep(spec_base, "delta", check_sweep("delta", deltas), controls, map_later)
 
 
-def eps_sweep(spec_base: ProblemSpec, eps_values, controls: SolveControls) -> SweepReport:
-    """Solve a fixed problem for a decreasing list of eps values (warm-started)."""
-    return _sweep(spec_base, "eps", check_sweep("eps", eps_values), controls)
+def eps_sweep(
+    spec_base: ProblemSpec, eps_values, controls: SolveControls, map_later: Optional[Callable] = None
+) -> SweepReport:
+    """Solve a fixed problem for a decreasing list of eps values, warm-started
+    from the first value's solution as in :func:`_sweep`."""
+    return _sweep(spec_base, "eps", check_sweep("eps", eps_values), controls, map_later)

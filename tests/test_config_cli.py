@@ -199,6 +199,16 @@ class TestCliSolve:
         assert err.startswith("solve failed: SingularSystemError: transport matrix")
         assert not (tmp_path / "o").exists()
 
+    def test_max_picard_exhausted_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FORCED_N64 + "solver.max_picard = 1\n")
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: NotConverged: stage sigma=0.25, eps=0.1 ended at residual ")
+        assert "after 1 iterations" in err
+        assert not (tmp_path / "o").exists()
+
 
 FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 
@@ -251,7 +261,7 @@ class TestCliSweep:
         assert not (tmp_path / "o").exists()
 
     def test_first_value_same_on_both_paths(self, tmp_path):
-        """The first sweep value is a cold solve whether or not a pool runs it."""
+        """Every row and field file is the same whether or not a pool runs the later values."""
         outs = []
         for max_parallel in (1, 2):
             cfg = tmp_path / f"run{max_parallel}.cfg"
@@ -259,15 +269,34 @@ class TestCliSweep:
             out = tmp_path / f"out{max_parallel}"
             rc = cli.main(
                 ["sweep", "--config", str(cfg), "--out", str(out),
-                 "--sweep-key", "delta", "--values", "0.2,0.1"]
+                 "--sweep-key", "delta", "--values", "0.2,0.1,0.05"]
             )
             assert rc == 0
             outs.append(out)
-        seq, par = ((out / "sweep.csv").read_bytes().splitlines() for out in outs)
-        assert seq[1].split(b",")[1] == b"ok"
-        assert seq[1] == par[1]
-        seq, par = ((out / "fields_delta_0.2.csv").read_bytes() for out in outs)
-        assert seq == par
+        seq, par = outs
+        _, rows = read_csv(seq / "sweep.csv")
+        assert [r[1] for r in rows] == ["ok"] * 3
+        names = sorted(p.name for p in seq.iterdir())
+        assert names == sorted(p.name for p in par.iterdir())
+        assert names == ["fields_delta_0.05.csv", "fields_delta_0.1.csv",
+                         "fields_delta_0.2.csv", "sweep.csv"]
+        for name in names:
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    def test_max_picard_exhausted_fails_every_value(self, tmp_path, capsys, max_parallel):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FORCED_N64 + f"solver.max_picard = 1\nsweep.max_parallel = {max_parallel}\n")
+        out = tmp_path / "out"
+        rc = cli.main(
+            ["sweep", "--config", str(cfg), "--out", str(out),
+             "--sweep-key", "delta", "--values", "0.2,0.1"]
+        )
+        assert rc == 1
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r[1] for r in rows] == ["failed(NotConverged)"] * 2
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+        assert "failed(NotConverged)" in capsys.readouterr().err
 
     def test_delta_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -315,14 +344,15 @@ class TestCliSweep:
     def test_sweep_failure_flagged_in_status_column(self, tmp_path, monkeypatch):
         from chns1d import solver
 
-        def blow_up(args):
-            return "failed(DivergenceError)", None, None
+        def blow_up(spec_base, key, value, controls, warm):
+            return "failed(DivergenceError)", None, None, None
 
-        monkeypatch.setattr(cli, "_sweep_value_cold", blow_up)
+        # the first value is solved in-process and the second through the
+        # pool entry point; both reach solver._sweep_value
+        monkeypatch.setattr(solver, "_sweep_value", blow_up)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sweep.max_parallel = 2\ndomain.n_cells = 64\n")
         out = tmp_path / "out"
-        # max_parallel capped at len(values); a single value runs in-process
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialExecutor)
         rc = cli.main(
             ["sweep", "--config", str(cfg), "--out", str(out),
@@ -343,6 +373,18 @@ class TestCliCheck:
         assert rc == 0
         assert "FAIL" not in captured
         assert "checks passed" in captured
+
+    def test_solver_error_is_a_fail_row(self, tmp_path, capsys):
+        # the zero-forcing constant state converges in one step; the forced
+        # suite does not
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n_cells = 64\nsolver.max_picard = 1\n")
+        rc = cli.main(["check", "--config", str(cfg)])
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert rc == 1
+        assert len(failed) == 1
+        assert failed[0].split()[1] == "solver.forced_solve"
+        assert "solver raised NotConverged: stage sigma=0.25, eps=0.1" in failed[0]
 
     def test_low_theta0_checks_admitted_widths(self, tmp_path, capsys):
         # at theta0 = 0.5 the sign structure needs delta <= 0.006375, so the

@@ -385,6 +385,13 @@ class TestContinuation:
         with pytest.raises(solver.DivergenceError, match="sigma=.*eps="):
             continuation_solve(forced_spec, ctl)
 
+    def test_max_picard_exhausted_raises_not_converged(self, forced_spec):
+        ctl = SolveControls(max_picard=1)
+        with pytest.raises(
+            solver.NotConverged, match=r"sigma=0\.25, eps=0\.1 ended at residual \S+ after 1 iterations"
+        ):
+            continuation_solve(forced_spec, ctl)
+
 
 class TestManufacturedSolutions:
     def test_continuity_order(self):
@@ -460,6 +467,39 @@ class TestSweeps:
         assert sweep.statuses == ["ok", "failed(DivergenceError)", "ok"]
         assert sweep.reports[1] is None and sweep.states[1] is None
         assert sweep.any_failed
+
+    @pytest.mark.parametrize("run, values", [
+        (delta_sweep, (0.2, 0.1, 0.05)),
+        (eps_sweep, (1e-1, 5e-2, 2e-2)),
+    ])
+    def test_later_values_start_from_first_solution(self, forced_spec, monkeypatch, run, values):
+        original = solver.continuation_solve
+        starts = []
+
+        def recording(spec, ctl, initial_state=None):
+            starts.append(initial_state)
+            return original(spec, ctl, initial_state)
+
+        monkeypatch.setattr(solver, "continuation_solve", recording)
+        sweep = run(forced_spec, values, SolveControls(eps_schedule=(1e-1, 1e-2)))
+        assert sweep.statuses == ["ok"] * 3
+        assert starts[0] is None
+        assert all(s is sweep.states[0] for s in starts[1:])
+
+    def test_failed_first_value_leaves_later_values_cold(self, forced_spec, monkeypatch):
+        original = solver.continuation_solve
+        starts = []
+
+        def first_fails(spec, ctl, initial_state=None):
+            starts.append(initial_state)
+            if len(starts) == 1:
+                raise solver.NotConverged("synthetic failure sigma=0.25, eps=0.1")
+            return original(spec, ctl, initial_state)
+
+        monkeypatch.setattr(solver, "continuation_solve", first_fails)
+        sweep = delta_sweep(forced_spec, (0.2, 0.1, 0.05), SolveControls(eps_schedule=(1e-1, 1e-2)))
+        assert sweep.statuses == ["failed(NotConverged)", "ok", "ok"]
+        assert starts == [None, None, None]
 
 
 class TestNonUnitDomain:
