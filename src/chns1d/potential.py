@@ -5,11 +5,16 @@ The singular core is the symmetric mixing-entropy function
     f2(c) = (theta0/2) * ((1+c) ln(1+c) + (1-c) ln(1-c)),   |c| < 1,
 
 which blows up at the pure phases c = +-1.  The family ``f2_delta`` extends it
-to the whole real line: it agrees with f2 exactly on [-(1-delta), 1-delta],
-crosses the singular endpoints through two polynomial transition pieces on
-(1-delta, 1] and (1, 1+delta], and ends in an exact quadratic tail of
-curvature thetac.  The pieces are glued so the extension is twice continuously
-differentiable.  Because the tail curvature equals thetac, the effective
+to the whole real line: it agrees with f2 exactly on [-(1-delta), 1-delta]
+and continues in |c| through three polynomial pieces, held in one
+coefficient table per parameter set: a plateau of constant curvature
+k = theta0/(delta(2-delta)) (the core's curvature at 1-delta) on
+(1-delta, 1], a cubic ramp whose curvature goes linearly from k to thetac on
+(1, 1+delta], and a quadratic tail of curvature thetac.  Each piece starts
+from the value, slope and curvature that the piece before it reaches at the
+knot, so the extension is twice continuously differentiable by
+construction, and every derivative order is read off the same
+coefficients.  Because the tail curvature equals thetac, the effective
 double-well potential F_delta(c) = f2_delta(c) - (thetac/2) c^2 grows only
 linearly for large |c|; its derivative dF_delta is constant beyond 1+delta and
 of size O(ln(1/delta)) there.
@@ -21,6 +26,7 @@ from any thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,6 +63,7 @@ __all__ = [
 # Density ceiling for the guarded power evaluations; exponent 11 overflows
 # naive powers well below float range limits during solver transients.
 RHO_MAX_DEFAULT = 1.0e6
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 # Regularization widths exercised by the junction / property check suites.
 DELTA_TEST_GRID = (0.5, 0.1, 0.01, 1.0e-3)
@@ -115,119 +122,73 @@ def _ret(out: np.ndarray, scalar: bool):
 
 
 # ---------------------------------------------------------------------------
-# Piece evaluators.  Each takes the folded argument a = |c| restricted to its
-# own interval; selection is done by the public functions (intervals closed on
-# the right, so a knot value uses the piece to its left).
+# Pieces of the folded argument a = |c|: the core up to 1 - delta, then the
+# plateau, ramp and tail of the table.  Intervals are closed on the right, so
+# a knot value uses the piece to its left.
 # ---------------------------------------------------------------------------
 
-def _f2_p1(a, p: PotentialParams):
-    return 0.5 * p.theta0 * (xlogy(1.0 + a, 1.0 + a) + xlogy(1.0 - a, 1.0 - a))
-
-
-def _f2_p2(a, p: PotentialParams):
-    d, th0 = p.delta, p.theta0
-    t = a - (1.0 - d)
-    return (
-        th0 / (2.0 * d * (2.0 - d)) * t * t
-        + 0.5 * th0 * np.log(2.0 / d - 1.0) * t
-        + _f2_p1(1.0 - d, p)
-    )
-
-
-def _f2_p3(a, p: PotentialParams):
-    d, th0, thc = p.delta, p.theta0, p.thetac
-    t = a - 1.0
-    cubic = (thc * d * (2.0 - d) - th0) / (6.0 * d * d * (2.0 - d))
-    return (
-        cubic * t**3
-        + th0 / (2.0 * d * (2.0 - d)) * t * t
-        + (th0 / (2.0 - d) + 0.5 * th0 * np.log((2.0 - d) / d)) * t
-        + d * th0 / (2.0 * (2.0 - d))
-        + th0 * np.log(2.0 - d)
-    )
-
-
-def _f2_p4(a, p: PotentialParams):
-    d, th0, thc = p.delta, p.theta0, p.thetac
-    t = a - 1.0 - d
-    slope = thc * d / 2.0 + 1.5 * th0 / (2.0 - d) + 0.5 * th0 * np.log((2.0 - d) / d)
-    const = (
-        thc * d * d / 6.0
-        + 11.0 * th0 * d / (6.0 * (2.0 - d))
-        + 0.5 * th0 * d * np.log((2.0 - d) / d)
-        + th0 * np.log(2.0 - d)
-    )
-    return 0.5 * thc * t * t + slope * t + const
-
-
-def _f2p_p1(a, p: PotentialParams):
-    return p.theta0 * np.arctanh(a)
-
-
-def _f2p_p2(a, p: PotentialParams):
-    d, th0 = p.delta, p.theta0
-    return th0 / (d * (2.0 - d)) * (a - (1.0 - d)) + 0.5 * th0 * np.log((2.0 - d) / d)
-
-
-def _f2p_p3(a, p: PotentialParams):
-    d, th0, thc = p.delta, p.theta0, p.thetac
-    t = a - 1.0
-    quad = (thc * d * (2.0 - d) - th0) / (2.0 * d * d * (2.0 - d))
-    return (
-        quad * t * t
-        + th0 / (d * (2.0 - d)) * t
-        + th0 / (2.0 - d)
-        + 0.5 * th0 * np.log((2.0 - d) / d)
-    )
-
-
-def _f2p_p4(a, p: PotentialParams):
-    d, th0, thc = p.delta, p.theta0, p.thetac
-    return (
-        thc * (a - 1.0 - d)
-        + thc * d / 2.0
-        + 1.5 * th0 / (2.0 - d)
-        + 0.5 * th0 * np.log((2.0 - d) / d)
-    )
-
-
-def _f2pp_p1(a, p: PotentialParams):
+def _core(a, p: PotentialParams, order: int):
+    """Derivative ``order`` (0, 1 or 2) of the singular core at a = |c| < 1."""
+    if order == 0:
+        return 0.5 * p.theta0 * (xlogy(1.0 + a, 1.0 + a) + xlogy(1.0 - a, 1.0 - a))
+    if order == 1:
+        return p.theta0 * np.arctanh(a)
     return p.theta0 / (1.0 - a * a)
 
 
-def _f2pp_p2(a, p: PotentialParams):
-    d = p.delta
-    return p.theta0 / (d * (2.0 - d)) * np.ones_like(np.asarray(a, dtype=float))
+def _horner(coeffs, t):
+    """Polynomial value by Horner's rule.  Unlike np.polyval it starts from the
+    leading coefficient, so a constant piece stays finite at |c| = inf."""
+    out = coeffs[0]
+    for coeff in coeffs[1:]:
+        out = out * t + coeff
+    return out
 
 
-def _f2pp_p3(a, p: PotentialParams):
-    d, th0, thc = p.delta, p.theta0, p.thetac
-    return (thc * d * (2.0 - d) - th0) / (d * d * (2.0 - d)) * (a - 1.0) + th0 / (
-        d * (2.0 - d)
-    )
+@lru_cache(maxsize=64)
+def _table(p: PotentialParams) -> tuple:
+    """(knot, coefficients in t = a - knot of f2_delta, f2_delta', f2_delta'') per piece.
+
+    Each piece is the double antiderivative of its curvature, started from the
+    value and slope of the piece before it at its knot: the plateau keeps the
+    core's curvature k at 1 - delta, the ramp goes linearly from k to thetac,
+    and the tail stays at thetac.
+    """
+    d, thc = p.delta, p.thetac
+    knots = (1.0 - d, 1.0, 1.0 + d)
+    k = _core(knots[0], p, 2)
+    curvatures = ([k], [(thc - k) / d, k], [thc])
+    value, slope = _core(knots[0], p, 0), _core(knots[0], p, 1)
+    table = []
+    for j, (knot, curvature) in enumerate(zip(knots, curvatures)):
+        f = np.polyint(curvature, 2, [slope, value])
+        orders = tuple(tuple(map(float, np.polyder(f, m))) for m in range(3))
+        table.append((knot, orders))
+        if j + 1 < len(knots):
+            t = knots[j + 1] - knot
+            value, slope = _horner(orders[0], t), _horner(orders[1], t)
+    return tuple(table)
 
 
-def _f2pp_p4(a, p: PotentialParams):
-    return p.thetac * np.ones_like(np.asarray(a, dtype=float))
+def _piece(j: int, a, p: PotentialParams, order: int):
+    """Piece j (0 the core, then plateau, ramp, tail) of f2_delta^(order) at a."""
+    if j == 0:
+        return _core(a, p, order)
+    knot, orders = _table(p)[j - 1]
+    return _horner(orders[order], a - knot)
 
 
-_F2_PIECES = (_f2_p1, _f2_p2, _f2_p3, _f2_p4)
-_F2P_PIECES = (_f2p_p1, _f2p_p2, _f2p_p3, _f2p_p4)
-_F2PP_PIECES = (_f2pp_p1, _f2pp_p2, _f2pp_p3, _f2pp_p4)
-
-
-def _piecewise(a: np.ndarray, p: PotentialParams, pieces) -> np.ndarray:
-    d = p.delta
-    out = np.full_like(a, np.nan)  # NaN selects no piece and stays NaN
-    masks = (
-        a <= 1.0 - d,
-        (a > 1.0 - d) & (a <= 1.0),
-        (a > 1.0) & (a <= 1.0 + d),
-        a > 1.0 + d,
-    )
-    for mask, piece in zip(masks, pieces):
-        if np.any(mask):
-            out[mask] = piece(a[mask], p)
+def _piecewise(a: np.ndarray, p: PotentialParams, order: int) -> np.ndarray:
+    if (a <= 1.0 - p.delta).all():  # the core alone: no table needed
+        return _core(a, p, order)
+    # piece j holds knot_j < a <= knot_j+1; NaN passes no knot, so it falls to
+    # the core, which returns it as NaN
+    above = [a > knot for knot, _ in _table(p)]
+    masks = [~above[0]] + [lo & ~hi for lo, hi in zip(above, above[1:])] + [above[-1]]
+    out = np.full_like(a, np.nan)
+    for j, mask in enumerate(masks):
+        if mask.any():
+            out[mask] = _piece(j, a[mask], p, order)
     return out
 
 
@@ -240,25 +201,25 @@ def f2_singular(c, p: PotentialParams):
     arr, scalar = _prep(c)
     if np.any(np.abs(arr) >= 1.0):
         raise DomainError("f2_singular requires |c| < 1")
-    return _ret(_f2_p1(arr, p), scalar)
+    return _ret(_core(arr, p, 0), scalar)
 
 
 def f2_delta(c, p: PotentialParams):
     """Regularized extension of f2_singular; defined for all real c, even in c."""
     arr, scalar = _prep(c)
-    return _ret(_piecewise(np.abs(arr), p, _F2_PIECES), scalar)
+    return _ret(_piecewise(np.abs(arr), p, 0), scalar)
 
 
 def f2_delta_prime(c, p: PotentialParams):
     """First derivative of f2_delta; odd in c, with value 0 at c = 0."""
     arr, scalar = _prep(c)
-    return _ret(np.sign(arr) * _piecewise(np.abs(arr), p, _F2P_PIECES), scalar)
+    return _ret(np.sign(arr) * _piecewise(np.abs(arr), p, 1), scalar)
 
 
 def f2_delta_prime2(c, p: PotentialParams):
     """Second derivative of f2_delta; even in c, constant thetac beyond 1+delta."""
     arr, scalar = _prep(c)
-    return _ret(_piecewise(np.abs(arr), p, _F2PP_PIECES), scalar)
+    return _ret(_piecewise(np.abs(arr), p, 2), scalar)
 
 
 def dF_delta(c, p: PotentialParams):
@@ -285,8 +246,8 @@ def F_delta(c, p: PotentialParams):
 def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
     """rho**k for rho >= 0 via exp(k ln rho), with an explicit overflow ceiling.
 
-    Raises DomainError for negative or NaN arguments and OverflowError above
-    ``rho_max``; 0**k is 0 for k > 0.
+    Raises DomainError for negative or NaN arguments, and OverflowError above
+    ``rho_max`` or where rho**k exceeds the float range; 0**k is 0 for k > 0.
     """
     arr, scalar = _prep(rho)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
@@ -297,7 +258,11 @@ def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
         )
     out = np.zeros_like(arr)
     pos = arr > 0.0
-    out[pos] = np.exp(k * np.log(arr[pos]))
+    log_power = k * np.log(arr[pos])
+    if np.any(log_power > _LOG_FLOAT_MAX):
+        worst = arr[pos][np.argmax(log_power)]
+        raise OverflowError(f"density {worst:g} to the power {k:g} exceeds the float range")
+    out[pos] = np.exp(log_power)
     return _ret(out, scalar)
 
 
@@ -391,8 +356,7 @@ def structure_holds(p: PotentialParams) -> bool:
     delta > 0.22570; convexity alone would allow delta <= 1 - spinodal =
     0.42265.
     """
-    d = p.delta
-    if p.theta0 / (d * (2.0 - d)) < p.thetac:
+    if _piece(1, 1.0, p, 2) < p.thetac:  # the plateau's constant curvature k
         return False
     return bool(dF_delta(_c_star(p), p) > 0.0)
 
@@ -405,14 +369,11 @@ def junction_gaps(p: PotentialParams) -> list[tuple[float, int, float, float]]:
     the piece above, both evaluated exactly at the knot.  Twice continuous
     differentiability of the extension means every pair agrees.
     """
-    knots = (1.0 - p.delta, 1.0, 1.0 + p.delta)
     rows = []
-    for order, pieces in enumerate((_F2_PIECES, _F2P_PIECES, _F2PP_PIECES)):
-        for j, knot in enumerate(knots):
-            a = np.asarray(knot, dtype=float)
-            left = float(pieces[j](a, p))
-            right = float(pieces[j + 1](a, p))
-            rows.append((knot, order, left, right))
+    for order in range(3):
+        for j, (knot, _) in enumerate(_table(p)):
+            left, right = _piece(j, knot, p, order), _piece(j + 1, knot, p, order)
+            rows.append((knot, order, float(left), float(right)))
     return rows
 
 

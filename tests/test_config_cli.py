@@ -209,6 +209,17 @@ class TestCliSolve:
         assert "after 1 iterations" in err
         assert not (tmp_path / "o").exists()
 
+    def test_power_overflow_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # 2**1099 (the artificial-pressure slope at rho = m1 = 2) exceeds the float range
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FORCED_N64 + "fluid.art_exponent = 1100\nproblem.m1 = 2\n")
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "solve failed: OverflowError: density 2 to the power 1099 exceeds the float range\n"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 

@@ -98,6 +98,7 @@ class TestDerivatives:
     def test_prime2_tail_constant(self, pot):
         assert f2_delta_prime2(3.0, pot) == 1.5
         assert f2_delta_prime2(-42.0, pot) == 1.5
+        assert f2_delta_prime2(np.inf, pot) == 1.5
 
     def test_prime2_even(self, pot):
         cs = np.linspace(-2.0, 2.0, 801)
@@ -127,6 +128,21 @@ class TestDerivatives:
         order1 = np.log2(errs[0] / errs[2])
         order2 = np.log2(errs[1] / errs[3])
         assert order1 >= 1.9 and order2 >= 1.9
+
+    @pytest.mark.parametrize("delta", DELTA_TEST_GRID)
+    @pytest.mark.parametrize("piece", ["plateau", "ramp", "tail"])
+    def test_finite_difference_inside_pieces(self, delta, piece):
+        p = PotentialParams(1.0, 1.5, delta)
+        lo, hi = {"plateau": (1.0 - delta, 1.0), "ramp": (1.0, 1.0 + delta),
+                  "tail": (1.0 + delta, 3.0)}[piece]
+        # interior samples of the piece; the stencil stays clear of its knots
+        cs = lo + (hi - lo) * np.linspace(0.1, 0.9, 17)
+        h = 1e-3 * (hi - lo)
+        fd1 = (f2_delta(cs + h, p) - f2_delta(cs - h, p)) / (2 * h)
+        fd2 = (f2_delta_prime(cs + h, p) - f2_delta_prime(cs - h, p)) / (2 * h)
+        exact1, exact2 = f2_delta_prime(cs, p), f2_delta_prime2(cs, p)
+        assert np.max(np.abs(fd1 - exact1) / np.abs(exact1)) <= 1e-6
+        assert np.max(np.abs(fd2 - exact2) / np.abs(exact2)) <= 1e-6
 
 
 class TestEffectivePotential:
@@ -282,6 +298,14 @@ class TestPressureAndEnergy:
     def test_guarded_power_overflow(self):
         with pytest.raises(OverflowError):
             guarded_power(2.0e6, 11)
+
+    def test_guarded_power_float_range(self):
+        # below rho_max, yet rho**k overflows: raised before exp (no RuntimeWarning)
+        assert guarded_power(2.0, 1000) == pytest.approx(2.0**1000, rel=1e-12)
+        with pytest.raises(OverflowError, match="density 2 to the power 1100 exceeds the float range"):
+            guarded_power(2.0, 1100)
+        with pytest.raises(OverflowError, match="density 3 to the power"):
+            guarded_power(np.array([0.0, 3.0, 2.0]), 1100)
 
     def test_nan_density_rejected(self, fluid):
         with pytest.raises(DomainError):

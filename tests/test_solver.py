@@ -524,3 +524,32 @@ class TestNonUnitDomain:
         assert rep.ei_slack >= -5.0 * g.spacing_h**2
         assert np.min(state.rho.values) > 0.0
         assert rep.bound_violation == 0.0
+
+
+class TestPlateauSolve:
+    """A solve whose concentration sits in the plateau piece (1 - delta, 1), off the core."""
+
+    def test_plateau_solve_and_mirror(self):
+        from chns1d.diagnostics import EI_SLACK_CONSTANT, energy_inequality
+
+        states = {}
+        for m2 in (0.95, -0.95):
+            cfg = parse_config_text(
+                "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
+                f"problem.m2 = {m2}\n"
+            )
+            spec = cfg.spec
+            state, log = continuation_solve(spec, cfg.controls)
+            assert all(s.residuals[-1] <= cfg.controls.tol_rel for s in log.stages)
+            a = np.abs(state.c.values)
+            assert np.all((a > 1.0 - spec.potential.delta) & (a < 1.0))
+            assert log.max_mass_error() <= 1e-12 * spec.m1
+            _, _, slack = energy_inequality(state, spec)
+            assert slack >= -EI_SLACK_CONSTANT * spec.grid.spacing_h**2
+            states[m2] = state
+        # the potential is even and g2 = 0, so m2 -> -m2 mirrors the state exactly
+        plus, minus = states[0.95], states[-0.95]
+        assert np.array_equal(plus.rho.values, minus.rho.values)
+        assert np.array_equal(plus.u.values, minus.u.values)
+        assert np.array_equal(plus.mu.values, -minus.mu.values)
+        assert np.array_equal(plus.c.values, -minus.c.values)
