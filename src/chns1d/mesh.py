@@ -8,26 +8,31 @@ doubles as the divergence, satisfies exact summation by parts for these
 extensions, and the midpoint quadrature makes flux divergences telescope
 exactly, which is what the mass bookkeeping of the solvers relies on.  The
 operators are the one place a stencil is written: :func:`bands` reads every
-banded matrix off them.
+banded matrix off them, once per grid.  Banded systems go straight to the
+LAPACK routines through :func:`lapack_call`, which rejects non-finite input
+and names the solve when the matrix is singular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 __all__ = [
     "Grid",
     "Field",
     "SolvabilityError",
     "DegenerateWeightError",
+    "NonFiniteError",
+    "SingularSystemError",
     "gradient",
     "laplacian_apply",
     "laplacian_solve",
     "bands",
-    "banded",
+    "lapack_call",
     "integrate",
     "mean_shift",
     "BOUNDARY_CONDITIONS",
@@ -45,6 +50,15 @@ class SolvabilityError(ValueError):
 
 class DegenerateWeightError(ValueError):
     """Weighted mean shift requested against a weight with vanishing integral."""
+
+
+class NonFiniteError(ValueError):
+    """A field, or the matrix or right side of a banded solve, holds NaN or infinity."""
+
+
+class SingularSystemError(RuntimeError):
+    """A banded solve met a singular matrix, or an assembled transport matrix
+    lost diagonal dominance (eps too small for the grid)."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +106,8 @@ class Field:
                 f"field length {arr.shape} does not match grid with {self.grid.n_cells} cells"
             )
         if not np.all(np.isfinite(arr)):
-            raise ValueError("field values must be finite")
+            bad = int(np.count_nonzero(~np.isfinite(arr)))
+            raise NonFiniteError(f"field values must be finite ({bad} of {arr.size} are not)")
         object.__setattr__(self, "values", arr)
 
 
@@ -138,12 +153,15 @@ def mean_shift(f: Field, target_weighted_mean: float, weight: Field) -> Field:
     return Field(f.grid, f.values + s)
 
 
+@lru_cache(maxsize=64)
 def bands(op, g: Grid, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bands (diag, upper, lower) of the three-point operator ``op``, such as
     :func:`gradient`, with ``upper[i]`` = entry (i, i+1) and ``lower[i]`` = (i+1, i).
 
     Columns three apart touch disjoint rows, so ``op`` applied to three combs
-    (1.0 in every third cell) reads off every column, wall rows included.
+    (1.0 in every third cell) reads off every column, wall rows included.  The
+    bands depend on the grid alone, so they are probed once per (op, g, bc)
+    and every later call returns the same read-only arrays.
     """
     n = g.n_cells
     diag, upper, lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
@@ -154,19 +172,45 @@ def bands(op, g: Grid, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         diag[k::3] = col[k::3]
         upper[(k - 1) % 3::3] = col[(k - 1) % 3:-1:3]
         lower[k::3] = col[k + 1::3]
-    return diag, upper, lower
+    return _read_only(diag, upper, lower)
 
 
-def banded(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Pack tridiagonal bands into the (3, n) storage of ``solve_banded((1, 1), ...)``."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
-    return ab
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def lapack_call(name: str, routine, *args, **kwargs) -> tuple:
+    """Call the ``scipy.linalg.lapack`` solver ``routine`` for the solve ``name``.
+
+    Every array argument must be finite (else :class:`NonFiniteError`), and a
+    nonzero ``info`` raises :class:`SingularSystemError`; both name the solve.
+    Returns the routine's outputs without ``info``, so the solution is last.
+    """
+    for a in args:
+        if isinstance(a, np.ndarray) and not np.all(np.isfinite(a)):
+            raise NonFiniteError(f"{name}: the matrix or right side is not finite")
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise SingularSystemError(f"{name}: the matrix is singular (LAPACK info {info})")
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _laplacian_factor(g: Grid, bc: str) -> tuple:
+    """Read-only LU factors (``dgttrf``) of the negated Laplacian; for Neumann
+    the first row is replaced by the identity row that pins the constant."""
+    diag, upper, lower = bands(laplacian_apply, g, bc)
+    dl, d, du = -lower, -diag, -upper
+    if bc == "neumann":
+        d[0], du[0] = 1.0, 0.0
+    return _read_only(*lapack_call(f"{bc} Laplacian", lapack.dgttrf, dl, d, du))
 
 
 def laplacian_solve(rhs: Field, bc: str) -> Field:
     """Invert the Laplacian to machine precision: Lap(u) = rhs for the given
-    boundary condition.
+    boundary condition, from the factors computed once per (grid, bc).
 
     A pure-Neumann problem is solvable only for mean-free right sides; the
     right side is checked against :data:`SOLVABILITY_TOL`, the constant null
@@ -174,22 +218,16 @@ def laplacian_solve(rhs: Field, bc: str) -> Field:
     """
     _check_bc(bc)
     g = rhs.grid
-    diag, upper, lower = bands(laplacian_apply, g, bc)
-    ab = banded(-diag, -upper, -lower)
     b = -rhs.values
-    if bc == "dirichlet0":
-        return Field(g, solve_banded((1, 1), ab, b))
-
-    # Pure Neumann: enforce compatibility, pin one unknown, return mean-zero.
-    mean = float(np.mean(rhs.values))
-    scale = float(np.sqrt(np.mean(rhs.values**2)))
-    if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
-        raise SolvabilityError(
-            f"neumann right side has mean {mean:g}; the problem is unsolvable"
-        )
-    b = b - np.mean(b)
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    b[0] = 0.0
-    x = solve_banded((1, 1), ab, b)
-    return Field(g, x - np.mean(x))
+    if bc == "neumann":
+        mean = float(np.mean(rhs.values))
+        scale = float(np.sqrt(np.mean(rhs.values**2)))
+        if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
+            raise SolvabilityError(
+                f"neumann right side has mean {mean:g}; the problem is unsolvable"
+            )
+        b = b - np.mean(b)
+        b[0] = 0.0
+    factor = _laplacian_factor(g, bc)
+    x = lapack_call(f"{bc} Laplacian", lapack.dgttrs, *factor, b, overwrite_b=1)[-1]
+    return Field(g, x if bc == "dirichlet0" else x - np.mean(x))

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import xlogy
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import FluidParams
@@ -121,6 +120,12 @@ def _ret(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+def _xlogx(x):
+    """x ln x with its limit 0 at x = 0; NaN (and a negative x) gives NaN, silently."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x * np.log(x))
+
+
 # ---------------------------------------------------------------------------
 # Pieces of the folded argument a = |c|: the core up to 1 - delta, then the
 # plateau, ramp and tail of the table.  Intervals are closed on the right, so
@@ -130,7 +135,7 @@ def _ret(out: np.ndarray, scalar: bool):
 def _core(a, p: PotentialParams, order: int):
     """Derivative ``order`` (0, 1 or 2) of the singular core at a = |c| < 1."""
     if order == 0:
-        return 0.5 * p.theta0 * (xlogy(1.0 + a, 1.0 + a) + xlogy(1.0 - a, 1.0 - a))
+        return 0.5 * p.theta0 * (_xlogx(1.0 + a) + _xlogx(1.0 - a))
     if order == 1:
         return p.theta0 * np.arctanh(a)
     return p.theta0 / (1.0 - a * a)
@@ -316,7 +321,7 @@ def rho_free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):
     arr, scalar = _prep(rho)
     if np.any(arr < 0.0):
         raise DomainError("rho_free_energy_delta requires rho >= 0")
-    out = guarded_power(arr, fp.gamma) + fp.H * xlogy(arr, arr) + arr * F_delta(c, p)
+    out = guarded_power(arr, fp.gamma) + fp.H * _xlogx(arr) + arr * F_delta(c, p)
     return _ret(out, scalar)
 
 

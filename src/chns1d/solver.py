@@ -41,10 +41,10 @@ from itertools import starmap
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from . import mesh
-from .mesh import Field, Grid
+from .mesh import Field, Grid, SingularSystemError
 from .potential import (
     PotentialParams,
     artificial_pressure,
@@ -78,10 +78,6 @@ __all__ = [
     "ConvergenceLog",
     "SweepReport",
 ]
-
-
-class SingularSystemError(RuntimeError):
-    """Assembled transport matrix lost diagonal dominance (eps too small for the grid)."""
 
 
 class DivergenceError(RuntimeError):
@@ -283,9 +279,12 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     precision (manufactured sources excepted).
     """
     g = spec.grid
-    ab = mesh.banded(*_continuity_bands(_face_velocities(u.values), eps, g))
+    diag, upper, lower = _continuity_bands(_face_velocities(u.values), eps, g)
     b = _with_source(np.full(g.n_cells, eps**2 * spec.rho0), spec, "continuity")
-    rho = solve_banded((1, 1), ab, b)
+    rho = mesh.lapack_call(
+        "continuity", lapack.dgtsv, lower, diag, upper, b,
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+    )[-1]
     if np.min(rho) < -1.0e-9 * max(spec.rho0, 1.0):
         raise SingularSystemError(
             f"continuity solve produced negative density {float(np.min(rho)):g}"
@@ -369,19 +368,22 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
         (1, 1): tuple(spec.fluid.visc * band for band in lap),
     }
     # Interleaved unknowns (rho_0, u_0, rho_1, ...): entry (2i+r, 2j+c) of the
-    # full matrix sits at ab[3 + 2i+r - 2j-c, 2j+c] in (3, 3) banded storage.
-    ab = np.zeros((7, 2 * n))
+    # full matrix sits at ab[6 + 2i+r - 2j-c, 2j+c] in the (10, 2n) Fortran
+    # band storage of LAPACK's gbsv, whose first three rows hold fill-in.
+    ab = np.zeros((10, 2 * n), order="F")
     for (r, c), (d, up, lo) in blocks.items():
-        ab[3 + r - c, c::2] = d
-        ab[1 + r - c, 2 + c::2] = up
-        ab[5 + r - c, c:-2:2] = lo
+        ab[6 + r - c, c::2] = d
+        ab[4 + r - c, 2 + c::2] = up
+        ab[8 + r - c, c:-2:2] = lo
 
     b = np.empty(2 * n)
     b[0::2] = _with_source(np.full(n, eps**2 * spec.rho0), spec, "continuity")
     b[0::2] += np.diff(rho_f * uf) / h  # the u_old part of the correction flux
     b[1::2] = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
     b[1::2] -= sigma * mesh.gradient(Field(g, pi_slope * rho_t), "neumann").values
-    z = solve_banded((3, 3), ab, b)
+    z = mesh.lapack_call(
+        "(rho, u) block", lapack.dgbsv, 3, 3, ab, b, overwrite_ab=1, overwrite_b=1
+    )[-1]
     return Field(g, np.maximum(z[0::2], 0.0)), Field(g, z[1::2])
 
 
@@ -656,6 +658,7 @@ SOLVER_ERRORS = (
     DivergenceError,
     NotConverged,
     SingularSystemError,
+    mesh.NonFiniteError,
     mesh.SolvabilityError,
     mesh.DegenerateWeightError,
     OverflowError,

@@ -220,6 +220,17 @@ class TestCliSolve:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_iterate_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # rho u c' in the mu right side overflows; numpy warns, Field names the failure
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FORCED_N64 + "fluid.gamma = 1e6\n")
+        with pytest.warns(RuntimeWarning):
+            rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: NonFiniteError: field values must be finite")
+        assert not (tmp_path / "o").exists()
+
 
 FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 
@@ -308,6 +319,21 @@ class TestCliSweep:
         assert [r[1] for r in rows] == ["failed(NotConverged)"] * 2
         assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
         assert "failed(NotConverged)" in capsys.readouterr().err
+
+    def test_non_finite_iterate_fails_the_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FORCED_N64 + "fluid.gamma = 1e6\n")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            rc = cli.main(
+                ["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep-key", "delta", "--values", "0.1"]
+            )
+        assert rc == 1
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r[1] for r in rows] == ["failed(NonFiniteError)"]
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+        assert "0.1: failed(NonFiniteError)" in capsys.readouterr().err
 
     def test_delta_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "run.cfg"

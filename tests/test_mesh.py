@@ -6,15 +6,18 @@ from chns1d.mesh import (
     DegenerateWeightError,
     Field,
     Grid,
+    NonFiniteError,
+    SingularSystemError,
     SolvabilityError,
-    banded,
     bands,
     gradient,
     integrate,
+    lapack_call,
     laplacian_apply,
     laplacian_solve,
     mean_shift,
 )
+from scipy.linalg import lapack
 
 
 def orders(errors):
@@ -41,8 +44,9 @@ class TestGridField:
 
     def test_field_rejects_nan(self):
         g = Grid(16, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError, match=r"\(16 of 16 are not\)"):
             Field(g, np.full(16, np.nan))
+        assert issubclass(NonFiniteError, ValueError)
 
 
 class TestGradient:
@@ -116,11 +120,29 @@ class TestBands:
         assert np.max(np.abs(applied - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_banded_storage_inverts_laplacian(self):
+        # laplacian_solve inverts the operator, and agrees with solve_banded as an oracle
         g = Grid(10, 1.0)
         f = np.random.default_rng(1).standard_normal(10)
         lap = laplacian_apply(Field(g, f), "dirichlet0").values
-        back = solve_banded((1, 1), banded(*bands(laplacian_apply, g, "dirichlet0")), lap)
+        diag, upper, lower = bands(laplacian_apply, g, "dirichlet0")
+        oracle = solve_banded((1, 1), np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]]), lap)
+        back = laplacian_solve(Field(g, lap), "dirichlet0").values
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+        assert np.max(np.abs(back - oracle)) <= 1e-14 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
+    def test_bands_probed_once_per_grid(self, op, bc):
+        g = Grid(11, 1.3)
+        first = bands(op, g, bc)
+        again = bands(op, Grid(11, 1.3), bc)  # an equal grid hits the same entry
+        fresh = bands.__wrapped__(op, g, bc)
+        for a, b, c in zip(first, again, fresh):
+            assert a is b
+            assert not a.flags.writeable
+            assert np.array_equal(a, c)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0] = 1.0
 
 
 class TestIntegrate:
@@ -210,9 +232,31 @@ class TestLaplacianSolve:
         with pytest.raises(SolvabilityError):
             laplacian_solve(g.field(1.0), "neumann")
 
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    def test_nan_right_side_is_named(self, bc):
+        g = Grid(32, 1.0)
+        rhs = g.zeros()
+        rhs.values[5] = np.nan  # Field checks at construction only
+        with pytest.raises(NonFiniteError, match=f"{bc} Laplacian: the matrix or right side"):
+            laplacian_solve(rhs, bc)
+
     def test_mean_zero_output(self):
         g = Grid(64, 1.0)
         x = g.cell_centers()
         rhs_vals = np.cos(2 * np.pi * x)
         u = laplacian_solve(Field(g, rhs_vals - rhs_vals.mean()), "neumann").values
         assert abs(u.mean()) <= 1e-13
+
+
+class TestLapackCall:
+    def test_solution_last_and_checks_named(self):
+        d, off = np.full(4, 4.0), np.ones(3)
+        x = lapack_call("demo", lapack.dgtsv, off, d, off, np.ones(4))[-1]
+        a = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(a @ x, 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(NonFiniteError, match="demo"):
+            lapack_call("demo", lapack.dgtsv, off, d, off, np.array([1.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(NonFiniteError, match="demo"):
+            lapack_call("demo", lapack.dgtsv, off, np.array([4.0, np.inf, 4.0, 4.0]), off, np.ones(4))
+        with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 1\)"):
+            lapack_call("demo", lapack.dgtsv, np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))

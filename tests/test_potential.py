@@ -340,6 +340,14 @@ class TestPressureAndEnergy:
         assert abs(vals[-1]) < 1e-11
         assert potential.rho_free_energy_delta(0.0, 0.0, fluid, pot) == 0.0
 
+    def test_xlogx_limit_nan_and_silence(self):
+        # warnings are errors in this suite, so a stray divide/invalid warning fails here
+        x = np.array([0.0, 1.0, 0.5, 3.0, np.nan, -1.0, np.inf])
+        got = potential._xlogx(x)
+        assert np.array_equal(got[:4], [0.0, 0.0, 0.5 * np.log(0.5), 3.0 * np.log(3.0)])
+        assert np.isnan(got[4]) and np.isnan(got[5]) and got[6] == np.inf
+        assert potential._xlogx(np.float64(0.0)) == 0.0
+
 
 class TestFigureTable:
     def test_columns_and_symmetry(self, pot):

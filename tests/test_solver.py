@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack, solve_banded
 
 from _mms import build_manufactured, observed_orders
 from chns1d import mesh, solver
@@ -23,6 +24,8 @@ from chns1d.solver import (
     solve_mu,
 )
 from conftest import make_forced_spec
+
+FORCED_DEFAULT = "forcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 
 
 def zero_forcing_spec(n: int, pot, fluid) -> ProblemSpec:
@@ -159,6 +162,80 @@ class TestFlowCoupledBlock:
             -sigma * solver._momentum_forcing(state, eps, spec),
         ]
         assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
+
+
+def _banded_oracle(name, routine, args, g):
+    """Solution of one recorded LAPACK system by scipy.linalg.solve_banded."""
+    if routine is lapack.dgtsv:
+        dl, d, du, b = args
+        return solve_banded((1, 1), np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]]), b)
+    if routine is lapack.dgbsv:
+        _, _, ab, b = args
+        assert not ab[:3].any()  # the fill-in rows start empty
+        return solve_banded((3, 3), ab[3:], b)
+    assert routine is lapack.dgttrs
+    bc = name.split()[0]
+    diag, upper, lower = mesh.bands(mesh.laplacian_apply, g, bc)
+    ab = -np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
+    if bc == "neumann":
+        ab[1, 0], ab[0, 1] = 1.0, 0.0
+    return solve_banded((1, 1), ab, args[-1])
+
+
+class TestLapackSolves:
+    """The direct LAPACK calls solve the systems scipy.linalg.solve_banded would."""
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_forced_default_systems_match_solve_banded(self, n, monkeypatch):
+        spec = parse_config_text(f"domain.n_cells = {n}\n{FORCED_DEFAULT}").spec
+        state = constant_state(spec, 0.1)
+        for _ in range(2):
+            state, _ = picard_step(state, 1.0, 0.1, spec, 1.0)
+
+        calls = []
+        real = mesh.lapack_call
+
+        def recording(name, routine, *args, **kwargs):
+            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            out = real(name, routine, *args, **kwargs)
+            calls.append((name, routine, copies, out[-1].copy()))
+            return out
+
+        monkeypatch.setattr(mesh, "lapack_call", recording)
+        picard_step(state, 1.0, 0.1, spec, 1.0)
+        solve_momentum(state, 1.0, 0.1, spec)  # the dirichlet0 Laplacian
+        solves = [(name, routine) for name, routine, _, _ in calls if routine is not lapack.dgttrf]
+        assert solves == [
+            ("(rho, u) block", lapack.dgbsv),
+            ("neumann Laplacian", lapack.dgttrs),
+            ("neumann Laplacian", lapack.dgttrs),
+            ("continuity", lapack.dgtsv),
+            ("dirichlet0 Laplacian", lapack.dgttrs),
+        ]
+        for name, routine, args, x in calls:
+            if routine is not lapack.dgttrf:
+                want = _banded_oracle(name, routine, args, spec.grid)
+                assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    def test_singular_continuity_is_named(self, forced_spec, monkeypatch):
+        n = forced_spec.grid.n_cells
+        zero = (np.zeros(n), np.zeros(n - 1), np.zeros(n - 1))
+        monkeypatch.setattr(solver, "_continuity_bands", lambda uf, eps, g: zero)
+        with pytest.raises(solver.SingularSystemError, match="continuity: the matrix is singular"):
+            solve_continuity(forced_spec.grid.zeros(), 0.1, forced_spec)
+
+    def test_singular_block_is_named(self, forced_spec, monkeypatch):
+        # without the density terms of the continuity rows and the pressure
+        # feedback, every rho column of the block is zero
+        g, n = forced_spec.grid, forced_spec.grid.n_cells
+        zero = (np.zeros(n), np.zeros(n - 1), np.zeros(n - 1))
+        monkeypatch.setattr(solver, "_continuity_bands", lambda uf, eps, g: zero)
+        monkeypatch.setattr(solver, "pressure_slope", lambda rho, delta, fluid: np.zeros(n))
+        state = State(g.field(1.0), g.zeros(), g.zeros(), g.field(0.3))
+        with pytest.raises(solver.SingularSystemError, match=r"\(rho, u\) block: the matrix is singular"):
+            solve_flow_coupled(state, 1.0, 0.1, forced_spec)
+        assert solver.SingularSystemError in solver.SOLVER_ERRORS
+        assert mesh.NonFiniteError in solver.SOLVER_ERRORS
 
 
 class TestPicardStep:
