@@ -11,15 +11,25 @@ operators are the one place a stencil is written: :func:`bands` reads every
 banded matrix off them, once per grid.  Banded systems go straight to the
 LAPACK routines through :func:`lapack_call`, which rejects non-finite input
 and names the solve when the matrix is singular.
+
+The routines (``dgtsv``, ``dgttrf``, ``dgttrs``, ``dgbsv``) come from
+``scipy.linalg._flapack``, the f2py extension that ``scipy.linalg.lapack``
+re-exports, loaded on its own: importing the ``scipy.linalg`` package would
+pull in all of it and take most of a command's start-up.  The module is
+registered under its canonical name, so a later ``import scipy.linalg``
+reuses it and the routines are the very objects ``scipy.linalg.lapack`` holds.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "Grid",
@@ -39,6 +49,30 @@ __all__ = [
 ]
 
 BOUNDARY_CONDITIONS = ("neumann", "dirichlet0")
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack``, executed without importing ``scipy`` or
+    ``scipy.linalg``; falls back to the package import if the extension file
+    is not in scipy's ``linalg`` directory (an editable build, say)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    roots = importlib.util.find_spec("scipy").submodule_search_locations or []
+    loader = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+    specs = (FileFinder(os.path.join(r, "linalg"), loader).find_spec(name) for r in roots)
+    spec = next(filter(None, specs), None)
+    if spec is None:
+        from scipy.linalg import _flapack
+        return _flapack
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# The f2py LAPACK wrappers behind every banded solve.
+lapack = _load_flapack()
 
 # Compatibility tolerance for the pure-Neumann solve.
 SOLVABILITY_TOL = 1.0e-10
@@ -182,7 +216,8 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 
 
 def lapack_call(name: str, routine, *args, **kwargs) -> tuple:
-    """Call the ``scipy.linalg.lapack`` solver ``routine`` for the solve ``name``.
+    """Call the LAPACK solver ``routine`` (an attribute of :data:`lapack`, the
+    same object as in ``scipy.linalg.lapack``) for the solve ``name``.
 
     Every array argument must be finite (else :class:`NonFiniteError`), and a
     nonzero ``info`` raises :class:`SingularSystemError`; both name the solve.

@@ -402,8 +402,8 @@ def figure1_table(p: PotentialParams, grid) -> np.ndarray:
     derivative minus thetac (exactly zero beyond |c| = 1+delta).
     """
     c = np.asarray(grid, dtype=float)
-    f2pp = f2_delta_prime2(c, p)
+    f2, f2p, f2pp = f2_delta(c, p), f2_delta_prime(c, p), f2_delta_prime2(c, p)
+    # the offset columns use the expressions of F_delta and dF_delta
     return np.column_stack(
-        [c, f2_delta(c, p), F_delta(c, p), f2_delta_prime(c, p), dF_delta(c, p),
-         f2pp, f2pp - p.thetac]
+        [c, f2, f2 - 0.5 * p.thetac * c * c, f2p, f2p - p.thetac * c, f2pp, f2pp - p.thetac]
     )

@@ -36,15 +36,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, wraps
 from itertools import starmap
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import mesh
-from .mesh import Field, Grid, SingularSystemError
+from .mesh import Field, Grid, SingularSystemError, lapack
 from .potential import (
     PotentialParams,
     artificial_pressure,
@@ -247,6 +246,34 @@ def _with_source(rhs: np.ndarray, spec: ProblemSpec, name: str) -> np.ndarray:
     return rhs if src is None else rhs + src.values
 
 
+def _right_side(field: str, sub_solve: str):
+    """Evaluate a right-side builder ``build(state, ...)`` with numpy's overflow
+    and invalid-value warnings off.  A non-finite entry, or a non-finite
+    intermediate field, raises :class:`~chns1d.mesh.NonFiniteError` naming
+    ``field`` and ``sub_solve`` with the incoming state's magnitudes, so a
+    blow-up is named where it starts."""
+    def decorate(build):
+        @wraps(build)
+        def checked(state, *args):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    rhs = build(state, *args)
+                    if np.isfinite(rhs).all():
+                        return rhs
+                    cause = f"in {np.count_nonzero(~np.isfinite(rhs))} of {rhs.size} cells"
+                except mesh.NonFiniteError as err:  # from a Field inside the builder
+                    cause = f"({err})"
+            sizes = ", ".join(
+                f"|{k}| {np.max(np.abs(getattr(state, k).values)):.3g}"
+                for k in ("rho", "u", "mu", "c")
+            )
+            raise mesh.NonFiniteError(
+                f"{sub_solve} sub-solve: the {field} is not finite {cause}; incoming max {sizes}"
+            )
+        return checked
+    return decorate
+
+
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     """Tridiagonal bands of eps^2 I + upwind advection - eps^4 Lap (Neumann)."""
     n, h = g.n_cells, g.spacing_h
@@ -292,6 +319,7 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     return Field(g, np.maximum(rho, 0.0))
 
 
+@_right_side("momentum right side", "momentum")
 def _momentum_forcing(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Lagged right side of the momentum balance (everything but visc*u'')."""
     g = spec.grid
@@ -393,6 +421,7 @@ def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
     return rhs - mean, abs(mean * g.length_L)
 
 
+@_right_side("mu right side", "mu")
 def _mu_rhs(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
     """eps rho c + rho u c' - eps rho0 c0: the mu right side without sigma or source."""
     rho, u, c = state.rho.values, state.u.values, state.c.values
@@ -400,6 +429,7 @@ def _mu_rhs(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
     return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
 
 
+@_right_side("c right side", "c")
 def _c_rhs(state: State, spec: ProblemSpec) -> np.ndarray:
     """rho dF_delta(c) - rho mu: the c right side without sigma or source."""
     rho = state.rho.values

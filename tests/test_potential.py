@@ -366,6 +366,14 @@ class TestFigureTable:
         tail = np.abs(grid) > 1.0 + pot.delta
         assert np.array_equal(table[tail, 6], np.zeros(tail.sum()))
 
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 1.0e-3])
+    def test_columns_equal_the_evaluators(self, delta):
+        p = PotentialParams(1.0, 1.5, delta)
+        grid = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, 1.0 - delta, 1.0, 1.0 + delta]])
+        columns = [grid, f2_delta(grid, p), F_delta(grid, p), f2_delta_prime(grid, p),
+                   dF_delta(grid, p), f2_delta_prime2(grid, p), f2_delta_prime2(grid, p) - p.thetac]
+        assert np.array_equal(figure1_table(p, grid), np.column_stack(columns))
+
     def test_double_well_minima_inside_unit_interval(self, pot):
         grid = np.linspace(-1.5, 1.5, 601)
         well = figure1_table(pot, grid)[:, 2]

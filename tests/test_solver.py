@@ -123,6 +123,34 @@ class TestSubSolveTrivialCases:
         assert np.max(np.abs(rho.values - spec.rho0)) <= 1e-10
 
 
+def _spiked_state(n: int, **spikes) -> State:
+    """rho = 2, u = mu = c = 0, except ``name=(cell, value)`` entries."""
+    g = Grid(n, 1.0)
+    vals = {"rho": np.full(n, 2.0), "u": np.zeros(n), "mu": np.zeros(n), "c": np.zeros(n)}
+    for name, (cell, value) in spikes.items():
+        vals[name][cell] = value
+    return State(*(g.field(vals[k]) for k in ("rho", "u", "mu", "c")))
+
+
+class TestNonFiniteRightSide:
+    """An overflowing right side names its field and sub-solve, without a numpy warning."""
+
+    @pytest.mark.parametrize("call, spikes, message", [
+        (lambda s, spec: solver._momentum_forcing(s, 1e-2, spec), {"u": (32, 1e200)},
+         "momentum sub-solve: the momentum right side is not finite "
+         "(field values must be finite (1 of 64 are not)); incoming max |rho| 2, |u| 1e+200"),
+        (lambda s, spec: solve_mu(s, 1.0, 1e-2, spec), {"u": (32, 1e300), "c": (33, 1e10)},
+         "mu sub-solve: the mu right side is not finite in 1 of 64 cells; incoming max"),
+        (lambda s, spec: solve_c(s, 1.0, 1e-2, spec), {"mu": (32, 1e308)},
+         "c sub-solve: the c right side is not finite in 1 of 64 cells; incoming max"),
+    ], ids=["momentum", "mu", "c"])
+    def test_names_field_and_sub_solve(self, pot, fluid, call, spikes, message):
+        spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=2.0)
+        with pytest.raises(mesh.NonFiniteError) as info:
+            call(_spiked_state(64, **spikes), spec)
+        assert str(info.value).startswith(message)
+
+
 class TestFlowCoupledBlock:
     @pytest.mark.parametrize("n", [10, 64])
     def test_solves_linearized_equations(self, pot, fluid, n):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chns1d
 
 SRC = Path(chns1d.__file__).resolve().parents[1]
@@ -51,6 +53,30 @@ def _run(*args):
 def test_cli_import_leaves_out_scipy_special():
     out = _run("-c", "import sys, chns1d.cli; print('scipy.special' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # the LAPACK wrappers are loaded on their own, not through the scipy package
+    out = _run("-c", "import sys, chns1d.cli; "
+                     "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.strip() == "['scipy.linalg._flapack']"
+
+
+ROUTINES_PROBE = """
+import sys
+first = sys.argv[1]
+if first == "scipy":
+    import scipy.linalg
+from chns1d import mesh, solver
+from scipy.linalg import lapack
+print(all(getattr(mesh.lapack, name) is getattr(lapack, name)
+          for name in ("dgtsv", "dgttrf", "dgttrs", "dgbsv")), solver.lapack is mesh.lapack)
+"""
+
+
+@pytest.mark.parametrize("first", ["scipy", "chns1d"])
+def test_lapack_routines_are_scipys_in_either_import_order(first):
+    assert _run("-c", ROUTINES_PROBE, first).split() == ["True", "True"]
 
 
 def test_every_name_spans_wraps_exists(tmp_path):
