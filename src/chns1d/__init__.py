@@ -3,9 +3,10 @@
 A small numerical library built around a singular logarithmic mixing
 potential and its C2 regularization: closed-form potential evaluation, a
 cell-centered finite-difference mesh with tridiagonal elliptic solves, a
-damped fixed-point solver with load-factor and regularization continuation,
-diagnostics for the energies/constraints/limit trends of the model, and a
-deterministic file-driven command line.
+damped fixed-point solver (one stage by default, or a load-factor and
+regularization continuation ladder), diagnostics for the
+energies/constraints/limit trends of the model, and a deterministic
+file-driven command line.
 """
 
 from .mesh import Field, Grid

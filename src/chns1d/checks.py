@@ -170,14 +170,25 @@ def _mesh_checks() -> list[CheckResult]:
 # Solver suites
 # ---------------------------------------------------------------------------
 
+# eps of the fixed-point probe.  The constant state is exact at every eps, but
+# the (rho, u) block solve leaves a roundoff velocity (about 3e-19) that the
+# continuity bands eps^2 I + u/h ... amplify by 1/(h eps^2): at eps = 1e-3 and
+# n = 64 that alone moves rho by about 5e-12, above the 1e-12 bound.
+FIXED_POINT_EPS = 1.0e-1
+
+
 def _constant_state_checks(cfg: RunConfig) -> list[CheckResult]:
     out = []
     spec = replace(cfg.spec, g1=cfg.spec.grid.zeros(), g2=cfg.spec.grid.zeros())
-    state0 = solver.constant_state(spec, cfg.controls.eps_schedule[0])
-    _, res = solver.picard_step(
-        state0, 1.0, cfg.controls.eps_schedule[0], spec, cfg.controls.damping
+    state0 = solver.constant_state(spec, FIXED_POINT_EPS)
+    _, res = solver.picard_step(state0, 1.0, FIXED_POINT_EPS, spec, cfg.controls.damping)
+    out.append(
+        _result(
+            "solver.constant_fixed_point",
+            res <= 1.0e-12,
+            f"residual {res:.2e} at eps {FIXED_POINT_EPS:g}",
+        )
     )
-    out.append(_result("solver.constant_fixed_point", res <= 1.0e-12, f"residual {res:.2e}"))
 
     state, _ = solver.continuation_solve(spec, cfg.controls)
     mu0 = potential.dF_delta(spec.c0, spec.potential)

@@ -8,9 +8,10 @@ Subcommands:
   (``fields.csv``), the diagnostics report (``report.txt``), and the residual
   history (``convergence.csv``).
 * ``sweep`` runs a delta or eps sweep and writes one diagnostics row per value
-  (``sweep.csv``) plus per-value field files.  The first value runs the full
-  continuation and every later value warm-starts from its solution (cold if
-  it failed), whether the later values run in this process or on a pool.
+  (``sweep.csv``) plus per-value field files.  The first value is solved
+  cold, on the configured schedules, and every later value warm-starts from
+  its solution (cold if it failed), whether the later values run in this
+  process or on a pool.
 * ``check`` executes the built-in verification suites and exits nonzero on
   any failure.
 
@@ -31,6 +32,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import potential, solver
 from .config import ConfigError, RunConfig, load_config, parse_config_text
@@ -59,10 +62,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _fields_rows(state: solver.State) -> list[list[str]]:
+def _fields_text(state: solver.State) -> str:
+    """``fields.csv``: the header, then x, rho, u, mu, c per cell, formatted by
+    one ``%`` over a row template; the text is the same as per-cell :func:`_fmt`."""
     x = state.rho.grid.cell_centers()
     cols = (x, state.rho.values, state.u.values, state.mu.values, state.c.values)
-    return [[_fmt(col[i]) for col in cols] for i in range(x.size)]
+    row = ",".join(["%.12e"] * len(cols)) + "\n"
+    return "x,rho,u,mu,c\n" + (row * x.size) % tuple(np.column_stack(cols).ravel().tolist())
 
 
 def _fields_name(sweep_key: str, value: float) -> str:
@@ -93,7 +99,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     except solver.SOLVER_ERRORS as err:
         print(f"solve failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    _write_csv(out_dir / "fields.csv", ["x", "rho", "u", "mu", "c"], _fields_rows(state))
+    _write_text(out_dir / "fields.csv", _fields_text(state))
     report = compute_report(state, cfg.spec, eps=log.final_eps)
     _write_text(out_dir / "report.txt", report.to_kv_text())
     conv_rows = [
@@ -115,9 +121,10 @@ def _sweep_value_cold(job) -> tuple:
 def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path) -> int:
     """Run a regularization sweep and write per-value diagnostics rows.
 
-    The first value runs the full continuation and every later value
-    warm-starts from its solution (cold if it failed); ``sweep.max_parallel >
-    1`` solves the later values on a process pool, with the same output files.
+    The first value is solved cold, on the configured schedules, and every
+    later value warm-starts from its solution (cold if it failed);
+    ``sweep.max_parallel > 1`` solves the later values on a process pool, with
+    the same output files.
     An invalid key or value list, or values whose field files would share a
     name, exit 2 before anything is solved.
     """
@@ -154,7 +161,7 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
     for value, state in zip(values, sweep.states):
         if state is not None:
             path = out_dir / _fields_name(sweep_key, value)
-            _write_csv(path, ["x", "rho", "u", "mu", "c"], _fields_rows(state))
+            _write_text(path, _fields_text(state))
 
     failed = [f"{v:g}: {s}" for v, s in zip(values, sweep.statuses) if s != "ok"]
     if failed:

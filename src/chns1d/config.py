@@ -48,8 +48,8 @@ DEFAULTS: dict[str, str] = {
     "forcing.g2.kind": "zero",
     "forcing.g2.amplitude": "0.0",
     "forcing.g2.mode": "1",
-    "solver.sigma_schedule": "0.25,0.5,0.75,1.0",
-    "solver.eps_schedule": "1e-1,1e-2,1e-3",
+    "solver.sigma_schedule": "1.0",
+    "solver.eps_schedule": "1e-3",
     "solver.damping": "1.0",
     "solver.tol_rel": "1e-8",
     "solver.max_picard": "500",

@@ -163,7 +163,7 @@ def continuity_residual(state: "State") -> float:
     (upwind density at faces, averaged face velocities, zero wall flux), and
     tested against seven tent functions supported in [L/10, 9L/10], so for
     solver states the value reduces to the eps-level defect of the mass
-    equation and decays like eps^2 along the eps continuation.  The result is
+    equation and decays like eps^2 as eps decreases.  The result is
     normalized by the total mass; it is zero for a constant mass flux.  The
     value is basis-dependent by construction.
     """

@@ -215,18 +215,20 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-def lapack_call(name: str, routine, *args, **kwargs) -> tuple:
+def lapack_call(name: str, routine, *args, factors: tuple = (), **kwargs) -> tuple:
     """Call the LAPACK solver ``routine`` (an attribute of :data:`lapack`, the
     same object as in ``scipy.linalg.lapack``) for the solve ``name``.
 
     Every array argument must be finite (else :class:`NonFiniteError`), and a
     nonzero ``info`` raises :class:`SingularSystemError`; both name the solve.
-    Returns the routine's outputs without ``info``, so the solution is last.
+    ``factors`` go before ``args`` unscanned: they are the outputs of an
+    earlier call, checked when they were made.  Returns the routine's outputs
+    without ``info``, so the solution is last.
     """
     for a in args:
         if isinstance(a, np.ndarray) and not np.all(np.isfinite(a)):
             raise NonFiniteError(f"{name}: the matrix or right side is not finite")
-    *out, info = routine(*args, **kwargs)
+    *out, info = routine(*factors, *args, **kwargs)
     if info != 0:
         raise SingularSystemError(f"{name}: the matrix is singular (LAPACK info {info})")
     return tuple(out)
@@ -263,6 +265,7 @@ def laplacian_solve(rhs: Field, bc: str) -> Field:
             )
         b = b - np.mean(b)
         b[0] = 0.0
-    factor = _laplacian_factor(g, bc)
-    x = lapack_call(f"{bc} Laplacian", lapack.dgttrs, *factor, b, overwrite_b=1)[-1]
+    x = lapack_call(
+        f"{bc} Laplacian", lapack.dgttrs, b, factors=_laplacian_factor(g, bc), overwrite_b=1
+    )[-1]
     return Field(g, x if bc == "dirichlet0" else x - np.mean(x))

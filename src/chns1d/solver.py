@@ -13,8 +13,10 @@ with u = 0 and zero normal derivatives for rho, mu, c at the walls,
 visc = 2 lambda1 + lambda2, and Pi the total plus artificial pressure.  Two
 integral constraints pin the Neumann constants: the rho-weighted means of c
 and mu are prescribed (the c one with eps-dependent corrections).  The load
-factor sigma in (0, 1] scales every nonlinear right side and is ramped to 1 as
-a continuation strategy; a second continuation drives eps down a schedule.
+factor sigma in (0, 1] scales every nonlinear right side.  By default the
+solver runs one stage, sigma = 1 at eps = 1e-3, from the constant state; a
+longer ``sigma_schedule`` ramps sigma to 1 and a longer ``eps_schedule`` walks
+eps down, as a continuation ladder for problems the one stage cannot reach.
 
 Each iteration lags the nonlinear couplings at the previous iterate (no global
 Newton linearization) and blends its proposal with the incoming state by a
@@ -192,13 +194,18 @@ class State:
 @dataclass(frozen=True)
 class SolveControls:
     """Continuation schedules and fixed-point iteration controls; ``damping`` is
-    the starting factor of each stage, halved on each residual rise, down to 1/8."""
+    the starting factor of each stage, halved on each residual rise, down to 1/8.
 
-    sigma_schedule: tuple = (0.25, 0.5, 0.75, 1.0)
+    The default schedules make one stage, sigma = 1 at eps = 1e-3; the ladder
+    sigma 0.25, 0.5, 0.75, 1 then eps 1e-1, 1e-2, 1e-3 is the pair
+    ``sigma_schedule=(0.25, 0.5, 0.75, 1.0), eps_schedule=(1e-1, 1e-2, 1e-3)``.
+    """
+
+    sigma_schedule: tuple = (1.0,)
     damping: float = 1.0
     max_picard: int = 500
     tol_rel: float = 1.0e-8
-    eps_schedule: tuple = (1.0e-1, 1.0e-2, 1.0e-3)
+    eps_schedule: tuple = (1.0e-3,)
 
     def __post_init__(self) -> None:
         sig = tuple(float(s) for s in self.sigma_schedule)
@@ -629,7 +636,9 @@ def continuation_solve(
 ) -> tuple[State, ConvergenceLog]:
     """Ramp sigma to 1 at the largest eps, then walk eps down its schedule.
 
-    Every stage warm-starts from the previous one and iterates
+    With the default schedules this is one stage, sigma = 1 at eps = 1e-3.
+    The first stage starts from ``initial_state`` or the constant state, and
+    every later stage warm-starts from the previous one; each iterates
     :func:`picard_step` until the residual reaches tol_rel; a stage that spends
     max_picard steps above it raises :class:`NotConverged`.  The damping
     factor starts each stage at ``controls.damping`` and is halved, down to
@@ -723,8 +732,10 @@ def _sweep_value(
 ) -> tuple:
     """Solve one sweep value; returns (status, report, state, log).
 
-    A cold start (``warm`` None) runs the full continuation; a warm start runs
-    one stage at the final eps from ``warm``.  A solver error becomes the
+    A cold start (``warm`` None) runs ``controls``' schedules (for an eps
+    sweep, with ``value`` as the only eps); a warm start runs one stage,
+    sigma = 1 at the value's final eps, from ``warm``.  With the default
+    schedules both are the same single stage.  A solver error becomes the
     status ``failed(<Type>)`` with None in the other three places.
     """
     from .diagnostics import compute_report
@@ -768,8 +779,8 @@ def delta_sweep(
 ) -> SweepReport:
     """Solve a fixed problem for a decreasing list of regularization widths.
 
-    The first width runs the full continuation and every later width
-    warm-starts from its solution (see :func:`_sweep`); the per-width
+    The first width is solved cold, on the configured schedules, and every
+    later width warm-starts from its solution (see :func:`_sweep`); the per-width
     diagnostics expose the vanishing artificial pressure, the width-independent
     norm bounds, and the shrinking concentration-bound violations.
     """

@@ -10,6 +10,10 @@ from chns1d.mesh import Grid
 from chns1d.potential import PotentialParams
 from chns1d.solver import FluidParams, ProblemSpec, SolveControls
 
+# Config text of the continuation ladder, the default before one stage:
+# sigma 0.25 -> 1 at eps 0.1, then eps 0.1 -> 1e-3.
+LADDER = "solver.sigma_schedule = 0.25,0.5,0.75,1.0\nsolver.eps_schedule = 1e-1,1e-2,1e-3\n"
+
 
 @pytest.fixture
 def pot() -> PotentialParams:

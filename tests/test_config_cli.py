@@ -3,6 +3,9 @@ import pytest
 
 from chns1d import cli
 from chns1d.config import ConfigError, parse_config_text
+from chns1d.mesh import Grid
+from chns1d.solver import SolveControls, State
+from conftest import LADDER
 
 
 def read_csv(path):
@@ -38,7 +41,9 @@ class TestConfigParsing:
     def test_empty_config_is_valid(self):
         cfg = parse_config_text("")
         assert cfg.spec.grid.n_cells == 256
-        assert cfg.controls.sigma_schedule == (0.25, 0.5, 0.75, 1.0)
+        assert cfg.controls.sigma_schedule == (1.0,)
+        assert cfg.controls.eps_schedule == (1.0e-3,)
+        assert cfg.controls == SolveControls()  # the two copies of the defaults agree
 
     def test_comments_and_spacing(self):
         cfg = parse_config_text(
@@ -142,10 +147,26 @@ class TestCliPotential:
         assert cli.main(["potential", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+class TestFieldsText:
+    def test_one_template_matches_per_cell_format(self):
+        g = Grid(8, 1.0)
+        rho = [0.0, 5e-324, 2.5e-310, 1e-300, 1.0 / 3.0, 1e200, 7.0, 1.0]
+        u = [-0.0, 0.0, -5e-324, -1e-300, 1e-5, -1e250, 0.5, -2.0]
+        mu = [1.7976931348623157e308, -2.2250738585072014e-308, -0.0, 3.0, 0.0, -1e-99, 1e100, 2.0]
+        c = [0.3, -0.3, 1e-320, -1e-320, 123456789.0, -0.0, 1e-100, 9.99999999999995e99]
+        state = State(g.field(rho), g.field(u), g.field(mu), g.field(c))
+        cols = (g.cell_centers(), rho, u, mu, c)
+        want = "x,rho,u,mu,c\n" + "".join(
+            ",".join(cli._fmt(col[i]) for col in cols) + "\n" for i in range(g.n_cells)
+        )
+        assert cli._fields_text(state) == want
+        assert "-0.000000000000e+00" in want and "e-324" in want and "e+308" in want
+
+
 class TestCliSolve:
     def test_zero_forcing_fields_constant(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("domain.n_cells = 64\nsolver.eps_schedule = 1e-2\n")
+        cfg.write_text("domain.n_cells = 64\n")
         out = tmp_path / "out"
         assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         rho = csv_column(out / "fields.csv", "rho")
@@ -158,7 +179,7 @@ class TestCliSolve:
         assert "ei_slack" in report and "mass1" in report
         header, rows = read_csv(out / "convergence.csv")
         assert header == ["stage", "iteration", "residual", "damping"]
-        assert len(rows) >= 4
+        assert [r[0] for r in rows] == ["1"] * len(rows)  # one stage by default
 
     def test_forced_solve_report(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -205,7 +226,7 @@ class TestCliSolve:
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("solve failed: NotConverged: stage sigma=0.25, eps=0.1 ended at residual ")
+        assert err.startswith("solve failed: NotConverged: stage sigma=1, eps=0.001 ended at residual ")
         assert "after 1 iterations" in err
         assert not (tmp_path / "o").exists()
 
@@ -221,9 +242,10 @@ class TestCliSolve:
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_iterate_exits_one_and_writes_nothing(self, tmp_path, capsys):
-        # rho u c' in the mu right side overflows first; no numpy warning is printed
+        # rho u c' in the mu right side overflows first on the ladder (in one
+        # stage a power overflows before); no numpy warning is printed
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + "fluid.gamma = 1e6\n")
+        cfg.write_text(FORCED_N64 + LADDER + "fluid.gamma = 1e6\n")
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
@@ -324,7 +346,7 @@ class TestCliSweep:
 
     def test_non_finite_iterate_fails_the_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + "fluid.gamma = 1e6\n")
+        cfg.write_text(FORCED_N64 + LADDER + "fluid.gamma = 1e6\n")
         out = tmp_path / "out"
         rc = cli.main(
             ["sweep", "--config", str(cfg), "--out", str(out),
@@ -404,13 +426,16 @@ class TestCliSweep:
 
 class TestCliCheck:
     def test_default_config_passes(self, tmp_path, capsys):
+        # the fixed-point probe runs at eps 0.1, not at the schedule's first eps
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("domain.n_cells = 64\nsolver.eps_schedule = 1e-1,1e-2\n")
+        cfg.write_text("domain.n_cells = 64\n")
         rc = cli.main(["check", "--config", str(cfg)])
         captured = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in captured
         assert "checks passed" in captured
+        row = next(line for line in captured.splitlines() if "constant_fixed_point" in line)
+        assert row.endswith("at eps 0.1")
 
     def test_solver_error_is_a_fail_row(self, tmp_path, capsys):
         # the zero-forcing constant state converges in one step; the forced
@@ -422,7 +447,7 @@ class TestCliCheck:
         assert rc == 1
         assert len(failed) == 1
         assert failed[0].split()[1] == "solver.forced_solve"
-        assert "solver raised NotConverged: stage sigma=0.25, eps=0.1" in failed[0]
+        assert "solver raised NotConverged: stage sigma=1, eps=0.001" in failed[0]
 
     def test_low_theta0_checks_admitted_widths(self, tmp_path, capsys):
         # at theta0 = 0.5 the sign structure needs delta <= 0.006375, so the

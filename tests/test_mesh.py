@@ -260,3 +260,12 @@ class TestLapackCall:
             lapack_call("demo", lapack.dgtsv, off, np.array([4.0, np.inf, 4.0, 4.0]), off, np.ones(4))
         with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 1\)"):
             lapack_call("demo", lapack.dgtsv, np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+
+    def test_factors_go_first_and_the_right_side_is_checked(self):
+        d, off = np.full(4, 4.0), np.ones(3)
+        factors = lapack_call("demo", lapack.dgttrf, off, d, off)
+        x = lapack_call("demo", lapack.dgttrs, np.ones(4), factors=factors)[-1]
+        a = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(a @ x, 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(NonFiniteError, match="demo: the matrix or right side"):
+            lapack_call("demo", lapack.dgttrs, np.array([1.0, np.nan, 0.0, 0.0]), factors=factors)

@@ -23,7 +23,7 @@ from chns1d.solver import (
     solve_momentum,
     solve_mu,
 )
-from conftest import make_forced_spec
+from conftest import LADDER, make_forced_spec
 
 FORCED_DEFAULT = "forcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 
@@ -402,13 +402,13 @@ class TestAdaptiveDamping:
         assert counts[1.0] < counts[0.5]
 
     def test_forced_default_iterations(self):
-        cfg = forced_default()
+        cfg = forced_default(LADDER)
         _, log = continuation_solve(cfg.spec, cfg.controls)
         assert stage_iterations(log) == [3, 2, 2, 2, 3, 3]
 
     def test_half_start_is_the_fixed_half_iteration(self):
         """Without a residual rise the adaptive rule is fixed damping: one path serves both."""
-        cfg = forced_default("solver.damping = 0.5\n")
+        cfg = forced_default(LADDER + "solver.damping = 0.5\n")
         spec, ctl = cfg.spec, cfg.controls
         state, log = continuation_solve(spec, ctl)
         assert stage_iterations(log) == [17, 10, 8, 8, 25, 25]
@@ -453,15 +453,22 @@ class TestContinuation:
     def test_homotopy_schedule_independence(self, pot, fluid):
         spec = make_forced_spec(96, pot, fluid, g1_amp=0.05)
         tol = 1e-10
-        states = []
-        for sched in ((1.0,), (0.5, 1.0)):
-            ctl = SolveControls(sigma_schedule=sched, eps_schedule=(1e-1,), tol_rel=tol)
-            state, _ = continuation_solve(spec, ctl)
-            states.append(state)
-        for name in ("rho", "u", "mu", "c"):
-            a = getattr(states[0], name).values
-            b = getattr(states[1], name).values
-            assert np.max(np.abs(a - b)) <= 10 * tol * (1.0 + np.max(np.abs(a)))
+        # (sigma, eps) schedule pairs that end at the same problem: a sigma
+        # ramp at eps 0.1, and one stage against the ladder at eps 1e-3
+        cases = [
+            (((1.0,), (1e-1,)), ((0.5, 1.0), (1e-1,))),
+            (((1.0,), (1e-3,)), ((0.25, 0.5, 0.75, 1.0), (1e-1, 1e-2, 1e-3))),
+        ]
+        for schedules in cases:
+            states = []
+            for sigmas, epss in schedules:
+                ctl = SolveControls(sigma_schedule=sigmas, eps_schedule=epss, tol_rel=tol)
+                state, _ = continuation_solve(spec, ctl)
+                states.append(state)
+            for name in ("rho", "u", "mu", "c"):
+                a = getattr(states[0], name).values
+                b = getattr(states[1], name).values
+                assert np.max(np.abs(a - b)) <= 10 * tol * (1.0 + np.max(np.abs(a)))
 
     def test_sigma_bisection_inserts_stage(self, forced_spec, monkeypatch):
         calls = []
@@ -490,10 +497,28 @@ class TestContinuation:
         with pytest.raises(solver.DivergenceError, match="sigma=.*eps="):
             continuation_solve(forced_spec, ctl)
 
+    def test_forced_default_is_one_stage(self):
+        cfg = forced_default()
+        _, log = continuation_solve(cfg.spec, cfg.controls)
+        assert [(s.sigma, s.eps) for s in log.stages] == [(1.0, 1e-3)]
+        assert stage_iterations(log) == [3]
+
+    def test_large_cos_forcing_converges_in_one_stage(self):
+        # the ladder stalls here: NotConverged at sigma 1, eps 0.01 after 300 iterations
+        cfg = parse_config_text(
+            "domain.n_cells = 128\nforcing.g1.kind = cos\nforcing.g1.amplitude = 12\n"
+            "solver.max_picard = 300\n"
+        )
+        state, log = continuation_solve(cfg.spec, cfg.controls)
+        assert stage_iterations(log) == [10]
+        assert log.stages[0].residuals[-1] <= cfg.controls.tol_rel
+        assert log.max_mass_error() <= 1e-12 * cfg.spec.m1
+        assert np.min(state.rho.values) >= 0.0
+
     def test_max_picard_exhausted_raises_not_converged(self, forced_spec):
         ctl = SolveControls(max_picard=1)
         with pytest.raises(
-            solver.NotConverged, match=r"sigma=0\.25, eps=0\.1 ended at residual \S+ after 1 iterations"
+            solver.NotConverged, match=r"sigma=1, eps=0\.001 ended at residual \S+ after 1 iterations"
         ):
             continuation_solve(forced_spec, ctl)
 
