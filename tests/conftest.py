@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -13,6 +14,14 @@ from chns1d.solver import FluidParams, ProblemSpec, SolveControls
 # Config text of the continuation ladder, the default before one stage:
 # sigma 0.25 -> 1 at eps 0.1, then eps 0.1 -> 1e-3.
 LADDER = "solver.sigma_schedule = 0.25,0.5,0.75,1.0\nsolver.eps_schedule = 1e-1,1e-2,1e-3\n"
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_gc():
+    """Undo the ``gc.freeze()`` of each in-process ``cli.main`` call, so the
+    objects a test leaves behind do not stay alive for the whole session."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

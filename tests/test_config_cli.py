@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,15 @@ forcing.g2.kind = cos
 forcing.g2.amplitude = 0.05
 solver.eps_schedule = 1e-1,1e-2
 """
+
+
+class TestCliMain:
+    def test_main_freezes_the_start_up_heap(self, tmp_path):
+        assert gc.get_freeze_count() == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n_cells = 32\n")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert gc.get_freeze_count() > 0
 
 
 class TestCliPotential:

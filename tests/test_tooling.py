@@ -1,4 +1,4 @@
-"""Checks on how the package is imported and on the benchmark's timing hooks."""
+"""Checks on how the package is imported and run as a process, and on the benchmark hooks."""
 
 import json
 import subprocess
@@ -62,6 +62,12 @@ def test_cli_import_leaves_out_scipy_linalg():
     assert out.strip() == "['scipy.linalg._flapack']"
 
 
+def test_cli_import_leaves_out_checks():
+    # only the check command needs the verification suites
+    out = _run("-c", "import sys, chns1d.cli; print('chns1d.checks' in sys.modules)")
+    assert out.strip() == "False"
+
+
 ROUTINES_PROBE = """
 import sys
 first = sys.argv[1]
@@ -84,3 +90,30 @@ def test_every_name_spans_wraps_exists(tmp_path):
                               str(tmp_path / "trace.json")))
     assert len(wrapped) == sum(map(len, SPANS_TARGETS.values())) + 1
     assert [name for name, ok in wrapped.items() if not ok] == []
+
+
+FORCED_SWEEP = """
+domain.n_cells = 64
+forcing.g1.kind = sin
+forcing.g1.amplitude = 0.05
+"""
+
+
+def test_sweep_pool_after_freeze_matches_sequential(tmp_path):
+    """``cli.main`` freezes the start-up heap before the pool forks; in a real
+    process, the pool path must still exit 0 and write the sequential bytes."""
+    outs = []
+    for max_parallel in (1, 2):
+        cfg = tmp_path / f"run{max_parallel}.cfg"
+        cfg.write_text(FORCED_SWEEP + f"sweep.max_parallel = {max_parallel}\n")
+        out = tmp_path / f"out{max_parallel}"
+        _run("-m", "chns1d.cli", "sweep", "--config", str(cfg), "--out", str(out),
+             "--sweep-key", "delta", "--values", "0.2,0.1,0.05")
+        outs.append(out)
+    seq, par = outs
+    names = sorted(p.name for p in seq.iterdir())
+    assert names == ["fields_delta_0.05.csv", "fields_delta_0.1.csv",
+                     "fields_delta_0.2.csv", "sweep.csv"]
+    assert names == sorted(p.name for p in par.iterdir())
+    for name in names:
+        assert (seq / name).read_bytes() == (par / name).read_bytes(), name
