@@ -1,15 +1,20 @@
 """Strict flat-text configuration for the command-line front end.
 
 The format is one ``key = value`` pair per line, ``#`` starting a comment,
-dotted keys for grouping, and no nesting.  Parsing is strict: unknown keys,
-duplicate keys, malformed values, and parameter combinations that violate the
-model's constraints are all rejected at parse time with the offending key
-named.  Every key has a default, so the empty configuration is valid.
+dotted keys for grouping, and no nesting.  Unknown, duplicate, malformed and
+out-of-range values are rejected at parse time with the offending key named.
+Every key has a default, so the empty configuration is valid.
+
+The parameter types (``Grid``, ``PotentialParams``, ``FluidParams``,
+``ProblemSpec``, ``SolveControls``) own the defaults and range checks of the
+keys that set their fields; this module only maps those keys onto fields.
+``problem.m2`` is the one such key whose default (0.3) differs from its
+field's.  The forcing, output, sweep and table keys belong to no type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,30 +34,52 @@ def _float_list(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+# Each type-backed key and the field it sets: ``<section>.<field>`` except
+# for the two renamed fields.
+_FIELDS: dict[str, tuple[type, str]] = {
+    "domain.length": (Grid, "length_L"),
+    "domain.n_cells": (Grid, "n_cells"),
+    "potential.theta0": (PotentialParams, "theta0"),
+    "potential.thetac": (PotentialParams, "thetac"),
+    "potential.delta": (PotentialParams, "delta"),
+    "fluid.gamma": (FluidParams, "gamma"),
+    "fluid.lambda1": (FluidParams, "lambda1"),
+    "fluid.lambda2": (FluidParams, "lambda2"),
+    "fluid.h": (FluidParams, "H"),
+    "fluid.art_exponent": (FluidParams, "art_exponent"),
+    "problem.m1": (ProblemSpec, "m1"),
+    "problem.m2": (ProblemSpec, "m2"),
+    "solver.sigma_schedule": (SolveControls, "sigma_schedule"),
+    "solver.eps_schedule": (SolveControls, "eps_schedule"),
+    "solver.damping": (SolveControls, "damping"),
+    "solver.tol_rel": (SolveControls, "tol_rel"),
+    "solver.max_picard": (SolveControls, "max_picard"),
+}
+_KEY_OF = {field: key for key, field in _FIELDS.items()}
+# The parser of each field's annotation (a string under postponed evaluation).
+_KINDS = {"float": float, "int": int, "tuple": _float_list}
+
+
+def _field(key: str):
+    cls, name = _FIELDS[key]
+    return cls.__dataclass_fields__[name]
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 DEFAULTS: dict[str, str] = {
-    "domain.length": "1.0",
+    "domain.length": "1.0",  # Grid's fields have no defaults
     "domain.n_cells": "256",
-    "potential.theta0": "1.0",
-    "potential.thetac": "1.5",
-    "potential.delta": "0.1",
-    "fluid.gamma": "2.0",
-    "fluid.lambda1": "1.0",
-    "fluid.lambda2": "0.0",
-    "fluid.h": "1.0",
-    "fluid.art_exponent": "11",
-    "problem.m1": "1.0",
-    "problem.m2": "0.3",
+    **{key: _text(_field(key).default) for key in _FIELDS if _field(key).default is not MISSING},
+    "problem.m2": "0.3",  # overrides ProblemSpec.m2 = 0: the CLI default mixture is asymmetric
     "forcing.g1.kind": "zero",
     "forcing.g1.amplitude": "0.0",
     "forcing.g1.mode": "1",
     "forcing.g2.kind": "zero",
     "forcing.g2.amplitude": "0.0",
     "forcing.g2.mode": "1",
-    "solver.sigma_schedule": "1.0",
-    "solver.eps_schedule": "1e-3",
-    "solver.damping": "1.0",
-    "solver.tol_rel": "1e-8",
-    "solver.max_picard": "500",
     "output.dir": "out",
     "sweep.max_parallel": "1",
     "table.c_min": "-1.5",
@@ -107,7 +134,20 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def _forcing_field(grid: Grid, kind: str, amplitude: float, mode: int, key: str) -> Field:
+def _build(cls, kwargs: dict, **parts):
+    """Construct ``cls``.  Its ValueError message starts with the offending
+    field, so the ConfigError it becomes can name that field's key."""
+    try:
+        return cls(**kwargs, **parts)
+    except ValueError as err:
+        key = _KEY_OF.get((cls, str(err).split(" ", 1)[0]), cls.__name__)
+        raise ConfigError(f"{key}: {err}") from None
+
+
+def _forcing_field(grid: Grid, values: dict[str, str], key: str) -> Field:
+    kind = _get(values, f"{key}.kind", str)
+    amplitude = _get(values, f"{key}.amplitude", float)
+    mode = _get(values, f"{key}.mode", int)
     _require(kind in _FORCING_KINDS, f"{key}.kind", f"must be one of {_FORCING_KINDS}")
     _require(mode >= 1, f"{key}.mode", "must be a positive integer")
     x = grid.cell_centers()
@@ -124,62 +164,18 @@ def _forcing_field(grid: Grid, kind: str, amplitude: float, mode: int, key: str)
 def parse_config_text(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     values = _parse_lines(text)
+    args: dict[type, dict] = {}
+    for key, (cls, name) in _FIELDS.items():
+        args.setdefault(cls, {})[name] = _get(values, key, _KINDS[_field(key).type])
 
-    length = _get(values, "domain.length", float)
-    _require(length > 0.0, "domain.length", "must be positive")
-    n_cells = _get(values, "domain.n_cells", int)
-    _require(n_cells >= 8, "domain.n_cells", "must be at least 8")
-    grid = Grid(n_cells, length)
-
-    theta0 = _get(values, "potential.theta0", float)
-    thetac = _get(values, "potential.thetac", float)
-    delta = _get(values, "potential.delta", float)
-    _require(0.0 < theta0 < thetac, "potential.theta0", "must satisfy 0 < theta0 < thetac")
-    _require(0.0 < delta < 1.0, "potential.delta", "must lie in (0, 1)")
-    pot = PotentialParams(theta0, thetac, delta)
-
-    gamma = _get(values, "fluid.gamma", float)
-    lam1 = _get(values, "fluid.lambda1", float)
-    lam2 = _get(values, "fluid.lambda2", float)
-    hcoef = _get(values, "fluid.h", float)
-    art = _get(values, "fluid.art_exponent", int)
-    _require(gamma > 1.0, "fluid.gamma", "must exceed 1")
-    _require(lam1 > 0.0, "fluid.lambda1", "must be positive")
-    _require(2.0 * lam1 + 3.0 * lam2 >= 0.0, "fluid.lambda2", "must satisfy 2*lambda1 + 3*lambda2 >= 0")
-    _require(hcoef > 0.0, "fluid.h", "must be positive")
-    _require(art >= 2, "fluid.art_exponent", "must be an integer >= 2")
-    fluid = FluidParams(gamma, lam1, lam2, hcoef, art)
-
-    m1 = _get(values, "problem.m1", float)
-    m2 = _get(values, "problem.m2", float)
-    _require(m1 > 0.0, "problem.m1", "must be positive")
-    _require(-m1 < m2 < m1, "problem.m2", "must lie in (-m1, m1)")
-
-    g1 = _forcing_field(
-        grid,
-        _get(values, "forcing.g1.kind", str),
-        _get(values, "forcing.g1.amplitude", float),
-        _get(values, "forcing.g1.mode", int),
-        "forcing.g1",
-    )
-    g2 = _forcing_field(
-        grid,
-        _get(values, "forcing.g2.kind", str),
-        _get(values, "forcing.g2.amplitude", float),
-        _get(values, "forcing.g2.mode", int),
-        "forcing.g2",
-    )
-
-    sigmas = _get(values, "solver.sigma_schedule", _float_list)
-    epss = _get(values, "solver.eps_schedule", _float_list)
-    damping = _get(values, "solver.damping", float)
-    tol_rel = _get(values, "solver.tol_rel", float)
-    max_picard = _get(values, "solver.max_picard", int)
-    try:
-        controls = SolveControls(sigmas, damping, max_picard, tol_rel, epss)
-        spec = ProblemSpec(grid, pot, fluid, m1, m2, g1, g2)
-    except ValueError as err:
-        raise ConfigError(f"solver/problem: {err}") from None
+    grid = _build(Grid, args[Grid])
+    pot = _build(PotentialParams, args[PotentialParams])
+    fluid = _build(FluidParams, args[FluidParams])
+    g1 = _forcing_field(grid, values, "forcing.g1")
+    g2 = _forcing_field(grid, values, "forcing.g2")
+    spec = _build(ProblemSpec, args[ProblemSpec],
+                  grid=grid, potential=pot, fluid=fluid, g1=g1, g2=g2)
+    controls = _build(SolveControls, args[SolveControls])
 
     max_parallel = _get(values, "sweep.max_parallel", int)
     _require(max_parallel >= 1, "sweep.max_parallel", "must be a positive integer")
@@ -189,15 +185,9 @@ def parse_config_text(text: str) -> RunConfig:
     points = _get(values, "table.points", int)
     _require(c_max > c_min, "table.c_max", "must exceed table.c_min")
     _require(points >= 2, "table.points", "must be at least 2")
-    table_grid = np.linspace(c_min, c_max, points)
 
-    return RunConfig(
-        spec=spec,
-        controls=controls,
-        output_dir=Path(_get(values, "output.dir", str)),
-        max_parallel=max_parallel,
-        table_grid=table_grid,
-    )
+    output_dir = Path(_get(values, "output.dir", str))
+    return RunConfig(spec, controls, output_dir, max_parallel, np.linspace(c_min, c_max, points))
 
 
 def load_config(path) -> RunConfig:

@@ -63,7 +63,6 @@ class DiagnosticsReport:
     mass2: float
     art_pressure_norm: float
     lp_norms: dict
-    lp_exponents: dict
     grad_norms: dict
     bound_violation: float
     continuity_residual: float
@@ -243,7 +242,6 @@ def compute_report(
         mass2=mesh.integrate(Field(spec.grid, state.rho.values * state.c.values)),
         art_pressure_norm=art,
         lp_norms=nm["lp"],
-        lp_exponents=nm["lp_exponents"],
         grad_norms=nm["grad"],
         bound_violation=bound_violation(state, tau),
         continuity_residual=continuity_residual(state),

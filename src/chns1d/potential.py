@@ -87,10 +87,10 @@ class PotentialParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.theta0 < self.thetac):
             raise ValueError(
-                f"require 0 < theta0 < thetac, got theta0={self.theta0}, thetac={self.thetac}"
+                f"theta0 must lie in (0, thetac), got theta0={self.theta0}, thetac={self.thetac}"
             )
         if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"require 0 < delta < 1, got delta={self.delta}")
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,8 @@ class FluidParams:
             raise ValueError(f"lambda1 must be positive, got {self.lambda1}")
         if not 2.0 * self.lambda1 + 3.0 * self.lambda2 >= 0.0:
             raise ValueError(
-                f"require 2*lambda1 + 3*lambda2 >= 0, got lambda1={self.lambda1}, lambda2={self.lambda2}"
+                "lambda2 must satisfy 2*lambda1 + 3*lambda2 >= 0, "
+                f"got lambda1={self.lambda1}, lambda2={self.lambda2}"
             )
         if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
@@ -239,11 +240,16 @@ def _face_velocities(u: np.ndarray) -> np.ndarray:
     return uf
 
 
+def _upwind_split(uf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max(uf, 0), min(uf, 0)): the velocity carrying the left and the right cell's density."""
+    return np.maximum(uf, 0.0), np.minimum(uf, 0.0)
+
+
 def _upwind_flux(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Mass flux at the n+1 faces as the continuity bands assemble it (zero at the walls)."""
-    uf = _face_velocities(u)
-    flux = np.zeros(uf.size)
-    flux[1:-1] = np.maximum(uf[1:-1], 0.0) * rho[:-1] + np.minimum(uf[1:-1], 0.0) * rho[1:]
+    up, um = _upwind_split(_face_velocities(u))
+    flux = np.zeros(up.size)
+    flux[1:-1] = up[1:-1] * rho[:-1] + um[1:-1] * rho[1:]
     return flux
 
 
@@ -251,6 +257,11 @@ def _with_source(rhs: np.ndarray, spec: ProblemSpec, name: str) -> np.ndarray:
     """Add the manufactured source of equation ``name``, if the spec carries one."""
     src = None if spec.mms_sources is None else getattr(spec.mms_sources, name)
     return rhs if src is None else rhs + src.values
+
+
+def _continuity_rhs(eps: float, spec: ProblemSpec) -> np.ndarray:
+    """Right side eps^2 rho0 of the continuity equation, plus its manufactured source."""
+    return _with_source(np.full(spec.grid.n_cells, eps**2 * spec.rho0), spec, "continuity")
 
 
 def _right_side(field: str, sub_solve: str):
@@ -284,8 +295,7 @@ def _right_side(field: str, sub_solve: str):
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     """Tridiagonal bands of eps^2 I + upwind advection - eps^4 Lap (Neumann)."""
     n, h = g.n_cells, g.spacing_h
-    up = np.maximum(uf, 0.0)
-    um = np.minimum(uf, 0.0)
+    up, um = _upwind_split(uf)
     e4 = eps**4 / h**2
     diag = eps**2 + (up[1:] - um[:-1]) / h + 2.0 * e4
     diag[0] -= e4
@@ -314,7 +324,7 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     """
     g = spec.grid
     diag, upper, lower = _continuity_bands(_face_velocities(u.values), eps, g)
-    b = _with_source(np.full(g.n_cells, eps**2 * spec.rho0), spec, "continuity")
+    b = _continuity_rhs(eps, spec)
     rho = mesh.lapack_call(
         "continuity", lapack.dgtsv, lower, diag, upper, b,
         overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
@@ -412,7 +422,7 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
         ab[8 + r - c, c:-2:2] = lo
 
     b = np.empty(2 * n)
-    b[0::2] = _with_source(np.full(n, eps**2 * spec.rho0), spec, "continuity")
+    b[0::2] = _continuity_rhs(eps, spec)
     b[0::2] += np.diff(rho_f * uf) / h  # the u_old part of the correction flux
     b[1::2] = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
     b[1::2] -= sigma * mesh.gradient(Field(g, pi_slope * rho_t), "neumann").values

@@ -1,10 +1,12 @@
 import gc
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chns1d import cli
-from chns1d.config import ConfigError, parse_config_text
+from chns1d.config import DEFAULTS, ConfigError, parse_config_text
 from chns1d.mesh import Grid
 from chns1d.solver import SolveControls, State
 from conftest import LADDER
@@ -45,7 +47,8 @@ class TestConfigParsing:
         assert cfg.spec.grid.n_cells == 256
         assert cfg.controls.sigma_schedule == (1.0,)
         assert cfg.controls.eps_schedule == (1.0e-3,)
-        assert cfg.controls == SolveControls()  # the two copies of the defaults agree
+        # the solver.* defaults are read from SolveControls, so nothing can drift
+        assert cfg.controls == SolveControls()
 
     def test_comments_and_spacing(self):
         cfg = parse_config_text(
@@ -112,6 +115,47 @@ class TestConfigParsing:
         assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {key}: must be finite\n"
         assert not (tmp_path / "o").exists()
+
+    # one out-of-range value per key whose range a parameter type checks
+    @pytest.mark.parametrize("key, value", [
+        ("domain.n_cells", "4"),
+        ("domain.length", "0"),
+        ("potential.theta0", "2.0"),
+        ("potential.delta", "1.0"),
+        ("fluid.gamma", "1.0"),
+        ("fluid.lambda1", "0.0"),
+        ("fluid.lambda2", "-1.0"),
+        ("fluid.h", "0.0"),
+        ("fluid.art_exponent", "1"),
+        ("problem.m1", "-1.0"),
+        ("problem.m2", "1.0"),
+        ("solver.sigma_schedule", "0.5"),
+        ("solver.eps_schedule", "1e-3,1e-2"),
+        ("solver.damping", "2.0"),
+        ("solver.tol_rel", "0.0"),
+        ("solver.max_picard", "0"),
+    ])
+    def test_range_error_names_the_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Configuration keys", 1)[1].split("\n### ", 1)[0]
+        listed = dict(re.findall(r"`([a-z0-9_.]+)` \(([^)]*)\)", table))
+
+        def parsed(text):
+            try:
+                return tuple(float(tok) for tok in text.split(","))
+            except ValueError:
+                return text
+
+        assert {key: parsed(listed.get(key, "missing")) for key in DEFAULTS} == {
+            key: parsed(text) for key, text in DEFAULTS.items()
+        }
 
 
 SOLVE_CONFIG = """

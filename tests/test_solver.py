@@ -192,6 +192,25 @@ class TestFlowCoupledBlock:
         assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
 
 
+class TestUpwindFlux:
+    def test_flux_divergence_is_the_advective_part_of_the_transport_bands(self):
+        """The diagnostics flux and the continuity matrix split the face velocities alike."""
+        n, eps = 64, 0.1
+        g = Grid(n, 1.0)
+        rng = np.random.default_rng(7)
+        rho = 1.0 + 0.3 * rng.random(n)
+        u = 0.05 * rng.standard_normal(n)
+        diag, upper, lower = solver._continuity_bands(solver._face_velocities(u), eps, g)
+        transport = diag * rho
+        transport[:-1] += upper * rho[1:]
+        transport[1:] += lower * rho[:-1]
+        advective = (
+            transport - eps**2 * rho + eps**4 * mesh.laplacian_apply(g.field(rho), "neumann").values
+        )
+        flux_div = np.diff(solver._upwind_flux(rho, u)) / g.spacing_h
+        assert np.max(np.abs(advective - flux_div)) <= 1e-13 * np.max(np.abs(flux_div))
+
+
 def _banded_oracle(name, routine, args, g):
     """Solution of one recorded LAPACK system by scipy.linalg.solve_banded."""
     if routine is lapack.dgtsv:
