@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh, potential
-from .mesh import Field
 from .solver import ProblemSpec, State, _c_mass_target, _c_rhs, _mu_rhs, _upwind_flux
 
 __all__ = [
@@ -107,10 +106,10 @@ def total_energy(state: "State", spec: "ProblemSpec") -> float:
 
     The bulk term uses the vacuum convention rho*ln(rho) -> 0 at rho = 0.
     """
-    rho, u = state.rho.values, state.u.values
+    h, rho, u = spec.grid.spacing_h, state.rho.values, state.u.values
     bulk = potential.rho_free_energy_delta(rho, state.c.values, spec.fluid, spec.potential)
-    dc = mesh.gradient(state.c, "neumann").values
-    return mesh.integrate(Field(spec.grid, 0.5 * rho * u * u + bulk + 0.5 * dc * dc))
+    dc = mesh.gradient_of(state.c.values, "neumann", h)
+    return mesh.integral_of(0.5 * rho * u * u + bulk + 0.5 * dc * dc, h)
 
 
 def energy_inequality(state: "State", spec: "ProblemSpec") -> tuple[float, float, float]:
@@ -120,15 +119,12 @@ def energy_inequality(state: "State", spec: "ProblemSpec") -> tuple[float, float
     rhs integrates (rho g1 + g2) u.  On converged states the slack is
     nonnegative up to discretization defects of size EI_SLACK_CONSTANT * h^2.
     """
-    fp = spec.fluid
-    du = mesh.gradient(state.u, "dirichlet0").values
-    dmu = mesh.gradient(state.mu, "neumann").values
-    lhs = mesh.integrate(
-        Field(spec.grid, fp.lambda1 * du * du + (fp.lambda1 + fp.lambda2) * du * du + dmu * dmu)
-    )
-    rhs = mesh.integrate(
-        Field(spec.grid, (state.rho.values * spec.g1.values + spec.g2.values) * state.u.values)
-    )
+    fp, h = spec.fluid, spec.grid.spacing_h
+    du = mesh.gradient_of(state.u.values, "dirichlet0", h)
+    dmu = mesh.gradient_of(state.mu.values, "neumann", h)
+    dissipation = fp.lambda1 * du * du + (fp.lambda1 + fp.lambda2) * du * du + dmu * dmu
+    lhs = mesh.integral_of(dissipation, h)
+    rhs = mesh.integral_of((state.rho.values * spec.g1.values + spec.g2.values) * state.u.values, h)
     return lhs, rhs, rhs - lhs
 
 
@@ -141,9 +137,10 @@ def constraint_check(
     constraint including its eps-level corrections; pass eps=0 to check the
     uncorrected form integrate(rho c) = m2.
     """
+    rho, c = state.rho.values, state.c.values
     err1 = abs(mesh.integrate(state.rho) - spec.m1)
-    target = _c_mass_target(state.rho, state.c, eps, spec)
-    err2 = abs(mesh.integrate(Field(spec.grid, state.rho.values * state.c.values)) - target)
+    target = _c_mass_target(rho, c, eps, spec)
+    err2 = abs(mesh.integral_of(rho * c, spec.grid.spacing_h) - target)
     return err1, err2
 
 
@@ -185,8 +182,7 @@ def norms(state: "State", spec: "ProblemSpec") -> dict:
     The Lp exponents are 6/5, 3/2, gamma, 2, and the interpolation endpoint
     s = 3 - 3/gamma; keys are the symbolic names used in the CSV columns.
     """
-    g = spec.grid
-    rho = state.rho.values
+    h, rho = spec.grid.spacing_h, state.rho.values
     exps = {
         "6/5": 1.2,
         "3/2": 1.5,
@@ -194,18 +190,13 @@ def norms(state: "State", spec: "ProblemSpec") -> dict:
         "2": 2.0,
         "s": 3.0 - 3.0 / spec.fluid.gamma,
     }
-    lp = {
-        key: float(mesh.integrate(Field(g, np.abs(rho) ** p)) ** (1.0 / p))
-        for key, p in exps.items()
-    }
+    lp = {key: float(mesh.integral_of(np.abs(rho) ** p, h) ** (1.0 / p)) for key, p in exps.items()}
     grads = {
-        "u": mesh.gradient(state.u, "dirichlet0").values,
-        "mu": mesh.gradient(state.mu, "neumann").values,
-        "c": mesh.gradient(state.c, "neumann").values,
+        "u": mesh.gradient_of(state.u.values, "dirichlet0", h),
+        "mu": mesh.gradient_of(state.mu.values, "neumann", h),
+        "c": mesh.gradient_of(state.c.values, "neumann", h),
     }
-    seminorms = {
-        key: float(np.sqrt(mesh.integrate(Field(g, d * d)))) for key, d in grads.items()
-    }
+    seminorms = {key: float(np.sqrt(mesh.integral_of(d * d, h))) for key, d in grads.items()}
     return {"lp": lp, "lp_exponents": exps, "grad": seminorms}
 
 
@@ -213,10 +204,9 @@ def mean_projection_residuals(
     state: "State", spec: "ProblemSpec", eps: float
 ) -> tuple[float, float]:
     """Compatibility defects |∫ rhs| of the two Neumann problems at this state."""
-    g = spec.grid
-    proj_mu = abs(mesh.integrate(Field(g, _mu_rhs(state, eps, spec))))
-    proj_c = abs(mesh.integrate(Field(g, _c_rhs(state, spec))))
-    return proj_mu, proj_c
+    h = spec.grid.spacing_h
+    proj_mu = abs(mesh.integral_of(_mu_rhs(state, eps, spec), h))
+    return proj_mu, abs(mesh.integral_of(_c_rhs(state, spec), h))
 
 
 def compute_report(
@@ -226,21 +216,15 @@ def compute_report(
     lhs, rhs, _ = energy_inequality(state, spec)
     nm = norms(state, spec)
     tau = TAU_SUPPORT_FACTOR * spec.rho0
-    art = mesh.integrate(
-        Field(
-            spec.grid,
-            potential.artificial_pressure(
-                state.rho.values, spec.potential.delta, spec.fluid.art_exponent
-            ),
-        )
-    )
+    rho, h = state.rho.values, spec.grid.spacing_h
+    art = potential.artificial_pressure(rho, spec.potential.delta, spec.fluid.art_exponent)
     return DiagnosticsReport(
         total_energy=total_energy(state, spec),
         ei_lhs=lhs,
         ei_rhs=rhs,
         mass1=mesh.integrate(state.rho),
-        mass2=mesh.integrate(Field(spec.grid, state.rho.values * state.c.values)),
-        art_pressure_norm=art,
+        mass2=mesh.integral_of(rho * state.c.values, h),
+        art_pressure_norm=mesh.integral_of(art, h),
         lp_norms=nm["lp"],
         grad_norms=nm["grad"],
         bound_violation=bound_violation(state, tau),

@@ -7,10 +7,14 @@ reflects the adjacent cell value (zero normal derivative at the wall) and
 doubles as the divergence, satisfies exact summation by parts for these
 extensions, and the midpoint quadrature makes flux divergences telescope
 exactly, which is what the mass bookkeeping of the solvers relies on.  The
-operators are the one place a stencil is written: :func:`bands` reads every
-banded matrix off them, once per grid.  Banded systems go straight to the
-LAPACK routines through :func:`lapack_call`, which rejects non-finite input
-and names the solve when the matrix is singular.
+array kernels :func:`gradient_of`, :func:`laplacian_of` and :func:`integral_of`
+are the one place a stencil is written; :func:`gradient`, :func:`laplacian_apply`
+and :func:`integrate` apply them to a :class:`Field`, and :func:`bands` reads
+every banded matrix off those, once per grid.  A :class:`Field` checks its
+values (length, finiteness) when it is built, so the kernels, which the
+solver's inner loop calls on plain arrays, check nothing.  Banded systems go
+straight to the LAPACK routines through :func:`lapack_call`, which rejects
+non-finite input and names the solve when the matrix is singular.
 
 The routines (``dgtsv``, ``dgttrf``, ``dgttrs``, ``dgbsv``) come from
 ``scipy.linalg._flapack``, the f2py extension that ``scipy.linalg.lapack``
@@ -39,11 +43,14 @@ __all__ = [
     "NonFiniteError",
     "SingularSystemError",
     "gradient",
+    "gradient_of",
     "laplacian_apply",
+    "laplacian_of",
     "laplacian_solve",
     "bands",
     "lapack_call",
     "integrate",
+    "integral_of",
     "mean_shift",
     "BOUNDARY_CONDITIONS",
 ]
@@ -139,7 +146,7 @@ class Field:
             raise ValueError(
                 f"field length {arr.shape} does not match grid with {self.grid.n_cells} cells"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             bad = int(np.count_nonzero(~np.isfinite(arr)))
             raise NonFiniteError(f"field values must be finite ({bad} of {arr.size} are not)")
         object.__setattr__(self, "values", arr)
@@ -152,38 +159,57 @@ def _check_bc(bc: str) -> None:
 
 def _extend(values: np.ndarray, bc: str) -> np.ndarray:
     sign = 1.0 if bc == "neumann" else -1.0
-    return np.concatenate(([sign * values[0]], values, [sign * values[-1]]))
+    ext = np.empty(values.size + 2)
+    ext[1:-1] = values
+    ext[0], ext[-1] = sign * values[0], sign * values[-1]
+    return ext
+
+
+def gradient_of(values: np.ndarray, bc: str, h: float) -> np.ndarray:
+    """Second-order central difference of cell values on a grid of spacing h,
+    with ghost cells by reflection (``neumann``) or odd extension."""
+    ext = _extend(values, bc)
+    return (ext[2:] - ext[:-2]) / (2.0 * h)
+
+
+def laplacian_of(values: np.ndarray, bc: str, h: float) -> np.ndarray:
+    """Compact three-point Laplacian of cell values with the ghost extension of ``bc``."""
+    ext = _extend(values, bc)
+    return (ext[:-2] - 2.0 * values + ext[2:]) / h**2
+
+
+def integral_of(values: np.ndarray, h: float) -> float:
+    """Midpoint quadrature of cell values; exact for values linear in x."""
+    return float(values.sum() * h)
 
 
 def gradient(f: Field, bc: str) -> Field:
-    """Second-order central difference with ghost cells by reflection/odd extension."""
+    """:func:`gradient_of` applied to a grid function."""
     _check_bc(bc)
-    ext = _extend(f.values, bc)
-    return Field(f.grid, (ext[2:] - ext[:-2]) / (2.0 * f.grid.spacing_h))
+    return Field(f.grid, gradient_of(f.values, bc, f.grid.spacing_h))
 
 
 def laplacian_apply(f: Field, bc: str) -> Field:
-    """Compact three-point Laplacian with the given ghost extension."""
+    """:func:`laplacian_of` applied to a grid function."""
     _check_bc(bc)
-    ext = _extend(f.values, bc)
-    h2 = f.grid.spacing_h ** 2
-    return Field(f.grid, (ext[:-2] - 2.0 * f.values + ext[2:]) / h2)
+    return Field(f.grid, laplacian_of(f.values, bc, f.grid.spacing_h))
 
 
 def integrate(f: Field) -> float:
-    """Midpoint quadrature; exact for fields that are linear in x."""
-    return float(np.sum(f.values) * f.grid.spacing_h)
+    """Midpoint quadrature (:func:`integral_of`) of a grid function."""
+    return integral_of(f.values, f.grid.spacing_h)
 
 
 def mean_shift(f: Field, target_weighted_mean: float, weight: Field) -> Field:
     """Add the constant s making integrate(weight * (f + s)) equal the target."""
+    w = weight.values
     wint = integrate(weight)
-    tol = 1.0e-12 * max(1.0, float(np.max(np.abs(weight.values))) * weight.grid.length_L)
+    tol = 1.0e-12 * max(1.0, float(np.abs(w).max()) * weight.grid.length_L)
     if wint <= tol:
         raise DegenerateWeightError(
             f"weight integral {wint:g} is not positive enough to pin the constant"
         )
-    s = (target_weighted_mean - integrate(Field(f.grid, f.values * weight.values))) / wint
+    s = (target_weighted_mean - integral_of(f.values * w, f.grid.spacing_h)) / wint
     return Field(f.grid, f.values + s)
 
 
@@ -226,7 +252,7 @@ def lapack_call(name: str, routine, *args, factors: tuple = (), **kwargs) -> tup
     without ``info``, so the solution is last.
     """
     for a in args:
-        if isinstance(a, np.ndarray) and not np.all(np.isfinite(a)):
+        if isinstance(a, np.ndarray) and not np.isfinite(a).all():
             raise NonFiniteError(f"{name}: the matrix or right side is not finite")
     *out, info = routine(*factors, *args, **kwargs)
     if info != 0:
@@ -256,16 +282,17 @@ def laplacian_solve(rhs: Field, bc: str) -> Field:
     _check_bc(bc)
     g = rhs.grid
     b = -rhs.values
+    n = g.n_cells  # means below as sum / n: what ndarray.mean computes, without its overhead
     if bc == "neumann":
-        mean = float(np.mean(rhs.values))
-        scale = float(np.sqrt(np.mean(rhs.values**2)))
+        mean = float(rhs.values.sum() / n)
+        scale = float(np.sqrt((rhs.values**2).sum() / n))
         if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
             raise SolvabilityError(
                 f"neumann right side has mean {mean:g}; the problem is unsolvable"
             )
-        b = b - np.mean(b)
+        b = b - b.sum() / n
         b[0] = 0.0
     x = lapack_call(
         f"{bc} Laplacian", lapack.dgttrs, b, factors=_laplacian_factor(g, bc), overwrite_b=1
     )[-1]
-    return Field(g, x if bc == "dirichlet0" else x - np.mean(x))
+    return Field(g, x if bc == "dirichlet0" else x - x.sum() / n)

@@ -255,18 +255,20 @@ def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
     ``rho_max`` or where rho**k exceeds the float range; 0**k is 0 for k > 0.
     """
     arr, scalar = _prep(rho)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+    lo, hi = arr.min(initial=np.inf), arr.max(initial=0.0)  # a NaN reaches both
+    if not lo >= 0.0:
         raise DomainError("guarded_power requires rho >= 0 (NaN is rejected)")
-    if np.any(arr > rho_max):
-        raise OverflowError(
-            f"density {float(np.max(arr)):g} exceeds rho_max={rho_max:g} in power evaluation"
-        )
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    log_power = k * np.log(arr[pos])
-    if np.any(log_power > _LOG_FLOAT_MAX):
-        worst = arr[pos][np.argmax(log_power)]
+    if hi > rho_max:
+        raise OverflowError(f"density {hi:g} exceeds rho_max={rho_max:g} in power evaluation")
+    pos = None if lo > 0.0 else arr > 0.0  # no vacuum cell, no mask
+    base = arr if pos is None else arr[pos]
+    log_power = k * np.log(base)
+    if log_power.max(initial=-np.inf) > _LOG_FLOAT_MAX:
+        worst = base.flat[np.argmax(log_power)]
         raise OverflowError(f"density {worst:g} to the power {k:g} exceeds the float range")
+    if pos is None:
+        return _ret(np.exp(log_power), scalar)
+    out = np.zeros_like(arr)
     out[pos] = np.exp(log_power)
     return _ret(out, scalar)
 
@@ -280,7 +282,7 @@ def artificial_pressure(rho, delta: float, exponent: int = 11,
 def pressure(rho, fp: "FluidParams"):
     """Total pressure (gamma-1) rho**gamma + H rho; zero at rho = 0."""
     arr, scalar = _prep(rho)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise DomainError("pressure requires rho >= 0")
     return _ret((fp.gamma - 1.0) * guarded_power(arr, fp.gamma) + fp.H * arr, scalar)
 

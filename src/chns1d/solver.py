@@ -110,9 +110,10 @@ class FluidParams:
         if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if self.gamma <= 1.5:
+            # level 3 skips the dataclass-generated __init__ to the constructing line
             warnings.warn(
                 f"gamma={self.gamma} <= 3/2 lies outside the regime the analysis covers",
-                stacklevel=2,
+                stacklevel=3,
             )
         if not self.H > 0.0:
             raise ValueError(f"H must be positive, got {self.H}")
@@ -188,7 +189,7 @@ class State:
         for name in ("u", "mu", "c"):
             if getattr(self, name).grid != g:
                 raise ValueError(f"{name} lives on a different grid than rho")
-        if np.any(self.rho.values < 0.0):
+        if (self.rho.values < 0.0).any():
             raise ValueError("rho must be nonnegative everywhere")
 
 
@@ -266,27 +267,25 @@ def _continuity_rhs(eps: float, spec: ProblemSpec) -> np.ndarray:
 
 def _right_side(field: str, sub_solve: str):
     """Evaluate a right-side builder ``build(state, ...)`` with numpy's overflow
-    and invalid-value warnings off.  A non-finite entry, or a non-finite
-    intermediate field, raises :class:`~chns1d.mesh.NonFiniteError` naming
-    ``field`` and ``sub_solve`` with the incoming state's magnitudes, so a
-    blow-up is named where it starts."""
+    and invalid-value warnings off.  The builder works on plain arrays, so a
+    non-finite intermediate reaches the result, where it is checked once: a
+    non-finite entry raises :class:`~chns1d.mesh.NonFiniteError` naming
+    ``field``, ``sub_solve`` and the number of cells, with the incoming state's
+    magnitudes, so a blow-up is named where it starts."""
     def decorate(build):
         @wraps(build)
         def checked(state, *args):
             with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    rhs = build(state, *args)
-                    if np.isfinite(rhs).all():
-                        return rhs
-                    cause = f"in {np.count_nonzero(~np.isfinite(rhs))} of {rhs.size} cells"
-                except mesh.NonFiniteError as err:  # from a Field inside the builder
-                    cause = f"({err})"
+                rhs = build(state, *args)
+            if np.isfinite(rhs).all():
+                return rhs
             sizes = ", ".join(
                 f"|{k}| {np.max(np.abs(getattr(state, k).values)):.3g}"
                 for k in ("rho", "u", "mu", "c")
             )
             raise mesh.NonFiniteError(
-                f"{sub_solve} sub-solve: the {field} is not finite {cause}; incoming max {sizes}"
+                f"{sub_solve} sub-solve: the {field} is not finite in "
+                f"{np.count_nonzero(~np.isfinite(rhs))} of {rhs.size} cells; incoming max {sizes}"
             )
         return checked
     return decorate
@@ -307,7 +306,7 @@ def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     excess = diag.copy()
     excess[:-1] += lower
     excess[1:] += upper
-    if np.min(excess) <= 0.5 * eps**2:
+    if excess.min() <= 0.5 * eps**2:
         raise SingularSystemError(
             f"transport matrix lost diagonal dominance (eps={eps:g}, n={n}); eps too small for the grid"
         )
@@ -329,30 +328,23 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
         "continuity", lapack.dgtsv, lower, diag, upper, b,
         overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
     )[-1]
-    if np.min(rho) < -1.0e-9 * max(spec.rho0, 1.0):
-        raise SingularSystemError(
-            f"continuity solve produced negative density {float(np.min(rho)):g}"
-        )
+    if rho.min() < -1.0e-9 * max(spec.rho0, 1.0):
+        raise SingularSystemError(f"continuity solve produced negative density {rho.min():g}")
     return Field(g, np.maximum(rho, 0.0))
 
 
 @_right_side("momentum right side", "momentum")
 def _momentum_forcing(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Lagged right side of the momentum balance (everything but visc*u'')."""
-    g = spec.grid
-    p, fp = spec.potential, spec.fluid
+    h, p, fp = spec.grid.spacing_h, spec.potential, spec.fluid
     rho, u, mu, c = state.rho.values, state.u.values, state.mu.values, state.c.values
     pi = artificial_pressure(rho, p.delta, fp.art_exponent) + pressure(rho, fp)
-    dpi = mesh.gradient(Field(g, pi), "neumann").values
-    adv = mesh.gradient(Field(g, rho * u * u), "dirichlet0").values
-    drho = mesh.gradient(state.rho, "neumann").values
-    du = mesh.gradient(state.u, "dirichlet0").values
-    dc = mesh.gradient(state.c, "neumann").values
+    dc = mesh.gradient_of(c, "neumann", h)
     return (
         eps**2 * rho * u
-        + adv
-        + dpi
-        + eps**4 * drho * du
+        + mesh.gradient_of(rho * u * u, "dirichlet0", h)
+        + mesh.gradient_of(pi, "neumann", h)
+        + eps**4 * mesh.gradient_of(rho, "neumann", h) * mesh.gradient_of(u, "dirichlet0", h)
         + rho * dF_delta(c, p) * dc
         - rho * mu * dc
         - rho * spec.g1.values
@@ -423,9 +415,10 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
 
     b = np.empty(2 * n)
     b[0::2] = _continuity_rhs(eps, spec)
-    b[0::2] += np.diff(rho_f * uf) / h  # the u_old part of the correction flux
+    old_flux = rho_f * uf  # the u_old part of the correction flux
+    b[0::2] += (old_flux[1:] - old_flux[:-1]) / h
     b[1::2] = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
-    b[1::2] -= sigma * mesh.gradient(Field(g, pi_slope * rho_t), "neumann").values
+    b[1::2] -= sigma * mesh.gradient_of(pi_slope * rho_t, "neumann", h)
     z = mesh.lapack_call(
         "(rho, u) block", lapack.dgbsv, 3, 3, ab, b, overwrite_ab=1, overwrite_b=1
     )[-1]
@@ -434,7 +427,7 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
 
 def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
     """Remove the mean from a Neumann right side; report the removed integral."""
-    mean = float(np.mean(rhs))
+    mean = float(rhs.sum() / rhs.size)
     return rhs - mean, abs(mean * g.length_L)
 
 
@@ -442,7 +435,7 @@ def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
 def _mu_rhs(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
     """eps rho c + rho u c' - eps rho0 c0: the mu right side without sigma or source."""
     rho, u, c = state.rho.values, state.u.values, state.c.values
-    dc = mesh.gradient(state.c, "neumann").values
+    dc = mesh.gradient_of(c, "neumann", spec.grid.spacing_h)
     return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
 
 
@@ -465,21 +458,21 @@ def solve_mu(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple
     g = spec.grid
     rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, eps, spec), spec, "mu"), g)
     mu_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
-    target = mesh.integrate(Field(g, state.rho.values * dF_delta(state.c.values, spec.potential)))
-    return mesh.mean_shift(mu_hat, target, state.rho), proj
+    weighted_dF = state.rho.values * dF_delta(state.c.values, spec.potential)
+    return mesh.mean_shift(mu_hat, mesh.integral_of(weighted_dF, g.spacing_h), state.rho), proj
 
 
-def _c_mass_target(rho: Field, c: Field, eps: float, spec: ProblemSpec) -> float:
+def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec) -> float:
     """Target of the relative-mass constraint integrate(rho c) = target.
 
     target = m2 + eps integrate((rho0-rho) c) - eps^3 integrate(rho' c'); solve_c
     imposes it and diagnostics.constraint_check measures the defect against it.
     """
-    g = spec.grid
-    drho = mesh.gradient(rho, "neumann").values
-    dc = mesh.gradient(c, "neumann").values
-    i1 = mesh.integrate(Field(g, (spec.rho0 - rho.values) * c.values))
-    i2 = mesh.integrate(Field(g, drho * dc))
+    h = spec.grid.spacing_h
+    drho = mesh.gradient_of(rho, "neumann", h)
+    dc = mesh.gradient_of(c, "neumann", h)
+    i1 = mesh.integral_of((spec.rho0 - rho) * c, h)
+    i2 = mesh.integral_of(drho * dc, h)
     return spec.m2 + eps * i1 - eps**3 * i2
 
 
@@ -495,18 +488,18 @@ def solve_c(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[
 
     holds exactly (the gradient term does not see s).
     """
-    g = spec.grid
+    g, h = spec.grid, spec.grid.spacing_h
     rho = state.rho.values
     rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, spec), spec, "c"), g)
-    c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
-    denom = mesh.integrate(state.rho) - eps * mesh.integrate(Field(g, spec.rho0 - rho))
+    c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann").values
+    denom = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
     if denom <= 1.0e-12 * max(1.0, spec.m1):
         raise mesh.DegenerateWeightError(
             f"density-weighted constraint is degenerate (integral {denom:g})"
         )
-    target = _c_mass_target(state.rho, c_hat, eps, spec)
-    s = (target - mesh.integrate(Field(g, rho * c_hat.values))) / denom
-    return Field(g, c_hat.values + s), proj
+    target = _c_mass_target(rho, c_hat, eps, spec)
+    s = (target - mesh.integral_of(rho * c_hat, h)) / denom
+    return Field(g, c_hat + s), proj
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +518,8 @@ def constant_state(spec: ProblemSpec, eps: float) -> State:
     return State(rho, g.zeros(), g.field(mu0), g.field(spec.c0))
 
 
-def _rel_update(new: np.ndarray, old: np.ndarray) -> float:
-    return float(np.max(np.abs(new - old)) / (1.0 + np.max(np.abs(old))))
+def _rel_update(new: Field, old: Field) -> float:
+    return float(np.abs(new.values - old.values).max() / (1.0 + np.abs(old.values).max()))
 
 
 def picard_step(
@@ -546,29 +539,15 @@ def picard_step(
     """
     g = spec.grid
     rho_star, u_star = solve_flow_coupled(state, sigma, eps, spec)
-    mu_star, proj_mu = solve_mu(
-        State(rho_star, u_star, state.mu, state.c), sigma, eps, spec
-    )
-    c_star, proj_c = solve_c(
-        State(rho_star, u_star, mu_star, state.c), sigma, eps, spec
-    )
+    mu_star, proj_mu = solve_mu(State(rho_star, u_star, state.mu, state.c), sigma, eps, spec)
+    c_star, proj_c = solve_c(State(rho_star, u_star, mu_star, state.c), sigma, eps, spec)
 
     u_new = Field(g, damping * u_star.values + (1.0 - damping) * state.u.values)
     mu_new = Field(g, damping * mu_star.values + (1.0 - damping) * state.mu.values)
     c_new = Field(g, damping * c_star.values + (1.0 - damping) * state.c.values)
-    rho_new = solve_continuity(u_new, eps, spec)
-
-    residual = (
-        max(
-            _rel_update(rho_new.values, state.rho.values),
-            _rel_update(u_new.values, state.u.values),
-            _rel_update(mu_new.values, state.mu.values),
-            _rel_update(c_new.values, state.c.values),
-        )
-        + proj_mu
-        + proj_c
-    )
-    return State(rho_new, u_new, mu_new, c_new), residual
+    new = State(solve_continuity(u_new, eps, spec), u_new, mu_new, c_new)
+    update = max(_rel_update(getattr(new, k), getattr(state, k)) for k in ("rho", "u", "mu", "c"))
+    return new, update + proj_mu + proj_c
 
 
 def _diverged(residuals: list[float]) -> bool:

@@ -11,9 +11,12 @@ from chns1d.mesh import (
     SolvabilityError,
     bands,
     gradient,
+    gradient_of,
+    integral_of,
     integrate,
     lapack_call,
     laplacian_apply,
+    laplacian_of,
     laplacian_solve,
     mean_shift,
 )
@@ -143,6 +146,36 @@ class TestBands:
             assert np.array_equal(a, c)
         with pytest.raises(ValueError, match="read-only"):
             first[0][0] = 1.0
+
+
+class TestArrayKernels:
+    """The Field API and the solver's array kernels are one stencil."""
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    @pytest.mark.parametrize("op, kernel", [(gradient, gradient_of), (laplacian_apply, laplacian_of)],
+                             ids=["gradient", "laplacian"])
+    def test_field_api_applies_the_kernel(self, op, kernel, bc):
+        g = Grid(37, 1.3)
+        v = np.random.default_rng(5).standard_normal(37)
+        assert np.array_equal(op(Field(g, v), bc).values, kernel(v, bc, g.spacing_h))
+        assert integrate(Field(g, v)) == integral_of(v, g.spacing_h)
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
+    def test_bands_are_the_stencil_weights(self, op, bc):
+        """The probed bands equal the written-out stencil, wall rows included."""
+        n, g = 11, Grid(11, 1.3)
+        h, wall = g.spacing_h, 1.0 if bc == "neumann" else -1.0  # the ghost cell's sign
+        if op is gradient:
+            diag = np.zeros(n)
+            diag[0], diag[-1] = -wall / (2.0 * h), wall / (2.0 * h)
+            off = (np.full(n - 1, 1.0 / (2.0 * h)), np.full(n - 1, -1.0 / (2.0 * h)))
+        else:
+            diag = np.full(n, -2.0 / h**2)
+            diag[0] = diag[-1] = (wall - 2.0) / h**2
+            off = (np.full(n - 1, 1.0 / h**2),) * 2
+        for got, want in zip(bands(op, g, bc), (diag, *off)):
+            assert np.array_equal(got, want)
 
 
 class TestIntegrate:

@@ -44,8 +44,10 @@ class TestParamValidation:
             FluidParams(art_exponent=1)
 
     def test_fluid_gamma_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="gamma=1.4") as record:
             FluidParams(gamma=1.4)
+        # it points at the constructing line, not into the generated __init__ (<string>)
+        assert [w.filename for w in record] == [__file__]
 
     def test_spec_invalid_masses(self, pot, fluid):
         g = Grid(16, 1.0)
@@ -137,8 +139,8 @@ class TestNonFiniteRightSide:
 
     @pytest.mark.parametrize("call, spikes, message", [
         (lambda s, spec: solver._momentum_forcing(s, 1e-2, spec), {"u": (32, 1e200)},
-         "momentum sub-solve: the momentum right side is not finite "
-         "(field values must be finite (1 of 64 are not)); incoming max |rho| 2, |u| 1e+200"),
+         "momentum sub-solve: the momentum right side is not finite in 2 of 64 cells; "
+         "incoming max |rho| 2, |u| 1e+200"),
         (lambda s, spec: solve_mu(s, 1.0, 1e-2, spec), {"u": (32, 1e300), "c": (33, 1e10)},
          "mu sub-solve: the mu right side is not finite in 1 of 64 cells; incoming max"),
         (lambda s, spec: solve_c(s, 1.0, 1e-2, spec), {"mu": (32, 1e308)},
@@ -149,6 +151,28 @@ class TestNonFiniteRightSide:
         with pytest.raises(mesh.NonFiniteError) as info:
             call(_spiked_state(64, **spikes), spec)
         assert str(info.value).startswith(message)
+
+
+class TestFieldConstructions:
+    def test_one_picard_step_wraps_only_sub_solve_results(self, monkeypatch):
+        """Counted as bench/spans.py counts them: 12 Field checks per step on the
+        forced default.  The flow pair (2); mu and c, each the Laplacian right
+        side, its solution and the constant-shifted result (3 + 3); the blended
+        u, mu, c (3); the density of the continuity solve (1).  Intermediates
+        stay plain arrays.  The first step also probes the grid's bands, once."""
+        cfg = parse_config_text(FORCED_DEFAULT)
+        spec, eps = cfg.spec, cfg.controls.eps_schedule[0]
+        state, _ = picard_step(constant_state(spec, eps), 1.0, eps, spec, 1.0)
+        checks = []
+        field_init = mesh.Field.__post_init__
+
+        def counted(field):
+            checks.append(field)
+            field_init(field)
+
+        monkeypatch.setattr(mesh.Field, "__post_init__", counted)
+        picard_step(state, 1.0, eps, spec, 1.0)
+        assert len(checks) == 12
 
 
 class TestFlowCoupledBlock:

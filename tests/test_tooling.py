@@ -117,3 +117,35 @@ def test_sweep_pool_after_freeze_matches_sequential(tmp_path):
     assert names == sorted(p.name for p in par.iterdir())
     for name in names:
         assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+
+# Spans a detailed trace of one solve must hold: one per solver sub-solve and
+# per potential and mesh kernel the per-layer metrics are read from.
+LAYER_SPANS = (
+    "solver.solve_flow_coupled", "solver.solve_continuity", "solver.solve_mu", "solver.solve_c",
+    "potential.dF_delta", "potential.pressure", "mesh.laplacian_solve",
+)
+
+
+def test_detailed_trace_records_every_layer(tmp_path):
+    cfg = tmp_path / "forced.cfg"
+    cfg.write_text(FORCED_SWEEP)
+    record = tmp_path / "trace.json"
+    _run(str(BENCH / "child.py"), str(record), "detailed", "--",
+         "solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    names = [span[0] for span in json.loads(record.read_text())["spans"]]
+    assert [name for name in LAYER_SPANS if name not in names] == []
+
+
+def test_gamma_warning_names_a_file_not_generated_code(tmp_path):
+    """A gamma <= 3/2 warning from the command line points at the line that
+    built the parameters, not into the dataclass-generated ``__init__``."""
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text("fluid.gamma = 1.2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chns1d.cli", "potential", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={"PYTHONPATH": str(SRC), "PATH": ""}, check=True,
+    )
+    assert "UserWarning: gamma=1.2 <= 3/2" in proc.stderr
+    assert "<string>" not in proc.stderr
