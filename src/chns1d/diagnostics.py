@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh, potential
-from .solver import ProblemSpec, State, _c_mass_target, _c_rhs, _mu_rhs, _upwind_flux
+from .solver import ProblemSpec, State, _c_mass_target, _c_rhs, _mu_rhs, _upwind_flux, lagged
 
 __all__ = [
     "DiagnosticsReport",
@@ -203,10 +203,10 @@ def norms(state: "State", spec: "ProblemSpec") -> dict:
 def mean_projection_residuals(
     state: "State", spec: "ProblemSpec", eps: float
 ) -> tuple[float, float]:
-    """Compatibility defects |∫ rhs| of the two Neumann problems at this state."""
-    h = spec.grid.spacing_h
-    proj_mu = abs(mesh.integral_of(_mu_rhs(state, eps, spec), h))
-    return proj_mu, abs(mesh.integral_of(_c_rhs(state, spec), h))
+    """Compatibility defects |∫ rhs| of the two Neumann problems, lagged at this state."""
+    h, lag = spec.grid.spacing_h, lagged(state, spec)
+    proj_mu = abs(mesh.integral_of(_mu_rhs(state, lag, eps, spec), h))
+    return proj_mu, abs(mesh.integral_of(_c_rhs(state, lag, spec), h))
 
 
 def compute_report(

@@ -98,8 +98,7 @@ class NonFiniteError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """A banded solve met a singular matrix, or an assembled transport matrix
-    lost diagonal dominance (eps too small for the grid)."""
+    """A banded solve met a singular matrix, or a transport matrix lost diagonal dominance."""
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,7 @@ def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
 
     Raises DomainError for negative or NaN arguments, and OverflowError above
     ``rho_max`` or where rho**k exceeds the float range; 0**k is 0 for k > 0.
+    The density evaluators below call it first: its one scan is their domain check.
     """
     arr, scalar = _prep(rho)
     lo, hi = arr.min(initial=np.inf), arr.max(initial=0.0)  # a NaN reaches both
@@ -282,16 +283,11 @@ def artificial_pressure(rho, delta: float, exponent: int = 11,
 def pressure(rho, fp: "FluidParams"):
     """Total pressure (gamma-1) rho**gamma + H rho; zero at rho = 0."""
     arr, scalar = _prep(rho)
-    if (arr < 0.0).any():
-        raise DomainError("pressure requires rho >= 0")
     return _ret((fp.gamma - 1.0) * guarded_power(arr, fp.gamma) + fp.H * arr, scalar)
 
 
 def pressure_slope(rho, delta: float, fp: "FluidParams"):
-    """Slope Pi'(rho) of Pi = artificial_pressure(rho, delta, fp.art_exponent) + pressure(rho, fp).
-
-    Raises DomainError for negative or NaN densities (through guarded_power).
-    """
+    """Slope Pi'(rho) of Pi = artificial_pressure(rho, delta, fp.art_exponent) + pressure(rho, fp)."""
     arr, scalar = _prep(rho)
     k = fp.art_exponent
     out = (
@@ -310,19 +306,15 @@ def free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):
     convention.
     """
     arr, scalar = _prep(rho)
-    if np.any(arr < 0.0):
-        raise DomainError("free_energy_delta requires rho >= 0")
+    power = guarded_power(arr, fp.gamma - 1.0)  # before the logarithm can warn
     with np.errstate(divide="ignore"):
         logr = np.log(arr)
-    out = guarded_power(arr, fp.gamma - 1.0) + fp.H * logr + F_delta(c, p)
-    return _ret(out, scalar)
+    return _ret(power + fp.H * logr + F_delta(c, p), scalar)
 
 
 def rho_free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):
     """Energy integrand rho * f_delta(rho, c) with rho*ln(rho) -> 0 at vacuum."""
     arr, scalar = _prep(rho)
-    if np.any(arr < 0.0):
-        raise DomainError("rho_free_energy_delta requires rho >= 0")
     out = guarded_power(arr, fp.gamma) + fp.H * _xlogx(arr) + arr * F_delta(c, p)
     return _ret(out, scalar)
 

@@ -19,13 +19,14 @@ longer ``sigma_schedule`` ramps sigma to 1 and a longer ``eps_schedule`` walks
 eps down, as a continuation ladder for problems the one stage cannot reach.
 
 Each iteration lags the nonlinear couplings at the previous iterate (no global
-Newton linearization) and blends its proposal with the incoming state by a
-damping factor that starts each stage at ``SolveControls.damping`` and is
-halved on each residual rise, down to 1/8.  The one exception to the lagging,
-forced by stability, is the mass-pressure pair: a velocity proposal obtained
-from the momentum equation with a frozen-density pressure feeds the continuity
-solve with a perturbation gain of order P'(rho0)/(visc * eps^2), which
-diverges for any useful eps.
+Newton linearization), all in one :class:`Lagged` record per step that
+:func:`lagged` builds, the one place the lagging is decided, and blends its
+proposal with the incoming state by a damping factor that starts each stage
+at ``SolveControls.damping`` and is halved on each residual rise, down to
+1/8.  The one exception to the lagging, forced by stability, is the
+mass-pressure pair: a velocity proposal obtained from the momentum equation
+with a frozen-density pressure feeds the continuity solve with a perturbation
+gain of order P'(rho0)/(visc * eps^2), which diverges for any useful eps.
 :func:`solve_flow_coupled` therefore solves the linearized (rho, u) block as
 one banded system per iteration, with the pressure slope Pi'(rho_old) frozen
 at the previous iterate; every other coupling stays lagged.  The fixed points
@@ -40,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial, wraps
 from itertools import starmap
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,6 +65,8 @@ __all__ = [
     "DivergenceError",
     "NotConverged",
     "SOLVER_ERRORS",
+    "Lagged",
+    "lagged",
     "constant_state",
     "solve_continuity",
     "solve_momentum",
@@ -234,11 +237,11 @@ class SolveControls:
 # Elementary sub-solves
 # ---------------------------------------------------------------------------
 
-def _face_velocities(u: np.ndarray) -> np.ndarray:
-    """Velocity at the n+1 cell faces; wall faces carry the zero trace."""
-    uf = np.zeros(u.size + 1)
-    uf[1:-1] = 0.5 * (u[:-1] + u[1:])
-    return uf
+def _face_means(a: np.ndarray) -> np.ndarray:
+    """Means of adjacent cell values at the n+1 faces; zero at the walls, u's trace there."""
+    out = np.zeros(a.size + 1)
+    out[1:-1] = 0.5 * (a[:-1] + a[1:])
+    return out
 
 
 def _upwind_split(uf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +251,7 @@ def _upwind_split(uf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _upwind_flux(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Mass flux at the n+1 faces as the continuity bands assemble it (zero at the walls)."""
-    up, um = _upwind_split(_face_velocities(u))
+    up, um = _upwind_split(_face_means(u))
     flux = np.zeros(up.size)
     flux[1:-1] = up[1:-1] * rho[:-1] + um[1:-1] * rho[1:]
     return flux
@@ -291,6 +294,25 @@ def _right_side(field: str, sub_solve: str):
     return decorate
 
 
+class Lagged(NamedTuple):
+    """The coefficients a Picard step freezes at its incoming (rho, c)."""
+
+    dF: np.ndarray        # dF_delta(c)
+    dc: np.ndarray        # c', centred, Neumann
+    pi: np.ndarray        # Pi(rho), artificial part included
+    pi_slope: np.ndarray  # Pi'(rho) of that Pi, so the block's linearization matches F1
+
+
+def lagged(state: State, spec: ProblemSpec) -> Lagged:
+    """Evaluate ``state``'s lagged coefficients once.  A non-finite c passes
+    through, unwarned, to the right sides' checks, which name it."""
+    rho, c, p, fp = state.rho.values, state.c.values, spec.potential, spec.fluid
+    pi_slope = pressure_slope(rho, p.delta, fp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi = artificial_pressure(rho, p.delta, fp.art_exponent) + pressure(rho, fp)
+        return Lagged(dF_delta(c, p), mesh.gradient_of(c, "neumann", spec.grid.spacing_h), pi, pi_slope)
+
+
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     """Tridiagonal bands of eps^2 I + upwind advection - eps^4 Lap (Neumann)."""
     n, h = g.n_cells, g.spacing_h
@@ -302,13 +324,14 @@ def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     upper = um[1:-1] / h - e4
     lower = -up[1:-1] / h - e4
     # Column sums telescope to eps^2 exactly; a loss of that excess means the
-    # assembled matrix is no longer an M-matrix.
+    # advection terms (|u_face|/h) swamp eps^2 and the matrix is no M-matrix.
     excess = diag.copy()
     excess[:-1] += lower
     excess[1:] += upper
     if excess.min() <= 0.5 * eps**2:
         raise SingularSystemError(
-            f"transport matrix lost diagonal dominance (eps={eps:g}, n={n}); eps too small for the grid"
+            f"transport matrix lost diagonal dominance (eps={eps:g}, n={n}): incoming "
+            f"max|u_face|/h {np.abs(uf).max() / h:.3g} against eps^2 {eps**2:.3g}"
         )
     return diag, upper, lower
 
@@ -322,7 +345,7 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     precision (manufactured sources excepted).
     """
     g = spec.grid
-    diag, upper, lower = _continuity_bands(_face_velocities(u.values), eps, g)
+    diag, upper, lower = _continuity_bands(_face_means(u.values), eps, g)
     b = _continuity_rhs(eps, spec)
     rho = mesh.lapack_call(
         "continuity", lapack.dgtsv, lower, diag, upper, b,
@@ -334,25 +357,23 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
 
 
 @_right_side("momentum right side", "momentum")
-def _momentum_forcing(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
+def _momentum_forcing(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Lagged right side of the momentum balance (everything but visc*u'')."""
-    h, p, fp = spec.grid.spacing_h, spec.potential, spec.fluid
-    rho, u, mu, c = state.rho.values, state.u.values, state.mu.values, state.c.values
-    pi = artificial_pressure(rho, p.delta, fp.art_exponent) + pressure(rho, fp)
-    dc = mesh.gradient_of(c, "neumann", h)
+    h, dc = spec.grid.spacing_h, lag.dc
+    rho, u, mu = state.rho.values, state.u.values, state.mu.values
     return (
         eps**2 * rho * u
         + mesh.gradient_of(rho * u * u, "dirichlet0", h)
-        + mesh.gradient_of(pi, "neumann", h)
+        + mesh.gradient_of(lag.pi, "neumann", h)
         + eps**4 * mesh.gradient_of(rho, "neumann", h) * mesh.gradient_of(u, "dirichlet0", h)
-        + rho * dF_delta(c, p) * dc
+        + rho * lag.dF * dc
         - rho * mu * dc
         - rho * spec.g1.values
         - spec.g2.values
     )
 
 
-def solve_momentum(state: State, sigma: float, eps: float, spec: ProblemSpec) -> Field:
+def solve_momentum(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> Field:
     """Solve visc u'' = sigma * (lagged momentum right side) with u = 0 at the walls.
 
     All nonlinear terms are evaluated at the incoming state.  This plain
@@ -360,11 +381,13 @@ def solve_momentum(state: State, sigma: float, eps: float, spec: ProblemSpec) ->
     the fixed-point iteration itself uses :func:`solve_flow_coupled`, whose
     fixed points satisfy exactly this equation.
     """
-    rhs = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
+    rhs = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
     return mesh.laplacian_solve(Field(spec.grid, rhs / spec.fluid.visc), "dirichlet0")
 
 
-def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, Field]:
+def solve_flow_coupled(
+    state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec
+) -> tuple[Field, Field]:
     """One linearized (rho, u) block solve with implicit pressure feedback.
 
     Solves, as a single banded system in the interleaved unknowns
@@ -375,27 +398,20 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
         visc u'' - sigma (Pi'(rho_old) (rho - rho_old))' = sigma F1(state)
 
     where div_up freezes the upwind face velocities at the incoming state and
-    F1 is the fully lagged momentum right side.  At a fixed point (rho, u)
-    equal the incoming pair and the equations reduce to the plain lagged
-    splitting; away from it the implicit pressure-density coupling removes the
-    splitting's unstable mass-pressure mode.
+    F1, the fully lagged momentum right side, and Pi' come from ``lag``.
+    At a fixed point (rho, u) equal the incoming pair and the equations reduce
+    to the plain lagged splitting; away from it the implicit pressure-density
+    coupling removes the splitting's unstable mass-pressure mode.
     """
     g = spec.grid
     n, h = g.n_cells, g.spacing_h
     rho_t, u_t = state.rho.values, state.u.values
-
-    uf = _face_velocities(u_t)
-    rho_f = np.zeros(n + 1)
-    rho_f[1:-1] = 0.5 * (rho_t[:-1] + rho_t[1:])
-
-    # Pi'(rho_old) of the full pressure used in F1, artificial part included,
-    # keeps the linearization consistent.
-    pi_slope = pressure_slope(rho_t, spec.potential.delta, spec.fluid)
+    uf, rho_f = _face_means(u_t), _face_means(rho_t)
 
     # Tridiagonal (diag, upper, lower) blocks keyed by (row field, column
     # field), 0 = rho and 1 = u; the correction flux acts at interior faces.
     flux = rho_f / (2.0 * h)
-    coef = -sigma * pi_slope
+    coef = -sigma * lag.pi_slope
     grad = mesh.bands(mesh.gradient, g, "neumann")
     lap = mesh.bands(mesh.laplacian_apply, g, "dirichlet0")
     blocks = {
@@ -417,8 +433,8 @@ def solve_flow_coupled(state: State, sigma: float, eps: float, spec: ProblemSpec
     b[0::2] = _continuity_rhs(eps, spec)
     old_flux = rho_f * uf  # the u_old part of the correction flux
     b[0::2] += (old_flux[1:] - old_flux[:-1]) / h
-    b[1::2] = _with_source(sigma * _momentum_forcing(state, eps, spec), spec, "momentum")
-    b[1::2] -= sigma * mesh.gradient_of(pi_slope * rho_t, "neumann", h)
+    b[1::2] = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
+    b[1::2] -= sigma * mesh.gradient_of(lag.pi_slope * rho_t, "neumann", h)
     z = mesh.lapack_call(
         "(rho, u) block", lapack.dgbsv, 3, 3, ab, b, overwrite_ab=1, overwrite_b=1
     )[-1]
@@ -432,21 +448,20 @@ def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
 
 
 @_right_side("mu right side", "mu")
-def _mu_rhs(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
+def _mu_rhs(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> np.ndarray:
     """eps rho c + rho u c' - eps rho0 c0: the mu right side without sigma or source."""
     rho, u, c = state.rho.values, state.u.values, state.c.values
-    dc = mesh.gradient_of(c, "neumann", spec.grid.spacing_h)
-    return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
+    return eps * rho * c + rho * u * lag.dc - eps * spec.rho0 * spec.c0
 
 
 @_right_side("c right side", "c")
-def _c_rhs(state: State, spec: ProblemSpec) -> np.ndarray:
+def _c_rhs(state: State, lag: Lagged, spec: ProblemSpec) -> np.ndarray:
     """rho dF_delta(c) - rho mu: the c right side without sigma or source."""
     rho = state.rho.values
-    return rho * dF_delta(state.c.values, spec.potential) - rho * state.mu.values
+    return rho * lag.dF - rho * state.mu.values
 
 
-def solve_mu(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
+def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the chemical-potential Poisson problem and pin its constant.
 
     The right side sigma*(eps rho c + rho u c' - eps rho0 c0) is projected to
@@ -456,9 +471,9 @@ def solve_mu(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple
     mu equals that of dF_delta(c).
     """
     g = spec.grid
-    rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, eps, spec), spec, "mu"), g)
+    rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, lag, eps, spec), spec, "mu"), g)
     mu_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
-    weighted_dF = state.rho.values * dF_delta(state.c.values, spec.potential)
+    weighted_dF = state.rho.values * lag.dF
     return mesh.mean_shift(mu_hat, mesh.integral_of(weighted_dF, g.spacing_h), state.rho), proj
 
 
@@ -476,7 +491,7 @@ def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec
     return spec.m2 + eps * i1 - eps**3 * i2
 
 
-def solve_c(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
+def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the concentration Poisson problem and impose the relative-mass constraint.
 
     The right side sigma*(rho dF_delta(c_prev) - rho mu) is mean-projected
@@ -490,7 +505,7 @@ def solve_c(state: State, sigma: float, eps: float, spec: ProblemSpec) -> tuple[
     """
     g, h = spec.grid, spec.grid.spacing_h
     rho = state.rho.values
-    rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, spec), spec, "c"), g)
+    rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, lag, spec), spec, "c"), g)
     c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann").values
     denom = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
     if denom <= 1.0e-12 * max(1.0, spec.m1):
@@ -529,18 +544,19 @@ def picard_step(
 
     The flow pair is updated through the pressure-coupled block solve, the
     chemical potential and concentration through their Poisson problems with
-    the block's density and velocity and the freshest mu, and the proposals
+    the block's density and velocity and the freshest mu, all three reading
+    the one :func:`lagged` record, where the lagging is decided; the proposals
     are blended with the incoming state by ``damping`` (1 takes the proposal;
     :func:`continuation_solve` starts each stage at ``SolveControls.damping``
-    and halves it on each residual rise, down to 1/8).  The one
-    continuity solve of the step gives the returned density, for the blended
-    velocity, so mass and positivity hold at every iterate.  The residual is
-    the largest relative field update plus both mean-projection magnitudes.
+    and halves it on each residual rise, down to 1/8).  The one continuity
+    solve of the step gives the returned density, for the blended velocity,
+    so mass and positivity hold at every iterate.  The residual is the
+    largest relative field update plus both mean-projection magnitudes.
     """
-    g = spec.grid
-    rho_star, u_star = solve_flow_coupled(state, sigma, eps, spec)
-    mu_star, proj_mu = solve_mu(State(rho_star, u_star, state.mu, state.c), sigma, eps, spec)
-    c_star, proj_c = solve_c(State(rho_star, u_star, mu_star, state.c), sigma, eps, spec)
+    g, lag = spec.grid, lagged(state, spec)
+    rho_star, u_star = solve_flow_coupled(state, lag, sigma, eps, spec)
+    mu_star, proj_mu = solve_mu(State(rho_star, u_star, state.mu, state.c), lag, sigma, eps, spec)
+    c_star, proj_c = solve_c(State(rho_star, u_star, mu_star, state.c), lag, sigma, eps, spec)
 
     u_new = Field(g, damping * u_star.values + (1.0 - damping) * state.u.values)
     mu_new = Field(g, damping * mu_star.values + (1.0 - damping) * state.mu.values)

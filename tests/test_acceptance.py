@@ -29,6 +29,7 @@ from chns1d.solver import (
     constant_state,
     continuation_solve,
     eps_sweep,
+    lagged,
     solve_c,
     solve_continuity,
     solve_momentum,
@@ -217,9 +218,9 @@ def test_criterion_07_manufactured_convergence():
 
     field_orders = {}
     for name, op in (
-        ("u", lambda st, sp: solve_momentum(st, 1.0, mms.eps, sp)),
-        ("mu", lambda st, sp: solve_mu(st, 1.0, mms.eps, sp)[0]),
-        ("c", lambda st, sp: solve_c(st, 1.0, mms.eps, sp)[0]),
+        ("u", lambda st, sp: solve_momentum(st, lagged(st, sp), 1.0, mms.eps, sp)),
+        ("mu", lambda st, sp: solve_mu(st, lagged(st, sp), 1.0, mms.eps, sp)[0]),
+        ("c", lambda st, sp: solve_c(st, lagged(st, sp), 1.0, mms.eps, sp)[0]),
     ):
         errs = []
         exact = getattr(mms, name)

@@ -13,7 +13,7 @@ from chns1d.diagnostics import (
     total_energy,
 )
 from chns1d.mesh import Grid
-from chns1d.solver import ProblemSpec, State, constant_state, continuation_solve, solve_c
+from chns1d.solver import ProblemSpec, State, constant_state, continuation_solve, lagged, solve_c
 
 
 def synthetic_state(grid: Grid, rho, u, mu, c) -> State:
@@ -92,7 +92,7 @@ class TestConstraints:
             g, 1.0 + 0.5 * rng.random(g.n_cells), 0.1 * rng.standard_normal(g.n_cells),
             rng.standard_normal(g.n_cells), 0.3 + 0.2 * rng.standard_normal(g.n_cells),
         )
-        c, _ = solve_c(state, 0.5, eps, forced_spec)
+        c, _ = solve_c(state, lagged(state, forced_spec), 0.5, eps, forced_spec)
         _, err2 = constraint_check(State(state.rho, state.u, state.mu, c), forced_spec, eps=eps)
         assert err2 <= 1e-13
 

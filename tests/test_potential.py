@@ -315,6 +315,19 @@ class TestPressureAndEnergy:
         with pytest.raises(DomainError):
             pressure(float("nan"), fluid)
 
+    @pytest.mark.parametrize("rho", [-0.1, np.nan, np.array([1.0, -0.1]), np.array([1.0, np.nan])],
+                             ids=["negative", "nan", "negative-cell", "nan-cell"])
+    @pytest.mark.parametrize("evaluator", [
+        lambda rho, fp, p: pressure(rho, fp),
+        lambda rho, fp, p: potential.free_energy_delta(rho, 0.0, fp, p),
+        lambda rho, fp, p: potential.rho_free_energy_delta(rho, 0.0, fp, p),
+    ], ids=["pressure", "free_energy_delta", "rho_free_energy_delta"])
+    def test_bad_density_meets_the_one_guarded_scan(self, pot, fluid, evaluator, rho):
+        """guarded_power's single pass rejects it, before a logarithm could warn
+        (warnings are errors in this suite); no evaluator scans first."""
+        with pytest.raises(DomainError, match=r"guarded_power requires rho >= 0 \(NaN is rejected\)"):
+            evaluator(rho, fluid, pot)
+
     def test_pressure_slope_is_derivative(self, pot, fluid):
         """pressure_slope matches a central difference of artificial plus total pressure."""
         rho, h = np.linspace(0.2, 1.6, 15), 1e-6

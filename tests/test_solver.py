@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack, solve_banded
@@ -16,6 +18,7 @@ from chns1d.solver import (
     continuation_solve,
     delta_sweep,
     eps_sweep,
+    lagged,
     picard_step,
     solve_c,
     solve_continuity,
@@ -100,27 +103,27 @@ class TestSubSolveTrivialCases:
     def test_momentum_constant_state_is_rest(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        u = solve_momentum(state, 1.0, 1e-2, spec)
+        u = solve_momentum(state, lagged(state, spec), 1.0, 1e-2, spec)
         assert np.max(np.abs(u.values)) <= 1e-13
 
     def test_mu_constant_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        mu, proj = solve_mu(state, 1.0, 1e-2, spec)
+        mu, proj = solve_mu(state, lagged(state, spec), 1.0, 1e-2, spec)
         assert proj <= 1e-14
         assert np.max(np.abs(mu.values - dF_delta(spec.c0, pot))) <= 1e-12
 
     def test_c_constant_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        c, proj = solve_c(state, 1.0, 1e-2, spec)
+        c, proj = solve_c(state, lagged(state, spec), 1.0, 1e-2, spec)
         assert proj <= 1e-14
         assert np.max(np.abs(c.values - spec.c0)) <= 1e-12
 
     def test_flow_coupled_keeps_rest_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        rho, u = solve_flow_coupled(state, 1.0, 1e-2, spec)
+        rho, u = solve_flow_coupled(state, lagged(state, spec), 1.0, 1e-2, spec)
         assert np.max(np.abs(u.values)) <= 1e-13
         assert np.max(np.abs(rho.values - spec.rho0)) <= 1e-10
 
@@ -138,12 +141,12 @@ class TestNonFiniteRightSide:
     """An overflowing right side names its field and sub-solve, without a numpy warning."""
 
     @pytest.mark.parametrize("call, spikes, message", [
-        (lambda s, spec: solver._momentum_forcing(s, 1e-2, spec), {"u": (32, 1e200)},
+        (lambda s, spec: solver._momentum_forcing(s, lagged(s, spec), 1e-2, spec), {"u": (32, 1e200)},
          "momentum sub-solve: the momentum right side is not finite in 2 of 64 cells; "
          "incoming max |rho| 2, |u| 1e+200"),
-        (lambda s, spec: solve_mu(s, 1.0, 1e-2, spec), {"u": (32, 1e300), "c": (33, 1e10)},
+        (lambda s, spec: solve_mu(s, lagged(s, spec), 1.0, 1e-2, spec), {"u": (32, 1e300), "c": (33, 1e10)},
          "mu sub-solve: the mu right side is not finite in 1 of 64 cells; incoming max"),
-        (lambda s, spec: solve_c(s, 1.0, 1e-2, spec), {"mu": (32, 1e308)},
+        (lambda s, spec: solve_c(s, lagged(s, spec), 1.0, 1e-2, spec), {"mu": (32, 1e308)},
          "c sub-solve: the c right side is not finite in 1 of 64 cells; incoming max"),
     ], ids=["momentum", "mu", "c"])
     def test_names_field_and_sub_solve(self, pot, fluid, call, spikes, message):
@@ -174,6 +177,25 @@ class TestFieldConstructions:
         picard_step(state, 1.0, eps, spec, 1.0)
         assert len(checks) == 12
 
+    def test_one_picard_step_evaluates_each_lagged_coefficient_once(self, monkeypatch):
+        """The step's one record is the only place the potential evaluators run."""
+        cfg = parse_config_text(FORCED_DEFAULT)
+        spec, eps = cfg.spec, cfg.controls.eps_schedule[0]
+        state = constant_state(spec, eps)
+        names = ("dF_delta", "artificial_pressure", "pressure", "pressure_slope")
+        calls = []
+
+        def counting(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+        picard_step(state, 1.0, eps, spec, 1.0)
+        assert sorted(calls) == sorted(names)
+
 
 class TestFlowCoupledBlock:
     @pytest.mark.parametrize("n", [10, 64])
@@ -187,12 +209,12 @@ class TestFlowCoupledBlock:
         u_t = 0.05 * rng.standard_normal(n)
         mu_t, c_t = rng.standard_normal(n), 0.3 * rng.random(n)
         state = State(g.field(rho_t), g.field(u_t), g.field(mu_t), g.field(c_t))
-        rho, u = solve_flow_coupled(state, sigma, eps, spec)
+        rho, u = solve_flow_coupled(state, lagged(state, spec), sigma, eps, spec)
         assert np.min(rho.values) > 0.0
 
         rho_f = np.zeros(n + 1)
         rho_f[1:-1] = 0.5 * (rho_t[:-1] + rho_t[1:])
-        correction = rho_f * (solver._face_velocities(u.values) - solver._face_velocities(u_t))
+        correction = rho_f * (solver._face_means(u.values) - solver._face_means(u_t))
         terms = [
             eps**2 * rho.values,
             np.diff(solver._upwind_flux(rho.values, u_t)) / h,
@@ -211,7 +233,7 @@ class TestFlowCoupledBlock:
         terms = [
             fluid.visc * mesh.laplacian_apply(u, "dirichlet0").values,
             -sigma * mesh.gradient(g.field(pi_slope * (rho.values - rho_t)), "neumann").values,
-            -sigma * solver._momentum_forcing(state, eps, spec),
+            -sigma * solver._momentum_forcing(state, lagged(state, spec), eps, spec),
         ]
         assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
 
@@ -224,7 +246,7 @@ class TestUpwindFlux:
         rng = np.random.default_rng(7)
         rho = 1.0 + 0.3 * rng.random(n)
         u = 0.05 * rng.standard_normal(n)
-        diag, upper, lower = solver._continuity_bands(solver._face_velocities(u), eps, g)
+        diag, upper, lower = solver._continuity_bands(solver._face_means(u), eps, g)
         transport = diag * rho
         transport[:-1] += upper * rho[1:]
         transport[1:] += lower * rho[:-1]
@@ -274,7 +296,7 @@ class TestLapackSolves:
 
         monkeypatch.setattr(mesh, "lapack_call", recording)
         picard_step(state, 1.0, 0.1, spec, 1.0)
-        solve_momentum(state, 1.0, 0.1, spec)  # the dirichlet0 Laplacian
+        solve_momentum(state, lagged(state, spec), 1.0, 0.1, spec)  # the dirichlet0 Laplacian
         solves = [(name, routine) for name, routine, _, _ in calls if routine is not lapack.dgttrf]
         assert solves == [
             ("(rho, u) block", lapack.dgbsv),
@@ -304,7 +326,7 @@ class TestLapackSolves:
         monkeypatch.setattr(solver, "pressure_slope", lambda rho, delta, fluid: np.zeros(n))
         state = State(g.field(1.0), g.zeros(), g.zeros(), g.field(0.3))
         with pytest.raises(solver.SingularSystemError, match=r"\(rho, u\) block: the matrix is singular"):
-            solve_flow_coupled(state, 1.0, 0.1, forced_spec)
+            solve_flow_coupled(state, lagged(state, forced_spec), 1.0, 0.1, forced_spec)
         assert solver.SingularSystemError in solver.SOLVER_ERRORS
         assert mesh.NonFiniteError in solver.SOLVER_ERRORS
 
@@ -322,12 +344,13 @@ class TestPicardStep:
 
         # mu and c see the block density; the returned density is the
         # continuity solve for the (undamped) velocity
-        rho_star, u_star = solve_flow_coupled(state, 0.5, 1e-1, forced_spec)
+        lag = lagged(state, forced_spec)  # all three read the incoming state's record
+        rho_star, u_star = solve_flow_coupled(state, lag, 0.5, 1e-1, forced_spec)
         mu_star, _ = solve_mu(
-            State(rho_star, u_star, state.mu, state.c), 0.5, 1e-1, forced_spec
+            State(rho_star, u_star, state.mu, state.c), lag, 0.5, 1e-1, forced_spec
         )
         c_star, _ = solve_c(
-            State(rho_star, u_star, mu_star, state.c), 0.5, 1e-1, forced_spec
+            State(rho_star, u_star, mu_star, state.c), lag, 0.5, 1e-1, forced_spec
         )
         assert np.array_equal(new_full.u.values, u_star.values)
         assert np.array_equal(new_full.mu.values, mu_star.values)
@@ -565,6 +588,42 @@ class TestContinuation:
         ):
             continuation_solve(forced_spec, ctl)
 
+    def test_blow_up_is_named_by_the_velocity(self):
+        """At amplitude 20 the iterate blows up within a few steps, until the
+        advection terms swamp eps^2 in the transport matrix; the message gives
+        max|u_face|/h against eps^2, not a grid diagnosis."""
+        cfg = parse_config_text(
+            "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 20\n"
+            "solver.max_picard = 300\n"
+        )
+        with pytest.raises(solver.SingularSystemError) as info:
+            continuation_solve(cfg.spec, cfg.controls)
+        msg = str(info.value)
+        found = re.search(r"\(eps=0\.001, n=128\): incoming max\|u_face\|/h (\S+) against eps\^2 (\S+)$", msg)
+        assert found, msg
+        assert float(found[2]) == 1e-6 and float(found[1]) > 1e12
+        assert "grid" not in msg
+
+
+class TestCoupledRefinement:
+    def test_forced_default_converges_at_second_order(self):
+        """The whole continuation solve on the forced default, n = 64 to 512:
+        each fine solution, averaged over its cell pairs onto the coarse cells,
+        differs from the coarse one by O(h^2) in rho and mu.  (u and c differ
+        only at roundoff, 1e-13 to 1e-14, and are left out.)"""
+        states = []
+        for n in (64, 128, 256, 512):
+            cfg = parse_config_text(f"domain.n_cells = {n}\n{FORCED_DEFAULT}")
+            states.append(continuation_solve(cfg.spec, cfg.controls)[0])
+        for name in ("rho", "mu"):
+            diffs = [
+                np.max(np.abs(getattr(fine, name).values.reshape(-1, 2).mean(axis=1)
+                              - getattr(coarse, name).values))
+                for coarse, fine in zip(states, states[1:])
+            ]
+            orders = observed_orders(diffs)
+            assert all(1.9 <= o <= 2.1 for o in orders), (name, diffs, orders)
+
 
 class TestManufacturedSolutions:
     def test_continuity_order(self):
@@ -582,7 +641,8 @@ class TestManufacturedSolutions:
         errs = []
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
-            u = solve_momentum(mms.state(grid), 1.0, mms.eps, mms.spec(grid))
+            state, spec = mms.state(grid), mms.spec(grid)
+            u = solve_momentum(state, lagged(state, spec), 1.0, mms.eps, spec)
             errs.append(np.max(np.abs(u.values - mms.u(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 1.9
 
@@ -591,7 +651,8 @@ class TestManufacturedSolutions:
         errs = []
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
-            mu, _ = solve_mu(mms.state(grid), 1.0, mms.eps, mms.spec(grid))
+            state, spec = mms.state(grid), mms.spec(grid)
+            mu, _ = solve_mu(state, lagged(state, spec), 1.0, mms.eps, spec)
             errs.append(np.max(np.abs(mu.values - mms.mu(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 1.9
 
@@ -600,7 +661,8 @@ class TestManufacturedSolutions:
         errs = []
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
-            c, _ = solve_c(mms.state(grid), 1.0, mms.eps, mms.spec(grid))
+            state, spec = mms.state(grid), mms.spec(grid)
+            c, _ = solve_c(state, lagged(state, spec), 1.0, mms.eps, spec)
             errs.append(np.max(np.abs(c.values - mms.c(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 1.9
 

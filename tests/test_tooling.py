@@ -127,14 +127,40 @@ LAYER_SPANS = (
 )
 
 
-def test_detailed_trace_records_every_layer(tmp_path):
+@pytest.fixture(scope="module")
+def detailed_spans(tmp_path_factory):
+    """Spans [name, start, end, parent index] of a detailed bench/child.py
+    solve of the n = 64 forced default."""
+    tmp_path = tmp_path_factory.mktemp("detailed")
     cfg = tmp_path / "forced.cfg"
     cfg.write_text(FORCED_SWEEP)
     record = tmp_path / "trace.json"
     _run(str(BENCH / "child.py"), str(record), "detailed", "--",
          "solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
-    names = [span[0] for span in json.loads(record.read_text())["spans"]]
+    return json.loads(record.read_text())["spans"]
+
+
+def test_detailed_trace_records_every_layer(detailed_spans):
+    names = [span[0] for span in detailed_spans]
     assert [name for name in LAYER_SPANS if name not in names] == []
+
+
+def test_each_picard_step_evaluates_the_potential_once(detailed_spans):
+    """One dF_delta and one pressure span under each picard_step span: the
+    step's lagged record is the only place they are evaluated."""
+    def enclosing_step(i):
+        while i >= 0 and detailed_spans[i][0] != "solver.picard_step":
+            i = detailed_spans[i][3]
+        return i
+
+    per_step = {i: [] for i, span in enumerate(detailed_spans) if span[0] == "solver.picard_step"}
+    for name, _, _, parent in detailed_spans:
+        if name in ("potential.dF_delta", "potential.pressure") and enclosing_step(parent) >= 0:
+            per_step[enclosing_step(parent)].append(name)
+    assert per_step
+    assert {i: sorted(names) for i, names in per_step.items()} == {
+        i: ["potential.dF_delta", "potential.pressure"] for i in per_step
+    }
 
 
 def test_gamma_warning_names_a_file_not_generated_code(tmp_path):
