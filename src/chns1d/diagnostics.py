@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh, potential
-from .solver import ProblemSpec, State, _c_mass_target, _c_rhs, _mu_rhs, _upwind_flux, lagged
+from .solver import ProblemSpec, State, _c_mass_target, _c_rhs, _mu_rhs, _upwind_flux, lagged_phase
 
 __all__ = [
     "DiagnosticsReport",
@@ -203,10 +203,12 @@ def norms(state: "State", spec: "ProblemSpec") -> dict:
 def mean_projection_residuals(
     state: "State", spec: "ProblemSpec", eps: float
 ) -> tuple[float, float]:
-    """Compatibility defects |∫ rhs| of the two Neumann problems, lagged at this state."""
-    h, lag = spec.grid.spacing_h, lagged(state, spec)
-    proj_mu = abs(mesh.integral_of(_mu_rhs(state, lag, eps, spec), h))
-    return proj_mu, abs(mesh.integral_of(_c_rhs(state, lag, spec), h))
+    """Compatibility defects |∫ rhs| of the two Neumann problems, lagged at this
+    state as a Picard step lags them (:func:`~chns1d.solver.lagged_phase`)."""
+    h = spec.grid.spacing_h
+    dF, dc = lagged_phase(state.c.values, spec)
+    proj_mu = abs(mesh.integral_of(_mu_rhs(state, dc, eps, spec), h))
+    return proj_mu, abs(mesh.integral_of(_c_rhs(state, dF, spec), h))
 
 
 def compute_report(

@@ -14,26 +14,39 @@ every banded matrix off those, once per grid.  A :class:`Field` checks its
 values (length, finiteness) when it is built, so the kernels, which the
 solver's inner loop calls on plain arrays, check nothing.  Banded systems go
 straight to the LAPACK routines through :func:`lapack_call`, which rejects
-non-finite input and names the solve when the matrix is singular.
+non-finite input and names the solve when the matrix is singular or, a
+calling bug, an argument is illegal.
 
-The routines (``dgtsv``, ``dgttrf``, ``dgttrs``, ``dgbsv``) come from
-``scipy.linalg._flapack``, the f2py extension that ``scipy.linalg.lapack``
-re-exports, loaded on its own: importing the ``scipy.linalg`` package would
-pull in all of it and take most of a command's start-up.  The module is
-registered under its canonical name, so a later ``import scipy.linalg``
-reuses it and the routines are the very objects ``scipy.linalg.lapack`` holds.
+The routines (``dgtsv``, ``dgttrf``, ``dgttrs``, ``dgbsv``) are numpy's own:
+numpy's wheels bundle an OpenBLAS that exports them under their ILP64 names
+(``scipy_dgtsv_64_`` in numpy 2, ``dgtsv_64_`` in 1.x), found through the
+dependency scope of ``numpy.linalg._umath_linalg``, which ``import numpy`` has
+already loaded.  One small wrapper per routine does what scipy's f2py wrappers
+do for the calls made here (one right side, no transpose): it checks dtype,
+layout and shape, copies an argument unless the caller allowed it to be
+overwritten (a read-only one always), and returns the f2py-shaped tuple, so a
+second OpenBLAS (scipy's, 25 MB) is never mapped.  A Laplacian solve calls
+``dgttrs`` bound to its cached factors, which are checked once, when bound.
+Where numpy exports neither spelling (Windows, a distro or conda numpy, an
+LP64 build), :data:`lapack` is ``scipy.linalg._flapack`` instead, loaded on
+its own: importing the ``scipy.linalg`` package would pull in all of it and
+take most of a command's start-up.  That module is registered under its
+canonical name, so a later ``import scipy.linalg`` reuses it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from types import SimpleNamespace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "Grid",
@@ -78,8 +91,156 @@ def _load_flapack():
     return module
 
 
-# The f2py LAPACK wrappers behind every banded solve.
-lapack = _load_flapack()
+# Argument types of the four routines in numpy's ILP64 LAPACK: every integer
+# by reference as int64, every array as a pointer to its first element, and
+# dgttrs's TRANS as a character with its hidden Fortran length last.
+_INT, _DBL = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+_ARGTYPES = {
+    "dgtsv": (_INT, _INT, _DBL, _DBL, _DBL, _DBL, _INT, _INT),
+    "dgttrf": (_INT, _DBL, _DBL, _DBL, _DBL, _INT, _INT),
+    "dgttrs": (ctypes.c_char_p, _INT, _INT, _DBL, _DBL, _DBL, _DBL, _INT, _DBL, _INT, _INT,
+               ctypes.c_size_t),
+    "dgbsv": (_INT, _INT, _INT, _INT, _DBL, _INT, _INT, _DBL, _INT, _INT),
+}
+
+
+def _numpy_lapack():
+    """The four routines of the OpenBLAS that numpy bundles, as ctypes functions
+    with their argument types set, or None if numpy exports neither ILP64
+    spelling (a plain ``dgtsv_`` would not say how wide its integers are)."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for spelling in ("scipy_{}_64_", "{}_64_"):
+        try:
+            found = {r: getattr(lib, spelling.format(r)) for r in _ARGTYPES}
+        except AttributeError:
+            continue
+        for r, fn in found.items():
+            fn.argtypes, fn.restype = _ARGTYPES[r], None
+        return SimpleNamespace(**found)
+    return None
+
+
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
+_ONE = ctypes.c_int64(1)  # every solve has one right side; LAPACK only reads it
+
+
+def _arg(name: str, a, shape: tuple, dtype=_F64, overwrite=None) -> np.ndarray:
+    """``a``, checked to be a Fortran-ordered array of ``dtype`` and ``shape``,
+    so that no wrongly sized array reaches LAPACK.  An argument that LAPACK
+    writes (``overwrite`` not None) is copied unless the caller allowed the
+    write (``overwrite`` 1) and ``a`` is writeable: a read-only array (a cached
+    band or factor) is never written."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags.f_contiguous):
+        got = (f"{a.dtype} {a.shape}" + ("" if a.flags.f_contiguous else " in another order")
+               if isinstance(a, np.ndarray) else type(a).__name__)
+        raise ValueError(
+            f"LAPACK argument {name} must be a Fortran-ordered {dtype} {shape}, got {got}"
+        )
+    if overwrite is not None and not (overwrite and a.flags.writeable):
+        a = a.copy(order="F")
+    return a
+
+
+def _ref(a: np.ndarray, ctype=ctypes.c_double):
+    """The first element of the writeable, C-ordered array ``a``, for LAPACK
+    to get by reference: a ctypes view of ``a``'s memory that holds ``a`` while
+    it lives, at half the cost of ``a.ctypes``."""
+    return ctype.from_buffer(a)
+
+
+def _dgtsv(dl, d, du, b, overwrite_dl=0, overwrite_d=0, overwrite_du=0, overwrite_b=0):
+    """``du2, d, du, x, info = dgtsv(dl, d, du, b)``: solve the tridiagonal
+    system with sub-, main and superdiagonal ``dl``, ``d``, ``du``."""
+    n = len(d)
+    d = _arg("d", d, (n,), overwrite=overwrite_d)
+    dl = _arg("dl", dl, (n - 1,), overwrite=overwrite_dl)
+    du = _arg("du", du, (n - 1,), overwrite=overwrite_du)
+    b = _arg("b", b, (n,), overwrite=overwrite_b)
+    n_ref, info = ctypes.c_int64(n), ctypes.c_int64()
+    _routines.dgtsv(n_ref, _ONE, _ref(dl), _ref(d), _ref(du), _ref(b), n_ref, info)
+    return dl, d, du, b, info.value
+
+
+def _dgttrf(dl, d, du):
+    """``dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)``: LU factors of a
+    tridiagonal matrix, for :func:`_dgttrs`."""
+    n = len(d)
+    d = _arg("d", d, (n,), overwrite=0)
+    dl = _arg("dl", dl, (n - 1,), overwrite=0)
+    du = _arg("du", du, (n - 1,), overwrite=0)
+    du2, ipiv = np.empty(max(n - 2, 0)), np.empty(n, _I64)
+    info = ctypes.c_int64()
+    _routines.dgttrf(ctypes.c_int64(n), _ref(dl), _ref(d), _ref(du), _ref(du2),
+                     _ref(ipiv, ctypes.c_int64), info)
+    return dl, d, du, du2, ipiv, info.value
+
+
+class _Factored:
+    """``x, info = solve(b, overwrite_b=0)``: ``dgttrs`` with the factors of
+    :func:`_dgttrf` bound, checked and turned into pointers once."""
+
+    def __init__(self, dl, d, du, du2, ipiv):
+        n = len(d)
+        factors = (
+            _arg("dl", dl, (n - 1,)), _arg("d", d, (n,)), _arg("du", du, (n - 1,)),
+            _arg("du2", du2, (max(n - 2, 0),)), _arg("ipiv", ipiv, (n,), _I64),
+        )
+        # The factors may be read-only (the cached ones), which _ref refuses;
+        # a pointer from a.ctypes holds a as well.
+        self.pointers = (*(a.ctypes.data_as(_DBL) for a in factors[:4]),
+                         factors[4].ctypes.data_as(_INT))
+        self.factors, self.n = factors, n
+
+    def __call__(self, b, overwrite_b=0):
+        b = _arg("b", b, (self.n,), overwrite=overwrite_b)
+        n_ref, info = ctypes.c_int64(self.n), ctypes.c_int64()
+        _routines.dgttrs(b"N", n_ref, _ONE, *self.pointers, _ref(b), n_ref, info, 1)
+        return b, info.value
+
+
+def _dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=0):
+    """``x, info = dgttrs(dl, d, du, du2, ipiv, b)``: solve with the factors of
+    :func:`_dgttrf`."""
+    return _Factored(dl, d, du, du2, ipiv)(b, overwrite_b)
+
+
+def _dgbsv(kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
+    """``lub, piv, x, info = dgbsv(kl, ku, ab, b)``: solve the band system with
+    ``kl`` sub- and ``ku`` superdiagonals stored in ``ab`` as LAPACK's band
+    storage, whose first ``kl`` rows hold fill-in; ``piv`` is zero-based."""
+    n, rows = len(b), 2 * kl + ku + 1
+    ab = _arg("ab", ab, (rows, n), overwrite=overwrite_ab)
+    b = _arg("b", b, (n,), overwrite=overwrite_b)
+    ipiv = np.empty(n, _I64)
+    i64, info = ctypes.c_int64, ctypes.c_int64()
+    n_ref = i64(n)
+    # ab.T: the C-ordered view of the Fortran-ordered band storage
+    _routines.dgbsv(n_ref, i64(kl), i64(ku), _ONE, _ref(ab.T), i64(rows), _ref(ipiv, i64),
+                    _ref(b), n_ref, info)
+    ipiv -= 1  # zero-based, as scipy's dgbsv returns it
+    return ab, ipiv, b, info.value
+
+
+# The LAPACK routines behind every banded solve: numpy's own where it exports
+# them, else scipy's f2py wrappers.
+_routines = _numpy_lapack()
+lapack = (
+    _load_flapack() if _routines is None
+    else SimpleNamespace(dgtsv=_dgtsv, dgttrf=_dgttrf, dgttrs=_dgttrs, dgbsv=_dgbsv)
+)
+
+
+def _bind_factors(dl, d, du, du2, ipiv):
+    """``x, info = solve(b, overwrite_b=0)``: the ``dgttrs`` of :data:`lapack`
+    with the factors of its ``dgttrf`` bound."""
+    if lapack.dgttrs is _dgttrs:
+        return _Factored(dl, d, du, du2, ipiv)
+    return partial(lapack.dgttrs, dl, d, du, du2, ipiv)
+
 
 # Compatibility tolerance for the pure-Neumann solve.
 SOLVABILITY_TOL = 1.0e-10
@@ -240,34 +401,38 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-def lapack_call(name: str, routine, *args, factors: tuple = (), **kwargs) -> tuple:
-    """Call the LAPACK solver ``routine`` (an attribute of :data:`lapack`, the
-    same object as in ``scipy.linalg.lapack``) for the solve ``name``.
+def lapack_call(name: str, routine, *args, **kwargs) -> tuple:
+    """Call the LAPACK solver ``routine`` (an attribute of :data:`lapack`, or
+    a ``dgttrs`` with its factors bound) for the solve ``name``.
 
-    Every array argument must be finite (else :class:`NonFiniteError`), and a
-    nonzero ``info`` raises :class:`SingularSystemError`; both name the solve.
-    ``factors`` go before ``args`` unscanned: they are the outputs of an
-    earlier call, checked when they were made.  Returns the routine's outputs
+    Every array argument must be finite (else :class:`NonFiniteError`), a
+    positive ``info`` raises :class:`SingularSystemError`, and a negative one,
+    LAPACK's report of an illegal argument and so a calling bug, raises
+    ``ValueError``; each names the solve.  Returns the routine's outputs
     without ``info``, so the solution is last.
     """
     for a in args:
         if isinstance(a, np.ndarray) and not np.isfinite(a).all():
             raise NonFiniteError(f"{name}: the matrix or right side is not finite")
-    *out, info = routine(*factors, *args, **kwargs)
-    if info != 0:
+    *out, info = routine(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"{name}: LAPACK argument {-info} had an illegal value (info {info})")
+    if info > 0:
         raise SingularSystemError(f"{name}: the matrix is singular (LAPACK info {info})")
     return tuple(out)
 
 
 @lru_cache(maxsize=64)
-def _laplacian_factor(g: Grid, bc: str) -> tuple:
-    """Read-only LU factors (``dgttrf``) of the negated Laplacian; for Neumann
-    the first row is replaced by the identity row that pins the constant."""
+def _laplacian_factor(g: Grid, bc: str):
+    """``dgttrs`` bound to the read-only LU factors (``dgttrf``) of the negated
+    Laplacian, checked once here; for Neumann the first row is replaced by the
+    identity row that pins the constant.  The factors are outputs of LAPACK
+    on finite bands, so a solve scans only its right side."""
     diag, upper, lower = bands(laplacian_apply, g, bc)
     dl, d, du = -lower, -diag, -upper
     if bc == "neumann":
         d[0], du[0] = 1.0, 0.0
-    return _read_only(*lapack_call(f"{bc} Laplacian", lapack.dgttrf, dl, d, du))
+    return _bind_factors(*_read_only(*lapack_call(f"{bc} Laplacian", lapack.dgttrf, dl, d, du)))
 
 
 def laplacian_solve(rhs: Field, bc: str) -> Field:
@@ -291,7 +456,5 @@ def laplacian_solve(rhs: Field, bc: str) -> Field:
             )
         b = b - b.sum() / n
         b[0] = 0.0
-    x = lapack_call(
-        f"{bc} Laplacian", lapack.dgttrs, b, factors=_laplacian_factor(g, bc), overwrite_b=1
-    )[-1]
+    x = lapack_call(f"{bc} Laplacian", _laplacian_factor(g, bc), b, overwrite_b=1)[-1]
     return Field(g, x if bc == "dirichlet0" else x - x.sum() / n)

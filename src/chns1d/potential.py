@@ -45,6 +45,7 @@ __all__ = [
     "dF_delta",
     "F_delta",
     "guarded_power",
+    "guarded_powers",
     "artificial_pressure",
     "free_energy_delta",
     "rho_free_energy_delta",
@@ -255,6 +256,12 @@ def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
     ``rho_max`` or where rho**k exceeds the float range; 0**k is 0 for k > 0.
     The density evaluators below call it first: its one scan is their domain check.
     """
+    return guarded_powers(rho, (k,), rho_max)[0]
+
+
+def guarded_powers(rho, ks: tuple[float, ...], rho_max: float = RHO_MAX_DEFAULT) -> tuple:
+    """One :func:`guarded_power` of ``rho`` per exponent in ``ks``, from one
+    domain scan and one logarithm, each with the bits of its own call."""
     arr, scalar = _prep(rho)
     lo, hi = arr.min(initial=np.inf), arr.max(initial=0.0)  # a NaN reaches both
     if not lo >= 0.0:
@@ -263,15 +270,20 @@ def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
         raise OverflowError(f"density {hi:g} exceeds rho_max={rho_max:g} in power evaluation")
     pos = None if lo > 0.0 else arr > 0.0  # no vacuum cell, no mask
     base = arr if pos is None else arr[pos]
-    log_power = k * np.log(base)
-    if log_power.max(initial=-np.inf) > _LOG_FLOAT_MAX:
-        worst = base.flat[np.argmax(log_power)]
-        raise OverflowError(f"density {worst:g} to the power {k:g} exceeds the float range")
-    if pos is None:
-        return _ret(np.exp(log_power), scalar)
-    out = np.zeros_like(arr)
-    out[pos] = np.exp(log_power)
-    return _ret(out, scalar)
+    log_base = np.log(base)
+    powers = []
+    for k in ks:
+        log_power = k * log_base
+        if log_power.max(initial=-np.inf) > _LOG_FLOAT_MAX:
+            worst = base.flat[np.argmax(log_power)]
+            raise OverflowError(f"density {worst:g} to the power {k:g} exceeds the float range")
+        if pos is None:
+            powers.append(_ret(np.exp(log_power), scalar))
+        else:
+            out = np.zeros_like(arr)
+            out[pos] = np.exp(log_power)
+            powers.append(_ret(out, scalar))
+    return tuple(powers)
 
 
 def artificial_pressure(rho, delta: float, exponent: int = 11,
@@ -290,11 +302,8 @@ def pressure_slope(rho, delta: float, fp: "FluidParams"):
     """Slope Pi'(rho) of Pi = artificial_pressure(rho, delta, fp.art_exponent) + pressure(rho, fp)."""
     arr, scalar = _prep(rho)
     k = fp.art_exponent
-    out = (
-        k * guarded_power(arr, k - 1) / np.log(1.0 / delta)
-        + fp.gamma * (fp.gamma - 1.0) * guarded_power(arr, fp.gamma - 1.0)
-        + fp.H
-    )
+    art, gas = guarded_powers(arr, (k - 1, fp.gamma - 1.0))
+    out = k * art / np.log(1.0 / delta) + fp.gamma * (fp.gamma - 1.0) * gas + fp.H
     return _ret(out, scalar)
 
 

@@ -67,6 +67,7 @@ __all__ = [
     "SOLVER_ERRORS",
     "Lagged",
     "lagged",
+    "lagged_phase",
     "constant_state",
     "solve_continuity",
     "solve_momentum",
@@ -303,14 +304,22 @@ class Lagged(NamedTuple):
     pi_slope: np.ndarray  # Pi'(rho) of that Pi, so the block's linearization matches F1
 
 
+def lagged_phase(c: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """dF_delta(c) and c', the concentration's lagged coefficients: the part of
+    :func:`lagged` that the mu and c right sides read, and all that the
+    diagnostics' projection residuals evaluate.  A non-finite c passes through,
+    unwarned, to the right sides' checks, which name it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dF_delta(c, spec.potential), mesh.gradient_of(c, "neumann", spec.grid.spacing_h)
+
+
 def lagged(state: State, spec: ProblemSpec) -> Lagged:
-    """Evaluate ``state``'s lagged coefficients once.  A non-finite c passes
-    through, unwarned, to the right sides' checks, which name it."""
-    rho, c, p, fp = state.rho.values, state.c.values, spec.potential, spec.fluid
+    """Evaluate ``state``'s lagged coefficients once."""
+    rho, p, fp = state.rho.values, spec.potential, spec.fluid
     pi_slope = pressure_slope(rho, p.delta, fp)
     with np.errstate(over="ignore", invalid="ignore"):
         pi = artificial_pressure(rho, p.delta, fp.art_exponent) + pressure(rho, fp)
-        return Lagged(dF_delta(c, p), mesh.gradient_of(c, "neumann", spec.grid.spacing_h), pi, pi_slope)
+    return Lagged(*lagged_phase(state.c.values, spec), pi, pi_slope)
 
 
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
@@ -448,17 +457,19 @@ def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
 
 
 @_right_side("mu right side", "mu")
-def _mu_rhs(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> np.ndarray:
-    """eps rho c + rho u c' - eps rho0 c0: the mu right side without sigma or source."""
+def _mu_rhs(state: State, dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
+    """eps rho c + rho u c' - eps rho0 c0, c' lagged as ``dc``: the mu right side
+    without sigma or source."""
     rho, u, c = state.rho.values, state.u.values, state.c.values
-    return eps * rho * c + rho * u * lag.dc - eps * spec.rho0 * spec.c0
+    return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
 
 
 @_right_side("c right side", "c")
-def _c_rhs(state: State, lag: Lagged, spec: ProblemSpec) -> np.ndarray:
-    """rho dF_delta(c) - rho mu: the c right side without sigma or source."""
+def _c_rhs(state: State, dF: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """rho dF_delta(c) - rho mu, dF_delta(c) lagged as ``dF``: the c right side
+    without sigma or source."""
     rho = state.rho.values
-    return rho * lag.dF - rho * state.mu.values
+    return rho * dF - rho * state.mu.values
 
 
 def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
@@ -471,7 +482,7 @@ def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemS
     mu equals that of dF_delta(c).
     """
     g = spec.grid
-    rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, lag, eps, spec), spec, "mu"), g)
+    rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, lag.dc, eps, spec), spec, "mu"), g)
     mu_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
     weighted_dF = state.rho.values * lag.dF
     return mesh.mean_shift(mu_hat, mesh.integral_of(weighted_dF, g.spacing_h), state.rho), proj
@@ -505,7 +516,7 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
     """
     g, h = spec.grid, spec.grid.spacing_h
     rho = state.rho.values
-    rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, lag, spec), spec, "c"), g)
+    rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, lag.dF, spec), spec, "c"), g)
     c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann").values
     denom = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
     if denom <= 1.0e-12 * max(1.0, spec.m1):

@@ -1,7 +1,10 @@
+import ctypes
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from chns1d import mesh
 from chns1d.mesh import (
     DegenerateWeightError,
     Field,
@@ -20,7 +23,7 @@ from chns1d.mesh import (
     laplacian_solve,
     mean_shift,
 )
-from scipy.linalg import lapack
+from chns1d.solver import SOLVER_ERRORS
 
 
 def orders(errors):
@@ -281,24 +284,169 @@ class TestLaplacianSolve:
         assert abs(u.mean()) <= 1e-13
 
 
+# The LAPACK routines every solve goes through, and scipy's f2py wrappers,
+# which are the fallback where numpy does not export the routines.
+BINDINGS = {"numpy": mesh.lapack, "flapack": mesh._load_flapack()}
+
+
+@pytest.fixture(params=sorted(BINDINGS))
+def binding(request):
+    return BINDINGS[request.param]
+
+
+def _tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.random(n - 1), 4.0 + rng.random(n), rng.random(n - 1)
+
+
+def _banded(n, seed):
+    """A kl = ku = 3 system in dgbsv's band storage, fill-in rows empty."""
+    rng = np.random.default_rng(seed)
+    ab = np.zeros((10, n), order="F")
+    ab[3:] = rng.random((7, n))
+    ab[6] += 8.0
+    return ab, rng.random(n)
+
+
 class TestLapackCall:
-    def test_solution_last_and_checks_named(self):
+    def test_solution_last_and_checks_named(self, binding):
         d, off = np.full(4, 4.0), np.ones(3)
-        x = lapack_call("demo", lapack.dgtsv, off, d, off, np.ones(4))[-1]
+        x = lapack_call("demo", binding.dgtsv, off, d, off, np.ones(4))[-1]
         a = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
         assert np.allclose(a @ x, 1.0, rtol=0, atol=1e-15)
         with pytest.raises(NonFiniteError, match="demo"):
-            lapack_call("demo", lapack.dgtsv, off, d, off, np.array([1.0, np.nan, 0.0, 0.0]))
+            lapack_call("demo", binding.dgtsv, off, d, off, np.array([1.0, np.nan, 0.0, 0.0]))
         with pytest.raises(NonFiniteError, match="demo"):
-            lapack_call("demo", lapack.dgtsv, off, np.array([4.0, np.inf, 4.0, 4.0]), off, np.ones(4))
+            lapack_call("demo", binding.dgtsv, off, np.array([4.0, np.inf, 4.0, 4.0]), off, np.ones(4))
         with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 1\)"):
-            lapack_call("demo", lapack.dgtsv, np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+            lapack_call("demo", binding.dgtsv, np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
 
-    def test_factors_go_first_and_the_right_side_is_checked(self):
+    def test_singular_band_system_is_named(self, binding):
+        ab, b = _banded(8, 0)
+        ab[3:, 2] = 0.0  # an empty column
+        with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 3\)"):
+            lapack_call("demo", binding.dgbsv, 3, 3, ab, b)
+
+    def test_bound_factors_solve_and_the_right_side_is_checked(self, binding, monkeypatch):
+        monkeypatch.setattr(mesh, "lapack", binding)
         d, off = np.full(4, 4.0), np.ones(3)
-        factors = lapack_call("demo", lapack.dgttrf, off, d, off)
-        x = lapack_call("demo", lapack.dgttrs, np.ones(4), factors=factors)[-1]
+        solve = mesh._bind_factors(*lapack_call("demo", binding.dgttrf, off, d, off))
+        x = lapack_call("demo", solve, np.ones(4))[-1]
         a = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
         assert np.allclose(a @ x, 1.0, rtol=0, atol=1e-15)
         with pytest.raises(NonFiniteError, match="demo: the matrix or right side"):
-            lapack_call("demo", lapack.dgttrs, np.array([1.0, np.nan, 0.0, 0.0]), factors=factors)
+            lapack_call("demo", solve, np.array([1.0, np.nan, 0.0, 0.0]))
+
+    def test_illegal_argument_is_a_calling_bug_not_a_singular_matrix(self):
+        """A negative info is LAPACK's report that argument -info was illegal:
+        a ValueError naming the solve and the position, which no solver
+        failure handler catches."""
+        def stub(*args):
+            return args[-1], -3
+
+        with pytest.raises(ValueError, match=r"demo: LAPACK argument 3 had an illegal value") as info:
+            lapack_call("demo", stub, np.ones(4))
+        assert not isinstance(info.value, SOLVER_ERRORS)
+
+
+class TestNumpyBinding:
+    """The ctypes wrappers over numpy's LAPACK return what scipy's f2py wrappers return."""
+
+    pytestmark = pytest.mark.skipif(
+        mesh._routines is None, reason="numpy exports no ILP64 LAPACK on this platform"
+    )
+
+    @staticmethod
+    def assert_same(ours, theirs):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            else:
+                assert a == b
+
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    def test_every_routine_matches_f2py_bit_for_bit(self, n):
+        numpy, f2py = BINDINGS["numpy"], BINDINGS["flapack"]
+        dl, d, du = _tridiagonal(n, n)
+        b = np.random.default_rng(n + 1).random(n)
+        self.assert_same(numpy.dgtsv(dl, d, du, b), f2py.dgtsv(dl, d, du, b))
+        ours, theirs = numpy.dgttrf(dl, d, du), f2py.dgttrf(dl, d, du)
+        self.assert_same(ours, theirs)
+        self.assert_same(numpy.dgttrs(*ours[:5], b), f2py.dgttrs(*theirs[:5], b))
+        self.assert_same(mesh._Factored(*ours[:5])(b), f2py.dgttrs(*theirs[:5], b))
+        ab, _ = _banded(n, n + 2)
+        self.assert_same(numpy.dgbsv(3, 3, ab, b), f2py.dgbsv(3, 3, ab, b))
+
+    def test_arguments_are_copied_unless_overwrite_is_allowed(self):
+        dgtsv = BINDINGS["numpy"].dgtsv
+        dl, d, du = _tridiagonal(16, 0)
+        b = np.ones(16)
+        kept = [a.copy() for a in (dl, d, du, b)]
+        out = dgtsv(dl, d, du, b)
+        assert all(np.array_equal(a, k) for a, k in zip((dl, d, du, b), kept))
+        again = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        assert all(x is a for x, a in zip(again[:4], (dl, d, du, b)))
+        assert np.array_equal(again[3], out[3])
+
+    def test_read_only_arrays_are_never_written(self):
+        """overwrite_*=1 on a read-only array (a cached band, say) gets a copy."""
+        diag, upper, lower = bands(laplacian_apply, Grid(16, 1.0), "dirichlet0")
+        kept = [a.copy() for a in (diag, upper, lower)]
+        *_, x, info = BINDINGS["numpy"].dgtsv(lower, diag, upper, np.ones(16), overwrite_dl=1,
+                                             overwrite_d=1, overwrite_du=1)
+        assert info == 0 and np.isfinite(x).all()
+        assert all(np.array_equal(a, k) for a, k in zip((diag, upper, lower), kept))
+
+    def test_bound_factors_are_held_not_copied(self):
+        """The cached read-only factors are bound as they are, and pointed at once."""
+        solve = mesh._laplacian_factor(Grid(16, 1.0), "neumann")
+        assert all(not a.flags.writeable for a in solve.factors)
+        assert [ctypes.addressof(p.contents) for p in solve.pointers] == [
+            a.ctypes.data for a in solve.factors
+        ]
+
+    def test_wrong_arguments_never_reach_lapack(self):
+        numpy = BINDINGS["numpy"]
+        dl, d, du = _tridiagonal(8, 0)
+        with pytest.raises(ValueError, match=r"argument dl must be .* \(7,\), got float64 \(6,\)"):
+            numpy.dgtsv(dl[1:], d, du, np.ones(8))
+        with pytest.raises(ValueError, match=r"argument b must be .* \(8,\), got float64 \(9,\)"):
+            numpy.dgtsv(dl, d, du, np.ones(9))
+        with pytest.raises(ValueError, match="argument d must be a Fortran-ordered float64"):
+            numpy.dgtsv(dl, d.astype(np.float32), du, np.ones(8))
+        with pytest.raises(ValueError, match="argument b must be .* got list"):
+            numpy.dgtsv(dl, d, du, [1.0] * 8)
+        with pytest.raises(ValueError, match=r"argument du must be .* \(7,\) in another order"):
+            numpy.dgtsv(dl, d, np.ones(14)[::2], np.ones(8))
+        factors = numpy.dgttrf(dl, d, du)[:5]
+        with pytest.raises(ValueError, match="argument ipiv must be a Fortran-ordered int64"):
+            numpy.dgttrs(*factors[:4], factors[4].astype(np.int32), np.ones(8))
+        ab, b = _banded(8, 0)
+        with pytest.raises(ValueError, match=r"argument ab must be .* \(10, 8\), got float64 \(9, 8\)"):
+            numpy.dgbsv(3, 3, ab[1:], b)
+        with pytest.raises(ValueError, match=r"argument ab must be .* \(10, 8\) in another order"):
+            numpy.dgbsv(3, 3, np.ascontiguousarray(ab), b)
+
+    def test_lookup_falls_back_to_the_numpy_1_spelling(self, monkeypatch):
+        real = ctypes.CDLL
+
+        class Numpy1(real):
+            """numpy's library as a 1.x wheel names it: dgtsv_64_, no scipy_ prefix."""
+
+            def __getattr__(self, name):
+                if name.startswith("scipy_"):
+                    raise AttributeError(name)
+                return super().__getattr__("scipy_" + name)
+
+        monkeypatch.setattr(ctypes, "CDLL", Numpy1)
+        routines = mesh._numpy_lapack()
+        assert routines.dgtsv.__name__ == "scipy_dgtsv_64_"
+
+    def test_no_ilp64_export_means_the_fallback(self, monkeypatch):
+        class NoSymbols(ctypes.CDLL):
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+        assert mesh._numpy_lapack() is None

@@ -14,6 +14,7 @@ from chns1d.potential import (
     f2_singular,
     figure1_table,
     guarded_power,
+    guarded_powers,
     pressure,
     pressure_slope,
     constants,
@@ -306,6 +307,38 @@ class TestPressureAndEnergy:
             guarded_power(2.0, 1100)
         with pytest.raises(OverflowError, match="density 3 to the power"):
             guarded_power(np.array([0.0, 3.0, 2.0]), 1100)
+
+    @pytest.mark.parametrize("rho", [np.array([0.0, 0.5, 1.7, 0.0, 3.2]), np.array([0.3, 1.0, 2.5]),
+                                     0.0, 1.3], ids=["vacuum-cells", "positive", "vacuum", "scalar"])
+    def test_several_exponents_are_the_separate_powers_bit_for_bit(self, rho):
+        exponents = (10, 1.0, 2.0, 0.5)
+        powers = guarded_powers(rho, exponents)
+        assert len(powers) == len(exponents)
+        for k, power in zip(exponents, powers):
+            one = guarded_power(rho, k)
+            assert type(power) is type(one)
+            assert np.asarray(power).tobytes() == np.asarray(one).tobytes(), k
+
+    def test_pressure_slope_keeps_its_bits(self, pot, fluid):
+        """One scan for both powers of the slope, the same bits as two."""
+        rho = np.array([0.0, 0.25, 1.0, 1.6, 0.0, 2.2])
+        k, gam = fluid.art_exponent, fluid.gamma
+        two_scans = (k * guarded_power(rho, k - 1) / np.log(1.0 / pot.delta)
+                     + gam * (gam - 1.0) * guarded_power(rho, gam - 1.0) + fluid.H)
+        assert pressure_slope(rho, pot.delta, fluid).tobytes() == two_scans.tobytes()
+
+    @pytest.mark.parametrize("rho, error, match", [
+        (-0.1, DomainError, r"guarded_power requires rho >= 0 \(NaN is rejected\)"),
+        (np.array([1.0, np.nan]), DomainError, r"guarded_power requires rho >= 0"),
+        (np.array([1.0, 2.0e6]), OverflowError, r"density 2e\+06 exceeds rho_max=1e\+06"),
+        (np.array([0.0, 3.0, 2.0]), OverflowError, r"density 3 to the power 1100 exceeds the float range"),
+    ], ids=["negative", "nan", "above-rho-max", "float-overflow"])
+    def test_several_exponents_raise_as_the_one_that_fails(self, rho, error, match):
+        with pytest.raises(error, match=match) as one:
+            guarded_power(rho, 1100)
+        with pytest.raises(error) as several:
+            guarded_powers(rho, (2.0, 1100, 3.0))
+        assert str(several.value) == str(one.value)
 
     def test_nan_density_rejected(self, fluid):
         with pytest.raises(DomainError):

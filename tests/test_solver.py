@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack, solve_banded
+from scipy.linalg import solve_banded
 
 from _mms import build_manufactured, observed_orders
 from chns1d import mesh, solver
@@ -259,15 +259,15 @@ class TestUpwindFlux:
 
 def _banded_oracle(name, routine, args, g):
     """Solution of one recorded LAPACK system by scipy.linalg.solve_banded."""
-    if routine is lapack.dgtsv:
+    if routine is mesh.lapack.dgtsv:
         dl, d, du, b = args
         return solve_banded((1, 1), np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]]), b)
-    if routine is lapack.dgbsv:
+    if routine is mesh.lapack.dgbsv:
         _, _, ab, b = args
         assert not ab[:3].any()  # the fill-in rows start empty
         return solve_banded((3, 3), ab[3:], b)
-    assert routine is lapack.dgttrs
     bc = name.split()[0]
+    assert routine is mesh._laplacian_factor(g, bc)
     diag, upper, lower = mesh.bands(mesh.laplacian_apply, g, bc)
     ab = -np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
     if bc == "neumann":
@@ -275,40 +275,68 @@ def _banded_oracle(name, routine, args, g):
     return solve_banded((1, 1), ab, args[-1])
 
 
+def _forced_default_systems(n, monkeypatch):
+    """(name, routine, arguments, solution) of every banded solve of one
+    forced-default Picard step from its third iterate, plus its dirichlet0
+    Laplacian solve, in call order."""
+    spec = parse_config_text(f"domain.n_cells = {n}\n{FORCED_DEFAULT}").spec
+    state = constant_state(spec, 0.1)
+    for _ in range(2):
+        state, _ = picard_step(state, 1.0, 0.1, spec, 1.0)
+
+    calls = []
+    real = mesh.lapack_call
+
+    def recording(name, routine, *args, **kwargs):
+        copies = [a.copy(order="K") if isinstance(a, np.ndarray) else a for a in args]
+        out = real(name, routine, *args, **kwargs)
+        if routine is not mesh.lapack.dgttrf:
+            calls.append((name, routine, copies, out[-1].copy()))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh, "lapack_call", recording)
+        picard_step(state, 1.0, 0.1, spec, 1.0)
+        solve_momentum(state, lagged(state, spec), 1.0, 0.1, spec)  # the dirichlet0 Laplacian
+    return spec.grid, calls
+
+
 class TestLapackSolves:
     """The direct LAPACK calls solve the systems scipy.linalg.solve_banded would."""
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_forced_default_systems_match_solve_banded(self, n, monkeypatch):
-        spec = parse_config_text(f"domain.n_cells = {n}\n{FORCED_DEFAULT}").spec
-        state = constant_state(spec, 0.1)
-        for _ in range(2):
-            state, _ = picard_step(state, 1.0, 0.1, spec, 1.0)
-
-        calls = []
-        real = mesh.lapack_call
-
-        def recording(name, routine, *args, **kwargs):
-            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-            out = real(name, routine, *args, **kwargs)
-            calls.append((name, routine, copies, out[-1].copy()))
-            return out
-
-        monkeypatch.setattr(mesh, "lapack_call", recording)
-        picard_step(state, 1.0, 0.1, spec, 1.0)
-        solve_momentum(state, lagged(state, spec), 1.0, 0.1, spec)  # the dirichlet0 Laplacian
-        solves = [(name, routine) for name, routine, _, _ in calls if routine is not lapack.dgttrf]
-        assert solves == [
+        g, calls = _forced_default_systems(n, monkeypatch)
+        lapack, neumann = mesh.lapack, mesh._laplacian_factor(g, "neumann")
+        assert [(name, routine) for name, routine, _, _ in calls] == [
             ("(rho, u) block", lapack.dgbsv),
-            ("neumann Laplacian", lapack.dgttrs),
-            ("neumann Laplacian", lapack.dgttrs),
+            ("neumann Laplacian", neumann),
+            ("neumann Laplacian", neumann),
             ("continuity", lapack.dgtsv),
-            ("dirichlet0 Laplacian", lapack.dgttrs),
+            ("dirichlet0 Laplacian", mesh._laplacian_factor(g, "dirichlet0")),
         ]
         for name, routine, args, x in calls:
-            if routine is not lapack.dgttrf:
-                want = _banded_oracle(name, routine, args, spec.grid)
-                assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want)), name
+            want = _banded_oracle(name, routine, args, g)
+            assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_forced_default_systems_solve_identically_through_both_bindings(self, n, monkeypatch):
+        """numpy's LAPACK and scipy's _flapack, the fallback, give the same bits
+        on every system of a step, the Laplacian factors included."""
+        g, calls = _forced_default_systems(n, monkeypatch)
+        flapack = mesh._load_flapack()
+        for name, routine, args, x in calls:
+            r = next((r for r in ("dgtsv", "dgbsv") if routine is getattr(mesh.lapack, r)), None)
+            solutions = []
+            for binding in (mesh.lapack, flapack):
+                if r is None:  # a Laplacian: dgttrs with the factors of the binding's dgttrf
+                    with monkeypatch.context() as patch:
+                        patch.setattr(mesh, "lapack", binding)  # what _laplacian_factor calls
+                        solve = mesh._laplacian_factor.__wrapped__(g, name.split()[0])
+                solutions.append(mesh.lapack_call(name, solve if r is None else getattr(binding, r),
+                                                  *args)[-1])
+            assert np.array_equal(solutions[0], x), name
+            assert np.array_equal(solutions[1], x), name
 
     def test_singular_continuity_is_named(self, forced_spec, monkeypatch):
         n = forced_spec.grid.n_cells

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import chns1d
+from chns1d import mesh
 
+NUMPY_LAPACK = mesh._routines is not None
 SRC = Path(chns1d.__file__).resolve().parents[1]
 BENCH = SRC.parent / "bench"
 
@@ -55,11 +57,23 @@ def test_cli_import_leaves_out_scipy_special():
     assert out.strip() == "False"
 
 
-def test_cli_import_leaves_out_scipy_linalg():
-    # the LAPACK wrappers are loaded on their own, not through the scipy package
+def test_cli_import_loads_no_scipy_module():
+    # the LAPACK routines are numpy's own; scipy's f2py wrappers, loaded on their
+    # own and not through the scipy package, only where numpy does not export them
     out = _run("-c", "import sys, chns1d.cli; "
                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    assert out.strip() == "['scipy.linalg._flapack']"
+    assert out.strip() == ("[]" if NUMPY_LAPACK else "['scipy.linalg._flapack']")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.skipif(not NUMPY_LAPACK, reason="numpy exports no ILP64 LAPACK on this platform")
+def test_cli_import_maps_one_openblas():
+    """numpy's OpenBLAS is the only one in the process: scipy's (about 25 MB)
+    and its _flapack extension are never mapped."""
+    out = _run("-c", "import chns1d.cli; print(*{line.split()[-1] for line in "
+                     "open('/proc/self/maps') if 'openblas' in line or '_flapack' in line})")
+    mapped = [Path(path).name for path in out.split()]
+    assert len(mapped) == 1 and mapped[0].startswith("libscipy_openblas"), mapped
 
 
 def test_cli_import_leaves_out_checks():
@@ -73,16 +87,57 @@ import sys
 first = sys.argv[1]
 if first == "scipy":
     import scipy.linalg
+import numpy as np
 from chns1d import mesh, solver
 from scipy.linalg import lapack
-print(all(getattr(mesh.lapack, name) is getattr(lapack, name)
-          for name in ("dgtsv", "dgttrf", "dgttrs", "dgbsv")), solver.lapack is mesh.lapack)
+off, d = np.ones(7), np.arange(4.0, 12.0)
+print(mesh.lapack.dgtsv is (mesh._dgtsv if mesh._routines else lapack.dgtsv),
+      solver.lapack is mesh.lapack,
+      np.array_equal(mesh.lapack.dgtsv(off, d, off, np.ones(8))[3], lapack.dgtsv(off, d, off, np.ones(8))[3]))
 """
 
 
 @pytest.mark.parametrize("first", ["scipy", "chns1d"])
-def test_lapack_routines_are_scipys_in_either_import_order(first):
-    assert _run("-c", ROUTINES_PROBE, first).split() == ["True", "True"]
+def test_lapack_binding_is_the_same_in_either_import_order(first):
+    """Importing scipy.linalg first changes neither the routines chosen nor their results."""
+    assert _run("-c", ROUTINES_PROBE, first).split() == ["True", "True", "True"]
+
+
+# Makes the lookup of numpy's LAPACK fail, so that mesh falls back to _flapack.
+NO_NUMPY_LAPACK = """
+import ctypes
+class NoSymbols(ctypes.CDLL):
+    def __getattr__(self, name):
+        raise AttributeError(name)
+ctypes.CDLL = NoSymbols
+"""
+
+FALLBACK_SOLVE = NO_NUMPY_LAPACK + """
+import sys
+from chns1d import cli, mesh
+assert mesh.lapack is sys.modules["scipy.linalg._flapack"] and "scipy.linalg" not in sys.modules
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("how, args", [
+    # where numpy exports no LAPACK, scipy's _flapack solves instead
+    pytest.param("fallback", ["-c", FALLBACK_SOLVE], id="fallback"),
+    # Python's development mode fills freed memory with 0xDD, so an array
+    # address read from freed memory would reach LAPACK as a wild pointer
+    pytest.param("dev-mode", ["-X", "dev", "-m", "chns1d.cli"], id="dev-mode"),
+])
+def test_forced_solve_writes_the_same_bytes(tmp_path, how, args):
+    cfg = tmp_path / "forced.cfg"
+    cfg.write_text(FORCED_SWEEP.replace("64", "256"))
+    outs = {}
+    for name, argv in (("plain", ["-m", "chns1d.cli"]), (how, args)):
+        outs[name] = tmp_path / name
+        _run(*argv, "solve", "--config", str(cfg), "--out", str(outs[name]))
+    names = sorted(p.name for p in outs["plain"].iterdir())
+    assert names == ["convergence.csv", "fields.csv", "report.txt"]
+    for name in names:
+        assert (outs["plain"] / name).read_bytes() == (outs[how] / name).read_bytes(), name
 
 
 def test_every_name_spans_wraps_exists(tmp_path):
@@ -143,6 +198,22 @@ def detailed_spans(tmp_path_factory):
 def test_detailed_trace_records_every_layer(detailed_spans):
     names = [span[0] for span in detailed_spans]
     assert [name for name in LAYER_SPANS if name not in names] == []
+
+
+def test_report_evaluates_no_pressure(detailed_spans):
+    """The report's projection residuals lag only dF_delta(c) and c': no
+    pressure span sits under diagnostics.compute_report."""
+    def ancestors(i):
+        while i >= 0:
+            yield detailed_spans[i][0]
+            i = detailed_spans[i][3]
+
+    reports = [i for i, span in enumerate(detailed_spans) if span[0] == "diagnostics.compute_report"]
+    assert len(reports) == 1
+    under_report = [name for name, _, _, parent in detailed_spans
+                    if "diagnostics.compute_report" in ancestors(parent)]
+    assert "potential.dF_delta" in under_report
+    assert "potential.pressure" not in under_report
 
 
 def test_each_picard_step_evaluates_the_potential_once(detailed_spans):
