@@ -121,8 +121,7 @@ class FluidParams:
             )
         if not self.H > 0.0:
             raise ValueError(f"H must be positive, got {self.H}")
-        if int(self.art_exponent) != self.art_exponent or self.art_exponent < 2:
-            raise ValueError(f"art_exponent must be an integer >= 2, got {self.art_exponent}")
+        mesh.integer_field(self, "art_exponent", 2)
 
     @property
     def visc(self) -> float:
@@ -228,8 +227,7 @@ class SolveControls:
             raise ValueError(f"eps_schedule must be strictly decreasing, got {eps}")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.max_picard < 1:
-            raise ValueError(f"max_picard must be at least 1, got {self.max_picard}")
+        mesh.integer_field(self, "max_picard", 1)
         if not self.tol_rel > 0.0:
             raise ValueError(f"tol_rel must be positive, got {self.tol_rel}")
 

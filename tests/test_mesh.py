@@ -39,6 +39,13 @@ class TestGridField:
         with pytest.raises(ValueError):
             Grid(4, 1.0)
 
+    def test_integral_cell_count_is_stored_as_int(self):
+        g = Grid(256.0, 1.0)
+        assert type(g.n_cells) is int and g.zeros().values.shape == (256,)
+        for bad in (256.5, "256", float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^n_cells must be an integer >= 8, got "):
+                Grid(bad, 1.0)
+
     def test_nonpositive_length(self):
         with pytest.raises(ValueError):
             Grid(16, 0.0)
@@ -283,6 +290,51 @@ class TestLaplacianSolve:
         u = laplacian_solve(Field(g, rhs_vals - rhs_vals.mean()), "neumann").values
         assert abs(u.mean()) <= 1e-13
 
+    # The prefix sums carry the roundoff of n terms: relative to max|u|, the
+    # error of a white-noise solution stays below 1e-14 n (measured 9e-12 at
+    # n = 4096; an LU solve of the same system meets this bound as well).
+    @staticmethod
+    def tol(n):
+        return 1e-14 * n
+
+    @staticmethod
+    def white_noise(g, bc, seed):
+        """A random solution (mean-free for neumann) and its Laplacian."""
+        u = np.random.default_rng(seed).standard_normal(g.n_cells)
+        if bc == "neumann":
+            u -= u.mean()
+        return u, laplacian_of(u, bc, g.spacing_h)
+
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    def test_round_trip_recovers_the_solution(self, bc, n):
+        g = Grid(n, 1.0)
+        for seed in range(5):
+            u, f = self.white_noise(g, bc, seed)
+            got = laplacian_solve(Field(g, f), bc).values
+            assert np.max(np.abs(got - u)) <= self.tol(n) * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    def test_agrees_with_solve_banded(self, bc, n):
+        """The oracle solves the same banded matrix; for neumann its first row
+        pins u_0 = 0, and both solutions are compared with zero mean."""
+        g = Grid(n, 1.0)
+        diag, upper, lower = bands(laplacian_apply, g, bc)
+        ab = np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
+        if bc == "neumann":
+            ab[1, 0], ab[0, 1] = 1.0, 0.0
+        for seed in range(5):
+            _, f = self.white_noise(g, bc, seed)
+            if bc == "neumann":
+                f = f - f.mean()
+                want = solve_banded((1, 1), ab, np.r_[0.0, f[1:]])
+                want -= want.mean()
+            else:
+                want = solve_banded((1, 1), ab, f)
+            got = laplacian_solve(Field(g, f), bc).values
+            assert np.max(np.abs(got - want)) <= self.tol(n) * np.max(np.abs(want))
+
 
 # The LAPACK routines every solve goes through, and scipy's f2py wrappers,
 # which are the fallback where numpy does not export the routines.
@@ -327,16 +379,6 @@ class TestLapackCall:
         with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 3\)"):
             lapack_call("demo", binding.dgbsv, 3, 3, ab, b)
 
-    def test_bound_factors_solve_and_the_right_side_is_checked(self, binding, monkeypatch):
-        monkeypatch.setattr(mesh, "lapack", binding)
-        d, off = np.full(4, 4.0), np.ones(3)
-        solve = mesh._bind_factors(*lapack_call("demo", binding.dgttrf, off, d, off))
-        x = lapack_call("demo", solve, np.ones(4))[-1]
-        a = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
-        assert np.allclose(a @ x, 1.0, rtol=0, atol=1e-15)
-        with pytest.raises(NonFiniteError, match="demo: the matrix or right side"):
-            lapack_call("demo", solve, np.array([1.0, np.nan, 0.0, 0.0]))
-
     def test_illegal_argument_is_a_calling_bug_not_a_singular_matrix(self):
         """A negative info is LAPACK's report that argument -info was illegal:
         a ValueError naming the solve and the position, which no solver
@@ -371,10 +413,6 @@ class TestNumpyBinding:
         dl, d, du = _tridiagonal(n, n)
         b = np.random.default_rng(n + 1).random(n)
         self.assert_same(numpy.dgtsv(dl, d, du, b), f2py.dgtsv(dl, d, du, b))
-        ours, theirs = numpy.dgttrf(dl, d, du), f2py.dgttrf(dl, d, du)
-        self.assert_same(ours, theirs)
-        self.assert_same(numpy.dgttrs(*ours[:5], b), f2py.dgttrs(*theirs[:5], b))
-        self.assert_same(mesh._Factored(*ours[:5])(b), f2py.dgttrs(*theirs[:5], b))
         ab, _ = _banded(n, n + 2)
         self.assert_same(numpy.dgbsv(3, 3, ab, b), f2py.dgbsv(3, 3, ab, b))
 
@@ -398,14 +436,6 @@ class TestNumpyBinding:
         assert info == 0 and np.isfinite(x).all()
         assert all(np.array_equal(a, k) for a, k in zip((diag, upper, lower), kept))
 
-    def test_bound_factors_are_held_not_copied(self):
-        """The cached read-only factors are bound as they are, and pointed at once."""
-        solve = mesh._laplacian_factor(Grid(16, 1.0), "neumann")
-        assert all(not a.flags.writeable for a in solve.factors)
-        assert [ctypes.addressof(p.contents) for p in solve.pointers] == [
-            a.ctypes.data for a in solve.factors
-        ]
-
     def test_wrong_arguments_never_reach_lapack(self):
         numpy = BINDINGS["numpy"]
         dl, d, du = _tridiagonal(8, 0)
@@ -419,9 +449,6 @@ class TestNumpyBinding:
             numpy.dgtsv(dl, d, du, [1.0] * 8)
         with pytest.raises(ValueError, match=r"argument du must be .* \(7,\) in another order"):
             numpy.dgtsv(dl, d, np.ones(14)[::2], np.ones(8))
-        factors = numpy.dgttrf(dl, d, du)[:5]
-        with pytest.raises(ValueError, match="argument ipiv must be a Fortran-ordered int64"):
-            numpy.dgttrs(*factors[:4], factors[4].astype(np.int32), np.ones(8))
         ab, b = _banded(8, 0)
         with pytest.raises(ValueError, match=r"argument ab must be .* \(10, 8\), got float64 \(9, 8\)"):
             numpy.dgbsv(3, 3, ab[1:], b)

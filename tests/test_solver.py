@@ -45,6 +45,13 @@ class TestParamValidation:
             FluidParams(gamma=1.0)
         with pytest.raises(ValueError):
             FluidParams(art_exponent=1)
+        with pytest.raises(ValueError, match=r"^art_exponent must be an integer >= 2, got 3\.5"):
+            FluidParams(art_exponent=3.5)
+
+    def test_max_picard_must_be_integral(self):
+        assert type(SolveControls(max_picard=3.0).max_picard) is int
+        with pytest.raises(ValueError, match=r"^max_picard must be an integer >= 1, got 2\.5"):
+            SolveControls(max_picard=2.5)
 
     def test_fluid_gamma_warning(self):
         with pytest.warns(UserWarning, match="gamma=1.4") as record:
@@ -257,28 +264,19 @@ class TestUpwindFlux:
         assert np.max(np.abs(advective - flux_div)) <= 1e-13 * np.max(np.abs(flux_div))
 
 
-def _banded_oracle(name, routine, args, g):
+def _banded_oracle(routine, args):
     """Solution of one recorded LAPACK system by scipy.linalg.solve_banded."""
     if routine is mesh.lapack.dgtsv:
         dl, d, du, b = args
         return solve_banded((1, 1), np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]]), b)
-    if routine is mesh.lapack.dgbsv:
-        _, _, ab, b = args
-        assert not ab[:3].any()  # the fill-in rows start empty
-        return solve_banded((3, 3), ab[3:], b)
-    bc = name.split()[0]
-    assert routine is mesh._laplacian_factor(g, bc)
-    diag, upper, lower = mesh.bands(mesh.laplacian_apply, g, bc)
-    ab = -np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
-    if bc == "neumann":
-        ab[1, 0], ab[0, 1] = 1.0, 0.0
-    return solve_banded((1, 1), ab, args[-1])
+    _, _, ab, b = args
+    assert not ab[:3].any()  # the fill-in rows start empty
+    return solve_banded((3, 3), ab[3:], b)
 
 
 def _forced_default_systems(n, monkeypatch):
-    """(name, routine, arguments, solution) of every banded solve of one
-    forced-default Picard step from its third iterate, plus its dirichlet0
-    Laplacian solve, in call order."""
+    """(name, routine, arguments, solution) of every LAPACK solve of one
+    forced-default Picard step from its third iterate, in call order."""
     spec = parse_config_text(f"domain.n_cells = {n}\n{FORCED_DEFAULT}").spec
     state = constant_state(spec, 0.1)
     for _ in range(2):
@@ -290,15 +288,13 @@ def _forced_default_systems(n, monkeypatch):
     def recording(name, routine, *args, **kwargs):
         copies = [a.copy(order="K") if isinstance(a, np.ndarray) else a for a in args]
         out = real(name, routine, *args, **kwargs)
-        if routine is not mesh.lapack.dgttrf:
-            calls.append((name, routine, copies, out[-1].copy()))
+        calls.append((name, routine, copies, out[-1].copy()))
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(mesh, "lapack_call", recording)
         picard_step(state, 1.0, 0.1, spec, 1.0)
-        solve_momentum(state, lagged(state, spec), 1.0, 0.1, spec)  # the dirichlet0 Laplacian
-    return spec.grid, calls
+    return calls
 
 
 class TestLapackSolves:
@@ -306,37 +302,25 @@ class TestLapackSolves:
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_forced_default_systems_match_solve_banded(self, n, monkeypatch):
-        g, calls = _forced_default_systems(n, monkeypatch)
-        lapack, neumann = mesh.lapack, mesh._laplacian_factor(g, "neumann")
+        """Two LAPACK calls per Picard step; the Laplacians need none."""
+        calls = _forced_default_systems(n, monkeypatch)
         assert [(name, routine) for name, routine, _, _ in calls] == [
-            ("(rho, u) block", lapack.dgbsv),
-            ("neumann Laplacian", neumann),
-            ("neumann Laplacian", neumann),
-            ("continuity", lapack.dgtsv),
-            ("dirichlet0 Laplacian", mesh._laplacian_factor(g, "dirichlet0")),
+            ("(rho, u) block", mesh.lapack.dgbsv),
+            ("continuity", mesh.lapack.dgtsv),
         ]
         for name, routine, args, x in calls:
-            want = _banded_oracle(name, routine, args, g)
+            want = _banded_oracle(routine, args)
             assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_forced_default_systems_solve_identically_through_both_bindings(self, n, monkeypatch):
         """numpy's LAPACK and scipy's _flapack, the fallback, give the same bits
-        on every system of a step, the Laplacian factors included."""
-        g, calls = _forced_default_systems(n, monkeypatch)
+        on every system of a step."""
         flapack = mesh._load_flapack()
-        for name, routine, args, x in calls:
-            r = next((r for r in ("dgtsv", "dgbsv") if routine is getattr(mesh.lapack, r)), None)
-            solutions = []
+        for name, routine, args, x in _forced_default_systems(n, monkeypatch):
+            r = "dgtsv" if routine is mesh.lapack.dgtsv else "dgbsv"
             for binding in (mesh.lapack, flapack):
-                if r is None:  # a Laplacian: dgttrs with the factors of the binding's dgttrf
-                    with monkeypatch.context() as patch:
-                        patch.setattr(mesh, "lapack", binding)  # what _laplacian_factor calls
-                        solve = mesh._laplacian_factor.__wrapped__(g, name.split()[0])
-                solutions.append(mesh.lapack_call(name, solve if r is None else getattr(binding, r),
-                                                  *args)[-1])
-            assert np.array_equal(solutions[0], x), name
-            assert np.array_equal(solutions[1], x), name
+                assert np.array_equal(mesh.lapack_call(name, getattr(binding, r), *args)[-1], x), name
 
     def test_singular_continuity_is_named(self, forced_spec, monkeypatch):
         n = forced_spec.grid.n_cells
