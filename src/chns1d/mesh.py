@@ -15,23 +15,19 @@ values (length, finiteness) when it is built, so the kernels, which the
 solver's inner loop calls on plain arrays, check nothing.
 
 :func:`laplacian_solve` inverts the Laplacian in closed form, by two prefix
-sums.  The other banded systems go straight to the LAPACK routines through
-:func:`lapack_call`, which rejects non-finite input and names the solve when
-the matrix is singular or, a calling bug, an argument is illegal.
+sums.  The other banded systems go to LAPACK through :func:`solve_tridiagonal`
+(``dgtsv``) and :func:`solve_banded` (``dgbsv``), which overwrite their
+arguments, return the solution and name the solve in every error.
 
-The two routines (``dgtsv``, ``dgbsv``) are numpy's own: numpy's wheels bundle
-an OpenBLAS that exports them under their ILP64 names (``scipy_dgtsv_64_`` in
-numpy 2, ``dgtsv_64_`` in 1.x), found through the dependency scope of
-``numpy.linalg._umath_linalg``, which ``import numpy`` has already loaded.  One
-small wrapper per routine does what scipy's f2py wrappers do for the calls
-made here (one right side): it checks dtype, layout and shape, copies an
-argument unless the caller allowed it to be overwritten (a read-only one
-always), and returns the f2py-shaped tuple, so a second OpenBLAS (scipy's,
+The two routines are numpy's own: numpy's wheels bundle an OpenBLAS that
+exports them under their ILP64 names (``scipy_dgtsv_64_`` in numpy 2,
+``dgtsv_64_`` in 1.x) in the library of ``numpy.linalg._umath_linalg``,
+which ``import numpy`` has already loaded, so a second OpenBLAS (scipy's,
 25 MB) is never mapped.  Where numpy exports neither spelling (Windows, a
-distro or conda numpy, an LP64 build), :data:`lapack` is
-``scipy.linalg._flapack`` instead, loaded on its own: importing the
-``scipy.linalg`` package would pull in all of it and take most of a command's
-start-up.  That module is registered under its canonical name, so a later
+distro or conda numpy, an LP64 build), scipy's f2py wrappers in
+``scipy.linalg._flapack`` solve instead, loaded on their own: importing the
+``scipy.linalg`` package would take most of a command's start-up.  That
+module is registered under its canonical name, so a later
 ``import scipy.linalg`` reuses it.
 """
 
@@ -62,7 +58,8 @@ __all__ = [
     "laplacian_of",
     "laplacian_solve",
     "bands",
-    "lapack_call",
+    "solve_tridiagonal",
+    "solve_banded",
     "integrate",
     "integral_of",
     "mean_shift",
@@ -121,26 +118,7 @@ def _numpy_lapack():
     return None
 
 
-_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
 _ONE = ctypes.c_int64(1)  # every solve has one right side; LAPACK only reads it
-
-
-def _arg(name: str, a, shape: tuple, overwrite=None) -> np.ndarray:
-    """``a``, checked to be a Fortran-ordered float64 array of ``shape``, so
-    that no wrongly sized array reaches LAPACK.  An argument that LAPACK
-    writes (``overwrite`` not None) is copied unless the caller allowed the
-    write (``overwrite`` 1) and ``a`` is writeable: a read-only array (a cached
-    band) is never written."""
-    if not (isinstance(a, np.ndarray) and a.dtype == _F64 and a.shape == shape
-            and a.flags.f_contiguous):
-        got = (f"{a.dtype} {a.shape}" + ("" if a.flags.f_contiguous else " in another order")
-               if isinstance(a, np.ndarray) else type(a).__name__)
-        raise ValueError(
-            f"LAPACK argument {name} must be a Fortran-ordered {_F64} {shape}, got {got}"
-        )
-    if overwrite is not None and not (overwrite and a.flags.writeable):
-        a = a.copy(order="F")
-    return a
 
 
 def _ref(a: np.ndarray, ctype=ctypes.c_double):
@@ -150,43 +128,38 @@ def _ref(a: np.ndarray, ctype=ctypes.c_double):
     return ctype.from_buffer(a)
 
 
-def _dgtsv(dl, d, du, b, overwrite_dl=0, overwrite_d=0, overwrite_du=0, overwrite_b=0):
-    """``du2, d, du, x, info = dgtsv(dl, d, du, b)``: solve the tridiagonal
-    system with sub-, main and superdiagonal ``dl``, ``d``, ``du``."""
-    n = len(d)
-    d = _arg("d", d, (n,), overwrite=overwrite_d)
-    dl = _arg("dl", dl, (n - 1,), overwrite=overwrite_dl)
-    du = _arg("du", du, (n - 1,), overwrite=overwrite_du)
-    b = _arg("b", b, (n,), overwrite=overwrite_b)
-    n_ref, info = ctypes.c_int64(n), ctypes.c_int64()
+# One adapter per routine and binding: each takes checked arguments, which
+# LAPACK overwrites, and returns (x, info), x being the right side's array.
+def _numpy_gtsv(dl, d, du, b):
+    n_ref, info = ctypes.c_int64(len(d)), ctypes.c_int64()
     _routines.dgtsv(n_ref, _ONE, _ref(dl), _ref(d), _ref(du), _ref(b), n_ref, info)
-    return dl, d, du, b, info.value
+    return b, info.value
 
 
-def _dgbsv(kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
-    """``lub, piv, x, info = dgbsv(kl, ku, ab, b)``: solve the band system with
-    ``kl`` sub- and ``ku`` superdiagonals stored in ``ab`` as LAPACK's band
-    storage, whose first ``kl`` rows hold fill-in; ``piv`` is zero-based."""
-    n, rows = len(b), 2 * kl + ku + 1
-    ab = _arg("ab", ab, (rows, n), overwrite=overwrite_ab)
-    b = _arg("b", b, (n,), overwrite=overwrite_b)
-    ipiv = np.empty(n, _I64)
+def _numpy_gbsv(kl, ku, ab, b):
     i64, info = ctypes.c_int64, ctypes.c_int64()
-    n_ref = i64(n)
+    n_ref, ipiv = i64(len(b)), np.empty(len(b), np.int64)
     # ab.T: the C-ordered view of the Fortran-ordered band storage
-    _routines.dgbsv(n_ref, i64(kl), i64(ku), _ONE, _ref(ab.T), i64(rows), _ref(ipiv, i64),
+    _routines.dgbsv(n_ref, i64(kl), i64(ku), _ONE, _ref(ab.T), i64(len(ab)), _ref(ipiv, i64),
                     _ref(b), n_ref, info)
-    ipiv -= 1  # zero-based, as scipy's dgbsv returns it
-    return ab, ipiv, b, info.value
+    return b, info.value
 
 
-# The LAPACK routines behind every banded solve: numpy's own where it exports
-# them, else scipy's f2py wrappers.
+def _flapack_gtsv(dl, d, du, b):
+    return _load_flapack().dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                                 overwrite_b=1)[-2:]
+
+
+def _flapack_gbsv(kl, ku, ab, b):
+    return _load_flapack().dgbsv(kl, ku, ab, b, overwrite_ab=1, overwrite_b=1)[-2:]
+
+
+# The binding behind every banded solve: numpy's LAPACK where it exports the
+# routines, else scipy's f2py wrappers, loaded at import as numpy's library is.
 _routines = _numpy_lapack()
-lapack = (
-    _load_flapack() if _routines is None
-    else SimpleNamespace(dgtsv=_dgtsv, dgbsv=_dgbsv)
-)
+if _routines is None:
+    _load_flapack()
+_gtsv, _gbsv = (_flapack_gtsv, _flapack_gbsv) if _routines is None else (_numpy_gtsv, _numpy_gbsv)
 
 
 # Compatibility tolerance for the pure-Neumann solve.
@@ -358,29 +331,57 @@ def bands(op, g: Grid, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_finite(name: str, *arrays) -> None:
-    """:class:`NonFiniteError`, naming the solve, if an array argument holds NaN or infinity."""
+    """:class:`NonFiniteError`, naming the solve, if an array holds NaN or infinity."""
     for a in arrays:
-        if isinstance(a, np.ndarray) and not np.isfinite(a).all():
+        if not np.isfinite(a).all():
             raise NonFiniteError(f"{name}: the matrix or right side is not finite")
 
 
-def lapack_call(name: str, routine, *args, **kwargs) -> tuple:
-    """Call the LAPACK solver ``routine``, an attribute of :data:`lapack`, for
-    the solve ``name``.
-
-    Every array argument must be finite (else :class:`NonFiniteError`), a
-    positive ``info`` raises :class:`SingularSystemError`, and a negative one,
-    LAPACK's report of an illegal argument and so a calling bug, raises
-    ``ValueError``; each names the solve.  Returns the routine's outputs
-    without ``info``, so the solution is last.
-    """
+def _solve(name: str, routine, *scalars, **arrays) -> np.ndarray:
+    """The solution that the adapter ``routine`` returns for ``scalars`` and
+    the arrays ``label=(a, shape)``, checked as :func:`solve_tridiagonal` says."""
+    for label, (a, shape) in arrays.items():
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
+                and a.flags.f_contiguous and a.flags.writeable):
+            got = type(a).__name__ if not isinstance(a, np.ndarray) else (
+                f"{a.dtype} {a.shape}" + ("" if a.flags.f_contiguous else ", not Fortran-ordered")
+                + ("" if a.flags.writeable else ", read-only"))
+            raise ValueError(f"{name}: LAPACK argument {label} must be a writeable, Fortran-"
+                             f"ordered float64 array of shape {shape}, got {got}")
+    args = [a for a, _ in arrays.values()]
     _check_finite(name, *args)
-    *out, info = routine(*args, **kwargs)
+    x, info = routine(*scalars, *args)
     if info < 0:
         raise ValueError(f"{name}: LAPACK argument {-info} had an illegal value (info {info})")
     if info > 0:
         raise SingularSystemError(f"{name}: the matrix is singular (LAPACK info {info})")
-    return tuple(out)
+    return x
+
+
+def solve_tridiagonal(name: str, lower, diag, upper, b) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and superdiagonal
+    ``lower``, ``diag``, ``upper`` and right side ``b`` by LAPACK's ``dgtsv``,
+    for the solve ``name``.  Overwrites all four and returns the solution, the
+    array ``b``.  Each must be a writeable, Fortran-ordered float64 array, of
+    length n - 1, n, n - 1 and n, else a ``ValueError`` naming it is raised
+    before LAPACK runs, and finite, else :class:`NonFiniteError`.  A singular
+    matrix (LAPACK ``info`` > 0) raises :class:`SingularSystemError`, and an
+    illegal argument (``info`` < 0, a calling bug) ``ValueError``.  Each error
+    names the solve."""
+    n = len(diag)
+    return _solve(name, _gtsv, lower=(lower, (n - 1,)), diag=(diag, (n,)),
+                  upper=(upper, (n - 1,)), b=(b, (n,)))
+
+
+def solve_banded(name: str, kl: int, ku: int, ab, b) -> np.ndarray:
+    """Solve the band system with ``kl`` sub- and ``ku`` superdiagonals by
+    LAPACK's ``dgbsv``, for the solve ``name``.  ``ab`` is gbsv's band storage
+    of shape (2 kl + ku + 1, n): entry (i, j) sits at ``ab[kl + ku + i - j, j]``
+    and the first ``kl`` rows are room for fill-in.  Overwrites ``ab`` and
+    ``b`` and returns the solution, the array ``b``; both are checked, and
+    failures raised, as :func:`solve_tridiagonal` says."""
+    n = len(b)
+    return _solve(name, _gbsv, kl, ku, ab=(ab, (2 * kl + ku + 1, n)), b=(b, (n,)))
 
 
 def laplacian_solve(rhs: Field, bc: str) -> Field:

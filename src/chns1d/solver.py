@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import mesh
-from .mesh import Field, Grid, SingularSystemError, lapack
+from .mesh import Field, Grid, SingularSystemError
 from .potential import (
     PotentialParams,
     artificial_pressure,
@@ -86,7 +86,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Fixed-point residual grew persistently; carries the failing stage."""
+    """Fixed-point residual grew persistently; the message names the stage's sigma and eps."""
 
 
 class NotConverged(RuntimeError):
@@ -354,10 +354,7 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     g = spec.grid
     diag, upper, lower = _continuity_bands(_face_means(u.values), eps, g)
     b = _continuity_rhs(eps, spec)
-    rho = mesh.lapack_call(
-        "continuity", lapack.dgtsv, lower, diag, upper, b,
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-    )[-1]
+    rho = mesh.solve_tridiagonal("continuity", lower, diag, upper, b)
     if rho.min() < -1.0e-9 * max(spec.rho0, 1.0):
         raise SingularSystemError(f"continuity solve produced negative density {rho.min():g}")
     return Field(g, np.maximum(rho, 0.0))
@@ -442,9 +439,7 @@ def solve_flow_coupled(
     b[0::2] += (old_flux[1:] - old_flux[:-1]) / h
     b[1::2] = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
     b[1::2] -= sigma * mesh.gradient_of(lag.pi_slope * rho_t, "neumann", h)
-    z = mesh.lapack_call(
-        "(rho, u) block", lapack.dgbsv, 3, 3, ab, b, overwrite_ab=1, overwrite_b=1
-    )[-1]
+    z = mesh.solve_banded("(rho, u) block", 3, 3, ab, b)
     return Field(g, np.maximum(z[0::2], 0.0)), Field(g, z[1::2])
 
 
@@ -657,8 +652,9 @@ def continuation_solve(
     max_picard steps above it raises :class:`NotConverged`.  The damping
     factor starts each stage at ``controls.damping`` and is halved, down to
     1/8, whenever a residual exceeds the one before.  If a sigma stage
-    diverges, the sigma step is bisected once before the failure is raised
-    with the stage attached.
+    diverges, the sigma step is bisected once before the failure is raised;
+    the :class:`DivergenceError` names the stage's sigma and eps in its
+    message only, as no attribute carries them.
     """
     eps0 = controls.eps_schedule[0]
     stages = [(s, eps0) for s in controls.sigma_schedule]

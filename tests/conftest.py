@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from chns1d import mesh
 from chns1d.mesh import Grid
 from chns1d.potential import PotentialParams
 from chns1d.solver import FluidParams, ProblemSpec, SolveControls
@@ -14,6 +15,25 @@ from chns1d.solver import FluidParams, ProblemSpec, SolveControls
 # Config text of the continuation ladder, the default before one stage:
 # sigma 0.25 -> 1 at eps 0.1, then eps 0.1 -> 1e-3.
 LADDER = "solver.sigma_schedule = 0.25,0.5,0.75,1.0\nsolver.eps_schedule = 1e-1,1e-2,1e-3\n"
+
+# The (dgtsv, dgbsv) adapters of each LAPACK binding: numpy's own, where numpy
+# exports the routines, and scipy's f2py wrappers, the fallback.
+LAPACK_BINDINGS = {"flapack": (mesh._flapack_gtsv, mesh._flapack_gbsv)}
+if mesh._routines is not None:
+    LAPACK_BINDINGS["numpy"] = (mesh._numpy_gtsv, mesh._numpy_gbsv)
+
+
+def use_binding(patch, name: str) -> None:
+    """Send mesh's banded solves through the binding ``name`` while the
+    monkeypatch ``patch`` holds."""
+    patch.setattr(mesh, "_gtsv", LAPACK_BINDINGS[name][0])
+    patch.setattr(mesh, "_gbsv", LAPACK_BINDINGS[name][1])
+
+
+def copies(*args) -> list:
+    """``args`` with each array copied in its own memory order: arguments a
+    banded solve may overwrite."""
+    return [a.copy(order="K") if isinstance(a, np.ndarray) else a for a in args]
 
 
 @pytest.fixture(autouse=True)

@@ -17,13 +17,13 @@ from chns1d.mesh import (
     gradient_of,
     integral_of,
     integrate,
-    lapack_call,
     laplacian_apply,
     laplacian_of,
     laplacian_solve,
     mean_shift,
 )
 from chns1d.solver import SOLVER_ERRORS
+from conftest import LAPACK_BINDINGS, copies, use_binding
 
 
 def orders(errors):
@@ -336,14 +336,12 @@ class TestLaplacianSolve:
             assert np.max(np.abs(got - want)) <= self.tol(n) * np.max(np.abs(want))
 
 
-# The LAPACK routines every solve goes through, and scipy's f2py wrappers,
-# which are the fallback where numpy does not export the routines.
-BINDINGS = {"numpy": mesh.lapack, "flapack": mesh._load_flapack()}
-
-
-@pytest.fixture(params=sorted(BINDINGS))
-def binding(request):
-    return BINDINGS[request.param]
+@pytest.fixture(params=sorted(LAPACK_BINDINGS))
+def binding(request, monkeypatch):
+    """Each LAPACK binding in turn: numpy's own, where numpy exports the
+    routines, and scipy's f2py wrappers, the fallback."""
+    use_binding(monkeypatch, request.param)
+    return request.param
 
 
 def _tridiagonal(n, seed):
@@ -361,99 +359,121 @@ def _banded(n, seed):
 
 
 class TestLapackCall:
-    def test_solution_last_and_checks_named(self, binding):
+    def test_solution_returned_and_checks_named(self, binding):
         d, off = np.full(4, 4.0), np.ones(3)
-        x = lapack_call("demo", binding.dgtsv, off, d, off, np.ones(4))[-1]
         a = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+        b = np.ones(4)
+        x = mesh.solve_tridiagonal("demo", *copies(off, d, off), b)
+        assert x is b  # the array LAPACK wrote
         assert np.allclose(a @ x, 1.0, rtol=0, atol=1e-15)
         with pytest.raises(NonFiniteError, match="demo"):
-            lapack_call("demo", binding.dgtsv, off, d, off, np.array([1.0, np.nan, 0.0, 0.0]))
+            mesh.solve_tridiagonal("demo", *copies(off, d, off), np.array([1.0, np.nan, 0.0, 0.0]))
         with pytest.raises(NonFiniteError, match="demo"):
-            lapack_call("demo", binding.dgtsv, off, np.array([4.0, np.inf, 4.0, 4.0]), off, np.ones(4))
+            mesh.solve_tridiagonal("demo", *copies(off), np.array([4.0, np.inf, 4.0, 4.0]),
+                                   *copies(off), np.ones(4))
         with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 1\)"):
-            lapack_call("demo", binding.dgtsv, np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+            mesh.solve_tridiagonal("demo", np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
 
     def test_singular_band_system_is_named(self, binding):
         ab, b = _banded(8, 0)
         ab[3:, 2] = 0.0  # an empty column
         with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 3\)"):
-            lapack_call("demo", binding.dgbsv, 3, 3, ab, b)
+            mesh.solve_banded("demo", 3, 3, ab, b)
 
-    def test_illegal_argument_is_a_calling_bug_not_a_singular_matrix(self):
+    def test_illegal_argument_is_a_calling_bug_not_a_singular_matrix(self, monkeypatch):
         """A negative info is LAPACK's report that argument -info was illegal:
         a ValueError naming the solve and the position, which no solver
         failure handler catches."""
-        def stub(*args):
-            return args[-1], -3
+        for binding in sorted(LAPACK_BINDINGS):
+            gtsv = LAPACK_BINDINGS[binding][0]
 
-        with pytest.raises(ValueError, match=r"demo: LAPACK argument 3 had an illegal value") as info:
-            lapack_call("demo", stub, np.ones(4))
-        assert not isinstance(info.value, SOLVER_ERRORS)
+            def stub(*args):
+                return gtsv(*args)[0], -3
 
-
-class TestNumpyBinding:
-    """The ctypes wrappers over numpy's LAPACK return what scipy's f2py wrappers return."""
-
-    pytestmark = pytest.mark.skipif(
-        mesh._routines is None, reason="numpy exports no ILP64 LAPACK on this platform"
-    )
-
-    @staticmethod
-    def assert_same(ours, theirs):
-        assert len(ours) == len(theirs)
-        for a, b in zip(ours, theirs):
-            if isinstance(a, np.ndarray):
-                assert a.shape == b.shape and np.array_equal(a, b)
-            else:
-                assert a == b
+            monkeypatch.setattr(mesh, "_gtsv", stub)
+            with pytest.raises(ValueError, match=r"demo: LAPACK argument 3 had an illegal value") as info:
+                mesh.solve_tridiagonal("demo", *_tridiagonal(8, 0), np.ones(8))
+            assert not isinstance(info.value, SOLVER_ERRORS), binding
 
     @pytest.mark.parametrize("n", [8, 256, 4096])
-    def test_every_routine_matches_f2py_bit_for_bit(self, n):
-        numpy, f2py = BINDINGS["numpy"], BINDINGS["flapack"]
+    def test_solutions_match_solve_banded(self, binding, n):
         dl, d, du = _tridiagonal(n, n)
         b = np.random.default_rng(n + 1).random(n)
-        self.assert_same(numpy.dgtsv(dl, d, du, b), f2py.dgtsv(dl, d, du, b))
+        want = solve_banded((1, 1), np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]]), b)
+        got = mesh.solve_tridiagonal("demo", *copies(dl, d, du, b))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         ab, _ = _banded(n, n + 2)
-        self.assert_same(numpy.dgbsv(3, 3, ab, b), f2py.dgbsv(3, 3, ab, b))
+        want = solve_banded((3, 3), ab[3:], b)
+        got = mesh.solve_banded("demo", 3, 3, *copies(ab, b))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_arguments_are_copied_unless_overwrite_is_allowed(self):
-        dgtsv = BINDINGS["numpy"].dgtsv
-        dl, d, du = _tridiagonal(16, 0)
-        b = np.ones(16)
-        kept = [a.copy() for a in (dl, d, du, b)]
-        out = dgtsv(dl, d, du, b)
-        assert all(np.array_equal(a, k) for a, k in zip((dl, d, du, b), kept))
-        again = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-        assert all(x is a for x, a in zip(again[:4], (dl, d, du, b)))
-        assert np.array_equal(again[3], out[3])
-
-    def test_read_only_arrays_are_never_written(self):
-        """overwrite_*=1 on a read-only array (a cached band, say) gets a copy."""
+    def test_arguments_lapack_cannot_write_are_rejected_unwritten(self, binding):
+        """A read-only array (a cached band) or a C-ordered band storage raises
+        the same ValueError on either binding, before anything is written."""
         diag, upper, lower = bands(laplacian_apply, Grid(16, 1.0), "dirichlet0")
-        kept = [a.copy() for a in (diag, upper, lower)]
-        *_, x, info = BINDINGS["numpy"].dgtsv(lower, diag, upper, np.ones(16), overwrite_dl=1,
-                                             overwrite_d=1, overwrite_du=1)
-        assert info == 0 and np.isfinite(x).all()
+        b = np.ones(16)
+        with pytest.raises(ValueError, match=r"demo: LAPACK argument lower must be a writeable, "
+                                             r"Fortran-ordered float64 array of shape \(15,\), "
+                                             r"got float64 \(15,\), read-only"):
+            mesh.solve_tridiagonal("demo", lower, *copies(diag, upper), b)
+        assert np.array_equal(b, np.ones(16))
+        ab, b = _banded(8, 0)
+        c_ab, kept = np.ascontiguousarray(ab), copies(ab, b)
+        with pytest.raises(ValueError, match=r"demo: LAPACK argument ab must be .* shape "
+                                             r"\(10, 8\), got float64 \(10, 8\), not Fortran-ordered"):
+            mesh.solve_banded("demo", 3, 3, c_ab, b)
+        assert np.array_equal(c_ab, kept[0]) and np.array_equal(b, kept[1])
+
+
+@pytest.mark.skipif("numpy" not in LAPACK_BINDINGS,
+                    reason="numpy exports no ILP64 LAPACK on this platform")
+class TestNumpyBinding:
+    """The ctypes adapters over numpy's LAPACK solve as scipy's f2py wrappers do."""
+
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    def test_every_routine_matches_f2py_bit_for_bit(self, n, monkeypatch):
+        dl, d, du = _tridiagonal(n, n)
+        b = np.random.default_rng(n + 1).random(n)
+        ab, _ = _banded(n, n + 2)
+        x = {}
+        for name in ("numpy", "flapack"):
+            use_binding(monkeypatch, name)
+            x[name] = (mesh.solve_tridiagonal("demo", *copies(dl, d, du, b)),
+                       mesh.solve_banded("demo", 3, 3, *copies(ab, b)))
+        for ours, theirs in zip(x["numpy"], x["flapack"]):
+            assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+
+    def test_read_only_arrays_are_never_written(self, monkeypatch):
+        """A read-only array (a cached band, say) is rejected, not written."""
+        use_binding(monkeypatch, "numpy")
+        diag, upper, lower = bands(laplacian_apply, Grid(16, 1.0), "dirichlet0")
+        kept = copies(diag, upper, lower)
+        with pytest.raises(ValueError, match="LAPACK argument diag must be .* read-only"):
+            mesh.solve_tridiagonal("demo", lower.copy(), diag, upper.copy(), np.ones(16))
         assert all(np.array_equal(a, k) for a, k in zip((diag, upper, lower), kept))
 
-    def test_wrong_arguments_never_reach_lapack(self):
-        numpy = BINDINGS["numpy"]
+    def test_wrong_arguments_never_reach_lapack(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("LAPACK was called")
+
+        monkeypatch.setattr(mesh, "_gtsv", unreachable)
+        monkeypatch.setattr(mesh, "_gbsv", unreachable)
         dl, d, du = _tridiagonal(8, 0)
-        with pytest.raises(ValueError, match=r"argument dl must be .* \(7,\), got float64 \(6,\)"):
-            numpy.dgtsv(dl[1:], d, du, np.ones(8))
+        with pytest.raises(ValueError, match=r"argument lower must be .* \(7,\), got float64 \(6,\)"):
+            mesh.solve_tridiagonal("demo", dl[1:], d, du, np.ones(8))
         with pytest.raises(ValueError, match=r"argument b must be .* \(8,\), got float64 \(9,\)"):
-            numpy.dgtsv(dl, d, du, np.ones(9))
-        with pytest.raises(ValueError, match="argument d must be a Fortran-ordered float64"):
-            numpy.dgtsv(dl, d.astype(np.float32), du, np.ones(8))
+            mesh.solve_tridiagonal("demo", dl, d, du, np.ones(9))
+        with pytest.raises(ValueError, match=r"argument diag must be .* got float32 \(8,\)"):
+            mesh.solve_tridiagonal("demo", dl, d.astype(np.float32), du, np.ones(8))
         with pytest.raises(ValueError, match="argument b must be .* got list"):
-            numpy.dgtsv(dl, d, du, [1.0] * 8)
-        with pytest.raises(ValueError, match=r"argument du must be .* \(7,\) in another order"):
-            numpy.dgtsv(dl, d, np.ones(14)[::2], np.ones(8))
+            mesh.solve_tridiagonal("demo", dl, d, du, [1.0] * 8)
+        with pytest.raises(ValueError, match=r"argument upper must be .* \(7,\), not Fortran-ordered"):
+            mesh.solve_tridiagonal("demo", dl, d, np.ones(14)[::2], np.ones(8))
         ab, b = _banded(8, 0)
         with pytest.raises(ValueError, match=r"argument ab must be .* \(10, 8\), got float64 \(9, 8\)"):
-            numpy.dgbsv(3, 3, ab[1:], b)
-        with pytest.raises(ValueError, match=r"argument ab must be .* \(10, 8\) in another order"):
-            numpy.dgbsv(3, 3, np.ascontiguousarray(ab), b)
+            mesh.solve_banded("demo", 3, 3, ab[1:], b)
+        with pytest.raises(ValueError, match=r"argument ab must be .* \(10, 8\), not Fortran-ordered"):
+            mesh.solve_banded("demo", 3, 3, np.ascontiguousarray(ab), b)
 
     def test_lookup_falls_back_to_the_numpy_1_spelling(self, monkeypatch):
         real = ctypes.CDLL

@@ -26,7 +26,7 @@ from chns1d.solver import (
     solve_momentum,
     solve_mu,
 )
-from conftest import LADDER, make_forced_spec
+from conftest import LADDER, LAPACK_BINDINGS, copies, make_forced_spec, use_binding
 
 FORCED_DEFAULT = "forcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 
@@ -264,9 +264,9 @@ class TestUpwindFlux:
         assert np.max(np.abs(advective - flux_div)) <= 1e-13 * np.max(np.abs(flux_div))
 
 
-def _banded_oracle(routine, args):
-    """Solution of one recorded LAPACK system by scipy.linalg.solve_banded."""
-    if routine is mesh.lapack.dgtsv:
+def _banded_oracle(solve, args):
+    """Solution of one recorded banded system by scipy.linalg.solve_banded."""
+    if solve is mesh.solve_tridiagonal:
         dl, d, du, b = args
         return solve_banded((1, 1), np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]]), b)
     _, _, ab, b = args
@@ -275,24 +275,27 @@ def _banded_oracle(routine, args):
 
 
 def _forced_default_systems(n, monkeypatch):
-    """(name, routine, arguments, solution) of every LAPACK solve of one
-    forced-default Picard step from its third iterate, in call order."""
+    """(name, solve, arguments, solution) of every banded LAPACK solve of one
+    forced-default Picard step from its third iterate, in call order; ``solve``
+    is :func:`mesh.solve_tridiagonal` or :func:`mesh.solve_banded`."""
     spec = parse_config_text(f"domain.n_cells = {n}\n{FORCED_DEFAULT}").spec
     state = constant_state(spec, 0.1)
     for _ in range(2):
         state, _ = picard_step(state, 1.0, 0.1, spec, 1.0)
 
     calls = []
-    real = mesh.lapack_call
 
-    def recording(name, routine, *args, **kwargs):
-        copies = [a.copy(order="K") if isinstance(a, np.ndarray) else a for a in args]
-        out = real(name, routine, *args, **kwargs)
-        calls.append((name, routine, copies, out[-1].copy()))
-        return out
+    def recording(solve):
+        def record(name, *args):
+            kept = copies(*args)
+            x = solve(name, *args)
+            calls.append((name, solve, kept, x.copy()))
+            return x
+        return record
 
     with monkeypatch.context() as patch:
-        patch.setattr(mesh, "lapack_call", recording)
+        for solve in (mesh.solve_tridiagonal, mesh.solve_banded):
+            patch.setattr(mesh, solve.__name__, recording(solve))
         picard_step(state, 1.0, 0.1, spec, 1.0)
     return calls
 
@@ -304,23 +307,23 @@ class TestLapackSolves:
     def test_forced_default_systems_match_solve_banded(self, n, monkeypatch):
         """Two LAPACK calls per Picard step; the Laplacians need none."""
         calls = _forced_default_systems(n, monkeypatch)
-        assert [(name, routine) for name, routine, _, _ in calls] == [
-            ("(rho, u) block", mesh.lapack.dgbsv),
-            ("continuity", mesh.lapack.dgtsv),
+        assert [(name, solve) for name, solve, _, _ in calls] == [
+            ("(rho, u) block", mesh.solve_banded),
+            ("continuity", mesh.solve_tridiagonal),
         ]
-        for name, routine, args, x in calls:
-            want = _banded_oracle(routine, args)
+        for name, solve, args, x in calls:
+            want = _banded_oracle(solve, args)
             assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_forced_default_systems_solve_identically_through_both_bindings(self, n, monkeypatch):
         """numpy's LAPACK and scipy's _flapack, the fallback, give the same bits
         on every system of a step."""
-        flapack = mesh._load_flapack()
-        for name, routine, args, x in _forced_default_systems(n, monkeypatch):
-            r = "dgtsv" if routine is mesh.lapack.dgtsv else "dgbsv"
-            for binding in (mesh.lapack, flapack):
-                assert np.array_equal(mesh.lapack_call(name, getattr(binding, r), *args)[-1], x), name
+        for name, solve, args, x in _forced_default_systems(n, monkeypatch):
+            for binding in sorted(LAPACK_BINDINGS):
+                with monkeypatch.context() as patch:
+                    use_binding(patch, binding)
+                    assert np.array_equal(solve(name, *copies(*args)), x), (name, binding)
 
     def test_singular_continuity_is_named(self, forced_spec, monkeypatch):
         n = forced_spec.grid.n_cells

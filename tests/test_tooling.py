@@ -88,12 +88,14 @@ first = sys.argv[1]
 if first == "scipy":
     import scipy.linalg
 import numpy as np
-from chns1d import mesh, solver
+from chns1d import mesh
 from scipy.linalg import lapack
 off, d = np.ones(7), np.arange(4.0, 12.0)
-print(mesh.lapack.dgtsv is (mesh._dgtsv if mesh._routines else lapack.dgtsv),
-      solver.lapack is mesh.lapack,
-      np.array_equal(mesh.lapack.dgtsv(off, d, off, np.ones(8))[3], lapack.dgtsv(off, d, off, np.ones(8))[3]))
+print((mesh._gtsv, mesh._gbsv) == ((mesh._numpy_gtsv, mesh._numpy_gbsv) if mesh._routines
+                                   else (mesh._flapack_gtsv, mesh._flapack_gbsv)),
+      "scipy.linalg._flapack" in sys.modules and sys.modules["scipy.linalg._flapack"] is lapack._flapack,
+      np.array_equal(mesh.solve_tridiagonal("probe", off.copy(), d.copy(), off.copy(), np.ones(8)),
+                     lapack.dgtsv(off, d, off, np.ones(8))[3]))
 """
 
 
@@ -115,7 +117,8 @@ ctypes.CDLL = NoSymbols
 FALLBACK_SOLVE = NO_NUMPY_LAPACK + """
 import sys
 from chns1d import cli, mesh
-assert mesh.lapack is sys.modules["scipy.linalg._flapack"] and "scipy.linalg" not in sys.modules
+assert (mesh._gtsv, mesh._gbsv) == (mesh._flapack_gtsv, mesh._flapack_gbsv)
+assert "scipy.linalg._flapack" in sys.modules and "scipy.linalg" not in sys.modules
 sys.exit(cli.main(sys.argv[1:]))
 """
 
