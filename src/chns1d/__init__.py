@@ -7,40 +7,10 @@ damped fixed-point solver (one stage by default, or a load-factor and
 regularization continuation ladder), diagnostics for the
 energies/constraints/limit trends of the model, and a deterministic
 file-driven command line.
-"""
 
-from .mesh import Field, Grid
-from .potential import (
-    PotentialConstants,
-    PotentialParams,
-    F_delta,
-    dF_delta,
-    f2_delta,
-    f2_delta_prime,
-    f2_delta_prime2,
-    f2_singular,
-    figure1_table,
-    pressure,
-)
-from .solver import (
-    ConvergenceLog,
-    FluidParams,
-    MmsSources,
-    ProblemSpec,
-    SolveControls,
-    State,
-    SweepReport,
-    constant_state,
-    continuation_solve,
-    delta_sweep,
-    eps_sweep,
-    picard_step,
-    solve_c,
-    solve_continuity,
-    solve_flow_coupled,
-    solve_momentum,
-    solve_mu,
-)
-from .diagnostics import DiagnosticsReport, compute_report
+The modules (``chns1d.mesh``, ``potential``, ``solver``, ``diagnostics``,
+``config``, ``cli``) are the API: the package root re-exports nothing, so
+``import chns1d`` loads none of them.
+"""
 
 __version__ = "0.1.0"

@@ -197,7 +197,7 @@ def norms(state: "State", spec: "ProblemSpec") -> dict:
         "c": mesh.gradient_of(state.c.values, "neumann", h),
     }
     seminorms = {key: float(np.sqrt(mesh.integral_of(d * d, h))) for key, d in grads.items()}
-    return {"lp": lp, "lp_exponents": exps, "grad": seminorms}
+    return {"lp": lp, "grad": seminorms}
 
 
 def mean_projection_residuals(

@@ -249,25 +249,26 @@ def F_delta(c, p: PotentialParams):
     return _ret(f2_delta(arr, p) - 0.5 * p.thetac * arr * arr, scalar)
 
 
-def guarded_power(rho, k: float, rho_max: float = RHO_MAX_DEFAULT):
+def guarded_power(rho, k: float):
     """rho**k for rho >= 0 via exp(k ln rho), with an explicit overflow ceiling.
 
     Raises DomainError for negative or NaN arguments, and OverflowError above
-    ``rho_max`` or where rho**k exceeds the float range; 0**k is 0 for k > 0.
-    The density evaluators below call it first: its one scan is their domain check.
+    ``RHO_MAX_DEFAULT`` or where rho**k exceeds the float range; 0**k is 0 for
+    k > 0.  The density evaluators below call it first: its one scan is their
+    domain check.
     """
-    return guarded_powers(rho, (k,), rho_max)[0]
+    return guarded_powers(rho, (k,))[0]
 
 
-def guarded_powers(rho, ks: tuple[float, ...], rho_max: float = RHO_MAX_DEFAULT) -> tuple:
+def guarded_powers(rho, ks: tuple[float, ...]) -> tuple:
     """One :func:`guarded_power` of ``rho`` per exponent in ``ks``, from one
     domain scan and one logarithm, each with the bits of its own call."""
     arr, scalar = _prep(rho)
     lo, hi = arr.min(initial=np.inf), arr.max(initial=0.0)  # a NaN reaches both
     if not lo >= 0.0:
         raise DomainError("guarded_power requires rho >= 0 (NaN is rejected)")
-    if hi > rho_max:
-        raise OverflowError(f"density {hi:g} exceeds rho_max={rho_max:g} in power evaluation")
+    if hi > RHO_MAX_DEFAULT:
+        raise OverflowError(f"density {hi:g} exceeds rho_max={RHO_MAX_DEFAULT:g} in power evaluation")
     pos = None if lo > 0.0 else arr > 0.0  # no vacuum cell, no mask
     base = arr if pos is None else arr[pos]
     log_base = np.log(base)
@@ -286,10 +287,9 @@ def guarded_powers(rho, ks: tuple[float, ...], rho_max: float = RHO_MAX_DEFAULT)
     return tuple(powers)
 
 
-def artificial_pressure(rho, delta: float, exponent: int = 11,
-                        rho_max: float = RHO_MAX_DEFAULT):
+def artificial_pressure(rho, delta: float, exponent: int = 11):
     """Integrability-restoring pressure term rho**exponent / ln(1/delta)."""
-    return guarded_power(rho, exponent, rho_max) / np.log(1.0 / delta)
+    return guarded_power(rho, exponent) / np.log(1.0 / delta)
 
 
 def pressure(rho, fp: "FluidParams"):

@@ -17,6 +17,9 @@ factor sigma in (0, 1] scales every nonlinear right side.  By default the
 solver runs one stage, sigma = 1 at eps = 1e-3, from the constant state; a
 longer ``sigma_schedule`` ramps sigma to 1 and a longer ``eps_schedule`` walks
 eps down, as a continuation ladder for problems the one stage cannot reach.
+Every stage gets one attempt: a persistently rising residual raises
+:class:`DivergenceError` and a stage that runs out of ``max_picard`` raises
+:class:`NotConverged`, each naming the stage's sigma and eps.
 
 Each iteration lags the nonlinear couplings at the previous iterate (no global
 Newton linearization), all in one :class:`Lagged` record per step that
@@ -651,34 +654,20 @@ def continuation_solve(
     :func:`picard_step` until the residual reaches tol_rel; a stage that spends
     max_picard steps above it raises :class:`NotConverged`.  The damping
     factor starts each stage at ``controls.damping`` and is halved, down to
-    1/8, whenever a residual exceeds the one before.  If a sigma stage
-    diverges, the sigma step is bisected once before the failure is raised;
-    the :class:`DivergenceError` names the stage's sigma and eps in its
-    message only, as no attribute carries them.
+    1/8, whenever a residual exceeds the one before.  Each stage gets one
+    attempt: five consecutive residual rises totalling more than a factor ten
+    raise :class:`DivergenceError`, whose message names the stage's sigma and
+    eps, as no attribute carries them.
     """
     eps0 = controls.eps_schedule[0]
     stages = [(s, eps0) for s in controls.sigma_schedule]
     stages += [(1.0, e) for e in controls.eps_schedule[1:]]
-    ramp_len = len(controls.sigma_schedule)
 
     state = initial_state if initial_state is not None else constant_state(spec, eps0)
     log = ConvergenceLog()
-    bisected = False
-    i = 0
-    while i < len(stages):
-        sigma, eps = stages[i]
-        try:
-            state, stage_log = _run_stage(state, sigma, eps, spec, controls)
-        except DivergenceError:
-            if i < ramp_len and not bisected:
-                prev_sigma = stages[i - 1][0] if i > 0 else 0.0
-                stages.insert(i, (0.5 * (prev_sigma + sigma), eps))
-                ramp_len += 1
-                bisected = True
-                continue
-            raise
+    for sigma, eps in stages:
+        state, stage_log = _run_stage(state, sigma, eps, spec, controls)
         log.stages.append(stage_log)
-        i += 1
     return state, log
 
 
@@ -696,10 +685,6 @@ class SweepReport:
     reports: list  # DiagnosticsReport or None per value
     states: list   # State or None per value
     logs: list     # ConvergenceLog or None per value
-
-    @property
-    def any_failed(self) -> bool:
-        return any(s != "ok" for s in self.statuses)
 
 
 # Errors that end one solve; sweeps record them per value, commands exit 1.

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,11 +169,18 @@ class TestNorms:
             assert n2["lp"][key] == pytest.approx(3.0 * n1["lp"][key], rel=1e-12)
 
     def test_exponent_set(self, pot, fluid):
-        spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=1.0, m2=0.0)
-        nm = norms(constant_state(spec, 1e-2), spec)
-        assert nm["lp_exponents"] == {
-            "6/5": 1.2, "3/2": 1.5, "gamma": 2.0, "2": 2.0, "s": 1.5,
-        }
+        grid = Grid(64, 1.0)
+        h, x = grid.spacing_h, grid.cell_centers()
+        rho = 1.0 + 0.6 * np.cos(np.pi * x)
+        state = synthetic_state(grid, rho, 0.0, 0.0, 0.0)
+        # at gamma = 2 the keys "gamma" and "2", and "s" and "3/2", share an exponent
+        for gam in (fluid.gamma, 2.5):
+            spec = ProblemSpec(grid, pot, replace(fluid, gamma=gam), m1=1.0, m2=0.0)
+            exps = {"6/5": 6 / 5, "3/2": 3 / 2, "gamma": gam, "2": 2.0, "s": 3.0 - 3.0 / gam}
+            lp = norms(state, spec)["lp"]
+            assert lp.keys() == exps.keys()
+            for key, p in exps.items():
+                assert lp[key] == pytest.approx((h * np.sum(rho**p)) ** (1.0 / p), rel=1e-12)
 
 
 class TestReport:

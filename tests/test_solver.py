@@ -551,21 +551,30 @@ class TestContinuation:
                 b = getattr(states[1], name).values
                 assert np.max(np.abs(a - b)) <= 10 * tol * (1.0 + np.max(np.abs(a)))
 
-    def test_sigma_bisection_inserts_stage(self, forced_spec, monkeypatch):
+    def test_diverging_stage_is_not_retried(self, forced_spec, monkeypatch):
         calls = []
         original = solver._run_stage
 
         def flaky(state, sigma, eps, spec, controls):
             calls.append(sigma)
-            if sigma == 1.0 and 1.0 not in calls[:-1]:
+            if sigma == 1.0:
                 raise solver.DivergenceError("synthetic stage failure sigma=1, eps=0.1")
             return original(state, sigma, eps, spec, controls)
 
         monkeypatch.setattr(solver, "_run_stage", flaky)
         ctl = SolveControls(sigma_schedule=(0.5, 1.0), eps_schedule=(1e-1,))
-        _, log = continuation_solve(forced_spec, ctl)
-        sigmas = [s.sigma for s in log.stages]
-        assert sigmas == [0.5, 0.75, 1.0]
+        with pytest.raises(solver.DivergenceError, match="synthetic"):
+            continuation_solve(forced_spec, ctl)
+        assert calls == [0.5, 1.0]
+
+    def test_large_cos_forcing_diverges_at_its_stage(self):
+        # one of the 216-config grid's four divergent configs; the error names its stage
+        cfg = parse_config_text(
+            "domain.n_cells = 128\nforcing.g1.kind = cos\nforcing.g1.amplitude = 20\n"
+            "problem.m1 = 0.5\nproblem.m2 = 0.15\nfluid.lambda1 = 0.1\nsolver.max_picard = 300\n"
+        )
+        with pytest.raises(solver.DivergenceError, match=r"sigma=1, eps=0\.001 "):
+            continuation_solve(cfg.spec, cfg.controls)
 
     def test_divergence_reports_stage(self, forced_spec, monkeypatch):
         def always_fail(state, sigma, eps, spec, controls):
@@ -716,7 +725,6 @@ class TestSweeps:
         sweep = delta_sweep(forced_spec, (0.2, 0.1, 0.05), ctl)
         assert sweep.statuses == ["ok", "failed(DivergenceError)", "ok"]
         assert sweep.reports[1] is None and sweep.states[1] is None
-        assert sweep.any_failed
 
     @pytest.mark.parametrize("run, values", [
         (delta_sweep, (0.2, 0.1, 0.05)),

@@ -82,6 +82,12 @@ def test_cli_import_leaves_out_checks():
     assert out.strip() == "False"
 
 
+def test_package_import_loads_no_submodule():
+    # the modules are the API: the package root re-exports nothing
+    out = _run("-c", "import sys, chns1d; print(sorted(m for m in sys.modules if m.startswith('chns1d.')))")
+    assert out.strip() == "[]"
+
+
 ROUTINES_PROBE = """
 import sys
 first = sys.argv[1]
