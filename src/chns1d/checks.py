@@ -10,19 +10,21 @@ the failing quantity directly; a solver suite whose solve raises one of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import diagnostics, mesh, potential, solver
 from .config import RunConfig
 from .mesh import Field, Grid
+from .record import Record
 
 __all__ = ["CheckResult", "run_all_checks"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    """One row of a check suite: its name, pass/fail, and the numeric detail."""
+
     name: str
     passed: bool
     detail: str

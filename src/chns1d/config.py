@@ -14,13 +14,14 @@ field's.  The forcing, output, sweep and table keys belong to no type.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
 
 from .mesh import Field, Grid
 from .potential import PotentialParams
+from .record import Record
 from .solver import FluidParams, ProblemSpec, SolveControls
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config", "DEFAULTS"]
@@ -90,8 +91,7 @@ DEFAULTS: dict[str, str] = {
 _FORCING_KINDS = ("zero", "sin", "cos", "bump")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated configuration: problem objects plus output options."""
 
     spec: ProblemSpec

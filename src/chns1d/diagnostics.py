@@ -12,11 +12,11 @@ of the density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import mesh, potential
+from .record import Record
 from .solver import ProblemSpec, State, _c_mass_target, _c_rhs, _mu_rhs, _upwind_flux, lagged_phase
 
 __all__ = [
@@ -51,8 +51,7 @@ _TENT_CENTERS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 _TENT_HALF_WIDTH = 0.1
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(Record):
     """All monitored quantities for one state."""
 
     total_energy: float

@@ -37,13 +37,15 @@ import ctypes
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+from .record import Record
 
 __all__ = [
     "Grid",
@@ -183,7 +185,7 @@ class SingularSystemError(RuntimeError):
 
 
 def integer_field(obj, name: str, least: int) -> None:
-    """Store the field ``name`` of the frozen dataclass ``obj`` as an ``int``,
+    """Store the field ``name`` of the frozen record ``obj`` as an ``int``,
     or raise a ValueError naming the field unless its value is an integer
     (256 or 256.0, not 2.5 or "256") of at least ``least``."""
     value = getattr(obj, name)
@@ -196,8 +198,7 @@ def integer_field(obj, name: str, least: int) -> None:
     object.__setattr__(obj, name, int(value))
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform grid of n_cells cells on (0, length_L)."""
 
     n_cells: int
@@ -226,8 +227,7 @@ class Grid:
         return Field(self, np.zeros(self.n_cells))
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Grid function stored at cell centers."""
 
     grid: Grid

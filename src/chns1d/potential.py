@@ -25,11 +25,12 @@ from any thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import FluidParams
@@ -73,8 +74,7 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of a closed-form evaluator."""
 
 
-@dataclass(frozen=True)
-class PotentialParams:
+class PotentialParams(Record):
     """Temperature scales and regularization width of the mixing potential.
 
     ``0 < theta0 < thetac`` is required so that the effective potential is a
@@ -94,8 +94,7 @@ class PotentialParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class PotentialConstants:
+class PotentialConstants(Record):
     """Structural constants of the regularized potential.
 
     ``c_star``: point beyond which dF_delta(c)*c is positive at every width

@@ -41,7 +41,7 @@ the M-matrix upwind continuity solve for the damped velocity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from functools import partial, wraps
 from itertools import starmap
 from typing import Callable, NamedTuple, Optional
@@ -57,6 +57,7 @@ from .potential import (
     pressure,
     pressure_slope,
 )
+from .record import Record
 
 __all__ = [
     "FluidParams",
@@ -96,8 +97,7 @@ class NotConverged(RuntimeError):
     """A stage spent ``max_picard`` iterations with the residual still above tol_rel."""
 
 
-@dataclass(frozen=True)
-class FluidParams:
+class FluidParams(Record):
     """Adiabatic exponent, viscosities, mixing coefficient, artificial-pressure exponent."""
 
     gamma: float = 2.0
@@ -117,7 +117,7 @@ class FluidParams:
         if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if self.gamma <= 1.5:
-            # level 3 skips the dataclass-generated __init__ to the constructing line
+            # level 3 skips Record.__init__ to the constructing line
             warnings.warn(
                 f"gamma={self.gamma} <= 3/2 lies outside the regime the analysis covers",
                 stacklevel=3,
@@ -132,8 +132,7 @@ class FluidParams:
         return 2.0 * self.lambda1 + self.lambda2
 
 
-@dataclass(frozen=True)
-class MmsSources:
+class MmsSources(Record):
     """Optional per-equation manufactured sources (verification mode)."""
 
     continuity: Optional[Field] = None
@@ -142,8 +141,7 @@ class MmsSources:
     c: Optional[Field] = None
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """Domain, parameters, masses, forcing, and regularization of one problem."""
 
     grid: Grid
@@ -181,8 +179,7 @@ class ProblemSpec:
         return self.m2 / self.m1
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """Solution quadruple (rho, u, mu, c) as grid functions."""
 
     rho: Field
@@ -199,8 +196,7 @@ class State:
             raise ValueError("rho must be nonnegative everywhere")
 
 
-@dataclass(frozen=True)
-class SolveControls:
+class SolveControls(Record):
     """Continuation schedules and fixed-point iteration controls; ``damping`` is
     the starting factor of each stage, halved on each residual rise, down to 1/8.
 
@@ -582,8 +578,7 @@ def _diverged(residuals: list[float]) -> bool:
     return rising and tail[-1] > 10.0 * tail[0]
 
 
-@dataclass
-class StageLog:
+class StageLog(Record):
     """Residual, damping and mass history of one (sigma, eps) continuation stage."""
 
     sigma: float
@@ -597,8 +592,7 @@ class StageLog:
         return len(self.residuals)
 
 
-@dataclass
-class ConvergenceLog:
+class ConvergenceLog(Record):
     """Per-stage histories of one continuation run."""
 
     stages: list[StageLog] = field(default_factory=list)
@@ -675,8 +669,7 @@ def continuation_solve(
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """Per-value outcomes of a regularization sweep."""
 
     key: str

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The tests import the package from source and write no bytecode cache into
+# the source tree: a stray cache would change the start-up of later uncached runs.
+sys.dont_write_bytecode = True
 
 from chns1d import mesh
 from chns1d.mesh import Grid

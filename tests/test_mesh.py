@@ -1,4 +1,6 @@
 import ctypes
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +62,49 @@ class TestGridField:
         with pytest.raises(NonFiniteError, match=r"\(16 of 16 are not\)"):
             Field(g, np.full(16, np.nan))
         assert issubclass(NonFiniteError, ValueError)
+
+
+class TestRecord:
+    """Grid and Field are frozen records (``chns1d.record.Record``): they
+    behave as the frozen dataclasses they replace."""
+
+    @pytest.mark.parametrize("change", [
+        lambda g: setattr(g, "n_cells", 128),
+        lambda g: delattr(g, "length_L"),
+        lambda g: setattr(g, "extra", 1),
+        lambda g: setattr(g.zeros(), "values", np.ones(64)),
+        lambda g: delattr(g.zeros(), "grid"),
+    ], ids=["assign", "delete", "add", "assign-field-values", "delete-field-grid"])
+    def test_fields_cannot_change(self, change):
+        g = Grid(64, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change(g)
+        assert (g.n_cells, g.length_L) == (64, 1.0) and "extra" not in vars(g)
+
+    def test_equal_grids_share_a_hash(self):
+        # so that mesh.bands finds one cache entry per grid (test_bands_probed_once_per_grid)
+        a, b = Grid(64, 1.0), Grid(n_cells=64, length_L=1.0)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Grid(64, 2.0) and a != Grid(128, 1.0) and a != (64, 1.0)
+
+    @pytest.mark.parametrize("record, text", [
+        (Grid(64, 1.0), "Grid(n_cells=64, length_L=1.0)"),
+        # the values are declared field(repr=False)
+        (Field(Grid(16, 2.5), np.arange(16.0)), "Field(grid=Grid(n_cells=16, length_L=2.5))"),
+    ], ids=["Grid", "Field"])
+    def test_repr_is_the_dataclass_format(self, record, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((64,), {}, "Grid() missing required argument(s): 'length_L'"),
+        ((), {"length_L": 1.0}, "Grid() missing required argument(s): 'n_cells'"),
+        ((64, 1.0), {"h": 0.1}, "Grid() got an unexpected keyword argument 'h'"),
+        ((64,), {"length_L": 1.0, "n_cells": 32}, "Grid() got multiple values for argument 'n_cells'"),
+        ((64, 1.0, 0.1), {}, "Grid() takes 2 arguments but 3 were given"),
+    ], ids=["missing", "missing-first", "unexpected", "repeated", "too-many"])
+    def test_wrong_arguments_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Grid(*args, **kwargs)
 
 
 class TestGradient:

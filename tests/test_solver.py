@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -8,12 +10,15 @@ from _mms import build_manufactured, observed_orders
 from chns1d import mesh, solver
 from chns1d.config import parse_config_text
 from chns1d.mesh import Grid
-from chns1d.potential import dF_delta
+from chns1d.potential import PotentialParams, dF_delta
 from chns1d.solver import (
+    ConvergenceLog,
     FluidParams,
     ProblemSpec,
     SolveControls,
+    StageLog,
     State,
+    SweepReport,
     constant_state,
     continuation_solve,
     delta_sweep,
@@ -56,7 +61,7 @@ class TestParamValidation:
     def test_fluid_gamma_warning(self):
         with pytest.warns(UserWarning, match="gamma=1.4") as record:
             FluidParams(gamma=1.4)
-        # it points at the constructing line, not into the generated __init__ (<string>)
+        # it points at the constructing line, not into Record.__init__
         assert [w.filename for w in record] == [__file__]
 
     def test_spec_invalid_masses(self, pot, fluid):
@@ -82,6 +87,66 @@ class TestParamValidation:
         g = Grid(16, 1.0)
         with pytest.raises(ValueError):
             State(g.field(-1.0), g.zeros(), g.zeros(), g.zeros())
+
+
+def _same(a, b) -> bool:
+    """Whether two values hold the same data, field by field for records."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, list):
+        return type(b) is list and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class TestRecords:
+    """The parameter, state and log types are frozen records
+    (``chns1d.record.Record``) with the behaviour of frozen dataclasses."""
+
+    def test_controls_repr_is_the_dataclass_format(self):
+        assert repr(SolveControls()) == (
+            "SolveControls(sigma_schedule=(1.0,), damping=1.0, max_picard=500, "
+            "tol_rel=1e-08, eps_schedule=(0.001,))"
+        )
+
+    @pytest.mark.parametrize("record, change, message", [
+        (PotentialParams(), {"delta": 1.5}, r"^delta must lie in \(0, 1\), got 1\.5$"),
+        (FluidParams(), {"lambda1": 0.0}, r"^lambda1 must be positive"),
+        (SolveControls(), {"max_picard": 2.5}, r"^max_picard must be an integer >= 1"),
+        (Grid(64, 1.0), {"n_cells": 4}, r"^n_cells must be an integer >= 8"),
+    ], ids=["delta", "lambda1", "max_picard", "n_cells"])
+    def test_replace_validates_again(self, record, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(record, **change)
+
+    @pytest.mark.parametrize("record, name", [
+        (StageLog(1.0, 1e-3), "residuals"),
+        (ConvergenceLog(), "stages"),
+        (SweepReport("delta", (0.1,), [], [], [], []), "statuses"),
+    ], ids=["StageLog", "ConvergenceLog", "SweepReport"])
+    def test_logs_are_frozen_but_their_lists_grow(self, record, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, [])
+        getattr(record, name).append(None)
+        assert getattr(record, name) == [None]
+
+    def test_default_factories_give_each_log_its_own_list(self):
+        a, b = StageLog(1.0, 1e-3), StageLog(sigma=1.0, eps=1e-3)
+        a.residuals.append(1.0)
+        assert b.residuals == [] and b.dampings == [] and a.dampings is not b.dampings
+        assert ConvergenceLog().stages is not ConvergenceLog().stages
+
+    def test_pool_payloads_survive_pickling(self, forced_spec, controls):
+        """A worker of the pooled sweep receives a ProblemSpec and returns a
+        State and a ConvergenceLog: pickling keeps every field."""
+        state, log = continuation_solve(forced_spec, controls)
+        for payload in (forced_spec, state, log):
+            back = pickle.loads(pickle.dumps(payload))
+            assert back is not payload and _same(back, payload)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.stages = []
 
 
 class TestContinuity:
