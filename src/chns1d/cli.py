@@ -15,10 +15,13 @@ Subcommands:
 * ``check`` executes the built-in verification suites and exits nonzero on
   any failure.
 
-All numeric output uses ``%.12e`` formatting with LF line endings, and every
-code path is deterministic: identical configurations produce byte-identical
-files, including under parallel sweep execution (results are buffered and
-written in input order).
+This module formats every output file, with ``%.12e`` numbers and LF line
+endings: :func:`_kv_text` writes a record's fields as ``name = value``
+lines (``report.txt``, ``constants.txt``), :func:`_table_text` a table of
+float columns (``fields.csv``, ``potential.csv``), and the report's fields
+are also the columns of ``sweep.csv``.  Every code path is deterministic:
+identical configurations produce byte-identical files, including under
+parallel sweep execution (results are buffered and written in input order).
 
 Exit codes: 0 on success, 1 on a solver failure (one of
 ``solver.SOLVER_ERRORS``, ``NotConverged`` included) or an I/O error, 2 on a
@@ -37,6 +40,7 @@ import argparse
 import gc
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -68,13 +72,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _kv_text(record) -> str:
+    """``name = value`` per field of a record, in field order."""
+    return "".join(f"{f.name} = {_fmt(getattr(record, f.name))}\n" for f in fields(record))
+
+
+def _table_text(header, columns) -> str:
+    """A CSV of equal-length float columns, formatted by one ``%`` over a row
+    template; the text is the same as per-cell :func:`_fmt`."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.12e"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def _fields_text(state: solver.State) -> str:
-    """``fields.csv``: the header, then x, rho, u, mu, c per cell, formatted by
-    one ``%`` over a row template; the text is the same as per-cell :func:`_fmt`."""
-    x = state.rho.grid.cell_centers()
-    cols = (x, state.rho.values, state.u.values, state.mu.values, state.c.values)
-    row = ",".join(["%.12e"] * len(cols)) + "\n"
-    return "x,rho,u,mu,c\n" + (row * x.size) % tuple(np.column_stack(cols).ravel().tolist())
+    """``fields.csv``: x, rho, u, mu, c per cell."""
+    cols = (state.rho.grid.cell_centers(), state.rho.values, state.u.values,
+            state.mu.values, state.c.values)
+    return _table_text(("x", "rho", "u", "mu", "c"), cols)
 
 
 def _fields_name(sweep_key: str, value: float) -> str:
@@ -86,15 +101,8 @@ def cmd_potential(cfg: RunConfig, out_dir: Path) -> int:
     """Write the tabulated potential curves and the structural constants."""
     p = cfg.spec.potential
     table = potential.figure1_table(p, cfg.table_grid)
-    rows = [[_fmt(v) for v in row] for row in table]
-    _write_csv(out_dir / "potential.csv", list(potential.FIGURE1_COLUMNS), rows)
-    cons = potential.constants(p)
-    _write_text(
-        out_dir / "constants.txt",
-        f"c_star = {_fmt(cons.c_star)}\n"
-        f"spinodal = {_fmt(cons.spinodal)}\n"
-        f"bound_M_estimate = {_fmt(cons.bound_M_estimate)}\n",
-    )
+    _write_text(out_dir / "potential.csv", _table_text(potential.FIGURE1_COLUMNS, table.T))
+    _write_text(out_dir / "constants.txt", _kv_text(potential.constants(p)))
     return 0
 
 
@@ -107,7 +115,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         return 1
     _write_text(out_dir / "fields.csv", _fields_text(state))
     report = compute_report(state, cfg.spec, eps=log.final_eps)
-    _write_text(out_dir / "report.txt", report.to_kv_text())
+    _write_text(out_dir / "report.txt", _kv_text(report))
     conv_rows = [
         [str(si + 1), str(it + 1), _fmt(res), _fmt(d)]
         for si, stage in enumerate(log.stages)
@@ -146,23 +154,20 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
         return 2
 
     run = solver.delta_sweep if sweep_key == "delta" else solver.eps_sweep
-    if cfg.max_parallel == 1:
+    if cfg.max_parallel == 1 or len(values) == 1:
         sweep = run(cfg.spec, values, cfg.controls)
     else:
-        workers = min(cfg.max_parallel, max(len(values) - 1, 1))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.max_parallel, len(values) - 1)) as pool:
             sweep = run(cfg.spec, values, cfg.controls, partial(pool.map, _sweep_value_cold))
 
-    header = [sweep_key, "status"] + DiagnosticsReport.csv_header()
-    rows = []
-    for value, status, report in zip(values, sweep.statuses, sweep.reports):
-        cells = [_fmt(value), status]
-        if report is None:
-            cells += ["nan"] * len(DiagnosticsReport.csv_header())
-        else:
-            cells += [_fmt(v) for v in report.csv_values()]
-        rows.append(cells)
-    _write_csv(out_dir / "sweep.csv", header, rows)
+    columns = [f.name for f in fields(DiagnosticsReport)]
+    rows = [
+        [_fmt(value), status]
+        + (["nan"] * len(columns) if report is None
+           else [_fmt(getattr(report, name)) for name in columns])
+        for value, status, report in zip(values, sweep.statuses, sweep.reports)
+    ]
+    _write_csv(out_dir / "sweep.csv", [sweep_key, "status", *columns], rows)
 
     for value, state in zip(values, sweep.states):
         if state is not None:

@@ -52,52 +52,28 @@ _TENT_HALF_WIDTH = 0.1
 
 
 class DiagnosticsReport(Record):
-    """All monitored quantities for one state."""
+    """All monitored quantities for one state; its fields, in order, are the
+    keys of ``report.txt`` and the columns of ``sweep.csv`` (see :func:`norms`)."""
 
     total_energy: float
     ei_lhs: float
     ei_rhs: float
+    ei_slack: float
     mass1: float
     mass2: float
     art_pressure_norm: float
-    lp_norms: dict
-    grad_norms: dict
+    lp_6over5: float
+    lp_3over2: float
+    lp_gamma: float
+    lp_2: float
+    lp_s: float
+    grad_u: float
+    grad_mu: float
+    grad_c: float
     bound_violation: float
     continuity_residual: float
-    mean_projection_residuals: tuple
-
-    @property
-    def ei_slack(self) -> float:
-        return self.ei_rhs - self.ei_lhs
-
-    _CSV_LP = ("6/5", "3/2", "gamma", "2", "s")
-    _CSV_GRAD = ("u", "mu", "c")
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        cols = ["total_energy", "ei_lhs", "ei_rhs", "ei_slack", "mass1", "mass2",
-                "art_pressure_norm"]
-        cols += [f"lp_{k.replace('/', 'over')}" for k in DiagnosticsReport._CSV_LP]
-        cols += [f"grad_{k}" for k in DiagnosticsReport._CSV_GRAD]
-        cols += ["bound_violation", "continuity_residual", "proj_mu", "proj_c"]
-        return cols
-
-    def csv_values(self) -> list[float]:
-        vals = [self.total_energy, self.ei_lhs, self.ei_rhs, self.ei_slack,
-                self.mass1, self.mass2, self.art_pressure_norm]
-        vals += [self.lp_norms[k] for k in self._CSV_LP]
-        vals += [self.grad_norms[k] for k in self._CSV_GRAD]
-        vals += [self.bound_violation, self.continuity_residual,
-                 self.mean_projection_residuals[0], self.mean_projection_residuals[1]]
-        return vals
-
-    def to_kv_text(self) -> str:
-        """Flat key = value block with 13 significant digits."""
-        lines = [
-            f"{name} = {value:.12e}"
-            for name, value in zip(self.csv_header(), self.csv_values())
-        ]
-        return "\n".join(lines) + "\n"
+    proj_mu: float
+    proj_c: float
 
 
 def total_energy(state: "State", spec: "ProblemSpec") -> float:
@@ -176,27 +152,27 @@ def continuity_residual(state: "State") -> float:
 
 
 def norms(state: "State", spec: "ProblemSpec") -> dict:
-    """Lp norms of rho and H1 seminorms of u, mu, c.
+    """Lp norms of rho and H1 seminorms of u, mu, c, keyed by report column.
 
     The Lp exponents are 6/5, 3/2, gamma, 2, and the interpolation endpoint
-    s = 3 - 3/gamma; keys are the symbolic names used in the CSV columns.
+    s = 3 - 3/gamma.
     """
     h, rho = spec.grid.spacing_h, state.rho.values
     exps = {
-        "6/5": 1.2,
-        "3/2": 1.5,
-        "gamma": spec.fluid.gamma,
-        "2": 2.0,
-        "s": 3.0 - 3.0 / spec.fluid.gamma,
+        "lp_6over5": 1.2,
+        "lp_3over2": 1.5,
+        "lp_gamma": spec.fluid.gamma,
+        "lp_2": 2.0,
+        "lp_s": 3.0 - 3.0 / spec.fluid.gamma,
     }
-    lp = {key: float(mesh.integral_of(np.abs(rho) ** p, h) ** (1.0 / p)) for key, p in exps.items()}
+    out = {key: float(mesh.integral_of(np.abs(rho) ** p, h) ** (1.0 / p)) for key, p in exps.items()}
     grads = {
-        "u": mesh.gradient_of(state.u.values, "dirichlet0", h),
-        "mu": mesh.gradient_of(state.mu.values, "neumann", h),
-        "c": mesh.gradient_of(state.c.values, "neumann", h),
+        "grad_u": mesh.gradient_of(state.u.values, "dirichlet0", h),
+        "grad_mu": mesh.gradient_of(state.mu.values, "neumann", h),
+        "grad_c": mesh.gradient_of(state.c.values, "neumann", h),
     }
-    seminorms = {key: float(np.sqrt(mesh.integral_of(d * d, h))) for key, d in grads.items()}
-    return {"lp": lp, "grad": seminorms}
+    out.update((key, float(np.sqrt(mesh.integral_of(d * d, h)))) for key, d in grads.items())
+    return out
 
 
 def mean_projection_residuals(
@@ -214,8 +190,8 @@ def compute_report(
     state: "State", spec: "ProblemSpec", eps: float
 ) -> DiagnosticsReport:
     """Assemble the full report for one state (pure; safe to run concurrently)."""
-    lhs, rhs, _ = energy_inequality(state, spec)
-    nm = norms(state, spec)
+    lhs, rhs, slack = energy_inequality(state, spec)
+    proj_mu, proj_c = mean_projection_residuals(state, spec, eps)
     tau = TAU_SUPPORT_FACTOR * spec.rho0
     rho, h = state.rho.values, spec.grid.spacing_h
     art = potential.artificial_pressure(rho, spec.potential.delta, spec.fluid.art_exponent)
@@ -223,12 +199,13 @@ def compute_report(
         total_energy=total_energy(state, spec),
         ei_lhs=lhs,
         ei_rhs=rhs,
+        ei_slack=slack,
         mass1=mesh.integrate(state.rho),
         mass2=mesh.integral_of(rho * state.c.values, h),
         art_pressure_norm=mesh.integral_of(art, h),
-        lp_norms=nm["lp"],
-        grad_norms=nm["grad"],
+        **norms(state, spec),
         bound_violation=bound_violation(state, tau),
         continuity_residual=continuity_residual(state),
-        mean_projection_residuals=mean_projection_residuals(state, spec, eps),
+        proj_mu=proj_mu,
+        proj_c=proj_c,
     )

@@ -1,12 +1,14 @@
 import gc
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chns1d import cli
+from chns1d import cli, potential
 from chns1d.config import DEFAULTS, ConfigError, parse_config_text
+from chns1d.diagnostics import DiagnosticsReport
 from chns1d.mesh import Grid
 from chns1d.solver import SolveControls, State
 from conftest import LADDER
@@ -33,6 +35,9 @@ class _SerialExecutor:
 
     def map(self, fn, jobs):
         return [fn(job) for job in jobs]
+
+
+REPORT_COLUMNS = [f.name for f in fields(DiagnosticsReport)]
 
 
 def csv_column(path, name):
@@ -186,6 +191,22 @@ class TestCliPotential:
         assert cli.main(["potential", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "potential.csv").read_bytes() == (out2 / "potential.csv").read_bytes()
         assert (out1 / "constants.txt").read_bytes() == (out2 / "constants.txt").read_bytes()
+
+    def test_files_equal_per_cell_format(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["potential", "--out", str(out)]) == 0
+        cfg = parse_config_text("")
+        table = potential.figure1_table(cfg.spec.potential, cfg.table_grid)
+        assert table.shape == (601, 7)
+        want = ",".join(potential.FIGURE1_COLUMNS) + "\n" + "".join(
+            ",".join(f"{v:.12e}" for v in row) + "\n" for row in table
+        )
+        assert (out / "potential.csv").read_bytes() == want.encode()
+        cons = potential.constants(cfg.spec.potential)
+        want = (f"c_star = {cons.c_star:.12e}\n"
+                f"spinodal = {cons.spinodal:.12e}\n"
+                f"bound_M_estimate = {cons.bound_M_estimate:.12e}\n")
+        assert (out / "constants.txt").read_bytes() == want.encode()
 
     def test_curvature_column_zero_in_tail(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -423,7 +444,7 @@ class TestCliSweep:
         )
         assert rc == 0
         header, rows = read_csv(out / "sweep.csv")
-        assert header[:2] == ["delta", "status"]
+        assert header == ["delta", "status", *REPORT_COLUMNS]
         assert [r[1] for r in rows] == ["ok", "ok"]
         art = csv_column(out / "sweep.csv", "art_pressure_norm")
         assert art[0] > art[1]
@@ -443,6 +464,48 @@ class TestCliSweep:
         assert [r[1] for r in rows] == ["ok", "ok"]
         res = csv_column(out / "sweep.csv", "continuity_residual")
         assert res[0] > res[1] > 0.0
+
+    def test_eps_sweep_outputs_same_on_both_paths(self, tmp_path):
+        """An eps sweep names its first column and field files after eps, and
+        writes the same bytes whether or not a pool runs the later values."""
+        values = (0.1, 0.01, 0.001)
+        outs = []
+        for max_parallel in (1, 2):
+            cfg = tmp_path / f"run{max_parallel}.cfg"
+            cfg.write_text(FORCED_N64 + f"sweep.max_parallel = {max_parallel}\n")
+            out = tmp_path / f"out{max_parallel}"
+            rc = cli.main(
+                ["sweep", "--config", str(cfg), "--out", str(out),
+                 "--sweep-key", "eps", "--values", ",".join(map(str, values))]
+            )
+            assert rc == 0
+            outs.append(out)
+        seq, par = outs
+        header, rows = read_csv(seq / "sweep.csv")
+        assert header == ["eps", "status", *REPORT_COLUMNS]
+        assert [r[:2] for r in rows] == [[f"{v:.12e}", "ok"] for v in values]
+        names = sorted(p.name for p in seq.iterdir())
+        assert names == ["fields_eps_0.001.csv", "fields_eps_0.01.csv",
+                         "fields_eps_0.1.csv", "sweep.csv"]
+        assert names == sorted(p.name for p in par.iterdir())
+        for name in names:
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+    @pytest.mark.parametrize("key", ["delta", "eps"])
+    def test_one_value_builds_no_pool(self, tmp_path, monkeypatch, key):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a one-value sweep built a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FORCED_N64 + "sweep.max_parallel = 2\n")
+        out = tmp_path / "out"
+        rc = cli.main(
+            ["sweep", "--config", str(cfg), "--out", str(out), "--sweep-key", key, "--values", "0.1"]
+        )
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"fields_{key}_0.1.csv", "sweep.csv"]
 
     def test_parallel_sweep_byte_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from chns1d import diagnostics, mesh, potential
+from chns1d import cli, diagnostics, mesh, potential
 from chns1d.diagnostics import (
     DiagnosticsReport,
     bound_violation,
@@ -11,6 +11,7 @@ from chns1d.diagnostics import (
     constraint_check,
     continuity_residual,
     energy_inequality,
+    mean_projection_residuals,
     norms,
     total_energy,
 )
@@ -151,12 +152,15 @@ class TestContinuityResidual:
         assert continuity_residual(state) <= 1e-10
 
 
+LP_KEYS = ("lp_6over5", "lp_3over2", "lp_gamma", "lp_2", "lp_s")
+
+
 class TestNorms:
     def test_constant_density(self, pot, fluid):
         spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=1.0, m2=0.3)
         nm = norms(constant_state(spec, 1e-2), spec)
-        for val in nm["lp"].values():
-            assert val == pytest.approx(spec.rho0, rel=1e-12)
+        for key in LP_KEYS:
+            assert nm[key] == pytest.approx(spec.rho0, rel=1e-12)
 
     def test_homogeneity(self, pot, fluid):
         spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=1.0, m2=0.0)
@@ -165,44 +169,60 @@ class TestNorms:
         s1 = synthetic_state(spec.grid, rho, 0.0, 0.0, 0.0)
         s2 = synthetic_state(spec.grid, 3.0 * rho, 0.0, 0.0, 0.0)
         n1, n2 = norms(s1, spec), norms(s2, spec)
-        for key in n1["lp"]:
-            assert n2["lp"][key] == pytest.approx(3.0 * n1["lp"][key], rel=1e-12)
+        for key in LP_KEYS:
+            assert n2[key] == pytest.approx(3.0 * n1[key], rel=1e-12)
 
     def test_exponent_set(self, pot, fluid):
         grid = Grid(64, 1.0)
         h, x = grid.spacing_h, grid.cell_centers()
         rho = 1.0 + 0.6 * np.cos(np.pi * x)
         state = synthetic_state(grid, rho, 0.0, 0.0, 0.0)
-        # at gamma = 2 the keys "gamma" and "2", and "s" and "3/2", share an exponent
+        # at gamma = 2 the columns lp_gamma and lp_2, and lp_s and lp_3over2, share an exponent
         for gam in (fluid.gamma, 2.5):
             spec = ProblemSpec(grid, pot, replace(fluid, gamma=gam), m1=1.0, m2=0.0)
-            exps = {"6/5": 6 / 5, "3/2": 3 / 2, "gamma": gam, "2": 2.0, "s": 3.0 - 3.0 / gam}
-            lp = norms(state, spec)["lp"]
-            assert lp.keys() == exps.keys()
+            exps = dict(zip(LP_KEYS, (6 / 5, 3 / 2, gam, 2.0, 3.0 - 3.0 / gam)))
+            nm = norms(state, spec)
+            assert list(nm) == [*LP_KEYS, "grad_u", "grad_mu", "grad_c"]
             for key, p in exps.items():
-                assert lp[key] == pytest.approx((h * np.sum(rho**p)) ** (1.0 / p), rel=1e-12)
+                assert nm[key] == pytest.approx((h * np.sum(rho**p)) ** (1.0 / p), rel=1e-12)
 
 
 class TestReport:
     def test_fields_finite_and_residuals_tiny_on_constant_state(self, pot, fluid):
         spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=1.0, m2=0.3)
         rep = compute_report(constant_state(spec, 1e-2), spec, eps=1e-2)
-        for val in rep.csv_values():
-            assert np.isfinite(val)
+        for f in fields(rep):
+            assert np.isfinite(getattr(rep, f.name)), f.name
         assert rep.continuity_residual <= 1e-12
-        assert max(rep.mean_projection_residuals) <= 1e-12
+        assert max(rep.proj_mu, rep.proj_c) <= 1e-12
         assert rep.bound_violation == 0.0
+
+    def test_fields_are_the_columns_in_order(self):
+        assert [f.name for f in fields(DiagnosticsReport)] == [
+            "total_energy", "ei_lhs", "ei_rhs", "ei_slack", "mass1", "mass2",
+            "art_pressure_norm", "lp_6over5", "lp_3over2", "lp_gamma", "lp_2", "lp_s",
+            "grad_u", "grad_mu", "grad_c", "bound_violation", "continuity_residual",
+            "proj_mu", "proj_c",
+        ]
+
+    def test_fields_match_the_report_functions(self, forced_spec, controls):
+        state, log = continuation_solve(forced_spec, controls)
+        eps = log.final_eps
+        rep = compute_report(state, forced_spec, eps=eps)
+        lhs, rhs, slack = energy_inequality(state, forced_spec)
+        assert (rep.ei_lhs, rep.ei_rhs, rep.ei_slack) == (lhs, rhs, slack)
+        assert rep.ei_slack == rep.ei_rhs - rep.ei_lhs
+        assert (rep.proj_mu, rep.proj_c) == mean_projection_residuals(state, forced_spec, eps)
+        for key, value in norms(state, forced_spec).items():
+            assert getattr(rep, key) == value, key
 
     def test_serialization_roundtrip(self, forced_spec, controls):
         state, log = continuation_solve(forced_spec, controls)
         rep = compute_report(state, forced_spec, eps=log.final_eps)
-        header = DiagnosticsReport.csv_header()
-        values = rep.csv_values()
-        assert len(header) == len(values)
-        text = rep.to_kv_text()
-        lines = [ln for ln in text.splitlines() if ln]
-        assert len(lines) == len(header)
+        lines = cli._kv_text(rep).splitlines()
+        names = [f.name for f in fields(rep)]
+        assert [ln.split(" = ")[0] for ln in lines] == names
         parsed = {ln.split(" = ")[0]: float(ln.split(" = ")[1]) for ln in lines}
         assert parsed["mass1"] == pytest.approx(rep.mass1, rel=1e-12)
-        # every key parses back to its value rounded to the printed 13 digits
-        assert parsed == {k: float(f"{v:.12e}") for k, v in zip(header, values)}
+        # every field parses back to its value rounded to the printed 13 digits
+        assert parsed == {name: float(f"{getattr(rep, name):.12e}") for name in names}
