@@ -7,8 +7,9 @@ Subcommands:
 * ``solve`` runs the continuation solver and writes the solution fields
   (``fields.csv``), the diagnostics report (``report.txt``), and the residual
   history (``convergence.csv``).
-* ``sweep`` runs a delta or eps sweep and writes one diagnostics row per value
-  (``sweep.csv``) plus per-value field files.  The first value is solved
+* ``sweep`` runs a delta or eps sweep and, in one pass over the solver's
+  per-value rows, writes one diagnostics row per value (``sweep.csv``) plus
+  per-value field files.  The first value is solved
   cold, on the configured schedules, and every later value warm-starts from
   its solution (cold if it failed), whether the later values run in this
   process or on a pool.
@@ -24,7 +25,8 @@ identical configurations produce byte-identical files, including under
 parallel sweep execution (results are buffered and written in input order).
 
 Exit codes: 0 on success, 1 on a solver failure (one of
-``solver.SOLVER_ERRORS``, ``NotConverged`` included) or an I/O error, 2 on a
+``solver.SOLVER_ERRORS``, ``NotConverged`` included), an I/O error or an
+array too large to allocate (``out of memory: <message>``), 2 on a
 configuration or usage error.
 
 :func:`main` is the process entry point.  Its first statement freezes the
@@ -138,7 +140,9 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
     The first value is solved cold, on the configured schedules, and every
     later value warm-starts from its solution (cold if it failed);
     ``sweep.max_parallel > 1`` solves the later values on a process pool, with
-    the same output files.
+    the same output files.  One pass over the solver's rows builds the
+    ``sweep.csv`` rows and the failure list and writes each solved value's
+    field file.
     An invalid key or value list, or values whose field files would share a
     name, exit 2 before anything is solved.
     """
@@ -155,26 +159,22 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
 
     run = solver.delta_sweep if sweep_key == "delta" else solver.eps_sweep
     if cfg.max_parallel == 1 or len(values) == 1:
-        sweep = run(cfg.spec, values, cfg.controls)
+        rows = run(cfg.spec, values, cfg.controls)
     else:
         with ProcessPoolExecutor(max_workers=min(cfg.max_parallel, len(values) - 1)) as pool:
-            sweep = run(cfg.spec, values, cfg.controls, partial(pool.map, _sweep_value_cold))
+            rows = run(cfg.spec, values, cfg.controls, partial(pool.map, _sweep_value_cold))
 
     columns = [f.name for f in fields(DiagnosticsReport)]
-    rows = [
-        [_fmt(value), status]
-        + (["nan"] * len(columns) if report is None
-           else [_fmt(getattr(report, name)) for name in columns])
-        for value, status, report in zip(values, sweep.statuses, sweep.reports)
-    ]
-    _write_csv(out_dir / "sweep.csv", [sweep_key, "status", *columns], rows)
-
-    for value, state in zip(values, sweep.states):
-        if state is not None:
-            path = out_dir / _fields_name(sweep_key, value)
-            _write_text(path, _fields_text(state))
-
-    failed = [f"{v:g}: {s}" for v, s in zip(values, sweep.statuses) if s != "ok"]
+    csv_rows, failed = [], []
+    for value, (status, report, state, _) in zip(values, rows):
+        if report is None:
+            cells = ["nan"] * len(columns)
+            failed.append(f"{value:g}: {status}")
+        else:
+            cells = [_fmt(getattr(report, name)) for name in columns]
+            _write_text(out_dir / _fields_name(sweep_key, value), _fields_text(state))
+        csv_rows.append([_fmt(value), status, *cells])
+    _write_csv(out_dir / "sweep.csv", [sweep_key, "status", *columns], csv_rows)
     if failed:
         print("sweep: failures -> " + "; ".join(failed), file=sys.stderr)
         return 1
@@ -235,11 +235,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config is not None else parse_config_text("")
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "check":
             return cmd_check(cfg)
         out_dir = args.out if args.out is not None else cfg.output_dir
@@ -253,6 +248,12 @@ def main(argv=None) -> int:
             print(f"sweep: cannot parse values: {err}", file=sys.stderr)
             return 2
         return cmd_sweep(cfg, args.sweep_key, values, out_dir)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
+        return 1
     except OSError as err:
         print(str(err), file=sys.stderr)
         return 1

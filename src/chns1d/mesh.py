@@ -64,7 +64,6 @@ __all__ = [
     "solve_banded",
     "integrate",
     "integral_of",
-    "mean_shift",
     "integer_field",
     "BOUNDARY_CONDITIONS",
 ]
@@ -173,7 +172,7 @@ class SolvabilityError(ValueError):
 
 
 class DegenerateWeightError(ValueError):
-    """Weighted mean shift requested against a weight with vanishing integral."""
+    """A density-weighted constraint cannot pin a Neumann constant: its weight integral vanishes."""
 
 
 class NonFiniteError(ValueError):
@@ -291,19 +290,6 @@ def laplacian_apply(f: Field, bc: str) -> Field:
 def integrate(f: Field) -> float:
     """Midpoint quadrature (:func:`integral_of`) of a grid function."""
     return integral_of(f.values, f.grid.spacing_h)
-
-
-def mean_shift(f: Field, target_weighted_mean: float, weight: Field) -> Field:
-    """Add the constant s making integrate(weight * (f + s)) equal the target."""
-    w = weight.values
-    wint = integrate(weight)
-    tol = 1.0e-12 * max(1.0, float(np.abs(w).max()) * weight.grid.length_L)
-    if wint <= tol:
-        raise DegenerateWeightError(
-            f"weight integral {wint:g} is not positive enough to pin the constant"
-        )
-    s = (target_weighted_mean - integral_of(f.values * w, f.grid.spacing_h)) / wint
-    return Field(f.grid, f.values + s)
 
 
 @lru_cache(maxsize=64)

@@ -12,11 +12,12 @@ The unknown quadruple (rho, u, mu, c) satisfies, on (0, L) with eps in (0, 1):
 with u = 0 and zero normal derivatives for rho, mu, c at the walls,
 visc = 2 lambda1 + lambda2, and Pi the total plus artificial pressure.  Two
 integral constraints pin the Neumann constants: the rho-weighted means of c
-and mu are prescribed (the c one with eps-dependent corrections).  The load
-factor sigma in (0, 1] scales every nonlinear right side.  By default the
-solver runs one stage, sigma = 1 at eps = 1e-3, from the constant state; a
-longer ``sigma_schedule`` ramps sigma to 1 and a longer ``eps_schedule`` walks
-eps down, as a continuation ladder for problems the one stage cannot reach.
+and mu are prescribed (the c one with eps-dependent corrections), and one
+helper, ``_pin_constant``, imposes both.  The load factor sigma in (0, 1]
+scales every nonlinear right side.  By default the solver runs one stage,
+sigma = 1 at eps = 1e-3, from the constant state; a longer ``sigma_schedule``
+ramps sigma to 1 and a longer ``eps_schedule`` walks eps down, as a
+continuation ladder for problems the one stage cannot reach.
 Every stage gets one attempt: a persistently rising residual raises
 :class:`DivergenceError` and a stage that runs out of ``max_picard`` raises
 :class:`NotConverged`, each naming the stage's sigma and eps.
@@ -36,6 +37,9 @@ at the previous iterate; every other coupling stays lagged.  The fixed points
 are identical to those of the naive splitting.  Density positivity and exact
 mass bookkeeping are preserved because the density actually returned is always
 the M-matrix upwind continuity solve for the damped velocity.
+
+The delta and eps sweeps, :func:`delta_sweep` and :func:`eps_sweep`, return
+one (status, report, state, log) row per value, first value first.
 """
 
 from __future__ import annotations
@@ -85,7 +89,6 @@ __all__ = [
     "eps_sweep",
     "StageLog",
     "ConvergenceLog",
-    "SweepReport",
 ]
 
 
@@ -448,6 +451,21 @@ def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
     return rhs - mean, abs(mean * g.length_L)
 
 
+def _pin_constant(
+    hat: np.ndarray, target: float, rho: np.ndarray, weight_integral: float, spec: ProblemSpec
+) -> Field:
+    """Fix the Neumann constant of a sub-solve: ``hat + s`` with
+    s = (target - integrate(rho hat)) / weight_integral, where weight_integral
+    is the coefficient of s in the constraint's rho-weighted integral.  A weight
+    integral below 1e-12 max(1, m1) raises :class:`mesh.DegenerateWeightError`."""
+    if weight_integral <= 1.0e-12 * max(1.0, spec.m1):
+        raise mesh.DegenerateWeightError(
+            f"density-weighted constraint is degenerate (integral {weight_integral:g})"
+        )
+    s = (target - mesh.integral_of(rho * hat, spec.grid.spacing_h)) / weight_integral
+    return Field(spec.grid, hat + s)
+
+
 @_right_side("mu right side", "mu")
 def _mu_rhs(state: State, dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """eps rho c + rho u c' - eps rho0 c0, c' lagged as ``dc``: the mu right side
@@ -475,9 +493,10 @@ def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemS
     """
     g = spec.grid
     rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, lag.dc, eps, spec), spec, "mu"), g)
-    mu_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann")
-    weighted_dF = state.rho.values * lag.dF
-    return mesh.mean_shift(mu_hat, mesh.integral_of(weighted_dF, g.spacing_h), state.rho), proj
+    mu_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann").values
+    rho, h = state.rho.values, g.spacing_h
+    target = mesh.integral_of(rho * lag.dF, h)
+    return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec), proj
 
 
 def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec) -> float:
@@ -510,14 +529,8 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
     rho = state.rho.values
     rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, lag.dF, spec), spec, "c"), g)
     c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann").values
-    denom = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
-    if denom <= 1.0e-12 * max(1.0, spec.m1):
-        raise mesh.DegenerateWeightError(
-            f"density-weighted constraint is degenerate (integral {denom:g})"
-        )
-    target = _c_mass_target(rho, c_hat, eps, spec)
-    s = (target - mesh.integral_of(rho * c_hat, h)) / denom
-    return Field(g, c_hat + s), proj
+    weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
+    return _pin_constant(c_hat, _c_mass_target(rho, c_hat, eps, spec), rho, weight, spec), proj
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +682,6 @@ def continuation_solve(
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-class SweepReport(Record):
-    """Per-value outcomes of a regularization sweep."""
-
-    key: str
-    values: tuple
-    statuses: list[str]
-    reports: list  # DiagnosticsReport or None per value
-    states: list   # State or None per value
-    logs: list     # ConvergenceLog or None per value
-
-
 # Errors that end one solve; sweeps record them per value, commands exit 1.
 SOLVER_ERRORS = (
     DivergenceError,
@@ -718,29 +720,28 @@ def _sweep_value(
     controls: SolveControls,
     warm: Optional[State],
 ) -> tuple:
-    """Solve one sweep value; returns (status, report, state, log).
+    """Solve one sweep value; returns the row (status, report, state, log).
 
-    A cold start (``warm`` None) runs ``controls``' schedules (for an eps
-    sweep, with ``value`` as the only eps); a warm start runs one stage,
-    sigma = 1 at the value's final eps, from ``warm``.  With the default
-    schedules both are the same single stage.  A solver error becomes the
-    status ``failed(<Type>)`` with None in the other three places.
+    A cold start (``warm`` None) runs ``controls``' schedules, for an eps
+    sweep with ``value`` as the only eps; a warm start runs one stage,
+    sigma = 1 at the last eps of that schedule, from ``warm``.  With the
+    default schedules both are the same single stage.  The report is taken at
+    the solve's final eps.  A solver error becomes the status
+    ``failed(<Type>)`` with None in the other three places.
     """
     from .diagnostics import compute_report
 
     if key == "delta":
         spec_v = replace(spec_base, potential=replace(spec_base.potential, delta=value))
-        eps_final = controls.eps_schedule[-1]
+        ctl_v = controls
     else:
         spec_v = replace(spec_base, eps=value)
-        eps_final = value
+        ctl_v = replace(controls, eps_schedule=(value,))
     if warm is not None:
-        ctl_v = replace(controls, sigma_schedule=(1.0,), eps_schedule=(eps_final,))
-    else:
-        ctl_v = controls if key == "delta" else replace(controls, eps_schedule=(value,))
+        ctl_v = replace(ctl_v, sigma_schedule=(1.0,), eps_schedule=ctl_v.eps_schedule[-1:])
     try:
         state, log = continuation_solve(spec_v, ctl_v, initial_state=warm)
-        return "ok", compute_report(state, spec_v, eps=eps_final), state, log
+        return "ok", compute_report(state, spec_v, eps=log.final_eps), state, log
     except SOLVER_ERRORS as err:
         return f"failed({type(err).__name__})", None, None, None
 
@@ -751,33 +752,34 @@ def _sweep(
     values: tuple,
     controls: SolveControls,
     map_later: Optional[Callable] = None,
-) -> SweepReport:
-    """Solve the first value cold and every later value warm from the first
-    value's solution (cold if it failed); ``map_later`` maps the later values'
-    ``_sweep_value`` argument tuples to rows (a pool's map, say), by default in order."""
+) -> list[tuple]:
+    """One :func:`_sweep_value` row per value, first value first.
+
+    The first value is solved cold and every later value warm from its
+    solution (cold if it failed); ``map_later`` maps the later values'
+    ``_sweep_value`` argument tuples to rows (a pool's map, say), by default
+    in order."""
     first = _sweep_value(spec_base, key, values[0], controls, None)
     later = [(spec_base, key, v, controls, first[2]) for v in values[1:]]
-    rows = [first, *(map_later or partial(starmap, _sweep_value))(later)]
-    statuses, reports, states, logs = (list(col) for col in zip(*rows))
-    return SweepReport(key, values, statuses, reports, states, logs)
+    return [first, *(map_later or partial(starmap, _sweep_value))(later)]
 
 
 def delta_sweep(
     spec_base: ProblemSpec, deltas, controls: SolveControls, map_later: Optional[Callable] = None
-) -> SweepReport:
-    """Solve a fixed problem for a decreasing list of regularization widths.
+) -> list[tuple]:
+    """Solve a fixed problem for a decreasing list of regularization widths;
+    returns one (status, report, state, log) row per width, as :func:`_sweep`.
 
-    The first width is solved cold, on the configured schedules, and every
-    later width warm-starts from its solution (see :func:`_sweep`); the per-width
-    diagnostics expose the vanishing artificial pressure, the width-independent
-    norm bounds, and the shrinking concentration-bound violations.
+    The per-width diagnostics expose the vanishing artificial pressure, the
+    width-independent norm bounds, and the shrinking concentration-bound
+    violations.
     """
     return _sweep(spec_base, "delta", check_sweep("delta", deltas), controls, map_later)
 
 
 def eps_sweep(
     spec_base: ProblemSpec, eps_values, controls: SolveControls, map_later: Optional[Callable] = None
-) -> SweepReport:
-    """Solve a fixed problem for a decreasing list of eps values, warm-started
-    from the first value's solution as in :func:`_sweep`."""
+) -> list[tuple]:
+    """Solve a fixed problem for a decreasing list of eps values; returns one
+    (status, report, state, log) row per value, as :func:`_sweep`."""
     return _sweep(spec_base, "eps", check_sweep("eps", eps_values), controls, map_later)

@@ -265,11 +265,11 @@ def test_criterion_08_delta_limit_trends(delta_sweep_runs):
 def test_criterion_09_eps_limit_trend(pot, fluid):
     spec = make_forced_spec(128, pot, fluid, g1_amp=0.1, g2_amp=0.05)
     values = (1e-1, 1e-2, 1e-3)
-    sweep = eps_sweep(spec, values, SolveControls())
-    assert sweep.statuses == ["ok"] * 3
-    for name, log in zip(("eps1", "eps2", "eps3"), sweep.logs):
+    rows = eps_sweep(spec, values, SolveControls())
+    assert [status for status, *_ in rows] == ["ok"] * 3
+    for name, (_, _, _, log) in zip(("eps1", "eps2", "eps3"), rows):
         MASS_LOGS.append((f"criterion09_{name}", log, spec.m1))
-    res = [r.continuity_residual for r in sweep.reports]
+    res = [report.continuity_residual for _, report, _, _ in rows]
     orders = [
         np.log(res[i] / res[i + 1]) / np.log(values[i] / values[i + 1])
         for i in range(2)

@@ -181,6 +181,28 @@ class TestCliMain:
         assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert gc.get_freeze_count() > 0
 
+    # 1e15 float64 cells are 8 PB, beyond any 64-bit address space: numpy
+    # refuses the array at once, without touching memory.
+    @pytest.mark.parametrize("key, command", [
+        ("domain.n_cells", "solve"),
+        ("table.points", "potential"),
+    ])
+    def test_impossible_array_size_exits_1(self, tmp_path, capsys, key, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1000000000000000\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("out of memory: Unable to allocate")
+        assert not (tmp_path / "o").exists()
+
+    def test_memory_error_in_a_command_exits_1(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("synthetic allocation failure")
+
+        monkeypatch.setattr(cli.solver, "continuation_solve", exhausted)
+        assert cli.main(["solve", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "out of memory: synthetic allocation failure\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestCliPotential:
     def test_outputs_and_determinism(self, tmp_path):

@@ -8,7 +8,6 @@ from scipy.linalg import solve_banded
 
 from chns1d import mesh
 from chns1d.mesh import (
-    DegenerateWeightError,
     Field,
     Grid,
     NonFiniteError,
@@ -22,7 +21,6 @@ from chns1d.mesh import (
     laplacian_apply,
     laplacian_of,
     laplacian_solve,
-    mean_shift,
 )
 from chns1d.solver import SOLVER_ERRORS
 from conftest import LAPACK_BINDINGS, copies, use_binding
@@ -247,36 +245,6 @@ class TestIntegrate:
             g = Grid(n, 1.0)
             errs.append(abs(integrate(g.field(g.cell_centers() ** 2)) - 1.0 / 3.0))
         assert min(orders(errs)) >= 1.9
-
-
-class TestMeanShift:
-    def test_constant_target(self):
-        g = Grid(32, 1.0)
-        shifted = mean_shift(g.zeros(), 3.0, g.field(1.0))
-        assert np.allclose(shifted.values, 3.0, rtol=0, atol=1e-14)
-
-    def test_already_satisfied(self):
-        g = Grid(32, 1.0)
-        f = g.field(np.sin(g.cell_centers()))
-        w = g.field(1.0 + 0.2 * g.cell_centers())
-        target = integrate(Field(g, f.values * w.values))
-        assert np.array_equal(mean_shift(f, target, w).values, f.values)
-
-    def test_shift_linearity(self):
-        g = Grid(64, 1.0)
-        x = g.cell_centers()
-        rho = g.field(1.0 + 0.3 * np.cos(np.pi * x))
-        f = g.field(np.sin(2 * np.pi * x))
-        m1 = integrate(rho)
-        base = integrate(Field(g, rho.values * f.values))
-        shifted = mean_shift(f, base + 0.7, rho)
-        s = shifted.values[0] - f.values[0]
-        assert s * m1 == pytest.approx(0.7, rel=1e-12)
-
-    def test_degenerate_weight(self):
-        g = Grid(32, 1.0)
-        with pytest.raises(DegenerateWeightError):
-            mean_shift(g.zeros(), 1.0, g.zeros())
 
 
 class TestLaplacianSolve:

@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded
 from _mms import build_manufactured, observed_orders
 from chns1d import mesh, solver
 from chns1d.config import parse_config_text
+from chns1d.diagnostics import compute_report
 from chns1d.mesh import Grid
 from chns1d.potential import PotentialParams, dF_delta
 from chns1d.solver import (
@@ -18,7 +19,6 @@ from chns1d.solver import (
     SolveControls,
     StageLog,
     State,
-    SweepReport,
     constant_state,
     continuation_solve,
     delta_sweep,
@@ -124,8 +124,7 @@ class TestRecords:
     @pytest.mark.parametrize("record, name", [
         (StageLog(1.0, 1e-3), "residuals"),
         (ConvergenceLog(), "stages"),
-        (SweepReport("delta", (0.1,), [], [], [], []), "statuses"),
-    ], ids=["StageLog", "ConvergenceLog", "SweepReport"])
+    ], ids=["StageLog", "ConvergenceLog"])
     def test_logs_are_frozen_but_their_lists_grow(self, record, name):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, [])
@@ -198,6 +197,27 @@ class TestSubSolveTrivialCases:
         rho, u = solve_flow_coupled(state, lagged(state, spec), 1.0, 1e-2, spec)
         assert np.max(np.abs(u.values)) <= 1e-13
         assert np.max(np.abs(rho.values - spec.rho0)) <= 1e-10
+
+
+class TestNeumannConstants:
+    def test_mu_meets_weighted_constraint(self, pot, fluid):
+        spec = ProblemSpec(Grid(128, 1.0), pot, fluid, m1=1.0, m2=0.3)
+        x = spec.grid.cell_centers()
+        state = State(*(spec.grid.field(v) for v in (
+            1.0 + 0.3 * np.cos(np.pi * x), 0.1 * np.sin(np.pi * x),
+            np.zeros_like(x), 0.2 * np.cos(2 * np.pi * x))))
+        mu, _ = solve_mu(state, lagged(state, spec), 1.0, 1e-2, spec)
+        rho, h = state.rho.values, spec.grid.spacing_h
+        lhs = mesh.integral_of(rho * mu.values, h)
+        rhs = mesh.integral_of(rho * dF_delta(state.c.values, pot), h)
+        assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("sub_solve", [solve_mu, solve_c], ids=["mu", "c"])
+    def test_zero_density_is_degenerate(self, pot, fluid, sub_solve):
+        spec = zero_forcing_spec(32, pot, fluid)
+        state = State(spec.grid.zeros(), spec.grid.zeros(), spec.grid.zeros(), spec.grid.field(0.1))
+        with pytest.raises(mesh.DegenerateWeightError, match="density-weighted constraint is degenerate"):
+            sub_solve(state, lagged(state, spec), 1.0, 1e-2, spec)
 
 
 def _spiked_state(n: int, **spikes) -> State:
@@ -770,9 +790,9 @@ class TestSweeps:
     def test_delta_sweep_art_pressure_decreasing(self, pot, fluid):
         spec = make_forced_spec(96, pot, fluid)
         ctl = SolveControls(eps_schedule=(1e-1, 1e-2))
-        sweep = delta_sweep(spec, (0.2, 0.1, 0.05), ctl)
-        assert sweep.statuses == ["ok", "ok", "ok"]
-        arts = [r.art_pressure_norm for r in sweep.reports]
+        rows = delta_sweep(spec, (0.2, 0.1, 0.05), ctl)
+        assert [status for status, *_ in rows] == ["ok", "ok", "ok"]
+        arts = [report.art_pressure_norm for _, report, _, _ in rows]
         assert arts[0] > arts[1] > arts[2] > 0.0
 
     def test_sweep_records_failure_and_continues(self, forced_spec, controls, monkeypatch):
@@ -787,9 +807,30 @@ class TestSweeps:
 
         monkeypatch.setattr(solver, "continuation_solve", flaky)
         ctl = SolveControls(eps_schedule=(1e-1, 1e-2))
-        sweep = delta_sweep(forced_spec, (0.2, 0.1, 0.05), ctl)
-        assert sweep.statuses == ["ok", "failed(DivergenceError)", "ok"]
-        assert sweep.reports[1] is None and sweep.states[1] is None
+        rows = delta_sweep(forced_spec, (0.2, 0.1, 0.05), ctl)
+        assert [status for status, *_ in rows] == ["ok", "failed(DivergenceError)", "ok"]
+        assert rows[1] == ("failed(DivergenceError)", None, None, None)
+
+    def test_rows_are_one_4_tuple_per_value_in_input_order(self, forced_spec, monkeypatch):
+        original = solver.continuation_solve
+
+        def fails_at_005(spec, ctl, initial_state=None):
+            if spec.potential.delta == 0.05:
+                raise solver.SingularSystemError("synthetic singular block")
+            return original(spec, ctl, initial_state)
+
+        monkeypatch.setattr(solver, "continuation_solve", fails_at_005)
+        deltas = (0.2, 0.1, 0.05, 0.02)
+        rows = delta_sweep(forced_spec, deltas, SolveControls(eps_schedule=(1e-1, 1e-2)))
+        assert [len(row) for row in rows] == [4] * len(deltas)
+        assert rows[2] == ("failed(SingularSystemError)", None, None, None)
+        for delta, (status, report, state, log) in zip(deltas, rows):
+            if delta == 0.05:
+                continue
+            assert status == "ok" and log.final_eps == 1e-2
+            pot_v = dataclasses.replace(forced_spec.potential, delta=delta)
+            spec_v = dataclasses.replace(forced_spec, potential=pot_v)
+            assert report == compute_report(state, spec_v, eps=1e-2)
 
     @pytest.mark.parametrize("run, values", [
         (delta_sweep, (0.2, 0.1, 0.05)),
@@ -804,10 +845,10 @@ class TestSweeps:
             return original(spec, ctl, initial_state)
 
         monkeypatch.setattr(solver, "continuation_solve", recording)
-        sweep = run(forced_spec, values, SolveControls(eps_schedule=(1e-1, 1e-2)))
-        assert sweep.statuses == ["ok"] * 3
+        rows = run(forced_spec, values, SolveControls(eps_schedule=(1e-1, 1e-2)))
+        assert [status for status, *_ in rows] == ["ok"] * 3
         assert starts[0] is None
-        assert all(s is sweep.states[0] for s in starts[1:])
+        assert all(s is rows[0][2] for s in starts[1:])
 
     def test_failed_first_value_leaves_later_values_cold(self, forced_spec, monkeypatch):
         original = solver.continuation_solve
@@ -820,16 +861,13 @@ class TestSweeps:
             return original(spec, ctl, initial_state)
 
         monkeypatch.setattr(solver, "continuation_solve", first_fails)
-        sweep = delta_sweep(forced_spec, (0.2, 0.1, 0.05), SolveControls(eps_schedule=(1e-1, 1e-2)))
-        assert sweep.statuses == ["failed(NotConverged)", "ok", "ok"]
+        rows = delta_sweep(forced_spec, (0.2, 0.1, 0.05), SolveControls(eps_schedule=(1e-1, 1e-2)))
+        assert [status for status, *_ in rows] == ["failed(NotConverged)", "ok", "ok"]
         assert starts == [None, None, None]
 
 
 class TestNonUnitDomain:
     def test_forced_solve_on_longer_interval(self):
-        from chns1d.potential import PotentialParams
-        from chns1d.diagnostics import compute_report
-
         g = Grid(96, 2.0)
         x = g.cell_centers()
         spec = ProblemSpec(
