@@ -18,8 +18,10 @@ Subcommands:
 
 This module formats every output file, with ``%.12e`` numbers and LF line
 endings: :func:`_kv_text` writes a record's fields as ``name = value``
-lines (``report.txt``, ``constants.txt``), :func:`_table_text` a table of
-float columns (``fields.csv``, ``potential.csv``), and the report's fields
+lines (``report.txt``, ``constants.txt``), the one table writer
+:func:`_write_table` streams a table of float columns in fixed blocks of
+rows (``fields.csv``, the sweep's field files, ``potential.csv``), so no
+whole-table text is ever built, and the report's fields
 are also the columns of ``sweep.csv``.  Every code path is deterministic:
 identical configurations produce byte-identical files, including under
 parallel sweep execution (results are buffered and written in input order).
@@ -59,13 +61,19 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12e}"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write(path: Path, write) -> None:
+    """Call ``write(fh)`` on ``path`` opened for text with LF line endings,
+    its directory made first; any OSError becomes ``cannot write <path>: ...``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from None
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write(path, lambda fh: fh.write(text))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -79,19 +87,34 @@ def _kv_text(record) -> str:
     return "".join(f"{f.name} = {_fmt(getattr(record, f.name))}\n" for f in fields(record))
 
 
-def _table_text(header, columns) -> str:
-    """A CSV of equal-length float columns, formatted by one ``%`` over a row
-    template; the text is the same as per-cell :func:`_fmt`."""
-    table = np.column_stack(columns)
+# Rows per ``%`` of the table writer: its text, and the Python floats behind
+# it, are at most this many rows (44 KB traced at 5 columns), whatever the
+# table's length.  Formatting one block costs what a whole-table template
+# does per row; np.savetxt, one ``%`` per row, took 1.6 times as long.
+_TABLE_BLOCK_ROWS = 128
+
+
+def _write_table(path: Path, columns, table: np.ndarray) -> None:
+    """A CSV of the 2-D float array ``table`` under the header ``columns``,
+    streamed in blocks of :data:`_TABLE_BLOCK_ROWS` rows, each formatted by
+    one ``%`` over a ``%.12e`` row template: the text is the same as per-cell
+    :func:`_fmt`, and no whole-table text is built."""
     row = ",".join(["%.12e"] * table.shape[1]) + "\n"
-    return ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+    def write(fh) -> None:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(table), _TABLE_BLOCK_ROWS):
+            block = table[start:start + _TABLE_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+    _write(path, write)
 
 
-def _fields_text(state: solver.State) -> str:
+def _write_fields(path: Path, state: solver.State) -> None:
     """``fields.csv``: x, rho, u, mu, c per cell."""
-    cols = (state.rho.grid.cell_centers(), state.rho.values, state.u.values,
-            state.mu.values, state.c.values)
-    return _table_text(("x", "rho", "u", "mu", "c"), cols)
+    table = np.column_stack((state.rho.grid.cell_centers(), state.rho.values, state.u.values,
+                             state.mu.values, state.c.values))
+    _write_table(path, ("x", "rho", "u", "mu", "c"), table)
 
 
 def _fields_name(sweep_key: str, value: float) -> str:
@@ -103,7 +126,7 @@ def cmd_potential(cfg: RunConfig, out_dir: Path) -> int:
     """Write the tabulated potential curves and the structural constants."""
     p = cfg.spec.potential
     table = potential.figure1_table(p, cfg.table_grid)
-    _write_text(out_dir / "potential.csv", _table_text(potential.FIGURE1_COLUMNS, table.T))
+    _write_table(out_dir / "potential.csv", potential.FIGURE1_COLUMNS, table)
     _write_text(out_dir / "constants.txt", _kv_text(potential.constants(p)))
     return 0
 
@@ -115,7 +138,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     except solver.SOLVER_ERRORS as err:
         print(f"solve failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    _write_text(out_dir / "fields.csv", _fields_text(state))
+    _write_fields(out_dir / "fields.csv", state)
     report = compute_report(state, cfg.spec, eps=log.final_eps)
     _write_text(out_dir / "report.txt", _kv_text(report))
     conv_rows = [
@@ -172,7 +195,7 @@ def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path
             failed.append(f"{value:g}: {status}")
         else:
             cells = [_fmt(getattr(report, name)) for name in columns]
-            _write_text(out_dir / _fields_name(sweep_key, value), _fields_text(state))
+            _write_fields(out_dir / _fields_name(sweep_key, value), state)
         csv_rows.append([_fmt(value), status, *cells])
     _write_csv(out_dir / "sweep.csv", [sweep_key, "status", *columns], csv_rows)
     if failed:

@@ -176,7 +176,7 @@ class DegenerateWeightError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A field, or the matrix or right side of a banded solve, holds NaN or infinity."""
+    """A field, or the matrix, right side or solution of a banded solve, holds NaN or infinity."""
 
 
 class SingularSystemError(RuntimeError):
@@ -207,6 +207,11 @@ class Grid(Record):
         integer_field(self, "n_cells", 8)
         if not self.length_L > 0.0:
             raise ValueError(f"length_L must be positive, got {self.length_L}")
+        h = self.spacing_h
+        if not sys.float_info.min <= h * h <= sys.float_info.max:
+            # the stencils divide by h^2: it must be a normal float
+            raise ValueError(f"length_L {self.length_L:g} over {self.n_cells} cells gives spacing "
+                             f"h = {h:g}, whose square is not a finite, positive, normal float")
 
     @property
     def spacing_h(self) -> float:
@@ -341,6 +346,9 @@ def _solve(name: str, routine, *scalars, **arrays) -> np.ndarray:
         raise ValueError(f"{name}: LAPACK argument {-info} had an illegal value (info {info})")
     if info > 0:
         raise SingularSystemError(f"{name}: the matrix is singular (LAPACK info {info})")
+    if not np.isfinite(x).all():
+        bad = int(np.count_nonzero(~np.isfinite(x)))
+        raise NonFiniteError(f"{name}: the solution is not finite in {bad} of {x.size} entries")
     return x
 
 
@@ -351,9 +359,11 @@ def solve_tridiagonal(name: str, lower, diag, upper, b) -> np.ndarray:
     array ``b``.  Each must be a writeable, Fortran-ordered float64 array, of
     length n - 1, n, n - 1 and n, else a ``ValueError`` naming it is raised
     before LAPACK runs, and finite, else :class:`NonFiniteError`.  A singular
-    matrix (LAPACK ``info`` > 0) raises :class:`SingularSystemError`, and an
-    illegal argument (``info`` < 0, a calling bug) ``ValueError``.  Each error
-    names the solve."""
+    matrix (LAPACK ``info`` > 0) raises :class:`SingularSystemError`, an
+    illegal argument (``info`` < 0, a calling bug) ``ValueError``, and a
+    solution with NaN or infinite entries (an overflow inside the
+    elimination) :class:`NonFiniteError` with their count.  Each error names
+    the solve."""
     n = len(diag)
     return _solve(name, _gtsv, lower=(lower, (n - 1,)), diag=(diag, (n,)),
                   upper=(upper, (n - 1,)), b=(b, (n,)))

@@ -78,7 +78,8 @@ class PotentialParams(Record):
     """Temperature scales and regularization width of the mixing potential.
 
     ``0 < theta0 < thetac`` is required so that the effective potential is a
-    genuine double well; ``delta`` in (0, 1) is the regularization width.
+    genuine double well; ``delta`` in (0, 1) is the regularization width,
+    with ``1 - delta`` a float below 1 (delta of 1e-17 rounds it to 1).
     """
 
     theta0: float = 1.0
@@ -92,6 +93,10 @@ class PotentialParams(Record):
             )
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if 1.0 - self.delta == 1.0:  # the core's knot 1 - delta would be the pole c = 1
+            raise ValueError(
+                f"delta must leave 1 - delta below 1 in floating point, got {self.delta}"
+            )
 
 
 class PotentialConstants(Record):

@@ -414,26 +414,31 @@ def solve_flow_coupled(
     rho_t, u_t = state.rho.values, state.u.values
     uf, rho_f = _face_means(u_t), _face_means(rho_t)
 
-    # Tridiagonal (diag, upper, lower) blocks keyed by (row field, column
-    # field), 0 = rho and 1 = u; the correction flux acts at interior faces.
-    flux = rho_f / (2.0 * h)
-    coef = -sigma * lag.pi_slope
-    grad = mesh.bands(mesh.gradient, g, "neumann")
-    lap = mesh.bands(mesh.laplacian_apply, g, "dirichlet0")
-    blocks = {
-        (0, 0): _continuity_bands(uf, eps, g),
-        (0, 1): (flux[1:] - flux[:-1], flux[1:-1], -flux[1:-1]),
-        (1, 0): (coef * grad[0], coef[1:] * grad[1], coef[:-1] * grad[2]),
-        (1, 1): tuple(spec.fluid.visc * band for band in lap),
-    }
     # Interleaved unknowns (rho_0, u_0, rho_1, ...): entry (2i+r, 2j+c) of the
     # full matrix sits at ab[6 + 2i+r - 2j-c, 2j+c] in the (10, 2n) Fortran
     # band storage of LAPACK's gbsv, whose first three rows hold fill-in.
     ab = np.zeros((10, 2 * n), order="F")
-    for (r, c), (d, up, lo) in blocks.items():
-        ab[6 + r - c, c::2] = d
-        ab[4 + r - c, 2 + c::2] = up
-        ab[8 + r - c, c:-2:2] = lo
+
+    def block(r: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The views of ``ab`` that hold the tridiagonal (diag, upper, lower)
+        bands of the block of row field r and column field c, 0 = rho and 1 = u."""
+        return ab[6 + r - c, c::2], ab[4 + r - c, 2 + c::2], ab[8 + r - c, c:-2:2]
+
+    # Each block's bands go into their views as they are computed, so beside
+    # ab only one block's temporaries are ever alive.
+    for view, band in zip(block(0, 0), _continuity_bands(uf, eps, g)):
+        view[...] = band
+    d, up, lo = block(0, 1)  # the correction flux acts at interior faces
+    flux = rho_f / (2.0 * h)
+    np.subtract(flux[1:], flux[:-1], out=d)
+    up[...] = flux[1:-1]
+    np.negative(flux[1:-1], out=lo)
+    coef = -sigma * lag.pi_slope
+    for view, part, band in zip(block(1, 0), (coef, coef[1:], coef[:-1]),
+                                mesh.bands(mesh.gradient, g, "neumann")):
+        np.multiply(part, band, out=view)
+    for view, band in zip(block(1, 1), mesh.bands(mesh.laplacian_apply, g, "dirichlet0")):
+        np.multiply(spec.fluid.visc, band, out=view)
 
     b = np.empty(2 * n)
     b[0::2] = _continuity_rhs(eps, spec)

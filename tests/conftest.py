@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,22 @@ def copies(*args) -> list:
     """``args`` with each array copied in its own memory order: arguments a
     banded solve may overwrite."""
     return [a.copy(order="K") if isinstance(a, np.ndarray) else a for a in args]
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak, above what was allocated
+    when it started, by ``tracemalloc`` (numpy reports its array buffers to it);
+    right also under ``-X tracemalloc``, where tracing is already on."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)

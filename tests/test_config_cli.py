@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chns1d import cli, potential
+from chns1d import cli, potential, solver
 from chns1d.config import DEFAULTS, ConfigError, parse_config_text
 from chns1d.diagnostics import DiagnosticsReport
 from chns1d.mesh import Grid
 from chns1d.solver import SolveControls, State
-from conftest import LADDER
+from conftest import LADDER, traced_peak
 
 
 def read_csv(path):
@@ -147,6 +147,27 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not (tmp_path / "o").exists()
 
+    # values inside each key's range whose arithmetic leaves the float range:
+    # h^2 of 0 (a ZeroDivisionError traceback from solve) or of inf (an
+    # OverflowError), and a delta that rounds the knot 1 - delta to the pole 1
+    # (a ZeroDivisionError traceback from potential)
+    @pytest.mark.parametrize("command", ["solve", "potential"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("domain.length", "1e-300", "length_L 1e-300 over 256 cells gives spacing h = 3.90625e-303, "
+                                    "whose square is not a finite, positive, normal float"),
+        ("domain.length", "1e300", "length_L 1e+300 over 256 cells gives spacing h = 3.90625e+297, "
+                                   "whose square is not a finite, positive, normal float"),
+        ("potential.delta", "1e-17", "delta must leave 1 - delta below 1 in floating point, "
+                                     "got 1e-17"),
+    ])
+    def test_value_leaving_the_float_range_exits_2(self, tmp_path, capsys, command, key, value,
+                                                    message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_readme_lists_every_key_with_its_default(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("### Configuration keys", 1)[1].split("\n### ", 1)[0]
@@ -245,20 +266,63 @@ class TestCliPotential:
         assert cli.main(["potential", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-class TestFieldsText:
-    def test_one_template_matches_per_cell_format(self):
+FORCED_N4096 = "domain.n_cells = 4096\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
+
+
+class TestTableWriter:
+    """The one table writer streams ``fields.csv`` and ``potential.csv`` in
+    blocks of rows; its bytes are per-cell :func:`cli._fmt` with LF endings."""
+
+    def test_fields_file_matches_per_cell_format(self, tmp_path):
         g = Grid(8, 1.0)
         rho = [0.0, 5e-324, 2.5e-310, 1e-300, 1.0 / 3.0, 1e200, 7.0, 1.0]
         u = [-0.0, 0.0, -5e-324, -1e-300, 1e-5, -1e250, 0.5, -2.0]
         mu = [1.7976931348623157e308, -2.2250738585072014e-308, -0.0, 3.0, 0.0, -1e-99, 1e100, 2.0]
-        c = [0.3, -0.3, 1e-320, -1e-320, 123456789.0, -0.0, 1e-100, 9.99999999999995e99]
+        c = [0.3, -0.3, 1e-320, -1e-320, 123456789.0, -1.7976931348623157e308, 1e-100,
+             9.99999999999995e99]
         state = State(g.field(rho), g.field(u), g.field(mu), g.field(c))
         cols = (g.cell_centers(), rho, u, mu, c)
         want = "x,rho,u,mu,c\n" + "".join(
             ",".join(cli._fmt(col[i]) for col in cols) + "\n" for i in range(g.n_cells)
         )
-        assert cli._fields_text(state) == want
-        assert "-0.000000000000e+00" in want and "e-324" in want and "e+308" in want
+        path = tmp_path / "sub" / "fields.csv"
+        cli._write_fields(path, state)
+        assert path.read_bytes() == want.encode()
+        assert "-0.000000000000e+00" in want and "e-324" in want
+        assert "1.797693134862e+308" in want and "-1.797693134862e+308" in want
+        assert "1.000000000000e+100" in want  # 9.99999999999995e99 rounds up a decade
+
+    def test_potential_file_matches_per_cell_format(self, tmp_path):
+        # a non-default table, two blocks and one row long; TestCliPotential
+        # checks the default one
+        points = 2 * cli._TABLE_BLOCK_ROWS + 1
+        table = (f"table.c_min = -3\ntable.c_max = 2.5e-5\ntable.points = {points}\n"
+                 "potential.delta = 1e-3\n")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(table)
+        out = tmp_path / "o"
+        assert cli.main(["potential", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = parse_config_text(table)
+        rows = potential.figure1_table(cfg.spec.potential, cfg.table_grid)
+        want = ",".join(potential.FIGURE1_COLUMNS) + "\n" + "".join(
+            ",".join(f"{v:.12e}" for v in row) + "\n" for row in rows
+        )
+        assert (out / "potential.csv").read_bytes() == want.encode()
+
+    def test_unwritable_path_is_named(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        g = Grid(8, 1.0)
+        state = State(g.zeros(), g.zeros(), g.zeros(), g.zeros())
+        with pytest.raises(OSError, match=r"^cannot write .*file/fields\.csv: "):
+            cli._write_fields(blocker / "fields.csv", state)
+
+    def test_fields_write_memory_is_bounded(self, tmp_path):
+        """At n = 4096 the 4096 x 5 table is 160 KB.  A whole-file text template
+        peaked at about 1.4 MB; streaming rows stays under half of that."""
+        cfg = parse_config_text(FORCED_N4096)
+        state, _ = solver.continuation_solve(cfg.spec, cfg.controls)
+        assert traced_peak(lambda: cli._write_fields(tmp_path / "fields.csv", state)) < 700 * 1024
 
 
 class TestCliSolve:
@@ -351,6 +415,18 @@ class TestCliSolve:
         assert lines[0].startswith(
             "solve failed: NonFiniteError: mu sub-solve: the mu right side is not finite in "
         )
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_block_solution_names_the_solve(self, tmp_path, capsys):
+        # rho g1 of 1e308 is finite, but the (rho, u) block's elimination overflows
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n_cells = 64\nforcing.g1.kind = bump\nforcing.g1.amplitude = 1e308\n")
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"solve failed: NonFiniteError: \(rho, u\) block: the solution is not "
+                            r"finite in \d+ of 128 entries", lines[0])
         assert not (tmp_path / "o").exists()
 
 

@@ -50,6 +50,17 @@ class TestGridField:
         with pytest.raises(ValueError):
             Grid(16, 0.0)
 
+    def test_spacing_square_must_be_a_normal_float(self):
+        """The stencils divide by h^2, so 0 (underflow) and inf (overflow) are
+        rejected, as is a subnormal h^2; the extremes inside are accepted."""
+        for n, length in ((256, 1e-300), (256, 1e300), (8, 1e-154), (8, 1.1e155)):
+            with pytest.raises(ValueError, match=r"^length_L .* whose square is not a finite, "
+                                                 r"positive, normal float$"):
+                Grid(n, length)
+        for n, length in ((8, 1.2e-153), (8, 1.07e155)):
+            h = Grid(n, length).spacing_h
+            assert np.isfinite(h**2) and h**2 > 0.0
+
     def test_field_length_mismatch(self):
         g = Grid(16, 1.0)
         with pytest.raises(ValueError):
@@ -386,6 +397,21 @@ class TestLapackCall:
                                    *copies(off), np.ones(4))
         with pytest.raises(SingularSystemError, match=r"demo: the matrix is singular \(LAPACK info 1\)"):
             mesh.solve_tridiagonal("demo", np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+
+    def test_non_finite_solution_is_named(self, binding):
+        """A finite diagonal system whose first unknown overflows (1e300 / 1e-300)
+        raises NonFiniteError naming the solve and counting the entries.  Back
+        substitution reaches that unknown last, so no 0 * inf spreads a NaN."""
+        b = np.ones(8)
+        b[0] = 1e300
+        with pytest.raises(NonFiniteError, match=r"^demo: the solution is not finite in 1 of 8 "
+                                                 r"entries$"):
+            mesh.solve_tridiagonal("demo", np.zeros(7), np.full(8, 1e-300), *copies(np.zeros(7), b))
+        ab = np.zeros((10, 8), order="F")
+        ab[6] = 1e-300  # the diagonal alone
+        with pytest.raises(NonFiniteError, match=r"^demo: the solution is not finite in 1 of 8 "
+                                                 r"entries$"):
+            mesh.solve_banded("demo", 3, 3, ab, b)
 
     def test_singular_band_system_is_named(self, binding):
         ab, b = _banded(8, 0)

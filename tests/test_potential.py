@@ -278,6 +278,16 @@ class TestConstants:
         with pytest.raises(ValueError):
             PotentialParams(-1.0, 1.5, 0.1)
 
+    def test_delta_must_leave_the_knot_below_the_pole(self):
+        """A delta that rounds 1 - delta to 1 puts the core's knot on the pole
+        c = 1; the smallest delta that does not still gives a finite table."""
+        for delta in (1e-17, 5.55e-17, 2.0**-54):
+            with pytest.raises(ValueError, match=r"^delta must leave 1 - delta below 1"):
+                PotentialParams(1.0, 1.5, delta)
+        p = PotentialParams(1.0, 1.5, 5.6e-17)
+        assert 1.0 - p.delta < 1.0
+        assert np.isfinite(figure1_table(p, np.linspace(-1.5, 1.5, 601))).all()
+
 
 class TestPressureAndEnergy:
     def test_pressure_zero_at_vacuum(self, fluid):
