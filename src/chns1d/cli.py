@@ -9,10 +9,9 @@ Subcommands:
   history (``convergence.csv``).
 * ``sweep`` runs a delta or eps sweep and, in one pass over the solver's
   per-value rows, writes one diagnostics row per value (``sweep.csv``) plus
-  per-value field files.  The first value is solved
-  cold, on the configured schedules, and every later value warm-starts from
-  its solution (cold if it failed), whether the later values run in this
-  process or on a pool.
+  per-value field files.  Every value is solved on its own, from the
+  hydrostatic start, as ``solve`` would solve it, whether the later values
+  run in this process or on a pool.
 * ``check`` executes the built-in verification suites and exits nonzero on
   any failure.
 
@@ -123,9 +122,20 @@ def _fields_name(sweep_key: str, value: float) -> str:
 
 
 def cmd_potential(cfg: RunConfig, out_dir: Path) -> int:
-    """Write the tabulated potential curves and the structural constants."""
+    """Write the tabulated potential curves and the structural constants.
+
+    A table that is not finite, where the potential's value overflows at a
+    large |c|, raises a ConfigError naming ``table.c_min`` and
+    ``table.c_max`` (exit 2), with nothing written."""
     p = cfg.spec.potential
-    table = potential.figure1_table(p, cfg.table_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = potential.figure1_table(p, cfg.table_grid)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        grid = cfg.table_grid
+        raise ConfigError(f"table.c_min = {grid[0]:g}, table.c_max = {grid[-1]:g}: the potential "
+                          f"table is not finite in {np.count_nonzero(bad)} of {len(grid)} rows, "
+                          f"from c = {grid[bad][0]:g}; its values overflow the float range")
     _write_table(out_dir / "potential.csv", potential.FIGURE1_COLUMNS, table)
     _write_text(out_dir / "constants.txt", _kv_text(potential.constants(p)))
     return 0
@@ -153,15 +163,15 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 def _sweep_value_cold(job) -> tuple:
     """Process-pool entry point: one later sweep value, ``solver._sweep_value(*job)``,
-    warm-started from the state the job carries; ``bench/spans.py`` hooks this name."""
+    a cold solve like every value's; ``bench/spans.py`` hooks this name."""
     return solver._sweep_value(*job)
 
 
 def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path) -> int:
     """Run a regularization sweep and write per-value diagnostics rows.
 
-    The first value is solved cold, on the configured schedules, and every
-    later value warm-starts from its solution (cold if it failed);
+    Every value is solved on its own, on the configured schedules and from
+    the hydrostatic start, so each row is the ``solve`` of its value;
     ``sweep.max_parallel > 1`` solves the later values on a process pool, with
     the same output files.  One pass over the solver's rows builds the
     ``sweep.csv`` rows and the failure list and writes each solved value's

@@ -403,7 +403,10 @@ def laplacian_solve(rhs: Field, bc: str) -> Field:
     n = g.n_cells  # means below as sum / n: what ndarray.mean computes, without its overhead
     if bc == "neumann":
         mean = float(f.sum() / n)
-        scale = float(np.sqrt((f**2).sum() / n))
+        # the root mean square, with f scaled by max|f| first, so that no
+        # square overflows (a finite f above about 1e154 would)
+        top = float(np.abs(f).max())
+        scale = top * float(np.sqrt(((f / top) ** 2).sum() / n)) if top > 0.0 else 0.0
         if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
             raise SolvabilityError(
                 f"neumann right side has mean {mean:g}; the problem is unsolvable"

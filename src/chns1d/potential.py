@@ -52,6 +52,7 @@ __all__ = [
     "rho_free_energy_delta",
     "pressure",
     "pressure_slope",
+    "enthalpy",
     "constants",
     "structure_holds",
     "junction_gaps",
@@ -309,6 +310,24 @@ def pressure_slope(rho, delta: float, fp: "FluidParams"):
     art, gas = guarded_powers(arr, (k - 1, fp.gamma - 1.0))
     out = k * art / np.log(1.0 / delta) + fp.gamma * (fp.gamma - 1.0) * gas + fp.H
     return _ret(out, scalar)
+
+
+def enthalpy(s, delta: float, fp: "FluidParams") -> tuple:
+    """The enthalpy h, with h' = Pi'(rho)/rho, and its slope dh/ds = Pi'(rho),
+    both at rho = exp(s):
+
+        h = k rho^(k-1) / ((k-1) ln(1/delta)) + gamma rho^(gamma-1) + H s,
+
+    from the powers of :func:`pressure_slope`.  Taken in s = ln rho, h has no
+    pole at vacuum; the powers go through :func:`guarded_power`, so a density
+    above its ceiling raises OverflowError."""
+    arr, scalar = _prep(s)
+    k = fp.art_exponent
+    art, gas = guarded_powers(np.exp(arr), (k - 1, fp.gamma - 1.0))
+    art = art / np.log(1.0 / delta)
+    value = k / (k - 1.0) * art + fp.gamma * gas + fp.H * arr
+    slope = k * art + fp.gamma * (fp.gamma - 1.0) * gas + fp.H
+    return _ret(value, scalar), _ret(slope, scalar)
 
 
 def free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):

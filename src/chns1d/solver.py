@@ -15,7 +15,9 @@ integral constraints pin the Neumann constants: the rho-weighted means of c
 and mu are prescribed (the c one with eps-dependent corrections), and one
 helper, ``_pin_constant``, imposes both.  The load factor sigma in (0, 1]
 scales every nonlinear right side.  By default the solver runs one stage,
-sigma = 1 at eps = 1e-3, from the constant state; a longer ``sigma_schedule``
+sigma = 1 at eps = 1e-3, from :func:`hydrostatic_state`, the closed-form
+eps -> 0 limit at rest (u = 0, c = c0, h(rho) = G1 + int g2/rho + C with h
+the enthalpy); a longer ``sigma_schedule``
 ramps sigma to 1 and a longer ``eps_schedule`` walks eps down, as a
 continuation ladder for problems the one stage cannot reach.
 Every stage gets one attempt: a persistently rising residual raises
@@ -39,7 +41,8 @@ mass bookkeeping are preserved because the density actually returned is always
 the M-matrix upwind continuity solve for the damped velocity.
 
 The delta and eps sweeps, :func:`delta_sweep` and :func:`eps_sweep`, return
-one (status, report, state, log) row per value, first value first.
+one (status, report, state, log) row per value, first value first; each
+value is an independent solve from the hydrostatic start.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .potential import (
     PotentialParams,
     artificial_pressure,
     dF_delta,
+    enthalpy,
     pressure,
     pressure_slope,
 )
@@ -77,6 +81,8 @@ __all__ = [
     "lagged",
     "lagged_phase",
     "constant_state",
+    "hydrostatic_density",
+    "hydrostatic_state",
     "solve_continuity",
     "solve_momentum",
     "solve_flow_coupled",
@@ -545,13 +551,112 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
 def constant_state(spec: ProblemSpec, eps: float) -> State:
     """The spatially constant quadruple (rho0, 0, dF_delta(c0), c0).
 
-    With zero forcing this is an exact solution for every sigma and eps; it
-    seeds the continuation.
+    With zero forcing this is an exact solution for every sigma and eps.
     """
     g = spec.grid
     rho = solve_continuity(g.zeros(), eps, spec)
     mu0 = dF_delta(spec.c0, spec.potential)
     return State(rho, g.zeros(), g.field(mu0), g.field(spec.c0))
+
+
+def _trapezoid_sums(f: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid integrals of the cell values ``f`` from the first cell centre to each."""
+    out = np.empty(f.size)
+    out[0] = 0.0
+    np.cumsum(0.5 * h * (f[:-1] + f[1:]), out=out[1:])
+    return out
+
+
+def _capped(rise: float, fall: float) -> float:
+    """The factor, at most 1, that scales a Newton step in ln rho whose
+    largest rise is ``rise`` and largest fall ``fall`` to rise by at most
+    1/2 and fall by at most 2: h is convex in ln rho, so rises overshoot."""
+    return min(1.0, 0.5 / max(rise, 1.0e-300), 2.0 / max(fall, 1.0e-300))
+
+
+# Cap of the hydrostatic start's Newton iteration; the positive limits met
+# so far take 2 to 26 iterations.
+HYDROSTATIC_MAX_NEWTON = 50
+
+
+def hydrostatic_density(spec: ProblemSpec, G1: Optional[np.ndarray] = None) -> np.ndarray:
+    """The density of the eps -> 0 limit at rest: h(rho) = G1 + J + C, where
+    h is the :func:`~chns1d.potential.enthalpy`, ``G1`` the potential of g1
+    at the cell centres (by default the trapezoid sums of g1's cell values),
+    J the trapezoid sums of g2/rho, and C is set by integrate(rho) = m1.
+
+    Newton in s = ln rho, which keeps rho > 0, with C a bordered unknown,
+    from its first step off the constant state with J frozen there (whose
+    Jacobian is the scalar slope).  Each row less the row before it is lower
+    bidiagonal in ds, so ds = x + dC y from two forward recurrences, written
+    as products and prefix sums, and the mass row fixes dC.  As h is convex
+    in s, a step is scaled so that no cell's s rises by more than 1/2 or
+    falls by more than 2.  The iteration ends with a Newton step of at most
+    1e-8 while the rows, in s, are at most 1e-6, and the density is rescaled
+    to mass m1 exactly.
+
+    No numpy warning escapes.  A forcing potential that is not finite raises
+    :class:`~chns1d.mesh.NonFiniteError`, a density above the power ceiling
+    OverflowError, and a non-finite step, or :data:`HYDROSTATIC_MAX_NEWTON`
+    steps without convergence, :class:`NotConverged`: with a g2 force the
+    limit can have no positive density.
+    """
+    h, n = spec.grid.spacing_h, spec.grid.n_cells
+    delta, fp = spec.potential.delta, spec.fluid
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if G1 is None:
+            G1 = _trapezoid_sums(spec.g1.values, h)
+        P = G1 + _trapezoid_sums(spec.g2.values, h) / spec.rho0
+        s0 = np.log(spec.rho0)
+        ent0, slope0 = enthalpy(s0, delta, fp)
+        C = ent0 - P.sum() / n
+        if not (np.isfinite(P).all() and np.isfinite(C)):
+            raise mesh.NonFiniteError(
+                "hydrostatic start: the potential of the forcing, or its mean, is not finite"
+            )
+        half_g2, dG1, target = 0.5 * h * spec.g2.values, G1[1:] - G1[:-1], spec.m1 / h
+        ds = (P + C - ent0) / slope0
+        s = s0 + _capped(float(ds.max()), -float(ds.min())) * ds
+        r, ratio = np.empty(n), np.empty(n)
+        ratio[0] = 1.0
+        for it in range(1, HYDROSTATIC_MAX_NEWTON + 1):
+            ent, slope = enthalpy(s, delta, fp)
+            rho = np.exp(s)
+            w = half_g2 / rho  # J's trapezoid terms
+            r[0] = G1[0] + C - ent[0]
+            np.add(w[:-1], w[1:], out=r[1:])
+            r[1:] += dG1 - (ent[1:] - ent[:-1])
+            diag = slope + w
+            diag[0] = slope[0]
+            np.cumprod((slope[:-1] - w[:-1]) / diag[1:], out=ratio[1:])
+            ds = ratio * np.cumsum(r / (diag * ratio))
+            y = ratio / diag[0]
+            d_c = (target - rho.sum() - (rho * ds).sum()) / (rho * y).sum()
+            ds += d_c * y
+            rise, fall = float(ds.max()), -float(ds.min())
+            size = max(rise, fall)  # NaN if a step is NaN: both are
+            if not 1.0e-8 < size < np.inf:  # converged, or a step that is not finite
+                break
+            scale = _capped(rise, fall)
+            s += scale * ds
+            C += scale * d_c
+        # a step that vanishes while the rows, in s, do not is no convergence
+        if size <= 1.0e-8 and np.abs(r / diag).max() <= 1.0e-6:
+            rho = np.exp(s + ds)
+            return rho * (spec.m1 / mesh.integral_of(rho, h))
+    raise NotConverged(
+        f"hydrostatic start: Newton step {size:g} in ln rho after {it} iterations; "
+        "the eps -> 0 limit may have no positive density"
+    )
+
+
+def hydrostatic_state(spec: ProblemSpec) -> State:
+    """The eps -> 0 limit at rest, where every solve starts: the
+    :func:`hydrostatic_density`, u = 0, c = c0 and mu = dF_delta(c0).  With
+    zero forcing it is the constant state."""
+    g = spec.grid
+    mu0 = dF_delta(spec.c0, spec.potential)
+    return State(Field(g, hydrostatic_density(spec)), g.zeros(), g.field(mu0), g.field(spec.c0))
 
 
 def _rel_update(new: Field, old: Field) -> float:
@@ -661,21 +766,22 @@ def continuation_solve(
     """Ramp sigma to 1 at the largest eps, then walk eps down its schedule.
 
     With the default schedules this is one stage, sigma = 1 at eps = 1e-3.
-    The first stage starts from ``initial_state`` or the constant state, and
-    every later stage warm-starts from the previous one; each iterates
-    :func:`picard_step` until the residual reaches tol_rel; a stage that spends
-    max_picard steps above it raises :class:`NotConverged`.  The damping
-    factor starts each stage at ``controls.damping`` and is halved, down to
-    1/8, whenever a residual exceeds the one before.  Each stage gets one
-    attempt: five consecutive residual rises totalling more than a factor ten
-    raise :class:`DivergenceError`, whose message names the stage's sigma and
-    eps, as no attribute carries them.
+    The first stage starts from ``initial_state`` or the
+    :func:`hydrostatic_state`, the eps -> 0 limit, and every later stage
+    warm-starts from the previous one; each iterates :func:`picard_step`
+    until the residual reaches tol_rel; a stage that spends max_picard steps
+    above it raises :class:`NotConverged`.  The damping factor starts each
+    stage at ``controls.damping`` and is halved, down to 1/8, whenever a
+    residual exceeds the one before.  Each stage gets one attempt: five
+    consecutive residual rises totalling more than a factor ten raise
+    :class:`DivergenceError`, whose message names the stage's sigma and eps,
+    as no attribute carries them.
     """
     eps0 = controls.eps_schedule[0]
     stages = [(s, eps0) for s in controls.sigma_schedule]
     stages += [(1.0, e) for e in controls.eps_schedule[1:]]
 
-    state = initial_state if initial_state is not None else constant_state(spec, eps0)
+    state = initial_state if initial_state is not None else hydrostatic_state(spec)
     log = ConvergenceLog()
     for sigma, eps in stages:
         state, stage_log = _run_stage(state, sigma, eps, spec, controls)
@@ -718,21 +824,14 @@ def check_sweep(key: str, values) -> tuple:
     return vs
 
 
-def _sweep_value(
-    spec_base: ProblemSpec,
-    key: str,
-    value: float,
-    controls: SolveControls,
-    warm: Optional[State],
-) -> tuple:
+def _sweep_value(spec_base: ProblemSpec, key: str, value: float, controls: SolveControls) -> tuple:
     """Solve one sweep value; returns the row (status, report, state, log).
 
-    A cold start (``warm`` None) runs ``controls``' schedules, for an eps
-    sweep with ``value`` as the only eps; a warm start runs one stage,
-    sigma = 1 at the last eps of that schedule, from ``warm``.  With the
-    default schedules both are the same single stage.  The report is taken at
-    the solve's final eps.  A solver error becomes the status
-    ``failed(<Type>)`` with None in the other three places.
+    The solve runs ``controls``' schedules, for an eps sweep with ``value``
+    as the only eps, from the hydrostatic start, as a standalone solve of
+    that value does.  The report is taken at the solve's final eps.  A
+    solver error becomes the status ``failed(<Type>)`` with None in the
+    other three places.
     """
     from .diagnostics import compute_report
 
@@ -742,10 +841,8 @@ def _sweep_value(
     else:
         spec_v = replace(spec_base, eps=value)
         ctl_v = replace(controls, eps_schedule=(value,))
-    if warm is not None:
-        ctl_v = replace(ctl_v, sigma_schedule=(1.0,), eps_schedule=ctl_v.eps_schedule[-1:])
     try:
-        state, log = continuation_solve(spec_v, ctl_v, initial_state=warm)
+        state, log = continuation_solve(spec_v, ctl_v)
         return "ok", compute_report(state, spec_v, eps=log.final_eps), state, log
     except SOLVER_ERRORS as err:
         return f"failed({type(err).__name__})", None, None, None
@@ -760,12 +857,12 @@ def _sweep(
 ) -> list[tuple]:
     """One :func:`_sweep_value` row per value, first value first.
 
-    The first value is solved cold and every later value warm from its
-    solution (cold if it failed); ``map_later`` maps the later values'
-    ``_sweep_value`` argument tuples to rows (a pool's map, say), by default
-    in order."""
-    first = _sweep_value(spec_base, key, values[0], controls, None)
-    later = [(spec_base, key, v, controls, first[2]) for v in values[1:]]
+    Every value is solved on its own, from the hydrostatic start: the first
+    in this process, and the later ones through ``map_later``, which maps
+    their ``_sweep_value`` argument tuples to rows (a pool's map, say), by
+    default in order."""
+    first = _sweep_value(spec_base, key, values[0], controls)
+    later = [(spec_base, key, v, controls) for v in values[1:]]
     return [first, *(map_later or partial(starmap, _sweep_value))(later)]
 
 

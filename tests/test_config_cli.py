@@ -265,6 +265,20 @@ class TestCliPotential:
         cfg.write_text("potential.theta0 = 2.0\npotential.thetac = 1.0\n")
         assert cli.main(["potential", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_finite_table_exits_2_naming_its_range(self, tmp_path, capsys):
+        """The quadratic tail's value overflows beyond |c| of about 1e154: no
+        numpy warning, no file, and a message that names the range keys."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("table.c_min = -1e300\n")
+        assert cli.main(["potential", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: table.c_min = -1e+300, table.c_max = 1.5: the potential table is not "
+            "finite in 600 of 601 rows, from c = -1e+300; its values overflow the float range\n"
+        )
+        assert not (tmp_path / "o").exists()
+        cfg.write_text("table.c_min = -1e150\ntable.c_max = 1e150\n")
+        assert cli.main(["potential", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
 
 FORCED_N4096 = "domain.n_cells = 4096\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 
@@ -404,23 +418,27 @@ class TestCliSolve:
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_iterate_exits_one_and_writes_nothing(self, tmp_path, capsys):
-        # rho u c' in the mu right side overflows first on the ladder (in one
-        # stage a power overflows before); no numpy warning is printed
+        # at theta ~ 1e200 the first step's c sub-solve leaves c of order
+        # 1e180, and rho dF_delta(c) c' in the next momentum right side
+        # overflows; no numpy warning is printed
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + LADDER + "fluid.gamma = 1e6\n")
+        cfg.write_text(FORCED_N64 + LADDER + HUGE_THETA)
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(
-            "solve failed: NonFiniteError: mu sub-solve: the mu right side is not finite in "
+            "solve failed: NonFiniteError: momentum sub-solve: the momentum right side is not "
+            "finite in "
         )
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_block_solution_names_the_solve(self, tmp_path, capsys):
-        # rho g1 of 1e308 is finite, but the (rho, u) block's elimination overflows
+        # rho g1 of 1e305 is finite, and with H = 1e303 so is the hydrostatic
+        # start (ln rho is about G1/H), but the (rho, u) block's elimination overflows
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("domain.n_cells = 64\nforcing.g1.kind = bump\nforcing.g1.amplitude = 1e308\n")
+        cfg.write_text("domain.n_cells = 64\nforcing.g1.kind = bump\nforcing.g1.amplitude = 1e305\n"
+                       "fluid.h = 1e303\n")
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
@@ -431,6 +449,7 @@ class TestCliSolve:
 
 
 FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
+HUGE_THETA = "potential.theta0 = 1e200\npotential.thetac = 1.5e200\n"
 
 
 class TestCliSweep:
@@ -504,6 +523,32 @@ class TestCliSweep:
             assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
     @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.parametrize("key, setting, values", [
+        ("delta", "potential.delta", "0.2,0.1,0.05"),
+        ("eps", "solver.eps_schedule", "0.1,0.01,0.001"),
+    ])
+    def test_every_row_is_the_standalone_solve_of_its_value(self, tmp_path, max_parallel, key,
+                                                            setting, values):
+        """No value starts from another's solution: each field file is, byte
+        for byte, ``solve``'s fields.csv for that value, and each sweep.csv
+        row holds the text of that solve's report.txt."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(FORCED_N64 + f"sweep.max_parallel = {max_parallel}\n")
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                       "--sweep-key", key, "--values", values])
+        assert rc == 0
+        header, rows = read_csv(out / "sweep.csv")
+        for value, row in zip(values.split(","), rows):
+            one = tmp_path / f"solve_{value}"
+            (tmp_path / "one.cfg").write_text(FORCED_N64 + f"{setting} = {value}\n")
+            assert cli.main(["solve", "--config", str(tmp_path / "one.cfg"), "--out", str(one)]) == 0
+            fields_file = out / cli._fields_name(key, float(value))
+            assert fields_file.read_bytes() == (one / "fields.csv").read_bytes(), value
+            report = dict(line.split(" = ") for line in (one / "report.txt").read_text().splitlines())
+            assert dict(zip(header[2:], row[2:])) == report, value
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
     def test_max_picard_exhausted_fails_every_value(self, tmp_path, capsys, max_parallel):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FORCED_N64 + f"solver.max_picard = 1\nsweep.max_parallel = {max_parallel}\n")
@@ -520,7 +565,7 @@ class TestCliSweep:
 
     def test_non_finite_iterate_fails_the_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + LADDER + "fluid.gamma = 1e6\n")
+        cfg.write_text(FORCED_N64 + LADDER + HUGE_THETA)
         out = tmp_path / "out"
         rc = cli.main(
             ["sweep", "--config", str(cfg), "--out", str(out),
@@ -620,7 +665,7 @@ class TestCliSweep:
     def test_sweep_failure_flagged_in_status_column(self, tmp_path, monkeypatch):
         from chns1d import solver
 
-        def blow_up(spec_base, key, value, controls, warm):
+        def blow_up(spec_base, key, value, controls):
             return "failed(DivergenceError)", None, None, None
 
         # the first value is solved in-process and the second through the

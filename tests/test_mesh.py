@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ class TestLaplacianSolve:
         g = Grid(32, 1.0)
         with pytest.raises(SolvabilityError):
             laplacian_solve(g.field(1.0), "neumann")
+
+    def test_huge_neumann_right_side_solves_or_is_named(self):
+        """A right side of order 1e200 squares past the float range; the
+        solvability scale must not, so no warning escapes: a mean-free one
+        solves as its unit-size copy scaled, and one with a mean is named."""
+        g = Grid(64, 1.0)
+        x = g.cell_centers()
+        unit = np.cos(np.pi * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = laplacian_solve(g.field(1e200 * unit), "neumann").values
+            ref = laplacian_solve(g.field(unit), "neumann").values
+            assert np.allclose(got, 1e200 * ref, rtol=1e-12, atol=0.0)
+            with pytest.raises(SolvabilityError, match="mean 1e\\+200"):
+                laplacian_solve(g.field(1e200 * (1.0 + unit)), "neumann")
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
     def test_nan_right_side_is_named(self, bc):

@@ -382,6 +382,22 @@ class TestPressureAndEnergy:
         assert np.allclose(pressure_slope(rho, pot.delta, fluid), fd, rtol=1e-7, atol=0.0)
         assert isinstance(pressure_slope(1.0, pot.delta, fluid), float)
 
+    def test_enthalpy_is_the_pressure_over_density_primitive(self, pot, fluid):
+        """d h / d ln rho is Pi'(rho), which the enthalpy returns as its slope:
+        both agree with pressure_slope and with a central difference in ln rho."""
+        s, ds = np.linspace(-3.0, 0.5, 15), 1e-6
+        value, slope = potential.enthalpy(s, pot.delta, fluid)
+        assert np.allclose(slope, pressure_slope(np.exp(s), pot.delta, fluid), rtol=1e-13, atol=0.0)
+        fd = (potential.enthalpy(s + ds, pot.delta, fluid)[0]
+              - potential.enthalpy(s - ds, pot.delta, fluid)[0]) / (2.0 * ds)
+        assert np.allclose(slope, fd, rtol=1e-7, atol=0.0)
+        # at rho = 1: k / ((k - 1) ln(1/delta)) + gamma, with H ln 1 = 0
+        k = fluid.art_exponent
+        assert potential.enthalpy(0.0, pot.delta, fluid)[0] == pytest.approx(
+            k / ((k - 1) * np.log(1.0 / pot.delta)) + fluid.gamma, rel=1e-15)
+        with pytest.raises(OverflowError, match="exceeds rho_max"):
+            potential.enthalpy(np.log(2e6), pot.delta, fluid)
+
     def test_free_energy_unit_state(self, pot, fluid):
         assert potential.free_energy_delta(1.0, 0.0, fluid, pot) == pytest.approx(1.0, abs=1e-15)
 

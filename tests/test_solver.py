@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from _mms import build_manufactured, observed_orders
-from chns1d import mesh, solver
+from chns1d import mesh, potential, solver
 from chns1d.config import parse_config_text
 from chns1d.diagnostics import compute_report
 from chns1d.mesh import Grid
@@ -23,6 +23,7 @@ from chns1d.solver import (
     continuation_solve,
     delta_sweep,
     eps_sweep,
+    hydrostatic_state,
     lagged,
     picard_step,
     solve_c,
@@ -592,10 +593,10 @@ class TestAdaptiveDamping:
         assert stage_iterations(log) == [17, 10, 8, 8, 25, 25]
         assert all(d == 0.5 for s in log.stages for d in s.dampings)
 
-        # reference: every stage iterated at the fixed factor 0.5
+        # reference: every stage iterated at the fixed factor 0.5 from the solve's start
         stages = [(s, ctl.eps_schedule[0]) for s in ctl.sigma_schedule]
         stages += [(1.0, e) for e in ctl.eps_schedule[1:]]
-        ref = constant_state(spec, ctl.eps_schedule[0])
+        ref = hydrostatic_state(spec)
         for sigma, eps in stages:
             for _ in range(ctl.max_picard):
                 ref, res = picard_step(ref, sigma, eps, spec, 0.5)
@@ -665,13 +666,14 @@ class TestContinuation:
         assert calls == [0.5, 1.0]
 
     def test_large_cos_forcing_diverges_at_its_stage(self):
-        # one of the 216-config grid's four divergent configs; the error names its stage
+        # one of the 216-config grid's four divergent configs from the constant
+        # state (from the hydrostatic start it converges); the error names its stage
         cfg = parse_config_text(
             "domain.n_cells = 128\nforcing.g1.kind = cos\nforcing.g1.amplitude = 20\n"
             "problem.m1 = 0.5\nproblem.m2 = 0.15\nfluid.lambda1 = 0.1\nsolver.max_picard = 300\n"
         )
         with pytest.raises(solver.DivergenceError, match=r"sigma=1, eps=0\.001 "):
-            continuation_solve(cfg.spec, cfg.controls)
+            continuation_solve(cfg.spec, cfg.controls, constant_state(cfg.spec, 1e-3))
 
     def test_divergence_reports_stage(self, forced_spec, monkeypatch):
         def always_fail(state, sigma, eps, spec, controls):
@@ -691,13 +693,16 @@ class TestContinuation:
         assert stage_iterations(log) == [3]
 
     def test_large_cos_forcing_converges_in_one_stage(self):
-        # the ladder stalls here: NotConverged at sigma 1, eps 0.01 after 300 iterations
+        # the ladder stalls here: NotConverged at sigma 1, eps 0.01 after 300
+        # iterations.  From the hydrostatic start one stage takes 18 iterations,
+        # 10 from the constant state: on cos forcing the limit misses the
+        # solve most in the wall cells (TestHydrostaticStart)
         cfg = parse_config_text(
             "domain.n_cells = 128\nforcing.g1.kind = cos\nforcing.g1.amplitude = 12\n"
             "solver.max_picard = 300\n"
         )
         state, log = continuation_solve(cfg.spec, cfg.controls)
-        assert stage_iterations(log) == [10]
+        assert stage_iterations(log) == [18]
         assert log.stages[0].residuals[-1] <= cfg.controls.tol_rel
         assert log.max_mass_error() <= 1e-12 * cfg.spec.m1
         assert np.min(state.rho.values) >= 0.0
@@ -710,20 +715,113 @@ class TestContinuation:
             continuation_solve(forced_spec, ctl)
 
     def test_blow_up_is_named_by_the_velocity(self):
-        """At amplitude 20 the iterate blows up within a few steps, until the
-        advection terms swamp eps^2 in the transport matrix; the message gives
-        max|u_face|/h against eps^2, not a grid diagnosis."""
+        """At amplitude 20, from the constant state, the iterate blows up
+        within a few steps, until the advection terms swamp eps^2 in the
+        transport matrix; the message gives max|u_face|/h against eps^2, not a
+        grid diagnosis.  (From the hydrostatic start it converges.)"""
         cfg = parse_config_text(
             "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 20\n"
             "solver.max_picard = 300\n"
         )
         with pytest.raises(solver.SingularSystemError) as info:
-            continuation_solve(cfg.spec, cfg.controls)
+            continuation_solve(cfg.spec, cfg.controls, constant_state(cfg.spec, 1e-3))
         msg = str(info.value)
         found = re.search(r"\(eps=0\.001, n=128\): incoming max\|u_face\|/h (\S+) against eps\^2 (\S+)$", msg)
         assert found, msg
         assert float(found[2]) == 1e-6 and float(found[1]) > 1e12
         assert "grid" not in msg
+
+
+class TestHydrostaticStart:
+    """The eps -> 0 limit at rest, h(rho) = G1 + int g2/rho + C with mass m1,
+    where every solve starts."""
+
+    @staticmethod
+    def forced(kind: str, amplitude: float, g2: float = 0.0, n: int = 128, extra: str = ""):
+        return parse_config_text(
+            f"domain.n_cells = {n}\nforcing.g1.kind = {kind}\nforcing.g1.amplitude = {amplitude}\n"
+            f"forcing.g2.kind = cos\nforcing.g2.amplitude = {g2}\n" + extra
+        )
+
+    def test_zero_forcing_is_the_constant_state(self, pot, fluid):
+        spec = zero_forcing_spec(128, pot, fluid)
+        state = hydrostatic_state(spec)
+        const = constant_state(spec, 1e-3)
+        for name in ("rho", "u", "mu", "c"):
+            got, want = getattr(state, name).values, getattr(const, name).values
+            assert np.max(np.abs(got - want)) <= 1e-14, name
+
+    @pytest.mark.parametrize("g2", [0.0, 0.5])
+    @pytest.mark.parametrize("amplitude", [0.05, 5, 15, 30])
+    @pytest.mark.parametrize("kind", ["sin", "cos", "bump"])
+    def test_positive_with_exact_mass_and_discrete_balance(self, kind, amplitude, g2):
+        """rho > 0 with mass m1 to 1e-12 m1, and the discrete balance holds:
+        h(rho_i) - h(rho_i-1) is the trapezoid integral of g1 + g2/rho between
+        the two cell centres."""
+        spec = self.forced(kind, amplitude, g2).spec
+        state = hydrostatic_state(spec)
+        rho, h = state.rho.values, spec.grid.spacing_h
+        assert rho.min() > 0.0
+        assert abs(mesh.integrate(state.rho) - spec.m1) <= 1e-12 * spec.m1
+        assert not state.u.values.any() and np.all(state.c.values == spec.c0)
+        assert np.all(state.mu.values == dF_delta(spec.c0, spec.potential))
+        ent = potential.enthalpy(np.log(rho), spec.potential.delta, spec.fluid)[0]
+        f = spec.g1.values + spec.g2.values / rho
+        balance = np.diff(ent) - 0.5 * h * (f[:-1] + f[1:])
+        assert np.max(np.abs(balance)) <= 1e-10 * np.max(np.abs(ent)), np.max(np.abs(balance))
+
+    def test_no_positive_limit_is_named(self):
+        """With g2 = 5 cos on sin 30 the limit has no positive density: shot
+        from the left wall, (Pi(rho))' = rho g1 + g2 gives at least mass 1.14
+        for every positive wall density, above m1 = 1.  The start ends in a
+        named NotConverged and the solve never runs."""
+        cfg = self.forced("sin", 30, g2=5.0)
+        with pytest.raises(solver.NotConverged, match=r"^hydrostatic start: .* no positive density"):
+            continuation_solve(cfg.spec, cfg.controls)
+
+    def test_forcing_potential_overflow_is_named(self):
+        cfg = self.forced("sin", 1e307)
+        with pytest.raises(mesh.NonFiniteError, match=r"^hydrostatic start: the potential"):
+            hydrostatic_state(cfg.spec)
+
+    @staticmethod
+    def exact_G1(kind: str, amplitude: float, x: np.ndarray) -> np.ndarray:
+        """A primitive of the continuum g1 at the cell centres."""
+        from scipy.special import erf
+
+        if kind == "sin":
+            return -amplitude / np.pi * np.cos(np.pi * x)
+        if kind == "cos":
+            return amplitude / np.pi * np.sin(np.pi * x)
+        width = 0.1 * np.sqrt(2.0)
+        return amplitude * 0.1 * np.sqrt(np.pi / 2.0) * erf((x - 0.5) / width)
+
+    @pytest.mark.parametrize("kind, low, high", [
+        ("sin", 1.9, 2.1),
+        ("bump", 1.9, 2.1),
+        # cos forcing is +-A at the walls.  The error is largest in a wall
+        # cell, where the centred Neumann gradient of the pressure takes the
+        # ghost equal to the wall cell, (Pi_1 - Pi_0)/(2h): half a one-sided
+        # difference, so balancing rho g1 != 0 there costs an O(h) error
+        ("cos", 0.9, 1.1),
+    ])
+    def test_coupled_solve_converges_to_the_limit(self, kind, low, high):
+        """continuation_solve at eps = 1e-4, amplitude 5, n = 128 to 1024,
+        against the limit of the continuum G1: max|rho - rho_lim| / max rho_lim
+        falls at second order for sin and bump, at first order for cos."""
+        errors, worst = [], []
+        for n in (128, 256, 512, 1024):
+            cfg = self.forced(kind, 5, n=n, extra="solver.eps_schedule = 1e-4\n")
+            state, _ = continuation_solve(cfg.spec, cfg.controls)
+            x = cfg.spec.grid.cell_centers()
+            limit = solver.hydrostatic_density(cfg.spec, self.exact_G1(kind, 5, x))
+            gap = np.abs(state.rho.values - limit)
+            errors.append(gap.max() / limit.max())
+            worst.append(int(gap.argmax()))
+        orders = observed_orders(errors)
+        assert all(low <= o <= high for o in orders), (errors, orders)
+        if kind == "cos":
+            assert all(i in (0, n - 1) for i, n in zip(worst, (128, 256, 512, 1024))), worst
 
 
 class TestCoupledRefinement:
@@ -843,39 +941,6 @@ class TestSweeps:
             pot_v = dataclasses.replace(forced_spec.potential, delta=delta)
             spec_v = dataclasses.replace(forced_spec, potential=pot_v)
             assert report == compute_report(state, spec_v, eps=1e-2)
-
-    @pytest.mark.parametrize("run, values", [
-        (delta_sweep, (0.2, 0.1, 0.05)),
-        (eps_sweep, (1e-1, 5e-2, 2e-2)),
-    ])
-    def test_later_values_start_from_first_solution(self, forced_spec, monkeypatch, run, values):
-        original = solver.continuation_solve
-        starts = []
-
-        def recording(spec, ctl, initial_state=None):
-            starts.append(initial_state)
-            return original(spec, ctl, initial_state)
-
-        monkeypatch.setattr(solver, "continuation_solve", recording)
-        rows = run(forced_spec, values, SolveControls(eps_schedule=(1e-1, 1e-2)))
-        assert [status for status, *_ in rows] == ["ok"] * 3
-        assert starts[0] is None
-        assert all(s is rows[0][2] for s in starts[1:])
-
-    def test_failed_first_value_leaves_later_values_cold(self, forced_spec, monkeypatch):
-        original = solver.continuation_solve
-        starts = []
-
-        def first_fails(spec, ctl, initial_state=None):
-            starts.append(initial_state)
-            if len(starts) == 1:
-                raise solver.NotConverged("synthetic failure sigma=0.25, eps=0.1")
-            return original(spec, ctl, initial_state)
-
-        monkeypatch.setattr(solver, "continuation_solve", first_fails)
-        rows = delta_sweep(forced_spec, (0.2, 0.1, 0.05), SolveControls(eps_schedule=(1e-1, 1e-2)))
-        assert [status for status, *_ in rows] == ["failed(NotConverged)", "ok", "ok"]
-        assert starts == [None, None, None]
 
 
 class TestNonUnitDomain:
