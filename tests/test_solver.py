@@ -909,11 +909,11 @@ class TestSweeps:
         original = solver.continuation_solve
         calls = {"n": 0}
 
-        def flaky(spec, ctl, initial_state=None):
+        def flaky(spec, ctl):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise solver.DivergenceError("synthetic failure sigma=1, eps=0.01")
-            return original(spec, ctl, initial_state)
+            return original(spec, ctl)
 
         monkeypatch.setattr(solver, "continuation_solve", flaky)
         ctl = SolveControls(eps_schedule=(1e-1, 1e-2))
@@ -924,10 +924,10 @@ class TestSweeps:
     def test_rows_are_one_4_tuple_per_value_in_input_order(self, forced_spec, monkeypatch):
         original = solver.continuation_solve
 
-        def fails_at_005(spec, ctl, initial_state=None):
+        def fails_at_005(spec, ctl):
             if spec.potential.delta == 0.05:
                 raise solver.SingularSystemError("synthetic singular block")
-            return original(spec, ctl, initial_state)
+            return original(spec, ctl)
 
         monkeypatch.setattr(solver, "continuation_solve", fails_at_005)
         deltas = (0.2, 0.1, 0.05, 0.02)
