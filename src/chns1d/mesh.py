@@ -14,8 +14,8 @@ every banded matrix off those, once per grid.  A :class:`Field` checks its
 values (length, finiteness) when it is built, so the kernels, which the
 solver's inner loop calls on plain arrays, check nothing.
 
-:func:`laplacian_solve` inverts the Laplacian in closed form, by two prefix
-sums.  The other banded systems go to LAPACK through :func:`solve_tridiagonal`
+:func:`laplacian_solve` inverts the Neumann Laplacian in closed form, by two
+prefix sums.  The other banded systems go to LAPACK through :func:`solve_tridiagonal`
 (``dgtsv``) and :func:`solve_banded` (``dgbsv``), which overwrite their
 arguments, return the solution and name the solve in every error.
 
@@ -380,45 +380,35 @@ def solve_banded(name: str, kl: int, ku: int, ab, b) -> np.ndarray:
     return _solve(name, _gbsv, kl, ku, ab=(ab, (2 * kl + ku + 1, n)), b=(b, (n,)))
 
 
-def laplacian_solve(rhs: Field, bc: str) -> Field:
-    """Solve Lap(u) = rhs, the three-point Laplacian with the walls of ``bc``,
-    in closed form by two prefix sums.
+def laplacian_solve(rhs: Field) -> Field:
+    """Solve Lap(u) = rhs, the three-point Laplacian with Neumann walls, in
+    closed form by two prefix sums.
 
-    With D_k = u_k - u_{k-1} the difference across face k (the walls' faces
-    reach the ghost cells), row i reads D_{i+1} - D_i = h^2 rhs_i.  So
-    D = D_0 + h^2 C with C = cumsum(rhs), and u = u_0 + cumsum(D).  Neumann
-    walls give D_0 = 0; dirichlet0 walls give D_0 = 2 u_0 and D_n = -2 u_{n-1},
-    hence u_0 = -h^2 (C_{n-1} + 2 sum_{k<n-1} C_k) / (4n).  The sums carry the
+    With D_k = u_k - u_{k-1} the difference across face k, row i reads
+    D_{i+1} - D_i = h^2 rhs_i, and the walls give D_0 = 0.  So
+    D = h^2 cumsum(rhs), and u = u_0 + cumsum(D).  The sums carry the
     roundoff of n terms each: relative to max|u|, the error stays below
     1e-14 n, as an LU solve's does (9e-12 at n = 4096 on white-noise solutions).
 
-    A pure-Neumann problem is solvable only for mean-free right sides: the
-    right side is checked against :data:`SOLVABILITY_TOL`, its mean is removed
-    so that the last row holds too, and the solution is returned with zero
-    mean.  A non-finite right side raises :class:`NonFiniteError`.
+    The problem is solvable only for mean-free right sides: the right side is
+    checked against :data:`SOLVABILITY_TOL`, its mean is removed so that the
+    last row holds too, and the solution is returned with zero mean.  A
+    non-finite right side raises :class:`NonFiniteError`.
     """
-    _check_bc(bc)
     g, f = rhs.grid, rhs.values
-    _check_finite(f"{bc} Laplacian", f)
+    _check_finite("neumann Laplacian", f)
     n = g.n_cells  # means below as sum / n: what ndarray.mean computes, without its overhead
-    if bc == "neumann":
-        mean = float(f.sum() / n)
-        # the root mean square, with f scaled by max|f| first, so that no
-        # square overflows (a finite f above about 1e154 would)
-        top = float(np.abs(f).max())
-        scale = top * float(np.sqrt(((f / top) ** 2).sum() / n)) if top > 0.0 else 0.0
-        if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
-            raise SolvabilityError(
-                f"neumann right side has mean {mean:g}; the problem is unsolvable"
-            )
-        f = f - mean
-    c = np.cumsum(f)
+    mean = float(f.sum() / n)
+    # the root mean square, with f scaled by max|f| first, so that no
+    # square overflows (a finite f above about 1e154 would)
+    top = float(np.abs(f).max())
+    scale = top * float(np.sqrt(((f / top) ** 2).sum() / n)) if top > 0.0 else 0.0
+    if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
+        raise SolvabilityError(f"neumann right side has mean {mean:g}; the problem is unsolvable")
+    c = np.cumsum(f - mean)
     u = np.empty(n)
     u[0] = 0.0
-    np.cumsum(c[:-1], out=u[1:])  # u_k - u_0 - k D_0, over h^2; u[-1] is sum_{k<n-1} C_k
-    if bc == "neumann":
-        u -= u.sum() / n
-    else:
-        u -= (c[-1] + 2.0 * u[-1]) / (4 * n) * np.arange(1.0, 2 * n, 2.0)  # u_0 + k D_0 = (2k+1) u_0
+    np.cumsum(c[:-1], out=u[1:])  # u_k - u_0, over h^2
+    u -= u.sum() / n
     u *= g.spacing_h**2
     return Field(g, u)

@@ -85,7 +85,6 @@ __all__ = [
     "hydrostatic_density",
     "hydrostatic_state",
     "solve_continuity",
-    "solve_momentum",
     "solve_flow_coupled",
     "solve_mu",
     "solve_c",
@@ -386,18 +385,6 @@ def _momentum_forcing(state: State, lag: Lagged, eps: float, spec: ProblemSpec) 
     )
 
 
-def solve_momentum(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> Field:
-    """Solve visc u'' = sigma * (lagged momentum right side) with u = 0 at the walls.
-
-    All nonlinear terms are evaluated at the incoming state.  This plain
-    lagged solve is the verification surface for the momentum discretization;
-    the fixed-point iteration itself uses :func:`solve_flow_coupled`, whose
-    fixed points satisfy exactly this equation.
-    """
-    rhs = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
-    return mesh.laplacian_solve(Field(spec.grid, rhs / spec.fluid.visc), "dirichlet0")
-
-
 def solve_flow_coupled(
     state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec
 ) -> tuple[Field, Field]:
@@ -415,6 +402,14 @@ def solve_flow_coupled(
     At a fixed point (rho, u) equal the incoming pair and the equations reduce
     to the plain lagged splitting; away from it the implicit pressure-density
     coupling removes the splitting's unstable mass-pressure mode.
+
+    The continuity rows telescope, so the density proposal, before it is
+    clipped at zero, keeps the mass of the continuity right side over eps^2,
+    m1 without a manufactured source, up to roundoff that grows with Pi'
+    (1e-8 of it on converged solves, 1e-6 on a diverging iterate at Pi' 3e6).
+    A proposal off that mass by more than 1e-3 of it raises
+    :class:`SingularSystemError` naming the mass kept and max Pi': on short
+    domains Pi'(rho0) passes 1e13 and the solve loses the density.
     """
     g = spec.grid
     n, h = g.n_cells, g.spacing_h
@@ -432,28 +427,37 @@ def solve_flow_coupled(
         return ab[6 + r - c, c::2], ab[4 + r - c, 2 + c::2], ab[8 + r - c, c:-2:2]
 
     # Each block's bands go into their views as they are computed, so beside
-    # ab only one block's temporaries are ever alive.
-    for view, band in zip(block(0, 0), _continuity_bands(uf, eps, g)):
-        view[...] = band
-    d, up, lo = block(0, 1)  # the correction flux acts at interior faces
-    flux = rho_f / (2.0 * h)
-    np.subtract(flux[1:], flux[:-1], out=d)
-    up[...] = flux[1:-1]
-    np.negative(flux[1:-1], out=lo)
-    coef = -sigma * lag.pi_slope
-    for view, part, band in zip(block(1, 0), (coef, coef[1:], coef[:-1]),
-                                mesh.bands(mesh.gradient, g, "neumann")):
-        np.multiply(part, band, out=view)
-    for view, band in zip(block(1, 1), mesh.bands(mesh.laplacian_apply, g, "dirichlet0")):
-        np.multiply(spec.fluid.visc, band, out=view)
+    # ab only one block's temporaries are ever alive.  An overflow leaves an
+    # infinity, which solve_banded names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for view, band in zip(block(0, 0), _continuity_bands(uf, eps, g)):
+            view[...] = band
+        d, up, lo = block(0, 1)  # the correction flux acts at interior faces
+        flux = rho_f / (2.0 * h)
+        np.subtract(flux[1:], flux[:-1], out=d)
+        up[...] = flux[1:-1]
+        np.negative(flux[1:-1], out=lo)
+        coef = -sigma * lag.pi_slope
+        for view, part, band in zip(block(1, 0), (coef, coef[1:], coef[:-1]),
+                                    mesh.bands(mesh.gradient, g, "neumann")):
+            np.multiply(part, band, out=view)
+        for view, band in zip(block(1, 1), mesh.bands(mesh.laplacian_apply, g, "dirichlet0")):
+            np.multiply(spec.fluid.visc, band, out=view)
 
-    b = np.empty(2 * n)
-    b[0::2] = _continuity_rhs(eps, spec)
-    old_flux = rho_f * uf  # the u_old part of the correction flux
-    b[0::2] += (old_flux[1:] - old_flux[:-1]) / h
-    b[1::2] = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
-    b[1::2] -= sigma * mesh.gradient_of(lag.pi_slope * rho_t, "neumann", h)
+        b = np.empty(2 * n)
+        b[0::2] = _continuity_rhs(eps, spec)
+        target = mesh.integral_of(b[0::2], h) / eps**2  # the mass the summed rows keep
+        old_flux = rho_f * uf  # the u_old part of the correction flux
+        b[0::2] += (old_flux[1:] - old_flux[:-1]) / h
+        b[1::2] = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
+        b[1::2] -= sigma * mesh.gradient_of(lag.pi_slope * rho_t, "neumann", h)
     z = mesh.solve_banded("(rho, u) block", 3, 3, ab, b)
+    mass = mesh.integral_of(z[0::2], h)
+    if not abs(mass - target) <= 1.0e-3 * target:
+        raise SingularSystemError(
+            f"(rho, u) block: the density proposal keeps mass {mass:.4g} of {target:.4g}; "
+            f"max Pi'(rho) is {lag.pi_slope.max():.3g}"
+        )
     return Field(g, np.maximum(z[0::2], 0.0)), Field(g, z[1::2])
 
 
@@ -505,7 +509,7 @@ def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemS
     """
     g = spec.grid
     rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, lag.dc, eps, spec), spec, "mu"), g)
-    mu_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann").values
+    mu_hat = mesh.laplacian_solve(Field(g, rhs0)).values
     rho, h = state.rho.values, g.spacing_h
     target = mesh.integral_of(rho * lag.dF, h)
     return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec), proj
@@ -540,7 +544,7 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
     g, h = spec.grid, spec.grid.spacing_h
     rho = state.rho.values
     rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, lag.dF, spec), spec, "c"), g)
-    c_hat = mesh.laplacian_solve(Field(g, rhs0), "neumann").values
+    c_hat = mesh.laplacian_solve(Field(g, rhs0)).values
     weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
     return _pin_constant(c_hat, _c_mass_target(rho, c_hat, eps, spec), rho, weight, spec), proj
 

@@ -447,6 +447,37 @@ class TestCliSolve:
                             r"finite in \d+ of 128 entries", lines[0])
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_block_matrix_is_named_without_a_warning(self, tmp_path, capsys):
+        # Pi' of order 1e307 times the gradient band 1/(2h) passes the float
+        # range in the block assembly; under the suite's warnings-as-errors
+        # setting a numpy warning there would be a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 1e300\n"
+                       "fluid.h = 1e307\n")
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "solve failed: NonFiniteError: (rho, u) block: the matrix or right side is not finite\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("length", ["0.03", "1e-3", "1e-4", "1e-6"])
+    def test_short_domain_names_the_block_losing_mass(self, tmp_path, capsys, length):
+        # rho0 = m1 / L puts the pressure slope past 1e15, and the block's
+        # density proposal loses the mass m1 = 1 from the exact constant
+        # start; the mu and c solves, which blamed their right side's mean or
+        # weight integral for it, are not reached
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"domain.length = {length}\n")
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"solve failed: SingularSystemError: \(rho, u\) block: the density "
+                             r"proposal keeps mass (\S+) of 1; max Pi'\(rho\) is (\S+)\n", err)
+        assert found, err
+        assert abs(float(found[1])) < 0.01 and float(found[2]) > 1e15, err
+        assert not (tmp_path / "o").exists()
+
 
 FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
 HUGE_THETA = "potential.theta0 = 1e200\npotential.thetac = 1.5e200\n"

@@ -29,7 +29,6 @@ from chns1d.solver import (
     solve_c,
     solve_continuity,
     solve_flow_coupled,
-    solve_momentum,
     solve_mu,
 )
 from conftest import (
@@ -165,6 +164,18 @@ class TestContinuity:
             rho = solve_continuity(u, eps, spec)
             assert abs(mesh.integrate(rho) - spec.m1) <= 1e-12 * spec.m1
 
+    def test_swamped_transport_matrix_names_the_velocity(self, pot, fluid):
+        """Face velocities past 2^52 eps^2 h round eps^2 out of the column
+        sums; the message gives max|u_face|/h against eps^2."""
+        spec = zero_forcing_spec(128, pot, fluid)
+        u = spec.grid.field(1e12 * np.sin(np.pi * spec.grid.cell_centers()))
+        with pytest.raises(solver.SingularSystemError) as info:
+            solve_continuity(u, 1e-3, spec)
+        found = re.fullmatch(r"transport matrix lost diagonal dominance \(eps=0\.001, n=128\): "
+                             r"incoming max\|u_face\|/h (\S+) against eps\^2 (\S+)", str(info.value))
+        assert found, str(info.value)
+        assert float(found[2]) == 1e-6 and float(found[1]) > 1e14
+
     def test_positivity_under_strong_advection(self, pot, fluid):
         spec = zero_forcing_spec(128, pot, fluid)
         x = spec.grid.cell_centers()
@@ -174,12 +185,6 @@ class TestContinuity:
 
 
 class TestSubSolveTrivialCases:
-    def test_momentum_constant_state_is_rest(self, pot, fluid):
-        spec = zero_forcing_spec(64, pot, fluid)
-        state = constant_state(spec, 1e-2)
-        u = solve_momentum(state, lagged(state, spec), 1.0, 1e-2, spec)
-        assert np.max(np.abs(u.values)) <= 1e-13
-
     def test_mu_constant_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
@@ -718,11 +723,13 @@ class TestContinuation:
         ):
             continuation_solve(forced_spec, ctl)
 
-    def test_blow_up_is_named_by_the_velocity(self):
+    def test_blow_up_is_named_by_the_block(self):
         """At amplitude 20, from the constant state, the iterate blows up
-        within a few steps, until the advection terms swamp eps^2 in the
-        transport matrix; the message gives max|u_face|/h against eps^2, not a
-        grid diagnosis.  (From the hydrostatic start it converges.)"""
+        within a few steps: at the fourth, Pi' passes 1e14 and the block's
+        density proposal loses the mass.  The message names the mass kept and
+        max Pi', not a grid diagnosis; the step after, the transport matrix
+        lost diagonal dominance at max|u_face|/h 4.6e21.  (From the
+        hydrostatic start it converges.)"""
         cfg = parse_config_text(
             "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 20\n"
             "solver.max_picard = 300\n"
@@ -730,9 +737,10 @@ class TestContinuation:
         with pytest.raises(solver.SingularSystemError) as info:
             continuation_solve(cfg.spec, cfg.controls, constant_state(cfg.spec, 1e-3))
         msg = str(info.value)
-        found = re.search(r"\(eps=0\.001, n=128\): incoming max\|u_face\|/h (\S+) against eps\^2 (\S+)$", msg)
+        found = re.fullmatch(r"\(rho, u\) block: the density proposal keeps mass (\S+) of 1; "
+                             r"max Pi'\(rho\) is (\S+)", msg)
         assert found, msg
-        assert float(found[2]) == 1e-6 and float(found[1]) > 1e12
+        assert abs(float(found[1]) - 1.0) > 1e-3 and float(found[2]) > 1e12
         assert "grid" not in msg
 
 
@@ -880,14 +888,36 @@ class TestManufacturedSolutions:
             errs.append(np.max(np.abs(rho.values - mms.rho(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 0.9
 
-    def test_momentum_order(self):
-        mms = build_manufactured(eps=0.1)
-        errs = []
+    def test_flow_coupled_order(self):
+        """At constant density the upwind flux is exact to O(h^2), so the
+        (rho, u) block, from the exact state, is second order in both fields;
+        with the density amplitude 0.3 the upwind continuity makes u first order."""
+        mms = build_manufactured(eps=0.1, rho_amp=0.0)
+        errs = {"rho": [], "u": []}
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
-            u = solve_momentum(state, lagged(state, spec), 1.0, mms.eps, spec)
-            errs.append(np.max(np.abs(u.values - mms.u(grid.cell_centers()))))
+            x = grid.cell_centers()
+            rho, u = solve_flow_coupled(state, lagged(state, spec), 1.0, mms.eps, spec)
+            errs["rho"].append(np.max(np.abs(rho.values - mms.rho(x))))
+            errs["u"].append(np.max(np.abs(u.values - mms.u(x))))
+        for name, e in errs.items():
+            orders = observed_orders(e)
+            assert all(1.9 <= o <= 2.1 for o in orders), (name, orders)
+
+    def test_momentum_right_side_order(self):
+        """The lagged momentum right side plus its source is visc u*'' to
+        second order on the variable density, which checks the Pi(rho)' and
+        eps^4 rho' u' terms that the constant-density block test zeroes."""
+        mms = build_manufactured(eps=0.1)
+        errs = []
+        for n in (64, 128, 256, 512, 1024):
+            grid = Grid(n, 1.0)
+            state, spec = mms.state(grid), mms.spec(grid)
+            x = grid.cell_centers()
+            got = solver._momentum_forcing(state, lagged(state, spec), mms.eps, spec) + mms.s_u(x)
+            want = mms.fluid.visc * -np.pi**2 * mms.u(x)  # u* = 0.1 sin(pi x)
+            errs.append(np.max(np.abs(got - want)))
         assert min(observed_orders(errs)) >= 1.9
 
     def test_mu_order(self):
