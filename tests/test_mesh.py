@@ -197,6 +197,18 @@ class TestBands:
         back = solve_banded((1, 1), np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]]), lap)
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
+    def test_dirichlet_bands_solve_parabola(self):
+        # u'' = 1 with u(0) = u(1) = 0 through the dirichlet0 bands is second
+        # order in max norm: the wall rows the block's velocity rows use
+        errs = []
+        for n in (32, 64, 128, 256):
+            g = Grid(n, 1.0)
+            x = g.cell_centers()
+            diag, upper, lower = bands(laplacian_apply, g, "dirichlet0")
+            got = solve_banded((1, 1), np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]]), np.ones(n))
+            errs.append(np.max(np.abs(got - 0.5 * x * (x - 1.0))))
+        assert min(orders(errs)) >= 1.9
+
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
     @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
     def test_bands_probed_once_per_grid(self, op, bc):
