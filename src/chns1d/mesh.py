@@ -15,7 +15,9 @@ values (length, finiteness) when it is built, so the kernels, which the
 solver's inner loop calls on plain arrays, check nothing.
 
 :func:`laplacian_solve` inverts the Neumann Laplacian in closed form, by two
-prefix sums.  The other banded systems go to LAPACK through :func:`solve_tridiagonal`
+prefix sums, on the right side less its mean, and returns the removed
+integral with the solution: the one place a Neumann right side is made
+compatible.  The other banded systems go to LAPACK through :func:`solve_tridiagonal`
 (``dgtsv``) and :func:`solve_banded` (``dgbsv``), which overwrite their
 arguments, return the solution and name the solve in every error.
 
@@ -50,7 +52,6 @@ from .record import Record
 __all__ = [
     "Grid",
     "Field",
-    "SolvabilityError",
     "DegenerateWeightError",
     "NonFiniteError",
     "SingularSystemError",
@@ -161,14 +162,6 @@ _routines = _numpy_lapack()
 if _routines is None:
     _load_flapack()
 _gtsv, _gbsv = (_flapack_gtsv, _flapack_gbsv) if _routines is None else (_numpy_gtsv, _numpy_gbsv)
-
-
-# Compatibility tolerance for the pure-Neumann solve.
-SOLVABILITY_TOL = 1.0e-10
-
-
-class SolvabilityError(ValueError):
-    """Pure-Neumann problem with a right side that is not mean-free."""
 
 
 class DegenerateWeightError(ValueError):
@@ -380,35 +373,31 @@ def solve_banded(name: str, kl: int, ku: int, ab, b) -> np.ndarray:
     return _solve(name, _gbsv, kl, ku, ab=(ab, (2 * kl + ku + 1, n)), b=(b, (n,)))
 
 
-def laplacian_solve(rhs: Field) -> Field:
-    """Solve Lap(u) = rhs, the three-point Laplacian with Neumann walls, in
-    closed form by two prefix sums.
+def laplacian_solve(rhs: Field) -> tuple[Field, float]:
+    """Solve Lap(u) = rhs - mean(rhs), the three-point Laplacian with Neumann
+    walls, in closed form by two prefix sums; return u and |mean(rhs)| L.
 
     With D_k = u_k - u_{k-1} the difference across face k, row i reads
-    D_{i+1} - D_i = h^2 rhs_i, and the walls give D_0 = 0.  So
-    D = h^2 cumsum(rhs), and u = u_0 + cumsum(D).  The sums carry the
+    D_{i+1} - D_i = h^2 f_i, and the walls give D_0 = 0.  So
+    D = h^2 cumsum(f), and u = u_0 + cumsum(D).  The sums carry the
     roundoff of n terms each: relative to max|u|, the error stays below
     1e-14 n, as an LU solve's does (9e-12 at n = 4096 on white-noise solutions).
 
-    The problem is solvable only for mean-free right sides: the right side is
-    checked against :data:`SOLVABILITY_TOL`, its mean is removed so that the
-    last row holds too, and the solution is returned with zero mean.  A
-    non-finite right side raises :class:`NonFiniteError`.
+    The pure-Neumann problem is solvable only for a mean-free right side, so
+    this is the one place a right side is made compatible: f is ``rhs`` with
+    its mean removed, which lets the last row hold too.  A right side with a
+    mean is therefore no error; the removed integral |mean| L is returned
+    with the solution, which has zero mean, for the caller to count as a
+    residual.  A non-finite right side raises :class:`NonFiniteError`.
     """
     g, f = rhs.grid, rhs.values
     _check_finite("neumann Laplacian", f)
     n = g.n_cells  # means below as sum / n: what ndarray.mean computes, without its overhead
     mean = float(f.sum() / n)
-    # the root mean square, with f scaled by max|f| first, so that no
-    # square overflows (a finite f above about 1e154 would)
-    top = float(np.abs(f).max())
-    scale = top * float(np.sqrt(((f / top) ** 2).sum() / n)) if top > 0.0 else 0.0
-    if abs(mean) > SOLVABILITY_TOL * max(scale, 1.0e-300):
-        raise SolvabilityError(f"neumann right side has mean {mean:g}; the problem is unsolvable")
     c = np.cumsum(f - mean)
     u = np.empty(n)
     u[0] = 0.0
     np.cumsum(c[:-1], out=u[1:])  # u_k - u_0, over h^2
     u -= u.sum() / n
     u *= g.spacing_h**2
-    return Field(g, u)
+    return Field(g, u), abs(mean * g.length_L)

@@ -461,14 +461,8 @@ def solve_flow_coupled(
     return Field(g, np.maximum(z[0::2], 0.0)), Field(g, z[1::2])
 
 
-def _projection(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
-    """Remove the mean from a Neumann right side; report the removed integral."""
-    mean = float(rhs.sum() / rhs.size)
-    return rhs - mean, abs(mean * g.length_L)
-
-
 def _pin_constant(
-    hat: np.ndarray, target: float, rho: np.ndarray, weight_integral: float, spec: ProblemSpec
+    hat: Field, target: float, rho: np.ndarray, weight_integral: float, spec: ProblemSpec
 ) -> Field:
     """Fix the Neumann constant of a sub-solve: ``hat + s`` with
     s = (target - integrate(rho hat)) / weight_integral, where weight_integral
@@ -478,8 +472,8 @@ def _pin_constant(
         raise mesh.DegenerateWeightError(
             f"density-weighted constraint is degenerate (integral {weight_integral:g})"
         )
-    s = (target - mesh.integral_of(rho * hat, spec.grid.spacing_h)) / weight_integral
-    return Field(spec.grid, hat + s)
+    s = (target - mesh.integral_of(rho * hat.values, spec.grid.spacing_h)) / weight_integral
+    return Field(spec.grid, hat.values + s)
 
 
 @_right_side("mu right side", "mu")
@@ -501,15 +495,15 @@ def _c_rhs(state: State, dF: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the chemical-potential Poisson problem and pin its constant.
 
-    The right side sigma*(eps rho c + rho u c' - eps rho0 c0) is projected to
-    zero mean (the projection magnitude is returned as a compatibility
-    residual that vanishes as the outer iteration converges), the Neumann
-    problem is solved, and the constant is fixed so the rho-weighted mean of
-    mu equals that of dF_delta(c).
+    :func:`mesh.laplacian_solve` solves with the right side
+    sigma*(eps rho c + rho u c' - eps rho0 c0) less its mean, and the constant
+    is fixed so the rho-weighted mean of mu equals that of dF_delta(c).  The
+    removed integral, which vanishes as the outer iteration converges, is
+    returned as the compatibility residual ``proj``.
     """
     g = spec.grid
-    rhs0, proj = _projection(_with_source(sigma * _mu_rhs(state, lag.dc, eps, spec), spec, "mu"), g)
-    mu_hat = mesh.laplacian_solve(Field(g, rhs0)).values
+    rhs = _with_source(sigma * _mu_rhs(state, lag.dc, eps, spec), spec, "mu")
+    mu_hat, proj = mesh.laplacian_solve(Field(g, rhs))
     rho, h = state.rho.values, g.spacing_h
     target = mesh.integral_of(rho * lag.dF, h)
     return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec), proj
@@ -532,9 +526,10 @@ def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec
 def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the concentration Poisson problem and impose the relative-mass constraint.
 
-    The right side sigma*(rho dF_delta(c_prev) - rho mu) is mean-projected
-    (projection magnitude returned), the Neumann problem is solved, and the
-    additive constant s is chosen so that
+    :func:`mesh.laplacian_solve` solves with the right side
+    sigma*(rho dF_delta(c_prev) - rho mu) less its mean (the removed integral
+    is returned as ``proj``, as by :func:`solve_mu`), and the additive
+    constant s is chosen so that
 
         integrate(rho (c+s)) = m2 + eps integrate((rho0-rho)(c+s))
                                - eps^3 integrate(rho' c')
@@ -543,10 +538,10 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
     """
     g, h = spec.grid, spec.grid.spacing_h
     rho = state.rho.values
-    rhs0, proj = _projection(_with_source(sigma * _c_rhs(state, lag.dF, spec), spec, "c"), g)
-    c_hat = mesh.laplacian_solve(Field(g, rhs0)).values
+    rhs = _with_source(sigma * _c_rhs(state, lag.dF, spec), spec, "c")
+    c_hat, proj = mesh.laplacian_solve(Field(g, rhs))
     weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
-    return _pin_constant(c_hat, _c_mass_target(rho, c_hat, eps, spec), rho, weight, spec), proj
+    return _pin_constant(c_hat, _c_mass_target(rho, c_hat.values, eps, spec), rho, weight, spec), proj
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +833,6 @@ SOLVER_ERRORS = (
     NotConverged,
     SingularSystemError,
     mesh.NonFiniteError,
-    mesh.SolvabilityError,
     mesh.DegenerateWeightError,
     OverflowError,
     FloatingPointError,

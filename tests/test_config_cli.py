@@ -121,6 +121,19 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"config error: {key}: must be finite\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("domain.n_cells 64\n", "config error: line 1: expected 'key = value', got "
+                                "'domain.n_cells 64'\n"),
+        (None, "config error: cannot read config file {cfg}: "),
+    ], ids=["no-equals", "missing-file"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(message.format(cfg=cfg))
+        assert not (tmp_path / "o").exists()
+
     # one out-of-range value per key whose range a parameter type checks
     @pytest.mark.parametrize("key, value", [
         ("domain.n_cells", "4"),
@@ -214,6 +227,14 @@ class TestCliMain:
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("out of memory: Unable to allocate")
         assert not (tmp_path / "o").exists()
+
+    def test_out_below_a_regular_file_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain.n_cells = 32\n")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(blocker / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {blocker / 'o' / 'fields.csv'}: ")
 
     def test_memory_error_in_a_command_exits_1(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -503,8 +524,14 @@ class TestCliSweep:
         assert rc == 2
 
     @pytest.mark.parametrize("max_parallel", [1, 2])
-    @pytest.mark.parametrize("values", ["1.5,0.5", "0.5,0", "nan"])
-    def test_invalid_values_usage_error(self, tmp_path, capsys, values, max_parallel):
+    @pytest.mark.parametrize("values, message", [
+        pytest.param(v, "sweep: delta values must lie in (0, 1)", id=v)
+        for v in ("1.5,0.5", "0.5,0", "nan")
+    ] + [
+        pytest.param("0.1,abc", "sweep: cannot parse values: could not convert string to "
+                                "float: 'abc'\n", id="0.1,abc"),
+    ])
+    def test_invalid_values_usage_error(self, tmp_path, capsys, values, message, max_parallel):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"domain.n_cells = 64\nsweep.max_parallel = {max_parallel}\n")
         rc = cli.main(
@@ -512,7 +539,7 @@ class TestCliSweep:
              "--sweep-key", "delta", "--values", values]
         )
         assert rc == 2
-        assert capsys.readouterr().err.startswith("sweep: delta values must lie in (0, 1)")
+        assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("max_parallel", [1, 2])

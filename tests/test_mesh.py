@@ -13,7 +13,6 @@ from chns1d.mesh import (
     Grid,
     NonFiniteError,
     SingularSystemError,
-    SolvabilityError,
     bands,
     gradient,
     gradient_of,
@@ -273,7 +272,8 @@ class TestIntegrate:
 class TestLaplacianSolve:
     def test_zero_rhs(self):
         g = Grid(32, 1.0)
-        assert np.array_equal(laplacian_solve(g.zeros()).values, np.zeros(32))
+        u, removed = laplacian_solve(g.zeros())
+        assert np.array_equal(u.values, np.zeros(32)) and removed == 0.0
 
     def test_neumann_manufactured_order(self):
         errs = []
@@ -281,41 +281,43 @@ class TestLaplacianSolve:
             g = Grid(n, 1.0)
             x = g.cell_centers()
             rhs = g.field(-np.pi**2 * np.cos(np.pi * x))
-            got = laplacian_solve(rhs).values
+            got = laplacian_solve(rhs)[0].values
             exact = np.cos(np.pi * x)
             exact -= exact.mean()
             errs.append(np.max(np.abs(got - exact)))
         assert min(orders(errs)) >= 1.9
 
     def test_exact_discrete_inverse(self):
-        g = Grid(128, 1.0)
+        """A right side with a mean is solved less its mean, and the removed
+        integral |mean| L is returned with the solution."""
+        g = Grid(128, 0.7)
         x = g.cell_centers()
-        rhs_vals = np.sin(3 * np.pi * x) * np.cos(np.pi * x)
-        rhs_vals -= rhs_vals.mean()
-        rhs = Field(g, rhs_vals)
-        u = laplacian_solve(rhs)
+        rhs_vals = np.sin(3 * np.pi * x) * np.cos(np.pi * x) + 0.3
+        mean = rhs_vals.mean()
+        u, removed = laplacian_solve(Field(g, rhs_vals))
         back = laplacian_apply(u, "neumann").values
-        assert np.max(np.abs(back - rhs_vals)) <= 1e-10 * max(np.max(np.abs(rhs_vals)), 1e-300)
+        assert np.max(np.abs(back - (rhs_vals - mean))) <= 1e-10 * np.max(np.abs(rhs_vals - mean))
+        assert removed == pytest.approx(abs(mean) * 0.7, rel=1e-14)
 
-    def test_solvability_error(self):
-        g = Grid(32, 1.0)
-        with pytest.raises(SolvabilityError):
-            laplacian_solve(g.field(1.0))
+    def test_constant_right_side_gives_zero_and_its_integral(self):
+        g = Grid(32, 0.7)
+        u, removed = laplacian_solve(g.field(-2.5))
+        assert np.array_equal(u.values, np.zeros(32))
+        assert removed == pytest.approx(2.5 * 0.7, rel=1e-15)
 
-    def test_huge_neumann_right_side_solves_or_is_named(self):
-        """A right side of order 1e200 squares past the float range; the
-        solvability scale must not, so no warning escapes: a mean-free one
-        solves as its unit-size copy scaled, and one with a mean is named."""
-        g = Grid(64, 1.0)
-        x = g.cell_centers()
-        unit = np.cos(np.pi * x)
+    @pytest.mark.parametrize("mean", [0.0, 1.0])
+    def test_huge_right_side_solves_as_its_scaled_copy(self, mean):
+        """A right side of order 1e200 squares past the float range; nothing
+        in the solve may square it, so no warning escapes, and the solution
+        and removed integral are the unit-size copy's, scaled."""
+        g = Grid(64, 0.7)
+        unit = mean + np.cos(np.pi * g.cell_centers() / 0.7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = laplacian_solve(g.field(1e200 * unit)).values
-            ref = laplacian_solve(g.field(unit)).values
-            assert np.allclose(got, 1e200 * ref, rtol=1e-12, atol=0.0)
-            with pytest.raises(SolvabilityError, match="mean 1e\\+200"):
-                laplacian_solve(g.field(1e200 * (1.0 + unit)))
+            got, removed = laplacian_solve(g.field(1e200 * unit))
+            ref = laplacian_solve(g.field(unit))[0]
+        assert np.allclose(got.values, 1e200 * ref.values, rtol=1e-12, atol=0.0)
+        assert removed == pytest.approx(1e200 * mean * 0.7, rel=1e-12, abs=1e200 * 1e-15)
 
     def test_nan_right_side_is_named(self):
         g = Grid(32, 1.0)
@@ -328,7 +330,7 @@ class TestLaplacianSolve:
         g = Grid(64, 1.0)
         x = g.cell_centers()
         rhs_vals = np.cos(2 * np.pi * x)
-        u = laplacian_solve(Field(g, rhs_vals - rhs_vals.mean())).values
+        u = laplacian_solve(Field(g, rhs_vals - rhs_vals.mean()))[0].values
         assert abs(u.mean()) <= 1e-13
 
     # The prefix sums carry the roundoff of n terms: relative to max|u|, the
@@ -350,7 +352,7 @@ class TestLaplacianSolve:
         g = Grid(n, 1.0)
         for seed in range(5):
             u, f = self.white_noise(g, seed)
-            got = laplacian_solve(Field(g, f)).values
+            got = laplacian_solve(Field(g, f))[0].values
             assert np.max(np.abs(got - u)) <= self.tol(n) * np.max(np.abs(u))
 
     @pytest.mark.parametrize("n", [8, 256, 4096])
@@ -366,7 +368,7 @@ class TestLaplacianSolve:
             f = f - f.mean()
             want = solve_banded((1, 1), ab, np.r_[0.0, f[1:]])
             want -= want.mean()
-            got = laplacian_solve(Field(g, f)).values
+            got = laplacian_solve(Field(g, f))[0].values
             assert np.max(np.abs(got - want)) <= self.tol(n) * np.max(np.abs(want))
 
 

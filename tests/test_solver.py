@@ -118,7 +118,13 @@ class TestRecords:
         (FluidParams(), {"lambda1": 0.0}, r"^lambda1 must be positive"),
         (SolveControls(), {"max_picard": 2.5}, r"^max_picard must be an integer >= 1"),
         (Grid(64, 1.0), {"n_cells": 4}, r"^n_cells must be an integer >= 8"),
-    ], ids=["delta", "lambda1", "max_picard", "n_cells"])
+        (SolveControls(), {"eps_schedule": (1.5,)},
+         r"^eps_schedule entries must lie in \(0, 1\), got \(1\.5,\)$"),
+        (ProblemSpec(Grid(64, 1.0), PotentialParams(), FluidParams()), {"g1": Grid(32, 1.0).zeros()},
+         r"^g1 lives on a different grid$"),
+        (State(*[Grid(64, 1.0).zeros()] * 4), {"u": Grid(32, 1.0).zeros()},
+         r"^u lives on a different grid than rho$"),
+    ], ids=["delta", "lambda1", "max_picard", "n_cells", "eps_schedule", "g1", "u"])
     def test_replace_validates_again(self, record, change, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(record, **change)
@@ -175,6 +181,17 @@ class TestContinuity:
                              r"incoming max\|u_face\|/h (\S+) against eps\^2 (\S+)", str(info.value))
         assert found, str(info.value)
         assert float(found[2]) == 1e-6 and float(found[1]) > 1e14
+
+    def test_negative_density_is_named(self, pot, fluid):
+        """A manufactured continuity source of -50 in one cell drives the
+        M-matrix solve negative there, which is named with the minimum."""
+        spec = zero_forcing_spec(64, pot, fluid)
+        source = np.zeros(64)
+        source[32] = -50.0
+        spec = dataclasses.replace(spec, mms_sources=solver.MmsSources(continuity=spec.grid.field(source)))
+        with pytest.raises(solver.SingularSystemError,
+                           match=r"^continuity solve produced negative density -4\.95954e\+07$"):
+            solve_continuity(spec.grid.zeros(), 1e-3, spec)
 
     def test_positivity_under_strong_advection(self, pot, fluid):
         spec = zero_forcing_spec(128, pot, fluid)
@@ -608,6 +625,22 @@ class TestAdaptiveDamping:
         _, log = continuation_solve(cfg.spec, cfg.controls)
         assert stage_iterations(log) == [2, 2, 2, 2, 3, 3]
 
+    def test_half_start_solves_what_the_full_start_loses(self):
+        """Sin amplitude 30 with m1 = 0.5 (n = 128): started at 1, the block's
+        density proposal loses the mass; started at 1/2, the stage ends by its
+        test with exact mass and rho >= 0.  The one measured use of the knob."""
+        text = ("domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 30\n"
+                "problem.m1 = 0.5\nproblem.m2 = 0.15\nsolver.max_picard = 300\n")
+        cfg = parse_config_text(text)
+        with pytest.raises(solver.SingularSystemError,
+                           match=r"^\(rho, u\) block: the density proposal keeps mass "):
+            continuation_solve(cfg.spec, cfg.controls)
+        cfg = parse_config_text(text + "solver.damping = 0.5\n")
+        state, log = continuation_solve(cfg.spec, cfg.controls)
+        assert log.stages[-1].residuals[-1] <= cfg.controls.tol_rel
+        assert log.max_mass_error() <= 1e-12 * cfg.spec.m1
+        assert state.rho.values.min() >= 0.0
+
     def test_half_start_is_the_fixed_half_iteration(self):
         """Without a residual rise the adaptive rule is fixed damping: one path serves both."""
         cfg = forced_default(LADDER + "solver.damping = 0.5\n")
@@ -982,6 +1015,10 @@ class TestSweeps:
     def test_eps_sweep_validation(self, forced_spec, controls):
         with pytest.raises(ValueError):
             eps_sweep(forced_spec, [1e-2, 1e-1], controls)
+
+    def test_unknown_sweep_key(self):
+        with pytest.raises(ValueError, match=r"^unknown sweep key 'gamma'$"):
+            solver.check_sweep("gamma", [0.1])
 
     def test_delta_sweep_art_pressure_decreasing(self, pot, fluid):
         spec = make_forced_spec(96, pot, fluid)
