@@ -16,11 +16,11 @@ and mu are prescribed (the c one with eps-dependent corrections), and one
 helper, ``_pin_constant``, imposes both.  The load factor sigma in (0, 1]
 scales every nonlinear right side.  By default the solver runs one stage,
 sigma = 1 at eps = 1e-3, from :func:`hydrostatic_state`, the closed-form
-eps -> 0 limit at rest (c = c0, h(rho) = G1 + int g2/rho + C with h the
-enthalpy, and the O(eps^2) velocity that keeps its mass balance at eps); a
-longer ``sigma_schedule``
-ramps sigma to 1 and a longer ``eps_schedule`` walks eps down, as a
-continuation ladder for problems the one stage cannot reach.
+eps -> 0 limit at rest (h(rho) = G1 + int g2/rho + C with h the enthalpy,
+and the O(eps^2) velocity that keeps its mass balance at eps) with its
+phase pair (mu, c) solved once at that density and velocity; a longer
+``sigma_schedule`` ramps sigma to 1 and a longer ``eps_schedule`` walks eps
+down, as a continuation ladder for problems the one stage cannot reach.
 Every stage gets one attempt: a persistently rising residual raises
 :class:`DivergenceError` and a stage that runs out of ``max_picard`` raises
 :class:`NotConverged`, each naming the stage's sigma and eps.
@@ -680,17 +680,26 @@ def _continuity_velocity(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.n
 
 def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
     """The eps -> 0 limit at rest, where every solve starts at ``eps``: the
-    :func:`hydrostatic_density`, c = c0, mu = dF_delta(c0), and the O(eps^2)
-    :func:`_continuity_velocity` of that density, so that the start keeps the
-    discrete mass balance at ``eps``.  With u = 0 instead, a force that does
-    not vanish at the walls (g2 = a cos) took a third Picard iteration at
+    :func:`hydrostatic_density`, the O(eps^2) :func:`_continuity_velocity`
+    of that density, so that the start keeps the discrete mass balance at
+    ``eps``, and the phase pair solved once at that (rho, u): :func:`solve_mu`
+    then :func:`solve_c` at sigma = 1, lagged at the limit's c = c0
+    (dF_delta(c0), c' = 0).  That moves mu and c by the O(eps) of the mu
+    equation's ``eps rho c`` source, which the limit leaves out; left at
+    the limit, they made the first Picard step's residual, above tol_rel at
+    every n.  With u = 0 instead of the velocity, a force that does not
+    vanish at the walls (g2 = a cos) took a third Picard iteration at
     n = 1024, and the forced default one at n = 256.  With zero forcing it
     is the constant state."""
     g = spec.grid
-    mu0 = dF_delta(spec.c0, spec.potential)
-    rho = hydrostatic_density(spec)
-    u = _continuity_velocity(rho, eps, spec)
-    return State(Field(g, rho), Field(g, u), g.field(mu0), g.field(spec.c0))
+    rho = Field(g, hydrostatic_density(spec))
+    u = Field(g, _continuity_velocity(rho.values, eps, spec))
+    limit = State(rho, u, g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0))
+    # the phase sub-solves read only dF and c' of the lag
+    lag = Lagged(limit.mu.values, np.zeros(g.n_cells), None, None)
+    mu, _ = solve_mu(limit, lag, 1.0, eps, spec)
+    c, _ = solve_c(State(rho, u, mu, limit.c), lag, 1.0, eps, spec)
+    return State(rho, u, mu, c)
 
 
 def _rel_update(new: Field, old: Field) -> float:

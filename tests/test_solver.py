@@ -9,7 +9,7 @@ from scipy.linalg import solve_banded
 from _mms import build_manufactured, observed_orders
 from chns1d import mesh, potential, solver
 from chns1d.config import parse_config_text
-from chns1d.diagnostics import compute_report
+from chns1d.diagnostics import compute_report, constraint_check
 from chns1d.mesh import Grid
 from chns1d.potential import PotentialParams, dF_delta
 from chns1d.solver import (
@@ -36,6 +36,11 @@ from conftest import (
 )
 
 FORCED_DEFAULT = "forcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
+# bench instance 4: a g2 = a cos force beside the sin one
+G2_COS_INSTANCE = (
+    "forcing.g1.kind = sin\nforcing.g1.amplitude = 0.0447\n"
+    "forcing.g2.kind = cos\nforcing.g2.amplitude = 0.0079\n"
+)
 
 
 def zero_forcing_spec(n: int, pot, fluid) -> ProblemSpec:
@@ -817,16 +822,28 @@ class TestHydrostaticStart:
         """rho > 0 with mass m1 to 1e-12 m1, and the discrete balance holds:
         h(rho_i) - h(rho_i-1) is the trapezoid integral of g1 + g2/rho between
         the two cell centres.  The velocity is the one whose continuity solve
-        returns rho."""
+        returns rho.  mu and c are what solve_mu then solve_c return at that
+        (rho, u) from the limit's (dF_delta(c0), c0): they meet the
+        relative-mass constraint, and differ from the limit by O(eps) (at most
+        0.027 eps for mu and 0.0013 eps for c over these cases)."""
+        eps = 1e-3
         spec = self.forced(kind, amplitude, g2).spec
-        state = hydrostatic_state(spec, 1e-3)
+        state = hydrostatic_state(spec, eps)
         rho, h = state.rho.values, spec.grid.spacing_h
         assert rho.min() > 0.0
         assert abs(mesh.integrate(state.rho) - spec.m1) <= 1e-12 * spec.m1
-        back = solver.solve_continuity(state.u, 1e-3, spec).values
+        back = solver.solve_continuity(state.u, eps, spec).values
         assert np.max(np.abs(back - rho)) <= 1e-12 * rho.max(), np.max(np.abs(back - rho))
-        assert np.all(state.c.values == spec.c0)
-        assert np.all(state.mu.values == dF_delta(spec.c0, spec.potential))
+        mu0 = dF_delta(spec.c0, spec.potential)
+        limit = State(state.rho, state.u, spec.grid.field(mu0), spec.grid.field(spec.c0))
+        lag = solver.Lagged(*solver.lagged_phase(limit.c.values, spec), None, None)
+        mu, _ = solve_mu(limit, lag, 1.0, eps, spec)
+        c, _ = solve_c(State(state.rho, state.u, mu, limit.c), lag, 1.0, eps, spec)
+        assert np.array_equal(state.mu.values, mu.values)
+        assert np.array_equal(state.c.values, c.values)
+        assert constraint_check(state, spec, eps)[1] <= 1e-15 * spec.m1
+        assert np.max(np.abs(state.mu.values - mu0)) <= 0.05 * eps
+        assert np.max(np.abs(state.c.values - spec.c0)) <= 0.005 * eps
         ent = potential.enthalpy(np.log(rho), spec.potential.delta, spec.fluid)[0]
         f = spec.g1.values + spec.g2.values / rho
         balance = np.diff(ent) - 0.5 * h * (f[:-1] + f[1:])
@@ -834,13 +851,10 @@ class TestHydrostaticStart:
 
     def test_start_velocity_saves_the_wall_force_an_iteration(self):
         """A g2 = a cos force is nonzero at the walls.  From the start's
-        velocity the solve takes the 2 iterations of a sin-only force; from
-        the same density at rest (u = 0) it takes 3, its second residual
-        above tol_rel."""
-        cfg = parse_config_text(
-            "domain.n_cells = 1024\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.0447\n"
-            "forcing.g2.kind = cos\nforcing.g2.amplitude = 0.0079\n"
-        )
+        velocity the solve takes 2 iterations (a sin-only force takes 1 at
+        this n, see the next test); from the same start at rest (u = 0) it
+        takes 3, its second residual above tol_rel."""
+        cfg = parse_config_text("domain.n_cells = 1024\n" + G2_COS_INSTANCE)
         start = hydrostatic_state(cfg.spec, cfg.controls.eps_schedule[0])
         assert np.abs(start.u.values).max() > 0.0
         _, log = continuation_solve(cfg.spec, cfg.controls)
@@ -848,6 +862,26 @@ class TestHydrostaticStart:
         at_rest = dataclasses.replace(start, u=cfg.spec.grid.zeros())
         _, log = continuation_solve(cfg.spec, cfg.controls, initial_state=at_rest)
         assert stage_iterations(log) == [3]
+
+    @pytest.mark.parametrize("n, forcing, iterations", [
+        (1024, FORCED_DEFAULT, [1]),
+        (4096, FORCED_DEFAULT, [1]),
+        # with a g2 = a cos force the converged density carries an odd-even
+        # mode that the smooth start lacks
+        (1024, G2_COS_INSTANCE, [2]),
+    ], ids=["default-1024", "default-4096", "g2-cos-1024"])
+    def test_one_iteration_is_an_honest_fixed_point(self, n, forcing, iterations):
+        """From the start with its phase pair solved, the forced default
+        converges in one Picard iteration at n >= 1024, and one more undamped
+        step from the returned state moves no field by more than tol_rel."""
+        cfg = parse_config_text(f"domain.n_cells = {n}\n" + forcing)
+        ctl = cfg.controls
+        state, log = continuation_solve(cfg.spec, ctl)
+        assert stage_iterations(log) == iterations
+        after, _ = picard_step(state, 1.0, ctl.eps_schedule[-1], cfg.spec, 1.0)
+        for name in ("rho", "u", "mu", "c"):
+            old, new = getattr(state, name).values, getattr(after, name).values
+            assert np.abs(new - old).max() <= ctl.tol_rel * (1.0 + np.abs(old).max()), name
 
     def test_no_positive_limit_is_named(self):
         """With g2 = 5 cos on sin 30 the limit has no positive density: shot
