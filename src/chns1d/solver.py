@@ -16,9 +16,10 @@ and mu are prescribed (the c one with eps-dependent corrections), and one
 helper, ``_pin_constant``, imposes both.  The load factor sigma in (0, 1]
 scales every nonlinear right side.  By default the solver runs one stage,
 sigma = 1 at eps = 1e-3, from :func:`hydrostatic_state`, the closed-form
-eps -> 0 limit at rest (h(rho) = G1 + int g2/rho + C with h the enthalpy,
-and the O(eps^2) velocity that keeps its mass balance at eps) with its
-phase pair (mu, c) solved once at that density and velocity; a longer
+eps -> 0 limit at rest (h(rho) = G1 + int g2/rho + C with h the enthalpy)
+after one Newton step onto the discrete momentum balance, the O(eps^2)
+velocity that keeps its mass balance at eps, and the phase pair (mu, c)
+solved once at that density and velocity; a longer
 ``sigma_schedule`` ramps sigma to 1 and a longer ``eps_schedule`` walks eps
 down, as a continuation ladder for problems the one stage cannot reach.
 Every stage gets one attempt: a persistently rising residual raises
@@ -319,13 +320,18 @@ def lagged_phase(c: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarr
         return dF_delta(c, spec.potential), mesh.gradient_of(c, "neumann", spec.grid.spacing_h)
 
 
-def lagged(state: State, spec: ProblemSpec) -> Lagged:
-    """Evaluate ``state``'s lagged coefficients once."""
-    rho, p, fp = state.rho.values, spec.potential, spec.fluid
+def _lagged_pressure(rho: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Pi(rho), artificial part included, and its slope Pi'(rho): the density's part of :func:`lagged`."""
+    p, fp = spec.potential, spec.fluid
     pi_slope = pressure_slope(rho, p.delta, fp)
     with np.errstate(over="ignore", invalid="ignore"):
         pi = artificial_pressure(rho, p.delta, fp.art_exponent) + pressure(rho, fp)
-    return Lagged(*lagged_phase(state.c.values, spec), pi, pi_slope)
+    return pi, pi_slope
+
+
+def lagged(state: State, spec: ProblemSpec) -> Lagged:
+    """Evaluate ``state``'s lagged coefficients once."""
+    return Lagged(*lagged_phase(state.c.values, spec), *_lagged_pressure(state.rho.values, spec))
 
 
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
@@ -650,24 +656,36 @@ def hydrostatic_density(spec: ProblemSpec, G1: Optional[np.ndarray] = None) -> n
     )
 
 
-def _continuity_velocity(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
-    """Cell velocities whose :func:`solve_continuity` at ``eps`` returns ``rho``.
+def _continuity_faces(rho: np.ndarray, eps: float, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The advective mass flux F at the n-1 interior faces that makes
+    :func:`solve_continuity` at ``eps`` return ``rho``, and the upwind
+    density there, of the sign of F.
 
     Summing the continuity rows from the left wall gives the total flux G at
     each interior face, the sum of h (b - eps^2 rho) with b the rows' right
     side (eps^2 rho0 and any manufactured source); adding back the diffusive
-    part leaves the advective flux F = G + eps^4 (rho_i+1 - rho_i)/h, which
-    is the upwind density times the face velocity, of the sign of F.  The face velocities are the means of the adjacent cell
-    values, which fixes u up to a checkerboard (-1)^i t; t puts each wall
-    cell at half its face's velocity, as a u linear at the wall would be, in
-    the mean of the two walls.  The velocity is O(eps^2) and vanishes where
-    rho = rho0.
+    part leaves F = G + eps^4 (rho_i+1 - rho_i)/h.  Numpy warnings are off:
+    a non-finite F reaches the velocity's check.
     """
     h = spec.grid.spacing_h
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         flux = np.cumsum(h * (_continuity_rhs(eps, spec) - eps**2 * rho))[:-1]
         flux += eps**4 / h * (rho[1:] - rho[:-1])
-        uf = flux / np.where(flux > 0.0, rho[:-1], rho[1:])
+    return flux, np.where(flux > 0.0, rho[:-1], rho[1:])
+
+
+def _continuity_velocity(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
+    """Cell velocities whose :func:`solve_continuity` at ``eps`` returns ``rho``.
+
+    The face velocities are the :func:`_continuity_faces` flux over the
+    upwind density.  They are the means of the adjacent cell values, which
+    fixes u up to a checkerboard (-1)^i t; t puts each wall cell at half its
+    face's velocity, as a u linear at the wall would be, in the mean of the
+    two walls.  The velocity is O(eps^2) and vanishes where rho = rho0.
+    """
+    flux, rho_up = _continuity_faces(rho, eps, spec)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        uf = flux / rho_up
         alt = np.ones(rho.size)
         alt[1::2] = -1.0
         u = np.zeros(rho.size)  # u_i+1 = 2 uf_i - u_i from u_0 = 0
@@ -678,27 +696,105 @@ def _continuity_velocity(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.n
     return u
 
 
+def _balanced_density(limit: State, eps: float, spec: ProblemSpec) -> np.ndarray:
+    """The density of ``limit``, a density at rest with its
+    :func:`_continuity_velocity`, after one Newton step onto the discrete
+    momentum balance at ``eps``.
+
+    The momentum rows M_i take the pressure gradient centred, which couples
+    every other cell, so the discrete balance differs from the limit's
+    smooth one: by O(h^2), and, where the force does not vanish at a wall
+    (g2 = a cos), by an odd-even mode of O(h).  A row sees u's own
+    checkerboard (-1)^i t with weight 4 visc/h^2, but the sum of rows i and
+    i+1 reads u only through the face velocities uf, as u_i + u_i+1 = 2 uf_i:
+
+        M_i + M_i+1 = F_i + F_i+1 - 2 visc (uf_i-1 - 2 uf_i + uf_i+1) / h^2
+
+    with F the lagged momentum forcing and uf zero at the walls.  These
+    n - 1 sums and the mass fix the density.  The step's Jacobian keeps the
+    pressure slope, g1, and the face velocities' dependence on the density:
+    the upwind division, the eps^4 diffusion and the eps^2 prefix sums, less
+    the sums times the second difference of 1/rho_up.  The step is written
+    as the difference of z, which is zero past both walls, so it keeps the
+    mass, and the sums are banded (2, 2) in z.  A step that would take some
+    cell below half its density is scaled to one that does not, and the
+    result is rescaled to mass m1 exactly.  No numpy warning escapes: an
+    overflow reaches the banded solve, which names it.
+    """
+    g, visc = spec.grid, spec.fluid.visc
+    n, h = g.n_cells, g.spacing_h
+    rho = limit.rho.values
+    pi, slope = _lagged_pressure(rho, spec)
+    rows = _with_source(_momentum_forcing(limit, Lagged(limit.mu.values, np.zeros(n), pi, slope),
+                                          eps, spec), spec, "momentum")
+    flux, rho_up = _continuity_faces(rho, eps, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows -= visc * mesh.laplacian_of(limit.u.values, "dirichlet0", h)
+        # the tridiagonal D (slope .) - g1 of each row
+        d, up, lo = mesh.bands(mesh.gradient, g, "neumann")
+        diag, up, lo = d * slope - spec.g1.values, up * slope[1:], lo * slope[:-1]
+        # d uf / d rho of the face's left and right cell, at faces -1 .. n-1
+        inv, e4 = 1.0 / rho_up, eps**4 / h
+        uf = flux * inv
+        uf_left = np.where(flux > 0.0, uf, 0.0)  # the velocity carrying the left cell's density
+        left, right = np.zeros(n + 1), np.zeros(n + 1)
+        left[1:-1] = -inv * (e4 + uf_left)
+        right[1:-1] = inv * (e4 - (uf - uf_left))
+        # the prefix sums' part: eps^2 h / rho_up, extended linearly past the walls
+        prefix = np.empty(n + 1)
+        prefix[1:-1] = inv
+        prefix[0], prefix[-1] = 2.0 * inv[0] - inv[1], 2.0 * inv[-1] - inv[-2]
+        prefix *= eps**2 * h
+        s = -2.0 * visc / h**2
+        # row i of the sums at the densities of cells i-1 .. i+2
+        c_m1, c_2 = s * left[:-2], s * right[2:]
+        c_m1[1:] += lo[:-1]
+        c_2[:-1] += up[1:]
+        c_0 = diag[:-1] + lo + s * (right[:-2] - 2.0 * left[1:-1] + prefix[:-2])
+        c_1 = up + diag[1:] + s * (left[2:] - 2.0 * right[1:-1] - prefix[2:])
+        # z_0 .. z_n-2 in gbsv's band storage: row i at z_i-2 .. z_i+2
+        ab = np.zeros((7, n - 1), order="F")
+        ab[2, 2:], ab[3, 1:], ab[4] = c_2[:-2], (c_1 - c_2)[:-1], c_0 - c_1
+        ab[5, :-1], ab[6, :-2] = (c_m1 - c_0)[1:], -c_m1[2:]
+        b = -(rows[:-1] + rows[1:])
+    z = np.zeros(n + 1)
+    z[1:-1] = mesh.solve_banded("hydrostatic start balance", 2, 2, ab, b)
+    step = np.diff(z)
+    fall = float((-step / rho).max())
+    if fall > 0.5:
+        step *= 0.5 / fall
+    rho = rho + step
+    return rho * (spec.m1 / mesh.integral_of(rho, h))
+
+
 def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
-    """The eps -> 0 limit at rest, where every solve starts at ``eps``: the
-    :func:`hydrostatic_density`, the O(eps^2) :func:`_continuity_velocity`
-    of that density, so that the start keeps the discrete mass balance at
-    ``eps``, and the phase pair solved once at that (rho, u): :func:`solve_mu`
-    then :func:`solve_c` at sigma = 1, lagged at the limit's c = c0
-    (dF_delta(c0), c' = 0).  That moves mu and c by the O(eps) of the mu
-    equation's ``eps rho c`` source, which the limit leaves out; left at
-    the limit, they made the first Picard step's residual, above tol_rel at
-    every n.  With u = 0 instead of the velocity, a force that does not
-    vanish at the walls (g2 = a cos) took a third Picard iteration at
-    n = 1024, and the forced default one at n = 256.  With zero forcing it
-    is the constant state."""
+    """The eps -> 0 limit at rest, made discrete, where every solve starts at
+    ``eps``: the :func:`hydrostatic_density` after one Newton step onto the
+    discrete momentum balance (:func:`_balanced_density`), its O(eps^2)
+    :func:`_continuity_velocity`, so that the start keeps the discrete mass
+    balance at ``eps``, and the phase pair solved once at that (rho, u):
+    :func:`solve_mu` then :func:`solve_c` at sigma = 1, lagged at the
+    limit's c = c0 (dF_delta(c0), c' = 0).
+
+    Each part removes a first Picard step's residual above tol_rel.  The
+    phase pair moves mu and c by the O(eps) of the mu equation's
+    ``eps rho c`` source, which the limit leaves out.  The Newton step
+    moves the density by the balance's O(h^2) (8e-8 at n = 256 on the
+    forced default) and, for a force that does not vanish at the walls
+    (g2 = a cos), by its odd-even mode (5e-7 at n = 1024); after it the
+    density is within 1e-11 of the fixed point's.  With u = 0 instead of
+    the velocity, a g2 = a cos force takes 3 Picard iterations instead of
+    1 at n = 256 and 1024.  With zero forcing it is the constant state."""
     g = spec.grid
-    rho = Field(g, hydrostatic_density(spec))
+    rho = hydrostatic_density(spec)
+    mu0, c0 = g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0)
+    limit = State(Field(g, rho), Field(g, _continuity_velocity(rho, eps, spec)), mu0, c0)
+    rho = Field(g, _balanced_density(limit, eps, spec))
     u = Field(g, _continuity_velocity(rho.values, eps, spec))
-    limit = State(rho, u, g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0))
     # the phase sub-solves read only dF and c' of the lag
-    lag = Lagged(limit.mu.values, np.zeros(g.n_cells), None, None)
-    mu, _ = solve_mu(limit, lag, 1.0, eps, spec)
-    c, _ = solve_c(State(rho, u, mu, limit.c), lag, 1.0, eps, spec)
+    lag = Lagged(mu0.values, np.zeros(g.n_cells), None, None)
+    mu, _ = solve_mu(State(rho, u, mu0, c0), lag, 1.0, eps, spec)
+    c, _ = solve_c(State(rho, u, mu, c0), lag, 1.0, eps, spec)
     return State(rho, u, mu, c)
 
 

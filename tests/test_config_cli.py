@@ -419,7 +419,7 @@ class TestCliSolve:
 
     def test_max_picard_exhausted_exits_one_and_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + "solver.max_picard = 1\n")
+        cfg.write_text(STRONG_N64 + "solver.max_picard = 1\n")
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -439,9 +439,9 @@ class TestCliSolve:
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_iterate_exits_one_and_writes_nothing(self, tmp_path, capsys):
-        # at theta ~ 1e200 the first step's c sub-solve leaves c of order
-        # 1e180, and rho dF_delta(c) c' in the next momentum right side
-        # overflows; no numpy warning is printed
+        # at theta ~ 1e250 a step's c sub-solve leaves c of order 1e230, and
+        # rho dF_delta(c) c' in the next momentum right side overflows; no
+        # numpy warning is printed
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FORCED_N64 + LADDER + HUGE_THETA)
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -468,17 +468,20 @@ class TestCliSolve:
                             r"finite in \d+ of 128 entries", lines[0])
         assert not (tmp_path / "o").exists()
 
-    def test_overflowing_block_matrix_is_named_without_a_warning(self, tmp_path, capsys):
+    def test_overflowing_pressure_matrix_is_named_without_a_warning(self, tmp_path, capsys):
         # Pi' of order 1e307 times the gradient band 1/(2h) passes the float
-        # range in the block assembly; under the suite's warnings-as-errors
-        # setting a numpy warning there would be a traceback
+        # range where a matrix is first assembled, in the start's Newton step
+        # (the (rho, u) block's assembly is the same product); under the
+        # suite's warnings-as-errors setting a numpy warning there would be a
+        # traceback
         cfg = tmp_path / "run.cfg"
         cfg.write_text("domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 1e300\n"
                        "fluid.h = 1e307\n")
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "solve failed: NonFiniteError: (rho, u) block: the matrix or right side is not finite\n"
+            "solve failed: NonFiniteError: hydrostatic start balance: the matrix or right side "
+            "is not finite\n"
         )
         assert not (tmp_path / "o").exists()
 
@@ -501,7 +504,10 @@ class TestCliSolve:
 
 
 FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
-HUGE_THETA = "potential.theta0 = 1e200\npotential.thetac = 1.5e200\n"
+# the forced default's start is a fixed point within tol_rel; at 15 sin the
+# solve takes 3 Picard iterations
+STRONG_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 15\n"
+HUGE_THETA = "potential.theta0 = 1e250\npotential.thetac = 1.5e250\n"
 
 
 class TestCliSweep:
@@ -609,7 +615,7 @@ class TestCliSweep:
     @pytest.mark.parametrize("max_parallel", [1, 2])
     def test_max_picard_exhausted_fails_every_value(self, tmp_path, capsys, max_parallel):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + f"solver.max_picard = 1\nsweep.max_parallel = {max_parallel}\n")
+        cfg.write_text(STRONG_N64 + f"solver.max_picard = 1\nsweep.max_parallel = {max_parallel}\n")
         out = tmp_path / "out"
         rc = cli.main(
             ["sweep", "--config", str(cfg), "--out", str(out),
@@ -758,9 +764,9 @@ class TestCliCheck:
 
     def test_solver_error_is_a_fail_row(self, tmp_path, capsys):
         # the zero-forcing constant state converges in one step; the forced
-        # suite does not
+        # suite, on the config's 15 sin, does not
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("domain.n_cells = 64\nsolver.max_picard = 1\n")
+        cfg.write_text(STRONG_N64 + "solver.max_picard = 1\n")
         rc = cli.main(["check", "--config", str(cfg)])
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert rc == 1
