@@ -728,7 +728,7 @@ def _balanced_density(limit: State, eps: float, spec: ProblemSpec) -> np.ndarray
     rows = _with_source(_momentum_forcing(limit, Lagged(limit.mu.values, np.zeros(n), pi, slope),
                                           eps, spec), spec, "momentum")
     flux, rho_up = _continuity_faces(rho, eps, spec)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows -= visc * mesh.laplacian_of(limit.u.values, "dirichlet0", h)
         # the tridiagonal D (slope .) - g1 of each row
         d, up, lo = mesh.bands(mesh.gradient, g, "neumann")
