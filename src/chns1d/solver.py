@@ -35,12 +35,12 @@ at ``SolveControls.damping`` and is halved on each residual rise, down to
 mass-pressure pair: a velocity proposal obtained from the momentum equation
 with a frozen-density pressure feeds the continuity solve with a perturbation
 gain of order P'(rho0)/(visc * eps^2), which diverges for any useful eps.
-:func:`solve_flow_coupled` therefore solves the linearized (rho, u) block as
-one banded system per iteration, with the pressure slope Pi'(rho_old) frozen
-at the previous iterate; every other coupling stays lagged.  The fixed points
-are identical to those of the naive splitting.  Density positivity and exact
-mass bookkeeping are preserved because the density actually returned is always
-the M-matrix upwind continuity solve for the damped velocity.
+:func:`solve_flow_coupled` therefore solves the linearized (rho, u) block,
+with the pressure slope Pi'(rho_old) frozen at the previous iterate, as one
+(2, 2)-banded system of n - 1 momentum pair sums per iteration; every other
+coupling stays lagged.  The fixed points are identical to those of the naive
+splitting.  Density positivity and exact mass hold because the density
+returned is always the upwind continuity solve for the damped velocity.
 
 The delta and eps sweeps, :func:`delta_sweep` and :func:`eps_sweep`, return
 one (status, report, state, log) row per value, first value first; each
@@ -245,23 +245,16 @@ class SolveControls(Record):
 # Elementary sub-solves
 # ---------------------------------------------------------------------------
 
-def _face_means(a: np.ndarray) -> np.ndarray:
-    """Means of adjacent cell values at the n+1 faces; zero at the walls, u's trace there."""
-    out = np.zeros(a.size + 1)
-    out[1:-1] = 0.5 * (a[:-1] + a[1:])
-    return out
-
-
 def _upwind_split(uf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max(uf, 0), min(uf, 0)): the velocity carrying the left and the right cell's density."""
     return np.maximum(uf, 0.0), np.minimum(uf, 0.0)
 
 
 def _upwind_flux(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Mass flux at the n+1 faces as the continuity bands assemble it (zero at the walls)."""
-    up, um = _upwind_split(_face_means(u))
-    flux = np.zeros(up.size)
-    flux[1:-1] = up[1:-1] * rho[:-1] + um[1:-1] * rho[1:]
+    """Mass flux at the n+1 faces as the continuity rows take it (zero at the walls)."""
+    up, um = _upwind_split(0.5 * (u[:-1] + u[1:]))
+    flux = np.zeros(rho.size + 1)
+    flux[1:-1] = up * rho[:-1] + um * rho[1:]
     return flux
 
 
@@ -274,6 +267,17 @@ def _with_source(rhs: np.ndarray, spec: ProblemSpec, name: str) -> np.ndarray:
 def _continuity_rhs(eps: float, spec: ProblemSpec) -> np.ndarray:
     """Right side eps^2 rho0 of the continuity equation, plus its manufactured source."""
     return _with_source(np.full(spec.grid.n_cells, eps**2 * spec.rho0), spec, "continuity")
+
+
+def _continuity_flux(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
+    """The advective mass flux at the n-1 interior faces that the continuity
+    rows at ``eps``, summed from the left wall, give for ``rho``: the sum of
+    h (b - eps^2 rho) up to the face plus eps^4 (rho_i+1 - rho_i)/h."""
+    h = spec.grid.spacing_h
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux = np.cumsum(h * (_continuity_rhs(eps, spec) - eps**2 * rho))[:-1]
+        flux += eps**4 / h * (rho[1:] - rho[:-1])
+    return flux
 
 
 def _right_side(field: str, sub_solve: str):
@@ -335,23 +339,17 @@ def lagged(state: State, spec: ProblemSpec) -> Lagged:
 
 
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
-    """Tridiagonal bands of eps^2 I + upwind advection - eps^4 Lap (Neumann)."""
-    n, h = g.n_cells, g.spacing_h
+    """Bands (diag, upper, lower) of the continuity rows summed from the left
+    wall, in the unknowns of :func:`solve_continuity`.  A loss of their
+    diagonal excess eps^2 h to the advection raises :class:`SingularSystemError`."""
+    h = g.spacing_h
     up, um = _upwind_split(uf)
-    e4 = eps**4 / h**2
-    diag = eps**2 + (up[1:] - um[:-1]) / h + 2.0 * e4
-    diag[0] -= e4
-    diag[-1] -= e4
-    upper = um[1:-1] / h - e4
-    lower = -up[1:-1] / h - e4
-    # Column sums telescope to eps^2 exactly; a loss of that excess means the
-    # advection terms (|u_face|/h) swamp eps^2 and the matrix is no M-matrix.
-    excess = diag.copy()
-    excess[:-1] += lower
-    excess[1:] += upper
-    if excess.min() <= 0.5 * eps**2:
+    e4 = eps**4 / h
+    lower, upper = -e4 - up, um - e4  # at V_k-1 and V_k+1 in the row of face k
+    diag = (up - um) + (2.0 * e4 + eps**2 * h)
+    if (diag + lower + upper).min() <= 0.5 * eps**2 * h:
         raise SingularSystemError(
-            f"transport matrix lost diagonal dominance (eps={eps:g}, n={n}): incoming "
+            f"transport matrix lost diagonal dominance (eps={eps:g}, n={g.n_cells}): incoming "
             f"max|u_face|/h {np.abs(uf).max() / h:.3g} against eps^2 {eps**2:.3g}"
         )
     return diag, upper, lower
@@ -360,16 +358,28 @@ def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
 def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     """Solve the regularized continuity equation for the density, given u.
 
-    Upwind fluxes with zero wall flux make the assembled operator an M-matrix,
-    so the density is nonnegative, and summing the discrete equation
-    telescopes the fluxes away, so integrate(rho) = m1 holds to machine
-    precision (manufactured sources excepted).
+    The rows, summed from the left wall, fix the flux at each interior face
+    (:func:`_continuity_flux`), and all n of them the mass.  The solve is for
+    V_k, the sum of rho - rho0 left of face k, with V_0 = 0 and V_n the mass:
+    integrate(rho) = m1 holds by construction (manufactured sources
+    excepted), and rest returns rho0 exactly, however near singular eps^4/h^2
+    makes the rows beside eps^2.  It is the upwind M-matrix system in other
+    unknowns, so rho >= 0.
     """
-    g = spec.grid
-    diag, upper, lower = _continuity_bands(_face_means(u.values), eps, g)
-    b = _continuity_rhs(eps, spec)
-    rho = mesh.solve_tridiagonal("continuity", lower, diag, upper, b)
-    if rho.min() < -1.0e-9 * max(spec.rho0, 1.0):
+    g, h, rho0 = spec.grid, spec.grid.spacing_h, spec.rho0
+    uf = 0.5 * (u.values[:-1] + u.values[1:])
+    diag, upper, lower = _continuity_bands(uf, eps, g)
+    # V_0 = 0; V_n and the right sides, the running sums of h (b - eps^2 rho0), hold only a source
+    v = np.zeros(g.n_cells + 1)
+    src = None if spec.mms_sources is None else spec.mms_sources.continuity
+    if src is not None:
+        np.cumsum(h * src.values, out=v[1:])
+        v[-1] /= eps**2 * h
+    v[1:-1] -= rho0 * uf
+    v[-2] -= upper[-1] * v[-1]  # the solve leaves V_1 .. V_n-1 in place of the right sides
+    mesh.solve_tridiagonal("continuity", lower[1:], diag, upper[:-1], v[1:-1])
+    rho = rho0 + (v[1:] - v[:-1])
+    if rho.min() < -1.0e-9 * max(rho0, 1.0):
         raise SingularSystemError(f"continuity solve produced negative density {rho.min():g}")
     return Field(g, np.maximum(rho, 0.0))
 
@@ -391,13 +401,77 @@ def _momentum_forcing(state: State, lag: Lagged, eps: float, spec: ProblemSpec) 
     )
 
 
+def _alternating_sums(uf: np.ndarray, u0: float) -> np.ndarray:
+    """The cell velocities from ``u0`` whose adjacent means are the face
+    velocities ``uf``: u_i+1 = 2 uf_i - u_i, as alternating prefix sums."""
+    u = np.empty(uf.size + 1)
+    u[0] = u0
+    np.multiply(uf, -2.0, out=u[1:])
+    u[2::2] *= -1.0
+    np.cumsum(u, out=u)
+    u[1::2] *= -1.0
+    return u
+
+
+def _pair_sum_solve(name: str, slope: np.ndarray, g1: Optional[np.ndarray], up: np.ndarray,
+                    um: np.ndarray, inv: np.ndarray, b: np.ndarray, mass: float, eps: float,
+                    spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The density change d, of sum ``mass``, that meets the n - 1 sums of
+    adjacent momentum rows, linear in d, and the change duf of the interior
+    face velocities with it:
+
+        (D(slope d) - g1 d)_k-1 + (D(slope d) - g1 d)_k
+            - 2 visc (duf_k-1 - 2 duf_k + duf_k+1) / h^2 = b_k,   k = 1 .. n-1,
+
+    D the centred Neumann gradient (``g1`` None for none): a row reads u
+    only through the face velocities, u_i + u_i+1 = 2 uf_i+1, zero at the
+    walls.  Each is the flux of the continuity rows summed from the left
+    wall over the face density 1/``inv``, ``up`` and ``um`` the velocities
+    carrying the left and right cell's density.  So, with w_k the sum of d
+    left of face k, duf_k = inv_k ((-eps^4/h - up_k) d_k-1 +
+    (eps^4/h - um_k) d_k - eps^2 h w_k), and the sums are banded (2, 2) in
+    w_1 .. w_n-1: one :func:`mesh.solve_banded` named ``name``, which
+    overwrites ``b``.  Call it with numpy's overflow warnings off.
+    """
+    g, visc = spec.grid, spec.fluid.visc
+    n, h = g.n_cells, g.spacing_h
+    # duf's coefficients at the n+1 faces, times its weight 2 visc/h^2 in the sums
+    e4, weight = eps**4 / h, 2.0 * visc / h**2 * inv
+    left, right, prefix = np.zeros((3, n + 1))
+    np.multiply(-e4 - up, weight, out=left[1:-1])
+    np.multiply(e4 - um, weight, out=right[1:-1])
+    np.multiply(eps**2 * h, weight, out=prefix[1:-1])
+    # the tridiagonal D(slope .) - g1 of each row
+    gd, gu, gl = mesh.bands(mesh.gradient, g, "neumann")
+    diag, upper, lower = gd * slope, gu * slope[1:], gl * slope[:-1]
+    if g1 is not None:
+        diag -= g1
+    # pair k at d of cells k-2 .. k+1, then at w_k-2 .. w_k+2 in gbsv's band storage
+    c_m1, c_2 = -left[:-2], -right[2:]
+    c_m1[1:] += lower[:-1]
+    c_2[:-1] += upper[1:]
+    c_0 = diag[:-1] + lower - right[:-2] + 2.0 * left[1:-1]
+    c_1 = upper + diag[1:] - left[2:] + 2.0 * right[1:-1]
+    ab = np.zeros((7, n - 1), order="F")
+    ab[2, 2:], ab[6, :-2] = c_2[:-2], -c_m1[2:]
+    ab[3, 1:] = c_1[:-1] - c_2[:-1] + prefix[2:-1]
+    ab[4] = c_0 - c_1 - 2.0 * prefix[1:-1]
+    ab[5, :-1] = c_m1[1:] - c_0[1:] + prefix[1:-2]
+    b[-2], b[-1] = b[-2] - mass * c_2[-2], b[-1] - mass * c_1[-1]  # the pairs that reach w_n
+    w = np.empty(n + 1)
+    w[0], w[-1] = 0.0, mass
+    w[1:-1] = mesh.solve_banded(name, 2, 2, ab, b)
+    d = w[1:] - w[:-1]
+    duf = left[1:-1] * d[:-1] + right[1:-1] * d[1:] - prefix[1:-1] * w[1:-1]
+    return d, duf * (0.5 * h * h / visc)
+
+
 def solve_flow_coupled(
     state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec
 ) -> tuple[Field, Field]:
     """One linearized (rho, u) block solve with implicit pressure feedback.
 
-    Solves, as a single banded system in the interleaved unknowns
-    (rho_0, u_0, rho_1, u_1, ...):
+    Solves the 2n equations
 
         eps^2 rho + div_up(rho; u_old) + div(rho_old (u - u_old)) - eps^4 rho''
             = eps^2 rho0
@@ -409,77 +483,57 @@ def solve_flow_coupled(
     to the plain lagged splitting; away from it the implicit pressure-density
     coupling removes the splitting's unstable mass-pressure mode.
 
-    The continuity rows telescope, so the density proposal, before it is
-    clipped at zero, keeps the mass of the continuity right side over eps^2,
-    m1 without a manufactured source, up to roundoff that grows with Pi'
-    (1e-8 of it on converged solves, 1e-6 on a diverging iterate at Pi' 3e6).
-    A proposal off that mass by more than 1e-3 of it raises
-    :class:`SingularSystemError` naming the mass kept and max Pi': on short
-    domains Pi'(rho0) passes 1e13 and the solve loses the density.
+    The continuity rows, summed from the left wall, give each interior face
+    velocity from the density, and all of them the mass, which the density
+    proposal keeps by construction (m1 without a manufactured source).  The
+    n - 1 sums of adjacent momentum rows fix the density, in one
+    :func:`_pair_sum_solve`, and the first row u's checkerboard; a velocity
+    that is not finite raises :class:`~chns1d.mesh.NonFiniteError`.
     """
-    g = spec.grid
-    n, h = g.n_cells, g.spacing_h
+    g, visc = spec.grid, spec.fluid.visc
+    h, s = g.spacing_h, 2.0 * visc / g.spacing_h**2
     rho_t, u_t = state.rho.values, state.u.values
-    uf, rho_f = _face_means(u_t), _face_means(rho_t)
-
-    # Interleaved unknowns (rho_0, u_0, rho_1, ...): entry (2i+r, 2j+c) of the
-    # full matrix sits at ab[6 + 2i+r - 2j-c, 2j+c] in the (10, 2n) Fortran
-    # band storage of LAPACK's gbsv, whose first three rows hold fill-in.
-    ab = np.zeros((10, 2 * n), order="F")
-
-    def block(r: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The views of ``ab`` that hold the tridiagonal (diag, upper, lower)
-        bands of the block of row field r and column field c, 0 = rho and 1 = u."""
-        return ab[6 + r - c, c::2], ab[4 + r - c, 2 + c::2], ab[8 + r - c, c:-2:2]
-
-    # Each block's bands go into their views as they are computed, so beside
-    # ab only one block's temporaries are ever alive.  An overflow leaves an
-    # infinity, which solve_banded names.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for view, band in zip(block(0, 0), _continuity_bands(uf, eps, g)):
-            view[...] = band
-        d, up, lo = block(0, 1)  # the correction flux acts at interior faces
-        flux = rho_f / (2.0 * h)
-        np.subtract(flux[1:], flux[:-1], out=d)
-        up[...] = flux[1:-1]
-        np.negative(flux[1:-1], out=lo)
-        coef = -sigma * lag.pi_slope
-        for view, part, band in zip(block(1, 0), (coef, coef[1:], coef[:-1]),
-                                    mesh.bands(mesh.gradient, g, "neumann")):
-            np.multiply(part, band, out=view)
-        for view, band in zip(block(1, 1), mesh.bands(mesh.laplacian_apply, g, "dirichlet0")):
-            np.multiply(spec.fluid.visc, band, out=view)
-
-        b = np.empty(2 * n)
-        b[0::2] = _continuity_rhs(eps, spec)
-        target = mesh.integral_of(b[0::2], h) / eps**2  # the mass the summed rows keep
-        old_flux = rho_f * uf  # the u_old part of the correction flux
-        b[0::2] += (old_flux[1:] - old_flux[:-1]) / h
-        b[1::2] = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
-        b[1::2] -= sigma * mesh.gradient_of(lag.pi_slope * rho_t, "neumann", h)
-    z = mesh.solve_banded("(rho, u) block", 3, 3, ab, b)
-    mass = mesh.integral_of(z[0::2], h)
-    if not abs(mass - target) <= 1.0e-3 * target:
-        raise SingularSystemError(
-            f"(rho, u) block: the density proposal keeps mass {mass:.4g} of {target:.4g}; "
-            f"max Pi'(rho) is {lag.pi_slope.max():.3g}"
-        )
-    return Field(g, np.maximum(z[0::2], 0.0)), Field(g, z[1::2])
+    f = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
+    slope = sigma * lag.pi_slope
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        uf_t = 0.5 * (u_t[:-1] + u_t[1:])
+        up, um = _upwind_split(uf_t)
+        inv = 2.0 / (rho_t[:-1] + rho_t[1:])  # over the face densities of rho_old
+        uf = np.zeros(g.n_cells + 1)  # the face velocities at rho_old, zero at the walls
+        flux = _continuity_flux(rho_t, eps, spec) - up * rho_t[:-1] - um * rho_t[1:]
+        uf[1:-1] = uf_t + inv * flux
+        b = s * (uf[:-2] + uf[2:]) - 2.0 * s * uf[1:-1]
+        b -= f[:-1] + f[1:]
+        mass = (_continuity_rhs(eps, spec) - eps**2 * rho_t).sum() / eps**2
+        delta, duf = _pair_sum_solve("(rho, u) block", slope, None, up, um, inv, b, mass, eps, spec)
+        uf = uf[1:-1] + duf
+        # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h, q = slope delta
+        q0, q1 = slope[:2] * delta[:2]
+        u = _alternating_sums(uf, 0.5 * uf[0] - (f[0] + (q1 - q0) / (2.0 * h)) / (2.0 * s))
+    if not np.isfinite(u).all():
+        raise mesh.NonFiniteError("(rho, u) block: the velocity is not finite in "
+                                  f"{np.count_nonzero(~np.isfinite(u))} of {u.size} cells")
+    return Field(g, np.maximum(rho_t + delta, 0.0)), Field(g, u)
 
 
-def _pin_constant(
-    hat: Field, target: float, rho: np.ndarray, weight_integral: float, spec: ProblemSpec
-) -> Field:
-    """Fix the Neumann constant of a sub-solve: ``hat + s`` with
+def _pin_constant(hat: Field, target: float, rho: np.ndarray, weight_integral: float,
+                  spec: ProblemSpec, sub_solve: str) -> Field:
+    """Fix the Neumann constant of the sub-solve ``sub_solve``: ``hat + s`` with
     s = (target - integrate(rho hat)) / weight_integral, where weight_integral
     is the coefficient of s in the constraint's rho-weighted integral.  A weight
-    integral below 1e-12 max(1, m1) raises :class:`mesh.DegenerateWeightError`."""
+    integral below 1e-12 max(1, m1) raises :class:`mesh.DegenerateWeightError`,
+    and, called with numpy's overflow warnings off, a result that is not
+    finite :class:`mesh.NonFiniteError`."""
     if weight_integral <= 1.0e-12 * max(1.0, spec.m1):
         raise mesh.DegenerateWeightError(
             f"density-weighted constraint is degenerate (integral {weight_integral:g})"
         )
     s = (target - mesh.integral_of(rho * hat.values, spec.grid.spacing_h)) / weight_integral
-    return Field(spec.grid, hat.values + s)
+    values = hat.values + s
+    if not np.isfinite(values).all():
+        raise mesh.NonFiniteError(f"{sub_solve} sub-solve: the constant of its density-weighted "
+                                  f"constraint is not finite; max |rho| {np.abs(rho).max():.3g}")
+    return Field(spec.grid, values)
 
 
 @_right_side("mu right side", "mu")
@@ -511,8 +565,9 @@ def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemS
     rhs = _with_source(sigma * _mu_rhs(state, lag.dc, eps, spec), spec, "mu")
     mu_hat, proj = mesh.laplacian_solve(Field(g, rhs))
     rho, h = state.rho.values, g.spacing_h
-    target = mesh.integral_of(rho * lag.dF, h)
-    return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec), proj
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = mesh.integral_of(rho * lag.dF, h)
+        return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec, "mu"), proj
 
 
 def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec) -> float:
@@ -547,7 +602,9 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
     rhs = _with_source(sigma * _c_rhs(state, lag.dF, spec), spec, "c")
     c_hat, proj = mesh.laplacian_solve(Field(g, rhs))
     weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
-    return _pin_constant(c_hat, _c_mass_target(rho, c_hat.values, eps, spec), rho, weight, spec), proj
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = _c_mass_target(rho, c_hat.values, eps, spec)
+        return _pin_constant(c_hat, target, rho, weight, spec, "c"), proj
 
 
 # ---------------------------------------------------------------------------
@@ -656,41 +713,21 @@ def hydrostatic_density(spec: ProblemSpec, G1: Optional[np.ndarray] = None) -> n
     )
 
 
-def _continuity_faces(rho: np.ndarray, eps: float, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The advective mass flux F at the n-1 interior faces that makes
-    :func:`solve_continuity` at ``eps`` return ``rho``, and the upwind
-    density there, of the sign of F.
-
-    Summing the continuity rows from the left wall gives the total flux G at
-    each interior face, the sum of h (b - eps^2 rho) with b the rows' right
-    side (eps^2 rho0 and any manufactured source); adding back the diffusive
-    part leaves F = G + eps^4 (rho_i+1 - rho_i)/h.  Numpy warnings are off:
-    a non-finite F reaches the velocity's check.
-    """
-    h = spec.grid.spacing_h
-    with np.errstate(over="ignore", invalid="ignore"):
-        flux = np.cumsum(h * (_continuity_rhs(eps, spec) - eps**2 * rho))[:-1]
-        flux += eps**4 / h * (rho[1:] - rho[:-1])
-    return flux, np.where(flux > 0.0, rho[:-1], rho[1:])
-
-
 def _continuity_velocity(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Cell velocities whose :func:`solve_continuity` at ``eps`` returns ``rho``.
 
-    The face velocities are the :func:`_continuity_faces` flux over the
-    upwind density.  They are the means of the adjacent cell values, which
-    fixes u up to a checkerboard (-1)^i t; t puts each wall cell at half its
-    face's velocity, as a u linear at the wall would be, in the mean of the
-    two walls.  The velocity is O(eps^2) and vanishes where rho = rho0.
+    The face velocities are the :func:`_continuity_flux` over the upwind
+    density.  They are the means of the adjacent cell values, which fixes u
+    up to a checkerboard (-1)^i t; t puts each wall cell at half its face's
+    velocity, as a u linear at the wall would be, in the mean of the two
+    walls.  The velocity is O(eps^2) and vanishes where rho = rho0.
     """
-    flux, rho_up = _continuity_faces(rho, eps, spec)
+    flux = _continuity_flux(rho, eps, spec)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        uf = flux / rho_up
-        alt = np.ones(rho.size)
-        alt[1::2] = -1.0
-        u = np.zeros(rho.size)  # u_i+1 = 2 uf_i - u_i from u_0 = 0
-        u[1:] = alt[1:] * np.cumsum(-2.0 * alt[:-1] * uf)
-        u += 0.25 * (uf[0] + alt[-1] * (uf[-1] - 2.0 * u[-1])) * alt
+        uf = flux / np.where(flux > 0.0, rho[:-1], rho[1:])
+        # from u_0 = 0, u_n-1 = 2 (uf_n-2 - uf_n-3 + ...)
+        last = 2.0 * (uf[::-2].sum() - uf[-2::-2].sum())
+        u = _alternating_sums(uf, 0.25 * (uf[0] + (-1) ** (rho.size - 1) * (uf[-1] - 2.0 * last)))
     if not np.isfinite(u).all():
         raise mesh.NonFiniteError("hydrostatic start: the velocity of its mass flux is not finite")
     return u
@@ -701,65 +738,28 @@ def _balanced_density(limit: State, eps: float, spec: ProblemSpec) -> np.ndarray
     :func:`_continuity_velocity`, after one Newton step onto the discrete
     momentum balance at ``eps``.
 
-    The momentum rows M_i take the pressure gradient centred, which couples
+    The momentum rows take the pressure gradient centred, which couples
     every other cell, so the discrete balance differs from the limit's
     smooth one: by O(h^2), and, where the force does not vanish at a wall
-    (g2 = a cos), by an odd-even mode of O(h).  A row sees u's own
-    checkerboard (-1)^i t with weight 4 visc/h^2, but the sum of rows i and
-    i+1 reads u only through the face velocities uf, as u_i + u_i+1 = 2 uf_i:
-
-        M_i + M_i+1 = F_i + F_i+1 - 2 visc (uf_i-1 - 2 uf_i + uf_i+1) / h^2
-
-    with F the lagged momentum forcing and uf zero at the walls.  These
-    n - 1 sums and the mass fix the density.  The step's Jacobian keeps the
-    pressure slope, g1, and the face velocities' dependence on the density:
-    the upwind division, the eps^4 diffusion and the eps^2 prefix sums, less
-    the sums times the second difference of 1/rho_up.  The step is written
-    as the difference of z, which is zero past both walls, so it keeps the
-    mass, and the sums are banded (2, 2) in z.  A step that would take some
-    cell below half its density is scaled to one that does not, and the
-    result is rescaled to mass m1 exactly.  No numpy warning escapes: an
-    overflow reaches the banded solve, which names it.
+    (g2 = a cos), by an odd-even mode of O(h).  The step is one
+    :func:`_pair_sum_solve`, whose Jacobian keeps the pressure slope, g1 and
+    the face velocities' dependence on the density, and which keeps the
+    mass.  A step that would take some cell below half its density is
+    scaled to one that does not, and the result is rescaled to mass m1
+    exactly.  No numpy warning escapes: the banded solve names an overflow.
     """
-    g, visc = spec.grid, spec.fluid.visc
-    n, h = g.n_cells, g.spacing_h
+    n, h = spec.grid.n_cells, spec.grid.spacing_h
     rho = limit.rho.values
     pi, slope = _lagged_pressure(rho, spec)
     rows = _with_source(_momentum_forcing(limit, Lagged(limit.mu.values, np.zeros(n), pi, slope),
                                           eps, spec), spec, "momentum")
-    flux, rho_up = _continuity_faces(rho, eps, spec)
+    flux = _continuity_flux(rho, eps, spec)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rows -= visc * mesh.laplacian_of(limit.u.values, "dirichlet0", h)
-        # the tridiagonal D (slope .) - g1 of each row
-        d, up, lo = mesh.bands(mesh.gradient, g, "neumann")
-        diag, up, lo = d * slope - spec.g1.values, up * slope[1:], lo * slope[:-1]
-        # d uf / d rho of the face's left and right cell, at faces -1 .. n-1
-        inv, e4 = 1.0 / rho_up, eps**4 / h
-        uf = flux * inv
-        uf_left = np.where(flux > 0.0, uf, 0.0)  # the velocity carrying the left cell's density
-        left, right = np.zeros(n + 1), np.zeros(n + 1)
-        left[1:-1] = -inv * (e4 + uf_left)
-        right[1:-1] = inv * (e4 - (uf - uf_left))
-        # the prefix sums' part: eps^2 h / rho_up, extended linearly past the walls
-        prefix = np.empty(n + 1)
-        prefix[1:-1] = inv
-        prefix[0], prefix[-1] = 2.0 * inv[0] - inv[1], 2.0 * inv[-1] - inv[-2]
-        prefix *= eps**2 * h
-        s = -2.0 * visc / h**2
-        # row i of the sums at the densities of cells i-1 .. i+2
-        c_m1, c_2 = s * left[:-2], s * right[2:]
-        c_m1[1:] += lo[:-1]
-        c_2[:-1] += up[1:]
-        c_0 = diag[:-1] + lo + s * (right[:-2] - 2.0 * left[1:-1] + prefix[:-2])
-        c_1 = up + diag[1:] + s * (left[2:] - 2.0 * right[1:-1] - prefix[2:])
-        # z_0 .. z_n-2 in gbsv's band storage: row i at z_i-2 .. z_i+2
-        ab = np.zeros((7, n - 1), order="F")
-        ab[2, 2:], ab[3, 1:], ab[4] = c_2[:-2], (c_1 - c_2)[:-1], c_0 - c_1
-        ab[5, :-1], ab[6, :-2] = (c_m1 - c_0)[1:], -c_m1[2:]
-        b = -(rows[:-1] + rows[1:])
-    z = np.zeros(n + 1)
-    z[1:-1] = mesh.solve_banded("hydrostatic start balance", 2, 2, ab, b)
-    step = np.diff(z)
+        rows -= spec.fluid.visc * mesh.laplacian_of(limit.u.values, "dirichlet0", h)
+        inv = 1.0 / np.where(flux > 0.0, rho[:-1], rho[1:])
+        step, _ = _pair_sum_solve("hydrostatic start balance", slope, spec.g1.values,
+                                  *_upwind_split(flux * inv), inv, -(rows[:-1] + rows[1:]), 0.0,
+                                  eps, spec)
     fall = float((-step / rho).max())
     if fall > 0.5:
         step *= 0.5 / fall

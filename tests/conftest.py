@@ -11,7 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 # the source tree: a stray cache would change the start-up of later uncached runs.
 sys.dont_write_bytecode = True
 
-from chns1d import mesh
+from chns1d import mesh, solver
+from chns1d.diagnostics import EI_SLACK_CONSTANT, energy_inequality
 from chns1d.mesh import Grid
 from chns1d.potential import PotentialParams
 from chns1d.solver import FluidParams, ProblemSpec, SolveControls
@@ -54,6 +55,21 @@ def traced_peak(call) -> int:
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def assert_honest_fixed_point(state, log, spec: ProblemSpec, controls: SolveControls) -> None:
+    """A converged solve ends at a fixed point, not where its update dipped
+    below tol_rel: exact mass at every iterate, rho >= 0, the energy
+    inequality's floor, and one more Picard step at the last stage's final
+    damping that moves no field by more than tol_rel (1 + max|field|)."""
+    assert log.max_mass_error() <= 1e-12 * spec.m1
+    assert state.rho.values.min() >= 0.0
+    assert energy_inequality(state, spec)[2] >= -EI_SLACK_CONSTANT * spec.grid.spacing_h**2
+    stage = log.stages[-1]
+    after, _ = solver.picard_step(state, stage.sigma, stage.eps, spec, stage.dampings[-1])
+    for name in ("rho", "u", "mu", "c"):
+        old, new = getattr(state, name).values, getattr(after, name).values
+        assert np.abs(new - old).max() <= controls.tol_rel * (1.0 + np.abs(old).max()), name
 
 
 @pytest.fixture(autouse=True)

@@ -11,7 +11,7 @@ from chns1d.config import DEFAULTS, ConfigError, parse_config_text
 from chns1d.diagnostics import DiagnosticsReport
 from chns1d.mesh import Grid
 from chns1d.solver import SolveControls, State
-from conftest import LADDER, traced_peak
+from conftest import LADDER, assert_honest_fixed_point, traced_peak
 
 
 def read_csv(path):
@@ -456,16 +456,18 @@ class TestCliSolve:
 
     def test_non_finite_block_solution_names_the_solve(self, tmp_path, capsys):
         # rho g1 of 1e305 is finite, and with H = 1e303 so is the hydrostatic
-        # start (ln rho is about G1/H), but the (rho, u) block's elimination overflows
+        # start (ln rho is about G1/H), but with lambda1 = 1e-100 the block's
+        # velocity, the first momentum row's force over 4 visc/h^2 about the
+        # face velocities, overflows
         cfg = tmp_path / "run.cfg"
         cfg.write_text("domain.n_cells = 64\nforcing.g1.kind = bump\nforcing.g1.amplitude = 1e305\n"
-                       "fluid.h = 1e303\n")
+                       "fluid.h = 1e303\nfluid.lambda1 = 1e-100\n")
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert re.fullmatch(r"solve failed: NonFiniteError: \(rho, u\) block: the solution is not "
-                            r"finite in \d+ of 128 entries", lines[0])
+        assert re.fullmatch(r"solve failed: NonFiniteError: \(rho, u\) block: the velocity is not "
+                            r"finite in \d+ of 64 cells", lines[0])
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_pressure_matrix_is_named_without_a_warning(self, tmp_path, capsys):
@@ -487,20 +489,20 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("length", ["0.03", "1e-3", "1e-4", "1e-6"])
     def test_short_domain_names_the_block_losing_mass(self, tmp_path, capsys, length):
-        # rho0 = m1 / L puts the pressure slope past 1e15, and the block's
-        # density proposal loses the mass m1 = 1 from the exact constant
-        # start; the mu and c solves, which blamed their right side's mean or
-        # weight integral for it, are not reached
+        # rho0 = m1 / L puts the pressure slope past 1e15 (4.8e40 at 1e-4),
+        # where the interleaved block's density proposal lost the mass m1 = 1.
+        # The pair sums keep it by construction, and the continuity solve, in
+        # its rows' running sums, returns rho0 exactly at rest: the constant
+        # problem converges in one iteration to a fixed point
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"domain.length = {length}\n")
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        found = re.fullmatch(r"solve failed: SingularSystemError: \(rho, u\) block: the density "
-                             r"proposal keeps mass (\S+) of 1; max Pi'\(rho\) is (\S+)\n", err)
-        assert found, err
-        assert abs(float(found[1])) < 0.01 and float(found[2]) > 1e15, err
-        assert not (tmp_path / "o").exists()
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "o" / "convergence.csv").read_text().splitlines()) == 2
+        run = parse_config_text(f"domain.length = {length}\n")
+        state, log = solver.continuation_solve(run.spec, run.controls)
+        assert_honest_fixed_point(state, log, run.spec, run.controls)
 
 
 FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 0.05\n"
@@ -751,7 +753,7 @@ class TestCliSweep:
 
 class TestCliCheck:
     def test_default_config_passes(self, tmp_path, capsys):
-        # the fixed-point probe runs at eps 0.1, not at the schedule's first eps
+        # the fixed-point probe runs at eps 1e-3, whatever the schedule's first eps
         cfg = tmp_path / "run.cfg"
         cfg.write_text("domain.n_cells = 64\n")
         rc = cli.main(["check", "--config", str(cfg)])
@@ -760,7 +762,7 @@ class TestCliCheck:
         assert "FAIL" not in captured
         assert "checks passed" in captured
         row = next(line for line in captured.splitlines() if "constant_fixed_point" in line)
-        assert row.endswith("at eps 0.1")
+        assert row.endswith("at eps 0.001")
 
     def test_solver_error_is_a_fail_row(self, tmp_path, capsys):
         # the zero-forcing constant state converges in one step; the forced
