@@ -2,9 +2,9 @@
 
 A small numerical library built around a singular logarithmic mixing
 potential and its C2 regularization: closed-form potential evaluation, a
-cell-centered finite-difference mesh with tridiagonal elliptic solves, a
-damped fixed-point solver (one stage by default, or a load-factor and
-regularization continuation ladder), diagnostics for the
+cell-centered finite-difference mesh whose Neumann Laplacian is inverted by
+prefix sums, a damped fixed-point solver (one stage by default, or a
+continuation ladder in the regularization eps), diagnostics for the
 energies/constraints/limit trends of the model, and a deterministic
 file-driven command line.
 

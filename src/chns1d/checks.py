@@ -174,8 +174,8 @@ def _mesh_checks() -> list[CheckResult]:
 
 # eps of the fixed-point probe.  The constant state is exact at every eps; at
 # 1e-3 one Picard step from it moves no field by more than 1.6e-16 on the CI
-# configs, as the block and the continuity solve return it to the last bit
-# (an interleaved block solve's roundoff velocity moved rho by 5e-12 at n = 64).
+# configs, as the pair-sum block and the continuity solve, both in running
+# sums of the density, return it to the last bit.
 FIXED_POINT_EPS = 1.0e-3
 
 
@@ -183,7 +183,7 @@ def _constant_state_checks(cfg: RunConfig) -> list[CheckResult]:
     out = []
     spec = replace(cfg.spec, g1=cfg.spec.grid.zeros(), g2=cfg.spec.grid.zeros())
     state0 = solver.constant_state(spec, FIXED_POINT_EPS)
-    _, res = solver.picard_step(state0, 1.0, FIXED_POINT_EPS, spec, cfg.controls.damping)
+    _, res = solver.picard_step(state0, FIXED_POINT_EPS, spec, cfg.controls.damping)
     out.append(
         _result(
             "solver.constant_fixed_point",

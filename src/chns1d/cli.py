@@ -170,7 +170,7 @@ def _sweep_value_cold(job) -> tuple:
 def cmd_sweep(cfg: RunConfig, sweep_key: str, values: list[float], out_dir: Path) -> int:
     """Run a regularization sweep and write per-value diagnostics rows.
 
-    Every value is solved on its own, on the configured schedules and from
+    Every value is solved on its own, on the configured eps schedule and from
     the hydrostatic start, so each row is the ``solve`` of its value;
     ``sweep.max_parallel > 1`` solves the later values on a process pool, with
     the same output files.  One pass over the solver's rows builds the

@@ -50,7 +50,6 @@ _FIELDS: dict[str, tuple[type, str]] = {
     "fluid.art_exponent": (FluidParams, "art_exponent"),
     "problem.m1": (ProblemSpec, "m1"),
     "problem.m2": (ProblemSpec, "m2"),
-    "solver.sigma_schedule": (SolveControls, "sigma_schedule"),
     "solver.eps_schedule": (SolveControls, "eps_schedule"),
     "solver.damping": (SolveControls, "damping"),
     "solver.tol_rel": (SolveControls, "tol_rel"),

@@ -3,28 +3,24 @@
 The unknown quadruple (rho, u, mu, c) satisfies, on (0, L) with eps in (0, 1):
 
     eps^2 rho + (rho u)'                    = eps^4 rho'' + eps^2 rho0
-    visc u''  = sigma * [ eps^2 rho u + (rho u^2)' + Pi(rho)'
-                          + eps^4 rho' u' + rho dF(c) c' - rho mu c'
-                          - rho g1 - g2 ]
-    mu''      = sigma * [ eps rho c + rho u c' - eps rho0 c0 ]
-    c''       = sigma * [ rho dF(c) - rho mu ]
+    visc u''  = eps^2 rho u + (rho u^2)' + Pi(rho)' + eps^4 rho' u'
+                + rho dF(c) c' - rho mu c' - rho g1 - g2
+    mu''      = eps rho c + rho u c' - eps rho0 c0
+    c''       = rho dF(c) - rho mu
 
 with u = 0 and zero normal derivatives for rho, mu, c at the walls,
 visc = 2 lambda1 + lambda2, and Pi the total plus artificial pressure.  Two
 integral constraints pin the Neumann constants: the rho-weighted means of c
 and mu are prescribed (the c one with eps-dependent corrections), and one
-helper, ``_pin_constant``, imposes both.  The load factor sigma in (0, 1]
-scales every nonlinear right side.  By default the solver runs one stage,
-sigma = 1 at eps = 1e-3, from :func:`hydrostatic_state`, the closed-form
-eps -> 0 limit at rest (h(rho) = G1 + int g2/rho + C with h the enthalpy)
-after one Newton step onto the discrete momentum balance, the O(eps^2)
-velocity that keeps its mass balance at eps, and the phase pair (mu, c)
-solved once at that density and velocity; a longer
-``sigma_schedule`` ramps sigma to 1 and a longer ``eps_schedule`` walks eps
-down, as a continuation ladder for problems the one stage cannot reach.
-Every stage gets one attempt: a persistently rising residual raises
-:class:`DivergenceError` and a stage that runs out of ``max_picard`` raises
-:class:`NotConverged`, each naming the stage's sigma and eps.
+helper, ``_pin_constant``, imposes both.  A solve runs one stage per entry
+of ``eps_schedule``, by default one at eps = 1e-3, from
+:func:`hydrostatic_state`, the closed-form eps -> 0 limit at rest
+(h(rho) = G1 + int g2/rho + C with h the enthalpy) after one Newton step
+onto the discrete momentum balance, the O(eps^2) velocity that keeps its
+mass balance at eps, and the phase pair (mu, c) solved once at that density
+and velocity.  Every stage gets one attempt: a persistently rising residual
+raises :class:`DivergenceError` and a stage that runs out of ``max_picard``
+raises :class:`NotConverged`, each naming the stage's eps.
 
 Each iteration lags the nonlinear couplings at the previous iterate (no global
 Newton linearization), all in one :class:`Lagged` record per step that
@@ -100,7 +96,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Fixed-point residual grew persistently; the message names the stage's sigma and eps."""
+    """Fixed-point residual grew persistently; the message names the stage's eps."""
 
 
 class NotConverged(RuntimeError):
@@ -207,29 +203,20 @@ class State(Record):
 
 
 class SolveControls(Record):
-    """Continuation schedules and fixed-point iteration controls; ``damping`` is
-    the starting factor of each stage, halved on each residual rise, down to 1/8.
+    """The eps schedule, one stage per entry, and the fixed-point iteration
+    controls; ``damping`` is the starting factor of each stage, halved on each
+    residual rise, down to 1/8.  The default is one stage at eps = 1e-3."""
 
-    The default schedules make one stage, sigma = 1 at eps = 1e-3; the ladder
-    sigma 0.25, 0.5, 0.75, 1 then eps 1e-1, 1e-2, 1e-3 is the pair
-    ``sigma_schedule=(0.25, 0.5, 0.75, 1.0), eps_schedule=(1e-1, 1e-2, 1e-3)``.
-    """
+    sigma_schedule = (1.0,)  # every stage at full load; bench/spans.py reads it to count stages
 
-    sigma_schedule: tuple = (1.0,)
     damping: float = 1.0
     max_picard: int = 500
     tol_rel: float = 1.0e-8
     eps_schedule: tuple = (1.0e-3,)
 
     def __post_init__(self) -> None:
-        sig = tuple(float(s) for s in self.sigma_schedule)
         eps = tuple(float(e) for e in self.eps_schedule)
-        object.__setattr__(self, "sigma_schedule", sig)
         object.__setattr__(self, "eps_schedule", eps)
-        if not sig or any(not (0.0 < s <= 1.0) for s in sig):
-            raise ValueError(f"sigma_schedule entries must lie in (0, 1], got {sig}")
-        if any(b <= a for a, b in zip(sig, sig[1:])) or sig[-1] != 1.0:
-            raise ValueError(f"sigma_schedule must increase and end at 1, got {sig}")
         if not eps or any(not (0.0 < e < 1.0) for e in eps):
             raise ValueError(f"eps_schedule entries must lie in (0, 1), got {eps}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -466,16 +453,15 @@ def _pair_sum_solve(name: str, slope: np.ndarray, g1: Optional[np.ndarray], up: 
     return d, duf * (0.5 * h * h / visc)
 
 
-def solve_flow_coupled(
-    state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec
-) -> tuple[Field, Field]:
+def solve_flow_coupled(state: State, lag: Lagged, eps: float,
+                       spec: ProblemSpec) -> tuple[Field, Field]:
     """One linearized (rho, u) block solve with implicit pressure feedback.
 
     Solves the 2n equations
 
         eps^2 rho + div_up(rho; u_old) + div(rho_old (u - u_old)) - eps^4 rho''
             = eps^2 rho0
-        visc u'' - sigma (Pi'(rho_old) (rho - rho_old))' = sigma F1(state)
+        visc u'' - (Pi'(rho_old) (rho - rho_old))' = F1(state)
 
     where div_up freezes the upwind face velocities at the incoming state and
     F1, the fully lagged momentum right side, and Pi' come from ``lag``.
@@ -493,8 +479,7 @@ def solve_flow_coupled(
     g, visc = spec.grid, spec.fluid.visc
     h, s = g.spacing_h, 2.0 * visc / g.spacing_h**2
     rho_t, u_t = state.rho.values, state.u.values
-    f = _with_source(sigma * _momentum_forcing(state, lag, eps, spec), spec, "momentum")
-    slope = sigma * lag.pi_slope
+    f = _with_source(_momentum_forcing(state, lag, eps, spec), spec, "momentum")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         uf_t = 0.5 * (u_t[:-1] + u_t[1:])
         up, um = _upwind_split(uf_t)
@@ -505,10 +490,11 @@ def solve_flow_coupled(
         b = s * (uf[:-2] + uf[2:]) - 2.0 * s * uf[1:-1]
         b -= f[:-1] + f[1:]
         mass = (_continuity_rhs(eps, spec) - eps**2 * rho_t).sum() / eps**2
-        delta, duf = _pair_sum_solve("(rho, u) block", slope, None, up, um, inv, b, mass, eps, spec)
+        delta, duf = _pair_sum_solve("(rho, u) block", lag.pi_slope, None, up, um, inv, b, mass,
+                                     eps, spec)
         uf = uf[1:-1] + duf
-        # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h, q = slope delta
-        q0, q1 = slope[:2] * delta[:2]
+        # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h, q = Pi' delta
+        q0, q1 = lag.pi_slope[:2] * delta[:2]
         u = _alternating_sums(uf, 0.5 * uf[0] - (f[0] + (q1 - q0) / (2.0 * h)) / (2.0 * s))
     if not np.isfinite(u).all():
         raise mesh.NonFiniteError("(rho, u) block: the velocity is not finite in "
@@ -539,7 +525,7 @@ def _pin_constant(hat: Field, target: float, rho: np.ndarray, weight_integral: f
 @_right_side("mu right side", "mu")
 def _mu_rhs(state: State, dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """eps rho c + rho u c' - eps rho0 c0, c' lagged as ``dc``: the mu right side
-    without sigma or source."""
+    without its source."""
     rho, u, c = state.rho.values, state.u.values, state.c.values
     return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
 
@@ -547,22 +533,22 @@ def _mu_rhs(state: State, dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.n
 @_right_side("c right side", "c")
 def _c_rhs(state: State, dF: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """rho dF_delta(c) - rho mu, dF_delta(c) lagged as ``dF``: the c right side
-    without sigma or source."""
+    without its source."""
     rho = state.rho.values
     return rho * dF - rho * state.mu.values
 
 
-def solve_mu(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
+def solve_mu(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the chemical-potential Poisson problem and pin its constant.
 
     :func:`mesh.laplacian_solve` solves with the right side
-    sigma*(eps rho c + rho u c' - eps rho0 c0) less its mean, and the constant
+    eps rho c + rho u c' - eps rho0 c0 less its mean, and the constant
     is fixed so the rho-weighted mean of mu equals that of dF_delta(c).  The
     removed integral, which vanishes as the outer iteration converges, is
     returned as the compatibility residual ``proj``.
     """
     g = spec.grid
-    rhs = _with_source(sigma * _mu_rhs(state, lag.dc, eps, spec), spec, "mu")
+    rhs = _with_source(_mu_rhs(state, lag.dc, eps, spec), spec, "mu")
     mu_hat, proj = mesh.laplacian_solve(Field(g, rhs))
     rho, h = state.rho.values, g.spacing_h
     with np.errstate(over="ignore", invalid="ignore"):
@@ -584,11 +570,11 @@ def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec
     return spec.m2 + eps * i1 - eps**3 * i2
 
 
-def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
+def solve_c(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
     """Solve the concentration Poisson problem and impose the relative-mass constraint.
 
     :func:`mesh.laplacian_solve` solves with the right side
-    sigma*(rho dF_delta(c_prev) - rho mu) less its mean (the removed integral
+    rho dF_delta(c_prev) - rho mu less its mean (the removed integral
     is returned as ``proj``, as by :func:`solve_mu`), and the additive
     constant s is chosen so that
 
@@ -599,7 +585,7 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
     """
     g, h = spec.grid, spec.grid.spacing_h
     rho = state.rho.values
-    rhs = _with_source(sigma * _c_rhs(state, lag.dF, spec), spec, "c")
+    rhs = _with_source(_c_rhs(state, lag.dF, spec), spec, "c")
     c_hat, proj = mesh.laplacian_solve(Field(g, rhs))
     weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -614,7 +600,7 @@ def solve_c(state: State, lag: Lagged, sigma: float, eps: float, spec: ProblemSp
 def constant_state(spec: ProblemSpec, eps: float) -> State:
     """The spatially constant quadruple (rho0, 0, dF_delta(c0), c0).
 
-    With zero forcing this is an exact solution for every sigma and eps.
+    With zero forcing this is an exact solution for every eps.
     """
     g = spec.grid
     rho = solve_continuity(g.zeros(), eps, spec)
@@ -773,7 +759,7 @@ def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
     discrete momentum balance (:func:`_balanced_density`), its O(eps^2)
     :func:`_continuity_velocity`, so that the start keeps the discrete mass
     balance at ``eps``, and the phase pair solved once at that (rho, u):
-    :func:`solve_mu` then :func:`solve_c` at sigma = 1, lagged at the
+    :func:`solve_mu` then :func:`solve_c`, lagged at the
     limit's c = c0 (dF_delta(c0), c' = 0).
 
     Each part removes a first Picard step's residual above tol_rel.  The
@@ -793,8 +779,8 @@ def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
     u = Field(g, _continuity_velocity(rho.values, eps, spec))
     # the phase sub-solves read only dF and c' of the lag
     lag = Lagged(mu0.values, np.zeros(g.n_cells), None, None)
-    mu, _ = solve_mu(State(rho, u, mu0, c0), lag, 1.0, eps, spec)
-    c, _ = solve_c(State(rho, u, mu, c0), lag, 1.0, eps, spec)
+    mu, _ = solve_mu(State(rho, u, mu0, c0), lag, eps, spec)
+    c, _ = solve_c(State(rho, u, mu, c0), lag, eps, spec)
     return State(rho, u, mu, c)
 
 
@@ -802,9 +788,7 @@ def _rel_update(new: Field, old: Field) -> float:
     return float(np.abs(new.values - old.values).max() / (1.0 + np.abs(old.values).max()))
 
 
-def picard_step(
-    state: State, sigma: float, eps: float, spec: ProblemSpec, damping: float
-) -> tuple[State, float]:
+def picard_step(state: State, eps: float, spec: ProblemSpec, damping: float) -> tuple[State, float]:
     """One damped sweep over the four sub-solves.
 
     The flow pair is updated through the pressure-coupled block solve, the
@@ -819,9 +803,9 @@ def picard_step(
     largest relative field update plus both mean-projection magnitudes.
     """
     g, lag = spec.grid, lagged(state, spec)
-    rho_star, u_star = solve_flow_coupled(state, lag, sigma, eps, spec)
-    mu_star, proj_mu = solve_mu(State(rho_star, u_star, state.mu, state.c), lag, sigma, eps, spec)
-    c_star, proj_c = solve_c(State(rho_star, u_star, mu_star, state.c), lag, sigma, eps, spec)
+    rho_star, u_star = solve_flow_coupled(state, lag, eps, spec)
+    mu_star, proj_mu = solve_mu(State(rho_star, u_star, state.mu, state.c), lag, eps, spec)
+    c_star, proj_c = solve_c(State(rho_star, u_star, mu_star, state.c), lag, eps, spec)
 
     u_new = Field(g, damping * u_star.values + (1.0 - damping) * state.u.values)
     mu_new = Field(g, damping * mu_star.values + (1.0 - damping) * state.mu.values)
@@ -841,9 +825,10 @@ def _diverged(residuals: list[float]) -> bool:
 
 
 class StageLog(Record):
-    """Residual, damping and mass history of one (sigma, eps) continuation stage."""
+    """Residual, damping and mass history of one continuation stage, at ``eps``."""
 
-    sigma: float
+    sigma = 1.0  # every stage at full load; bench/spans.py reads it per stage
+
     eps: float
     residuals: list[float] = field(default_factory=list)
     dampings: list[float] = field(default_factory=list)
@@ -867,23 +852,18 @@ class ConvergenceLog(Record):
         return max((max(s.mass_errors) for s in self.stages if s.mass_errors), default=0.0)
 
 
-def _run_stage(
-    state: State,
-    sigma: float,
-    eps: float,
-    spec: ProblemSpec,
-    controls: SolveControls,
-) -> tuple[State, StageLog]:
-    log = StageLog(sigma, eps)
+def _run_stage(state: State, eps: float, spec: ProblemSpec,
+               controls: SolveControls) -> tuple[State, StageLog]:
+    log = StageLog(eps)
     damping = controls.damping
     for _ in range(controls.max_picard):
-        state, res = picard_step(state, sigma, eps, spec, damping)
+        state, res = picard_step(state, eps, spec, damping)
         log.residuals.append(res)
         log.dampings.append(damping)
         log.mass_errors.append(abs(mesh.integrate(state.rho) - spec.m1))
         if _diverged(log.residuals):
             raise DivergenceError(
-                f"residual diverged at stage sigma={sigma:g}, eps={eps:g} "
+                f"residual diverged at stage eps={eps:g} "
                 f"after {log.iterations} iterations (residual {res:g})"
             )
         if res <= controls.tol_rel:
@@ -892,7 +872,7 @@ def _run_stage(
             # halve, but not below 1/8 (nor below a lower starting factor)
             damping = max(0.5 * damping, min(damping, 0.125))
     raise NotConverged(
-        f"stage sigma={sigma:g}, eps={eps:g} ended at residual {res:g} "
+        f"stage eps={eps:g} ended at residual {res:g} "
         f"after {log.iterations} iterations (tol_rel {controls.tol_rel:g})"
     )
 
@@ -902,9 +882,9 @@ def continuation_solve(
     controls: SolveControls,
     initial_state: Optional[State] = None,
 ) -> tuple[State, ConvergenceLog]:
-    """Ramp sigma to 1 at the largest eps, then walk eps down its schedule.
+    """Walk eps down its schedule, one stage per entry.
 
-    With the default schedules this is one stage, sigma = 1 at eps = 1e-3.
+    With the default schedule this is one stage, at eps = 1e-3.
     The first stage starts from ``initial_state`` or the
     :func:`hydrostatic_state`, the eps -> 0 limit, and every later stage
     warm-starts from the previous one; each iterates :func:`picard_step`
@@ -913,17 +893,14 @@ def continuation_solve(
     stage at ``controls.damping`` and is halved, down to 1/8, whenever a
     residual exceeds the one before.  Each stage gets one attempt: five
     consecutive residual rises totalling more than a factor ten raise
-    :class:`DivergenceError`, whose message names the stage's sigma and eps,
-    as no attribute carries them.
+    :class:`DivergenceError`, whose message names the stage's eps, as no
+    attribute carries it.
     """
     eps0 = controls.eps_schedule[0]
-    stages = [(s, eps0) for s in controls.sigma_schedule]
-    stages += [(1.0, e) for e in controls.eps_schedule[1:]]
-
     state = initial_state if initial_state is not None else hydrostatic_state(spec, eps0)
     log = ConvergenceLog()
-    for sigma, eps in stages:
-        state, stage_log = _run_stage(state, sigma, eps, spec, controls)
+    for eps in controls.eps_schedule:
+        state, stage_log = _run_stage(state, eps, spec, controls)
         log.stages.append(stage_log)
     return state, log
 
@@ -965,7 +942,7 @@ def check_sweep(key: str, values) -> tuple:
 def _sweep_value(spec_base: ProblemSpec, key: str, value: float, controls: SolveControls) -> tuple:
     """Solve one sweep value; returns the row (status, report, state, log).
 
-    The solve runs ``controls``' schedules, for an eps sweep with ``value``
+    The solve runs ``controls``' schedule, for an eps sweep with ``value``
     as the only eps, from the hydrostatic start, as a standalone solve of
     that value does.  The report is taken at the solve's final eps.  A
     solver error becomes the status ``failed(<Type>)`` with None in the

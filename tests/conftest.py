@@ -18,8 +18,8 @@ from chns1d.potential import PotentialParams
 from chns1d.solver import FluidParams, ProblemSpec, SolveControls
 
 # Config text of the continuation ladder, the default before one stage:
-# sigma 0.25 -> 1 at eps 0.1, then eps 0.1 -> 1e-3.
-LADDER = "solver.sigma_schedule = 0.25,0.5,0.75,1.0\nsolver.eps_schedule = 1e-1,1e-2,1e-3\n"
+# eps 0.1 -> 1e-3, one stage per value.
+LADDER = "solver.eps_schedule = 1e-1,1e-2,1e-3\n"
 
 # The (dgtsv, dgbsv) adapters of each LAPACK binding: numpy's own, where numpy
 # exports the routines, and scipy's f2py wrappers, the fallback.
@@ -66,7 +66,7 @@ def assert_honest_fixed_point(state, log, spec: ProblemSpec, controls: SolveCont
     assert state.rho.values.min() >= 0.0
     assert energy_inequality(state, spec)[2] >= -EI_SLACK_CONSTANT * spec.grid.spacing_h**2
     stage = log.stages[-1]
-    after, _ = solver.picard_step(state, stage.sigma, stage.eps, spec, stage.dampings[-1])
+    after, _ = solver.picard_step(state, stage.eps, spec, stage.dampings[-1])
     for name in ("rho", "u", "mu", "c"):
         old, new = getattr(state, name).values, getattr(after, name).values
         assert np.abs(new - old).max() <= controls.tol_rel * (1.0 + np.abs(old).max()), name

@@ -219,13 +219,13 @@ def test_criterion_07_manufactured_convergence():
     # the momentum equation is solved only in the (rho, u) block, checked at
     # constant density, where the upwind flux is exact to O(h^2)
     flat = build_manufactured(eps=0.1, rho_amp=0.0)
-    block = lambda st, sp: solve_flow_coupled(st, lagged(st, sp), 1.0, mms.eps, sp)
+    block = lambda st, sp: solve_flow_coupled(st, lagged(st, sp), mms.eps, sp)
     field_orders = {}
     for label, mf, name, op in (
         ("block u", flat, "u", lambda st, sp: block(st, sp)[1]),
         ("block rho", flat, "rho", lambda st, sp: block(st, sp)[0]),
-        ("mu", mms, "mu", lambda st, sp: solve_mu(st, lagged(st, sp), 1.0, mms.eps, sp)[0]),
-        ("c", mms, "c", lambda st, sp: solve_c(st, lagged(st, sp), 1.0, mms.eps, sp)[0]),
+        ("mu", mms, "mu", lambda st, sp: solve_mu(st, lagged(st, sp), mms.eps, sp)[0]),
+        ("c", mms, "c", lambda st, sp: solve_c(st, lagged(st, sp), mms.eps, sp)[0]),
     ):
         errs = []
         exact = getattr(mf, name)

@@ -50,7 +50,6 @@ class TestConfigParsing:
     def test_empty_config_is_valid(self):
         cfg = parse_config_text("")
         assert cfg.spec.grid.n_cells == 256
-        assert cfg.controls.sigma_schedule == (1.0,)
         assert cfg.controls.eps_schedule == (1.0e-3,)
         # the solver.* defaults are read from SolveControls, so nothing can drift
         assert cfg.controls == SolveControls()
@@ -89,10 +88,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="problem.m1"):
             parse_config_text("problem.m1 = lots")
 
-    def test_problem_eps_is_unknown(self):
-        # every solve takes eps from solver.eps_schedule; the key had no reader
-        with pytest.raises(ConfigError, match="problem.eps: unknown configuration key"):
-            parse_config_text("problem.eps = 1e-2")
+    # every solve takes eps from solver.eps_schedule, one stage per value, so
+    # neither a problem eps nor a load-factor schedule has a reader
+    @pytest.mark.parametrize("key, value", [
+        ("problem.eps", "1e-2"), ("solver.sigma_schedule", "0.5"),
+    ])
+    def test_problem_eps_is_unknown(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: unknown configuration key$"):
+            parse_config_text(f"{key} = {value}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: unknown configuration key\n"
+        assert not (tmp_path / "o").exists()
 
     def test_forcing_kinds(self):
         cfg = parse_config_text(
@@ -147,7 +155,6 @@ class TestConfigParsing:
         ("fluid.art_exponent", "1"),
         ("problem.m1", "-1.0"),
         ("problem.m2", "1.0"),
-        ("solver.sigma_schedule", "0.5"),
         ("solver.eps_schedule", "1e-3,1e-2"),
         ("solver.damping", "2.0"),
         ("solver.tol_rel", "0.0"),
@@ -394,7 +401,7 @@ class TestCliSolve:
         from chns1d import solver
 
         def blow_up(spec, controls, initial_state=None):
-            raise solver.DivergenceError("residual diverged at stage sigma=1, eps=0.1")
+            raise solver.DivergenceError("residual diverged at stage eps=0.1")
 
         monkeypatch.setattr(solver, "continuation_solve", blow_up)
         cfg = tmp_path / "run.cfg"
@@ -402,7 +409,7 @@ class TestCliSolve:
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "sigma=" in err and "eps=" in err
+        assert "stage eps=0.1" in err
 
     def test_solver_error_exits_one_with_named_type(self, tmp_path, monkeypatch, capsys):
         from chns1d import solver
@@ -423,7 +430,7 @@ class TestCliSolve:
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("solve failed: NotConverged: stage sigma=1, eps=0.001 ended at residual ")
+        assert err.startswith("solve failed: NotConverged: stage eps=0.001 ended at residual ")
         assert "after 1 iterations" in err
         assert not (tmp_path / "o").exists()
 
@@ -774,7 +781,7 @@ class TestCliCheck:
         assert rc == 1
         assert len(failed) == 1
         assert failed[0].split()[1] == "solver.forced_solve"
-        assert "solver raised NotConverged: stage sigma=1, eps=0.001" in failed[0]
+        assert "solver raised NotConverged: stage eps=0.001 " in failed[0]
 
     def test_low_theta0_checks_admitted_widths(self, tmp_path, capsys):
         # at theta0 = 0.5 the sign structure needs delta <= 0.006375, so the

@@ -83,10 +83,11 @@ class TestParamValidation:
             ProblemSpec(g, pot, fluid, m1=1.0, m2=0.0, eps=1.0)
 
     def test_controls_invalid(self):
-        with pytest.raises(ValueError):
+        # a solve has no load factor: its stages are the eps schedule's
+        with pytest.raises(TypeError, match="sigma_schedule"):
             SolveControls(sigma_schedule=(0.5, 0.25, 1.0))
-        with pytest.raises(ValueError):
-            SolveControls(sigma_schedule=(0.5, 0.75))
+        with pytest.raises(TypeError, match="sigma_schedule"):
+            SolveControls(sigma_schedule=(1.0,))
         with pytest.raises(ValueError):
             SolveControls(eps_schedule=(1e-2, 1e-1))
         with pytest.raises(ValueError):
@@ -116,8 +117,7 @@ class TestRecords:
 
     def test_controls_repr_is_the_dataclass_format(self):
         assert repr(SolveControls()) == (
-            "SolveControls(sigma_schedule=(1.0,), damping=1.0, max_picard=500, "
-            "tol_rel=1e-08, eps_schedule=(0.001,))"
+            "SolveControls(damping=1.0, max_picard=500, tol_rel=1e-08, eps_schedule=(0.001,))"
         )
 
     @pytest.mark.parametrize("record, change, message", [
@@ -137,7 +137,7 @@ class TestRecords:
             dataclasses.replace(record, **change)
 
     @pytest.mark.parametrize("record, name", [
-        (StageLog(1.0, 1e-3), "residuals"),
+        (StageLog(1e-3), "residuals"),
         (ConvergenceLog(), "stages"),
     ], ids=["StageLog", "ConvergenceLog"])
     def test_logs_are_frozen_but_their_lists_grow(self, record, name):
@@ -147,7 +147,7 @@ class TestRecords:
         assert getattr(record, name) == [None]
 
     def test_default_factories_give_each_log_its_own_list(self):
-        a, b = StageLog(1.0, 1e-3), StageLog(sigma=1.0, eps=1e-3)
+        a, b = StageLog(1e-3), StageLog(eps=1e-3)
         a.residuals.append(1.0)
         assert b.residuals == [] and b.dampings == [] and a.dampings is not b.dampings
         assert ConvergenceLog().stages is not ConvergenceLog().stages
@@ -212,21 +212,21 @@ class TestSubSolveTrivialCases:
     def test_mu_constant_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        mu, proj = solve_mu(state, lagged(state, spec), 1.0, 1e-2, spec)
+        mu, proj = solve_mu(state, lagged(state, spec), 1e-2, spec)
         assert proj <= 1e-14
         assert np.max(np.abs(mu.values - dF_delta(spec.c0, pot))) <= 1e-12
 
     def test_c_constant_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        c, proj = solve_c(state, lagged(state, spec), 1.0, 1e-2, spec)
+        c, proj = solve_c(state, lagged(state, spec), 1e-2, spec)
         assert proj <= 1e-14
         assert np.max(np.abs(c.values - spec.c0)) <= 1e-12
 
     def test_flow_coupled_keeps_rest_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        rho, u = solve_flow_coupled(state, lagged(state, spec), 1.0, 1e-2, spec)
+        rho, u = solve_flow_coupled(state, lagged(state, spec), 1e-2, spec)
         assert np.max(np.abs(u.values)) <= 1e-13
         assert np.max(np.abs(rho.values - spec.rho0)) <= 1e-10
 
@@ -238,7 +238,7 @@ class TestNeumannConstants:
         state = State(*(spec.grid.field(v) for v in (
             1.0 + 0.3 * np.cos(np.pi * x), 0.1 * np.sin(np.pi * x),
             np.zeros_like(x), 0.2 * np.cos(2 * np.pi * x))))
-        mu, _ = solve_mu(state, lagged(state, spec), 1.0, 1e-2, spec)
+        mu, _ = solve_mu(state, lagged(state, spec), 1e-2, spec)
         rho, h = state.rho.values, spec.grid.spacing_h
         lhs = mesh.integral_of(rho * mu.values, h)
         rhs = mesh.integral_of(rho * dF_delta(state.c.values, pot), h)
@@ -249,7 +249,7 @@ class TestNeumannConstants:
         spec = zero_forcing_spec(32, pot, fluid)
         state = State(spec.grid.zeros(), spec.grid.zeros(), spec.grid.zeros(), spec.grid.field(0.1))
         with pytest.raises(mesh.DegenerateWeightError, match="density-weighted constraint is degenerate"):
-            sub_solve(state, lagged(state, spec), 1.0, 1e-2, spec)
+            sub_solve(state, lagged(state, spec), 1e-2, spec)
 
 
 def _spiked_state(n: int, **spikes) -> State:
@@ -268,9 +268,9 @@ class TestNonFiniteRightSide:
         (lambda s, spec: solver._momentum_forcing(s, lagged(s, spec), 1e-2, spec), {"u": (32, 1e200)},
          "momentum sub-solve: the momentum right side is not finite in 2 of 64 cells; "
          "incoming max |rho| 2, |u| 1e+200"),
-        (lambda s, spec: solve_mu(s, lagged(s, spec), 1.0, 1e-2, spec), {"u": (32, 1e300), "c": (33, 1e10)},
+        (lambda s, spec: solve_mu(s, lagged(s, spec), 1e-2, spec), {"u": (32, 1e300), "c": (33, 1e10)},
          "mu sub-solve: the mu right side is not finite in 1 of 64 cells; incoming max"),
-        (lambda s, spec: solve_c(s, lagged(s, spec), 1.0, 1e-2, spec), {"mu": (32, 1e308)},
+        (lambda s, spec: solve_c(s, lagged(s, spec), 1e-2, spec), {"mu": (32, 1e308)},
          "c sub-solve: the c right side is not finite in 1 of 64 cells; incoming max"),
     ], ids=["momentum", "mu", "c"])
     def test_names_field_and_sub_solve(self, pot, fluid, call, spikes, message):
@@ -298,7 +298,7 @@ class TestNonFiniteConstant:
         state = State(**fields)
         lag = solver.Lagged(*solver.lagged_phase(state.c.values, spec), None, None)
         with pytest.raises(mesh.NonFiniteError) as info:
-            sub_solve(state, lag, 1.0, 1e-2, spec)
+            sub_solve(state, lag, 1e-2, spec)
         assert str(info.value) == (
             f"{sub_solve.__name__[6:]} sub-solve: the constant of its density-weighted "
             "constraint is not finite; max |rho| 1e+160"
@@ -314,7 +314,7 @@ class TestFieldConstructions:
         stay plain arrays.  The first step also probes the grid's bands, once."""
         cfg = parse_config_text(FORCED_DEFAULT)
         spec, eps = cfg.spec, cfg.controls.eps_schedule[0]
-        state, _ = picard_step(constant_state(spec, eps), 1.0, eps, spec, 1.0)
+        state, _ = picard_step(constant_state(spec, eps), eps, spec, 1.0)
         checks = []
         field_init = mesh.Field.__post_init__
 
@@ -323,7 +323,7 @@ class TestFieldConstructions:
             field_init(field)
 
         monkeypatch.setattr(mesh.Field, "__post_init__", counted)
-        picard_step(state, 1.0, eps, spec, 1.0)
+        picard_step(state, eps, spec, 1.0)
         assert len(checks) == 12
 
     def test_one_picard_step_evaluates_each_lagged_coefficient_once(self, monkeypatch):
@@ -342,7 +342,7 @@ class TestFieldConstructions:
 
         for name in names:
             monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
-        picard_step(state, 1.0, eps, spec, 1.0)
+        picard_step(state, eps, spec, 1.0)
         assert sorted(calls) == sorted(names)
 
 
@@ -350,7 +350,7 @@ class TestFlowCoupledBlock:
     @pytest.mark.parametrize("n", [10, 64])
     def test_solves_linearized_equations(self, pot, fluid, n):
         """Away from rest the returned pair satisfies both equations of the docstring."""
-        sigma, eps = 0.75, 0.1
+        eps = 0.1
         spec = make_forced_spec(n, pot, fluid)
         g, h = spec.grid, spec.grid.spacing_h
         rng = np.random.default_rng(n)
@@ -358,7 +358,7 @@ class TestFlowCoupledBlock:
         u_t = 0.05 * rng.standard_normal(n)
         mu_t, c_t = rng.standard_normal(n), 0.3 * rng.random(n)
         state = State(g.field(rho_t), g.field(u_t), g.field(mu_t), g.field(c_t))
-        rho, u = solve_flow_coupled(state, lagged(state, spec), sigma, eps, spec)
+        rho, u = solve_flow_coupled(state, lagged(state, spec), eps, spec)
         assert np.min(rho.values) > 0.0
 
         rho_f, uf = face_means(rho_t), face_means(u.values)
@@ -380,8 +380,8 @@ class TestFlowCoupledBlock:
         )
         terms = [
             fluid.visc * mesh.laplacian_apply(u, "dirichlet0").values,
-            -sigma * mesh.gradient(g.field(pi_slope * (rho.values - rho_t)), "neumann").values,
-            -sigma * solver._momentum_forcing(state, lagged(state, spec), eps, spec),
+            -mesh.gradient(g.field(pi_slope * (rho.values - rho_t)), "neumann").values,
+            -solver._momentum_forcing(state, lagged(state, spec), eps, spec),
         ]
         assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
 
@@ -396,7 +396,7 @@ class TestFlowCoupledBlock:
         rng = np.random.default_rng(n)
         state = State(g.field(1.0 + 0.3 * rng.random(n)), g.field(0.05 * rng.standard_normal(n)),
                       g.field(rng.standard_normal(n)), g.field(0.3 * rng.random(n)))
-        rho, _ = solve_flow_coupled(state, lagged(state, spec), 0.75, 1e-3, spec)
+        rho, _ = solve_flow_coupled(state, lagged(state, spec), 1e-3, spec)
         assert np.min(rho.values) > 0.0  # unclipped, so rho is the proposal
         assert abs(mesh.integrate(rho) - spec.m1) <= 1e-14 * spec.m1
 
@@ -408,8 +408,8 @@ class TestFlowCoupledBlock:
         cfg = parse_config_text("domain.n_cells = 4096\n" + FORCED_DEFAULT)
         state, _ = continuation_solve(cfg.spec, cfg.controls)
         lag = lagged(state, cfg.spec)
-        solve_flow_coupled(state, lag, 1.0, 1e-3, cfg.spec)  # the cached mesh.bands
-        assert traced_peak(lambda: solve_flow_coupled(state, lag, 1.0, 1e-3, cfg.spec)) < 1100 * 1024
+        solve_flow_coupled(state, lag, 1e-3, cfg.spec)  # the cached mesh.bands
+        assert traced_peak(lambda: solve_flow_coupled(state, lag, 1e-3, cfg.spec)) < 1100 * 1024
 
 
 def face_means(a: np.ndarray) -> np.ndarray:
@@ -419,7 +419,7 @@ def face_means(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def interleaved_block(state: State, sigma: float, eps: float, spec: ProblemSpec):
+def interleaved_block(state: State, eps: float, spec: ProblemSpec):
     """The 2n rows of the linearized (rho, u) block, continuity rows first,
     as a sparse matrix in (rho, u) and a right side, assembled from the
     equations of the solve_flow_coupled docstring: the system the solver
@@ -445,21 +445,21 @@ def interleaved_block(state: State, sigma: float, eps: float, spec: ProblemSpec)
     flux = rho_f / (2.0 * h)
     correction = tri(flux[1:] - flux[:-1], flux[1:-1], -flux[1:-1])
     momentum_u = spec.fluid.visc * tri(*mesh.bands(mesh.laplacian_apply, g, "dirichlet0"))
-    matrix = sparse.bmat([[continuity, correction], [-sigma * grad(lag.pi_slope), momentum_u]])
+    matrix = sparse.bmat([[continuity, correction], [-grad(lag.pi_slope), momentum_u]])
     old_flux = rho_f * uf
     rhs = np.concatenate([
         solver._continuity_rhs(eps, spec) + np.diff(old_flux) / h,
-        solver._with_source(sigma * solver._momentum_forcing(state, lag, eps, spec), spec, "momentum")
-        - sigma * grad(lag.pi_slope) @ rho_t,
+        solver._with_source(solver._momentum_forcing(state, lag, eps, spec), spec, "momentum")
+        - grad(lag.pi_slope) @ rho_t,
     ])
     return matrix.tocsr(), rhs
 
 
-def block_row_residual(state: State, sigma: float, eps: float, spec: ProblemSpec) -> float:
+def block_row_residual(state: State, eps: float, spec: ProblemSpec) -> float:
     """The largest residual of the 2n block rows at solve_flow_coupled's
     (rho, u), each row scaled by the sum of its terms' magnitudes."""
-    rho, u = solve_flow_coupled(state, lagged(state, spec), sigma, eps, spec)
-    matrix, rhs = interleaved_block(state, sigma, eps, spec)
+    rho, u = solve_flow_coupled(state, lagged(state, spec), eps, spec)
+    matrix, rhs = interleaved_block(state, eps, spec)
     z = np.concatenate([rho.values, u.values])
     scale = abs(matrix) @ np.abs(z) + np.abs(rhs)
     return float(np.max(np.abs(matrix @ z - rhs) / scale))
@@ -488,18 +488,18 @@ class TestBlockAgainstTheInterleavedRows:
         """At the start and after three undamped steps from it."""
         state, eps, spec = self.start(text)
         for _ in range(4):
-            assert block_row_residual(state, 1.0, eps, spec) <= 1e-12
-            state, _ = picard_step(state, 1.0, eps, spec, 1.0)
+            assert block_row_residual(state, eps, spec) <= 1e-12
+            state, _ = picard_step(state, eps, spec, 1.0)
 
     def test_constant_state_meets_every_row(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
-        assert block_row_residual(constant_state(spec, 1e-3), 1.0, 1e-3, spec) <= 1e-12
+        assert block_row_residual(constant_state(spec, 1e-3), 1e-3, spec) <= 1e-12
 
     def test_manufactured_state_meets_every_row(self):
         """The variable-density manufactured state with its four sources."""
         mms = build_manufactured(eps=0.1)
         grid = Grid(128, 1.0)
-        assert block_row_residual(mms.state(grid), 1.0, mms.eps, mms.spec(grid)) <= 1e-12
+        assert block_row_residual(mms.state(grid), mms.eps, mms.spec(grid)) <= 1e-12
 
     def test_heavy_mixture_meets_the_rows_where_the_lu_did_not(self):
         """m1 = 2, lambda1 = 0.1, sin 5 at n = 128, at the start: the
@@ -509,8 +509,8 @@ class TestBlockAgainstTheInterleavedRows:
         state, eps, spec = self.start(
             "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 5\n"
             "problem.m1 = 2\nproblem.m2 = 0.6\nfluid.lambda1 = 0.1\n")
-        rho, u = solve_flow_coupled(state, lagged(state, spec), 1.0, eps, spec)
-        matrix, rhs = interleaved_block(state, 1.0, eps, spec)
+        rho, u = solve_flow_coupled(state, lagged(state, spec), eps, spec)
+        matrix, rhs = interleaved_block(state, eps, spec)
         n = spec.grid.n_cells
         residual = matrix @ np.concatenate([rho.values, u.values]) - rhs
         assert np.abs(residual[:n]).max() <= 1e-12 * np.abs(rhs[:n]).max()
@@ -552,7 +552,7 @@ def _forced_default_systems(n, monkeypatch):
     spec = parse_config_text(f"domain.n_cells = {n}\n{FORCED_DEFAULT}").spec
     state = constant_state(spec, 0.1)
     for _ in range(2):
-        state, _ = picard_step(state, 1.0, 0.1, spec, 1.0)
+        state, _ = picard_step(state, 0.1, spec, 1.0)
 
     calls = []
 
@@ -567,7 +567,7 @@ def _forced_default_systems(n, monkeypatch):
     with monkeypatch.context() as patch:
         for solve in (mesh.solve_tridiagonal, mesh.solve_banded):
             patch.setattr(mesh, solve.__name__, recording(solve))
-        picard_step(state, 1.0, 0.1, spec, 1.0)
+        picard_step(state, 0.1, spec, 1.0)
     return calls
 
 
@@ -618,7 +618,7 @@ class TestLapackSolves:
         monkeypatch.setattr(solver, "pressure_slope", lambda rho, delta, fluid: np.zeros(n))
         state = State(g.field(1.0), g.zeros(), g.zeros(), g.field(0.3))
         with pytest.raises(solver.SingularSystemError, match=r"\(rho, u\) block: the matrix is singular"):
-            solve_flow_coupled(state, lagged(state, forced_spec), 1.0, 0.1, forced_spec)
+            solve_flow_coupled(state, lagged(state, forced_spec), 0.1, forced_spec)
         assert solver.SingularSystemError in solver.SOLVER_ERRORS
         assert mesh.NonFiniteError in solver.SOLVER_ERRORS
 
@@ -627,23 +627,19 @@ class TestPicardStep:
     def test_constant_state_is_fixed_point(self, pot, fluid, controls):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        _, res = picard_step(state, 1.0, 1e-2, spec, controls.damping)
+        _, res = picard_step(state, 1e-2, spec, controls.damping)
         assert res <= 1e-12
 
     def test_full_damping_equals_composition(self, forced_spec):
         state = constant_state(forced_spec, 1e-1)
-        new_full, _ = picard_step(state, 0.5, 1e-1, forced_spec, 1.0)
+        new_full, _ = picard_step(state, 1e-1, forced_spec, 1.0)
 
         # mu and c see the block density; the returned density is the
         # continuity solve for the (undamped) velocity
         lag = lagged(state, forced_spec)  # all three read the incoming state's record
-        rho_star, u_star = solve_flow_coupled(state, lag, 0.5, 1e-1, forced_spec)
-        mu_star, _ = solve_mu(
-            State(rho_star, u_star, state.mu, state.c), lag, 0.5, 1e-1, forced_spec
-        )
-        c_star, _ = solve_c(
-            State(rho_star, u_star, mu_star, state.c), lag, 0.5, 1e-1, forced_spec
-        )
+        rho_star, u_star = solve_flow_coupled(state, lag, 1e-1, forced_spec)
+        mu_star, _ = solve_mu(State(rho_star, u_star, state.mu, state.c), lag, 1e-1, forced_spec)
+        c_star, _ = solve_c(State(rho_star, u_star, mu_star, state.c), lag, 1e-1, forced_spec)
         assert np.array_equal(new_full.u.values, u_star.values)
         assert np.array_equal(new_full.mu.values, mu_star.values)
         assert np.array_equal(new_full.c.values, c_star.values)
@@ -651,7 +647,7 @@ class TestPicardStep:
             new_full.rho.values, solve_continuity(u_star, 1e-1, forced_spec).values
         )
 
-        new_half, _ = picard_step(state, 0.5, 1e-1, forced_spec, 0.5)
+        new_half, _ = picard_step(state, 1e-1, forced_spec, 0.5)
         blend = 0.5 * u_star.values + 0.5 * state.u.values
         assert np.array_equal(new_half.u.values, blend)
 
@@ -664,7 +660,7 @@ class TestPicardStep:
             return real(u, eps, spec)
 
         monkeypatch.setattr(solver, "solve_continuity", counting)
-        new, _ = picard_step(state, 0.5, 1e-1, forced_spec, 0.5)
+        new, _ = picard_step(state, 1e-1, forced_spec, 0.5)
         assert len(calls) == 1
         assert calls[0] is new.u  # for the damped velocity
 
@@ -672,7 +668,7 @@ class TestPicardStep:
         state = constant_state(forced_spec, 1e-1)
         residuals = []
         for _ in range(25):
-            state, res = picard_step(state, 1.0, 1e-1, forced_spec, controls.damping)
+            state, res = picard_step(state, 1e-1, forced_spec, controls.damping)
             residuals.append(res)
         # strictly decreasing until roundoff; below 1e-12 the residual wanders
         assert all(b < a for a, b in zip(residuals, residuals[1:]) if a > 1e-12)
@@ -690,7 +686,7 @@ class TestPicardStep:
         state = constant_state(forced_spec, 1e-1)
         first = None
         for _ in range(60):
-            state, res = picard_step(state, 1.0, 1e-1, forced_spec, controls.damping)
+            state, res = picard_step(state, 1e-1, forced_spec, controls.damping)
             if first is None:
                 first = mean_projection_residuals(state, forced_spec, 1e-1)
             if res <= 1e-12:
@@ -731,12 +727,12 @@ class TestAdaptiveDamping:
         scripted = iter([1.0, 2.0, 1.5, 3.0, 2.0, 4.0, 3.0, 5.0, 1e-9])
         used = []
 
-        def scripted_step(state, sigma, eps, spec, damping):
+        def scripted_step(state, eps, spec, damping):
             used.append(damping)
             return state, next(scripted)
 
         monkeypatch.setattr(solver, "picard_step", scripted_step)
-        ctl = SolveControls(sigma_schedule=(1.0,), eps_schedule=(1e-1,))
+        ctl = SolveControls(eps_schedule=(1e-1,))
         _, log = continuation_solve(forced_spec, ctl, initial_state=state0)
         assert used == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25, 0.125, 0.125, 0.125]
         assert log.stages[0].dampings == used
@@ -745,12 +741,12 @@ class TestAdaptiveDamping:
         scripted = iter([1.0, 2.0, 1e-9])
         used = []
 
-        def scripted_step(state, sigma, eps, spec, damping):
+        def scripted_step(state, eps, spec, damping):
             used.append(damping)
             return state, next(scripted)
 
         monkeypatch.setattr(solver, "picard_step", scripted_step)
-        ctl = SolveControls(sigma_schedule=(1.0,), eps_schedule=(1e-1,), damping=0.1)
+        ctl = SolveControls(eps_schedule=(1e-1,), damping=0.1)
         continuation_solve(forced_spec, ctl)
         assert used == [0.1, 0.1, 0.1]
 
@@ -779,7 +775,7 @@ class TestAdaptiveDamping:
     def test_forced_default_iterations(self):
         cfg = forced_default(LADDER)
         _, log = continuation_solve(cfg.spec, cfg.controls)
-        assert stage_iterations(log) == [2, 2, 2, 2, 3, 3]
+        assert stage_iterations(log) == [2, 3, 3]
 
     def test_half_start_solves_what_the_full_start_loses(self):
         """Sin amplitude 30 with m1 = 0.5 (n = 128): started at 1, the
@@ -793,7 +789,7 @@ class TestAdaptiveDamping:
                 "problem.m1 = 0.5\nproblem.m2 = 0.15\nsolver.max_picard = 300\n")
         cfg = parse_config_text(text)
         with pytest.raises((solver.DivergenceError, solver.NotConverged),
-                           match=r"stage sigma=1, eps=0\.001 (after|ended)"):
+                           match=r"stage eps=0\.001 (after|ended)"):
             continuation_solve(cfg.spec, cfg.controls)
         cfg = parse_config_text(text + "solver.damping = 0.5\n")
         state, log = continuation_solve(cfg.spec, cfg.controls)
@@ -805,16 +801,14 @@ class TestAdaptiveDamping:
         cfg = forced_default(LADDER + "solver.damping = 0.5\n")
         spec, ctl = cfg.spec, cfg.controls
         state, log = continuation_solve(spec, ctl)
-        assert stage_iterations(log) == [10, 10, 8, 8, 25, 25]
+        assert stage_iterations(log) == [1, 25, 25]
         assert all(d == 0.5 for s in log.stages for d in s.dampings)
 
         # reference: every stage iterated at the fixed factor 0.5 from the solve's start
-        stages = [(s, ctl.eps_schedule[0]) for s in ctl.sigma_schedule]
-        stages += [(1.0, e) for e in ctl.eps_schedule[1:]]
         ref = hydrostatic_state(spec, ctl.eps_schedule[0])
-        for sigma, eps in stages:
+        for eps in ctl.eps_schedule:
             for _ in range(ctl.max_picard):
-                ref, res = picard_step(ref, sigma, eps, spec, 0.5)
+                ref, res = picard_step(ref, eps, spec, 0.5)
                 if res <= ctl.tol_rel:
                     break
         for name in ("rho", "u", "mu", "c"):
@@ -847,38 +841,29 @@ class TestContinuation:
     def test_homotopy_schedule_independence(self, pot, fluid):
         spec = make_forced_spec(96, pot, fluid, g1_amp=0.05)
         tol = 1e-10
-        # (sigma, eps) schedule pairs that end at the same problem: a sigma
-        # ramp at eps 0.1, and one stage against the ladder at eps 1e-3
-        cases = [
-            (((1.0,), (1e-1,)), ((0.5, 1.0), (1e-1,))),
-            (((1.0,), (1e-3,)), ((0.25, 0.5, 0.75, 1.0), (1e-1, 1e-2, 1e-3))),
-        ]
-        for schedules in cases:
-            states = []
-            for sigmas, epss in schedules:
-                ctl = SolveControls(sigma_schedule=sigmas, eps_schedule=epss, tol_rel=tol)
-                state, _ = continuation_solve(spec, ctl)
-                states.append(state)
-            for name in ("rho", "u", "mu", "c"):
-                a = getattr(states[0], name).values
-                b = getattr(states[1], name).values
-                assert np.max(np.abs(a - b)) <= 10 * tol * (1.0 + np.max(np.abs(a)))
+        # one stage at eps 1e-3 and the eps ladder that ends there
+        states = [continuation_solve(spec, SolveControls(eps_schedule=epss, tol_rel=tol))[0]
+                  for epss in ((1e-3,), (1e-1, 1e-2, 1e-3))]
+        for name in ("rho", "u", "mu", "c"):
+            a = getattr(states[0], name).values
+            b = getattr(states[1], name).values
+            assert np.max(np.abs(a - b)) <= 10 * tol * (1.0 + np.max(np.abs(a)))
 
     def test_diverging_stage_is_not_retried(self, forced_spec, monkeypatch):
         calls = []
         original = solver._run_stage
 
-        def flaky(state, sigma, eps, spec, controls):
-            calls.append(sigma)
-            if sigma == 1.0:
-                raise solver.DivergenceError("synthetic stage failure sigma=1, eps=0.1")
-            return original(state, sigma, eps, spec, controls)
+        def flaky(state, eps, spec, controls):
+            calls.append(eps)
+            if eps == 1e-2:
+                raise solver.DivergenceError("synthetic stage failure eps=0.01")
+            return original(state, eps, spec, controls)
 
         monkeypatch.setattr(solver, "_run_stage", flaky)
-        ctl = SolveControls(sigma_schedule=(0.5, 1.0), eps_schedule=(1e-1,))
+        ctl = SolveControls(eps_schedule=(1e-1, 1e-2, 1e-3))
         with pytest.raises(solver.DivergenceError, match="synthetic"):
             continuation_solve(forced_spec, ctl)
-        assert calls == [0.5, 1.0]
+        assert calls == [1e-1, 1e-2]
 
     def test_large_cos_forcing_diverges_at_its_stage(self):
         # one of the 216-config grid's four divergent configs from the constant
@@ -887,28 +872,26 @@ class TestContinuation:
             "domain.n_cells = 128\nforcing.g1.kind = cos\nforcing.g1.amplitude = 20\n"
             "problem.m1 = 0.5\nproblem.m2 = 0.15\nfluid.lambda1 = 0.1\nsolver.max_picard = 300\n"
         )
-        with pytest.raises(solver.DivergenceError, match=r"sigma=1, eps=0\.001 "):
+        with pytest.raises(solver.DivergenceError, match=r"stage eps=0\.001 "):
             continuation_solve(cfg.spec, cfg.controls, constant_state(cfg.spec, 1e-3))
 
     def test_divergence_reports_stage(self, forced_spec, monkeypatch):
-        def always_fail(state, sigma, eps, spec, controls):
-            raise solver.DivergenceError(
-                f"residual diverged at stage sigma={sigma:g}, eps={eps:g}"
-            )
+        def always_fail(state, eps, spec, controls):
+            raise solver.DivergenceError(f"residual diverged at stage eps={eps:g}")
 
         monkeypatch.setattr(solver, "_run_stage", always_fail)
-        ctl = SolveControls(sigma_schedule=(1.0,), eps_schedule=(1e-1,))
-        with pytest.raises(solver.DivergenceError, match="sigma=.*eps="):
+        ctl = SolveControls(eps_schedule=(1e-1,))
+        with pytest.raises(solver.DivergenceError, match="stage eps=0.1$"):
             continuation_solve(forced_spec, ctl)
 
     def test_forced_default_is_one_stage(self):
         cfg = forced_default()
         _, log = continuation_solve(cfg.spec, cfg.controls)
-        assert [(s.sigma, s.eps) for s in log.stages] == [(1.0, 1e-3)]
+        assert [s.eps for s in log.stages] == [1e-3]
         assert stage_iterations(log) == [1]
 
     def test_large_cos_forcing_converges_in_one_stage(self):
-        # the ladder stalls here: NotConverged at sigma 1, eps 0.01 after 300
+        # the eps ladder stalls here: NotConverged at eps 0.01 after 300
         # iterations.  From the hydrostatic start one stage takes 5
         # iterations, 10 from the constant state and 18 from the start at
         # rest (u = 0)
@@ -928,7 +911,7 @@ class TestContinuation:
         spec = make_forced_spec(128, pot, fluid, g1_amp=15.0)
         ctl = SolveControls(max_picard=1)
         with pytest.raises(
-            solver.NotConverged, match=r"sigma=1, eps=0\.001 ended at residual \S+ after 1 iterations"
+            solver.NotConverged, match=r"stage eps=0\.001 ended at residual \S+ after 1 iterations"
         ):
             continuation_solve(spec, ctl)
 
@@ -965,7 +948,7 @@ class TestContinuation:
         )
         with pytest.raises(solver.NotConverged) as info:
             continuation_solve(cfg.spec, cfg.controls, constant_state(cfg.spec, 1e-3))
-        found = re.fullmatch(r"stage sigma=1, eps=0\.001 ended at residual (\S+) after 300 "
+        found = re.fullmatch(r"stage eps=0\.001 ended at residual (\S+) after 300 "
                              r"iterations \(tol_rel 1e-08\)", str(info.value))
         assert found, str(info.value)
         assert float(found[1]) > 1e-3
@@ -1016,8 +999,8 @@ class TestHydrostaticStart:
         mu0 = dF_delta(spec.c0, spec.potential)
         limit = State(state.rho, state.u, spec.grid.field(mu0), spec.grid.field(spec.c0))
         lag = solver.Lagged(*solver.lagged_phase(limit.c.values, spec), None, None)
-        mu, _ = solve_mu(limit, lag, 1.0, eps, spec)
-        c, _ = solve_c(State(state.rho, state.u, mu, limit.c), lag, 1.0, eps, spec)
+        mu, _ = solve_mu(limit, lag, eps, spec)
+        c, _ = solve_c(State(state.rho, state.u, mu, limit.c), lag, eps, spec)
         assert np.array_equal(state.mu.values, mu.values)
         assert np.array_equal(state.c.values, c.values)
         assert constraint_check(state, spec, eps)[1] <= 1e-15 * spec.m1
@@ -1064,7 +1047,7 @@ class TestHydrostaticStart:
         ctl = cfg.controls
         state, log = continuation_solve(cfg.spec, ctl)
         assert stage_iterations(log) == [1]
-        after, _ = picard_step(state, 1.0, ctl.eps_schedule[-1], cfg.spec, 1.0)
+        after, _ = picard_step(state, ctl.eps_schedule[-1], cfg.spec, 1.0)
         for name in ("rho", "u", "mu", "c"):
             old, new = getattr(state, name).values, getattr(after, name).values
             assert np.abs(new - old).max() <= ctl.tol_rel * (1.0 + np.abs(old).max()), name
@@ -1165,7 +1148,7 @@ class TestManufacturedSolutions:
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
             x = grid.cell_centers()
-            rho, u = solve_flow_coupled(state, lagged(state, spec), 1.0, mms.eps, spec)
+            rho, u = solve_flow_coupled(state, lagged(state, spec), mms.eps, spec)
             errs["rho"].append(np.max(np.abs(rho.values - mms.rho(x))))
             errs["u"].append(np.max(np.abs(u.values - mms.u(x))))
         for name, e in errs.items():
@@ -1182,7 +1165,7 @@ class TestManufacturedSolutions:
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
             x = grid.cell_centers()
-            rho, u = solve_flow_coupled(state, lagged(state, spec), 1.0, mms.eps, spec)
+            rho, u = solve_flow_coupled(state, lagged(state, spec), mms.eps, spec)
             errs["rho"].append(np.max(np.abs(rho.values - mms.rho(x))))
             errs["u"].append(np.max(np.abs(u.values - mms.u(x))))
         for name, e in errs.items():
@@ -1210,7 +1193,7 @@ class TestManufacturedSolutions:
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
-            mu, _ = solve_mu(state, lagged(state, spec), 1.0, mms.eps, spec)
+            mu, _ = solve_mu(state, lagged(state, spec), mms.eps, spec)
             errs.append(np.max(np.abs(mu.values - mms.mu(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 1.9
 
@@ -1220,7 +1203,7 @@ class TestManufacturedSolutions:
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
-            c, _ = solve_c(state, lagged(state, spec), 1.0, mms.eps, spec)
+            c, _ = solve_c(state, lagged(state, spec), mms.eps, spec)
             errs.append(np.max(np.abs(c.values - mms.c(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 1.9
 
@@ -1255,7 +1238,7 @@ class TestSweeps:
         def flaky(spec, ctl):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise solver.DivergenceError("synthetic failure sigma=1, eps=0.01")
+                raise solver.DivergenceError("synthetic failure eps=0.01")
             return original(spec, ctl)
 
         monkeypatch.setattr(solver, "continuation_solve", flaky)

@@ -193,6 +193,27 @@ forcing.g1.amplitude = 0.05
 """
 
 
+def test_solve_record_holds_what_spans_reads(tmp_path):
+    """bench/spans.py counts a solve's stages from ``SolveControls.sigma_schedule``
+    and logs each stage's ``StageLog.sigma``: both stay, at full load, until
+    the benchmark stops reading them.  On a 3-stage eps ladder the record
+    holds 3 planned stages and one [1.0, eps, iterations, last residual] row
+    per stage, as convergence.csv counts them."""
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text(FORCED_SWEEP + "solver.eps_schedule = 1e-1,1e-2,1e-3\n")
+    record, out = tmp_path / "trace.json", tmp_path / "out"
+    _run(str(BENCH / "child.py"), str(record), "plain", "--",
+         "solve", "--config", str(cfg), "--out", str(out))
+    [solve] = json.loads(record.read_text())["solves"]
+    assert (solve["planned_stages"], solve["eps_steps"]) == (3, 2)
+    stages = solve["stages"]
+    assert [s[:2] for s in stages] == [[1.0, 0.1], [1.0, 0.01], [1.0, 0.001]]
+    rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert [s[2] for s in stages] == [[r[0] for r in rows].count(k) for k in "123"]
+    last = {r[0]: float(r[2]) for r in rows}  # each stage's last residual
+    assert [s[3] for s in stages] == pytest.approx([last[k] for k in "123"], rel=1e-11)
+
+
 def test_sweep_pool_after_freeze_matches_sequential(tmp_path):
     """``cli.main`` freezes the start-up heap before the pool forks; in a real
     process, the pool path must still exit 0 and write the sequential bytes."""
