@@ -183,7 +183,7 @@ def _constant_state_checks(cfg: RunConfig) -> list[CheckResult]:
     out = []
     spec = replace(cfg.spec, g1=cfg.spec.grid.zeros(), g2=cfg.spec.grid.zeros())
     state0 = solver.constant_state(spec, FIXED_POINT_EPS)
-    _, res = solver.picard_step(state0, FIXED_POINT_EPS, spec, cfg.controls.damping)
+    _, res = solver.picard_step(state0, FIXED_POINT_EPS, spec, 1.0)
     out.append(
         _result(
             "solver.constant_fixed_point",

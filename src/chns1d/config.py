@@ -51,7 +51,6 @@ _FIELDS: dict[str, tuple[type, str]] = {
     "problem.m1": (ProblemSpec, "m1"),
     "problem.m2": (ProblemSpec, "m2"),
     "solver.eps_schedule": (SolveControls, "eps_schedule"),
-    "solver.damping": (SolveControls, "damping"),
     "solver.tol_rel": (SolveControls, "tol_rel"),
     "solver.max_picard": (SolveControls, "max_picard"),
 }

@@ -14,29 +14,30 @@ integral constraints pin the Neumann constants: the rho-weighted means of c
 and mu are prescribed (the c one with eps-dependent corrections), and one
 helper, ``_pin_constant``, imposes both.  A solve runs one stage per entry
 of ``eps_schedule``, by default one at eps = 1e-3, from
-:func:`hydrostatic_state`, the closed-form eps -> 0 limit at rest
-(h(rho) = G1 + int g2/rho + C with h the enthalpy) after one Newton step
-onto the discrete momentum balance, the O(eps^2) velocity that keeps its
-mass balance at eps, and the phase pair (mu, c) solved once at that density
-and velocity.  Every stage gets one attempt: a persistently rising residual
-raises :class:`DivergenceError` and a stage that runs out of ``max_picard``
-raises :class:`NotConverged`, each naming the stage's eps.
+:func:`hydrostatic_state`: the closed-form eps -> 0 limit at rest
+(h(rho) = G1 + int g2/rho + C with h the enthalpy) with the O(eps^2)
+velocity that keeps its mass balance at eps, after one undamped pass of the
+step's own (rho, u) block and phase pair (mu, c).  Every stage gets one
+attempt: a persistently rising residual raises :class:`DivergenceError` and
+a stage that runs out of ``max_picard`` raises :class:`NotConverged`, each
+naming the stage's eps.
 
 Each iteration lags the nonlinear couplings at the previous iterate (no global
 Newton linearization), all in one :class:`Lagged` record per step that
 :func:`lagged` builds, the one place the lagging is decided, and blends its
 proposal with the incoming state by a damping factor that starts each stage
-at ``SolveControls.damping`` and is halved on each residual rise, down to
-1/8.  The one exception to the lagging, forced by stability, is the
-mass-pressure pair: a velocity proposal obtained from the momentum equation
-with a frozen-density pressure feeds the continuity solve with a perturbation
-gain of order P'(rho0)/(visc * eps^2), which diverges for any useful eps.
+at 1 and is halved on each residual rise, down to 1/8.  The one exception to
+the lagging, forced by stability, is the mass-pressure pair: a velocity
+proposal obtained from the momentum equation with a frozen-density pressure
+feeds the continuity solve with a perturbation gain of order
+P'(rho0)/(visc * eps^2), which diverges for any useful eps.
 :func:`solve_flow_coupled` therefore solves the linearized (rho, u) block,
-with the pressure slope Pi'(rho_old) frozen at the previous iterate, as one
-(2, 2)-banded system of n - 1 momentum pair sums per iteration; every other
-coupling stays lagged.  The fixed points are identical to those of the naive
-splitting.  Density positivity and exact mass hold because the density
-returned is always the upwind continuity solve for the damped velocity.
+with the pressure slope Pi'(rho_old) frozen at the previous iterate and the
+bulk force rho g1 implicit, as one (2, 2)-banded system of n - 1 momentum
+pair sums per iteration; every other coupling stays lagged.  The fixed points
+are identical to those of the naive splitting.  Density positivity and exact
+mass hold because the density returned is always the upwind continuity
+solve for the damped velocity.
 
 The delta and eps sweeps, :func:`delta_sweep` and :func:`eps_sweep`, return
 one (status, report, state, log) row per value, first value first; each
@@ -204,12 +205,10 @@ class State(Record):
 
 class SolveControls(Record):
     """The eps schedule, one stage per entry, and the fixed-point iteration
-    controls; ``damping`` is the starting factor of each stage, halved on each
-    residual rise, down to 1/8.  The default is one stage at eps = 1e-3."""
+    controls.  The default is one stage at eps = 1e-3."""
 
     sigma_schedule = (1.0,)  # every stage at full load; bench/spans.py reads it to count stages
 
-    damping: float = 1.0
     max_picard: int = 500
     tol_rel: float = 1.0e-8
     eps_schedule: tuple = (1.0e-3,)
@@ -221,8 +220,6 @@ class SolveControls(Record):
             raise ValueError(f"eps_schedule entries must lie in (0, 1), got {eps}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"eps_schedule must be strictly decreasing, got {eps}")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         mesh.integer_field(self, "max_picard", 1)
         if not self.tol_rel > 0.0:
             raise ValueError(f"tol_rel must be positive, got {self.tol_rel}")
@@ -311,18 +308,13 @@ def lagged_phase(c: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarr
         return dF_delta(c, spec.potential), mesh.gradient_of(c, "neumann", spec.grid.spacing_h)
 
 
-def _lagged_pressure(rho: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Pi(rho), artificial part included, and its slope Pi'(rho): the density's part of :func:`lagged`."""
-    p, fp = spec.potential, spec.fluid
+def lagged(state: State, spec: ProblemSpec) -> Lagged:
+    """Evaluate ``state``'s lagged coefficients once."""
+    rho, p, fp = state.rho.values, spec.potential, spec.fluid
     pi_slope = pressure_slope(rho, p.delta, fp)
     with np.errstate(over="ignore", invalid="ignore"):
         pi = artificial_pressure(rho, p.delta, fp.art_exponent) + pressure(rho, fp)
-    return pi, pi_slope
-
-
-def lagged(state: State, spec: ProblemSpec) -> Lagged:
-    """Evaluate ``state``'s lagged coefficients once."""
-    return Lagged(*lagged_phase(state.c.values, spec), *_lagged_pressure(state.rho.values, spec))
+    return Lagged(*lagged_phase(state.c.values, spec), pi, pi_slope)
 
 
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
@@ -400,8 +392,8 @@ def _alternating_sums(uf: np.ndarray, u0: float) -> np.ndarray:
     return u
 
 
-def _pair_sum_solve(name: str, slope: np.ndarray, g1: Optional[np.ndarray], up: np.ndarray,
-                    um: np.ndarray, inv: np.ndarray, b: np.ndarray, mass: float, eps: float,
+def _pair_sum_solve(slope: np.ndarray, up: np.ndarray, um: np.ndarray, inv: np.ndarray,
+                    b: np.ndarray, mass: float, eps: float,
                     spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The density change d, of sum ``mass``, that meets the n - 1 sums of
     adjacent momentum rows, linear in d, and the change duf of the interior
@@ -410,15 +402,16 @@ def _pair_sum_solve(name: str, slope: np.ndarray, g1: Optional[np.ndarray], up: 
         (D(slope d) - g1 d)_k-1 + (D(slope d) - g1 d)_k
             - 2 visc (duf_k-1 - 2 duf_k + duf_k+1) / h^2 = b_k,   k = 1 .. n-1,
 
-    D the centred Neumann gradient (``g1`` None for none): a row reads u
+    D the centred Neumann gradient, so that the rows carry the density
+    dependence of the pressure and of the bulk force rho g1.  A row reads u
     only through the face velocities, u_i + u_i+1 = 2 uf_i+1, zero at the
     walls.  Each is the flux of the continuity rows summed from the left
     wall over the face density 1/``inv``, ``up`` and ``um`` the velocities
     carrying the left and right cell's density.  So, with w_k the sum of d
     left of face k, duf_k = inv_k ((-eps^4/h - up_k) d_k-1 +
     (eps^4/h - um_k) d_k - eps^2 h w_k), and the sums are banded (2, 2) in
-    w_1 .. w_n-1: one :func:`mesh.solve_banded` named ``name``, which
-    overwrites ``b``.  Call it with numpy's overflow warnings off.
+    w_1 .. w_n-1: one :func:`mesh.solve_banded`, which overwrites ``b``.
+    Call it with numpy's overflow warnings off.
     """
     g, visc = spec.grid, spec.fluid.visc
     n, h = g.n_cells, g.spacing_h
@@ -430,9 +423,7 @@ def _pair_sum_solve(name: str, slope: np.ndarray, g1: Optional[np.ndarray], up: 
     np.multiply(eps**2 * h, weight, out=prefix[1:-1])
     # the tridiagonal D(slope .) - g1 of each row
     gd, gu, gl = mesh.bands(mesh.gradient, g, "neumann")
-    diag, upper, lower = gd * slope, gu * slope[1:], gl * slope[:-1]
-    if g1 is not None:
-        diag -= g1
+    diag, upper, lower = gd * slope - spec.g1.values, gu * slope[1:], gl * slope[:-1]
     # pair k at d of cells k-2 .. k+1, then at w_k-2 .. w_k+2 in gbsv's band storage
     c_m1, c_2 = -left[:-2], -right[2:]
     c_m1[1:] += lower[:-1]
@@ -447,7 +438,7 @@ def _pair_sum_solve(name: str, slope: np.ndarray, g1: Optional[np.ndarray], up: 
     b[-2], b[-1] = b[-2] - mass * c_2[-2], b[-1] - mass * c_1[-1]  # the pairs that reach w_n
     w = np.empty(n + 1)
     w[0], w[-1] = 0.0, mass
-    w[1:-1] = mesh.solve_banded(name, 2, 2, ab, b)
+    w[1:-1] = mesh.solve_banded("(rho, u) block", 2, 2, ab, b)
     d = w[1:] - w[:-1]
     duf = left[1:-1] * d[:-1] + right[1:-1] * d[1:] - prefix[1:-1] * w[1:-1]
     return d, duf * (0.5 * h * h / visc)
@@ -461,10 +452,11 @@ def solve_flow_coupled(state: State, lag: Lagged, eps: float,
 
         eps^2 rho + div_up(rho; u_old) + div(rho_old (u - u_old)) - eps^4 rho''
             = eps^2 rho0
-        visc u'' - (Pi'(rho_old) (rho - rho_old))' = F1(state)
+        visc u'' - (Pi'(rho_old) (rho - rho_old))' + g1 (rho - rho_old) = F1(state)
 
     where div_up freezes the upwind face velocities at the incoming state and
     F1, the fully lagged momentum right side, and Pi' come from ``lag``.
+    The bulk force rho g1 is linear in the density and so taken implicitly.
     At a fixed point (rho, u) equal the incoming pair and the equations reduce
     to the plain lagged splitting; away from it the implicit pressure-density
     coupling removes the splitting's unstable mass-pressure mode.
@@ -490,12 +482,13 @@ def solve_flow_coupled(state: State, lag: Lagged, eps: float,
         b = s * (uf[:-2] + uf[2:]) - 2.0 * s * uf[1:-1]
         b -= f[:-1] + f[1:]
         mass = (_continuity_rhs(eps, spec) - eps**2 * rho_t).sum() / eps**2
-        delta, duf = _pair_sum_solve("(rho, u) block", lag.pi_slope, None, up, um, inv, b, mass,
-                                     eps, spec)
+        delta, duf = _pair_sum_solve(lag.pi_slope, up, um, inv, b, mass, eps, spec)
         uf = uf[1:-1] + duf
-        # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h, q = Pi' delta
+        # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h - g1_0 delta_0,
+        # q = Pi' delta
         q0, q1 = lag.pi_slope[:2] * delta[:2]
-        u = _alternating_sums(uf, 0.5 * uf[0] - (f[0] + (q1 - q0) / (2.0 * h)) / (2.0 * s))
+        f0 = f[0] + (q1 - q0) / (2.0 * h) - spec.g1.values[0] * delta[0]
+        u = _alternating_sums(uf, 0.5 * uf[0] - f0 / (2.0 * s))
     if not np.isfinite(u).all():
         raise mesh.NonFiniteError("(rho, u) block: the velocity is not finite in "
                                   f"{np.count_nonzero(~np.isfinite(u))} of {u.size} cells")
@@ -704,81 +697,47 @@ def _continuity_velocity(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.n
 
     The face velocities are the :func:`_continuity_flux` over the upwind
     density.  They are the means of the adjacent cell values, which fixes u
-    up to a checkerboard (-1)^i t; t puts each wall cell at half its face's
-    velocity, as a u linear at the wall would be, in the mean of the two
-    walls.  The velocity is O(eps^2) and vanishes where rho = rho0.
+    up to a checkerboard; the first cell takes half its face's velocity, as
+    a u linear at the wall would.  The velocity is O(eps^2) and vanishes
+    where rho = rho0.
     """
     flux = _continuity_flux(rho, eps, spec)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         uf = flux / np.where(flux > 0.0, rho[:-1], rho[1:])
-        # from u_0 = 0, u_n-1 = 2 (uf_n-2 - uf_n-3 + ...)
-        last = 2.0 * (uf[::-2].sum() - uf[-2::-2].sum())
-        u = _alternating_sums(uf, 0.25 * (uf[0] + (-1) ** (rho.size - 1) * (uf[-1] - 2.0 * last)))
+        u = _alternating_sums(uf, 0.5 * uf[0])
     if not np.isfinite(u).all():
         raise mesh.NonFiniteError("hydrostatic start: the velocity of its mass flux is not finite")
     return u
 
 
-def _balanced_density(limit: State, eps: float, spec: ProblemSpec) -> np.ndarray:
-    """The density of ``limit``, a density at rest with its
-    :func:`_continuity_velocity`, after one Newton step onto the discrete
-    momentum balance at ``eps``.
-
-    The momentum rows take the pressure gradient centred, which couples
-    every other cell, so the discrete balance differs from the limit's
-    smooth one: by O(h^2), and, where the force does not vanish at a wall
-    (g2 = a cos), by an odd-even mode of O(h).  The step is one
-    :func:`_pair_sum_solve`, whose Jacobian keeps the pressure slope, g1 and
-    the face velocities' dependence on the density, and which keeps the
-    mass.  A step that would take some cell below half its density is
-    scaled to one that does not, and the result is rescaled to mass m1
-    exactly.  No numpy warning escapes: the banded solve names an overflow.
-    """
-    n, h = spec.grid.n_cells, spec.grid.spacing_h
-    rho = limit.rho.values
-    pi, slope = _lagged_pressure(rho, spec)
-    rows = _with_source(_momentum_forcing(limit, Lagged(limit.mu.values, np.zeros(n), pi, slope),
-                                          eps, spec), spec, "momentum")
-    flux = _continuity_flux(rho, eps, spec)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rows -= spec.fluid.visc * mesh.laplacian_of(limit.u.values, "dirichlet0", h)
-        inv = 1.0 / np.where(flux > 0.0, rho[:-1], rho[1:])
-        step, _ = _pair_sum_solve("hydrostatic start balance", slope, spec.g1.values,
-                                  *_upwind_split(flux * inv), inv, -(rows[:-1] + rows[1:]), 0.0,
-                                  eps, spec)
-    fall = float((-step / rho).max())
-    if fall > 0.5:
-        step *= 0.5 / fall
-    rho = rho + step
-    return rho * (spec.m1 / mesh.integral_of(rho, h))
-
-
 def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
     """The eps -> 0 limit at rest, made discrete, where every solve starts at
-    ``eps``: the :func:`hydrostatic_density` after one Newton step onto the
-    discrete momentum balance (:func:`_balanced_density`), its O(eps^2)
-    :func:`_continuity_velocity`, so that the start keeps the discrete mass
-    balance at ``eps``, and the phase pair solved once at that (rho, u):
-    :func:`solve_mu` then :func:`solve_c`, lagged at the
-    limit's c = c0 (dF_delta(c0), c' = 0).
+    ``eps``: the :func:`hydrostatic_density` with its O(eps^2)
+    :func:`_continuity_velocity`, its density replaced by the
+    :func:`solve_continuity` of that velocity, and then one undamped pass of
+    the step's own sub-solves, :func:`solve_flow_coupled`, :func:`solve_mu`
+    and :func:`solve_c`, lagged at that state.
 
-    Each part removes a first Picard step's residual above tol_rel.  The
-    phase pair moves mu and c by the O(eps) of the mu equation's
-    ``eps rho c`` source, which the limit leaves out.  The Newton step
-    moves the density by the balance's O(h^2) (8e-8 at n = 256 on the
-    forced default) and, for a force that does not vanish at the walls
-    (g2 = a cos), by its odd-even mode (5e-7 at n = 1024); after it the
-    density is within 1e-11 of the fixed point's.  With u = 0 instead of
-    the velocity, a g2 = a cos force takes 3 Picard iterations instead of
-    1 at n = 256 and 1024.  With zero forcing it is the constant state."""
+    The limit keeps the smooth balance, not the discrete one: the momentum
+    rows take the pressure gradient centred, which couples every other cell,
+    so the two differ by O(h^2) and, where the force does not vanish at a
+    wall (g2 = a cos), by an odd-even mode of O(h).  The block's Newton step
+    in the density, with the pressure slope, g1 and the face velocities'
+    dependence on the density, removes both, and the phase pair moves mu
+    and c by the O(eps) of the mu equation's ``eps rho c`` source, which the
+    limit leaves out.  The start's density is the block's proposal, of mass
+    m1 by construction.  The continuity solve makes the limit's mass
+    balance exact at ``eps``: without it, the limit, rescaled to mass m1,
+    can sit a few ulps off rho0, which a stiff block amplifies (at
+    ``domain.length = 1e-6``, Pi' near 1e60, into a velocity of 1e27).
+    With zero forcing the start is the constant state."""
     g = spec.grid
     rho = hydrostatic_density(spec)
     mu0, c0 = g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0)
-    limit = State(Field(g, rho), Field(g, _continuity_velocity(rho, eps, spec)), mu0, c0)
-    rho = Field(g, _balanced_density(limit, eps, spec))
-    u = Field(g, _continuity_velocity(rho.values, eps, spec))
-    # the phase sub-solves read only dF and c' of the lag
-    lag = Lagged(mu0.values, np.zeros(g.n_cells), None, None)
+    u = Field(g, _continuity_velocity(rho, eps, spec))
+    limit = State(solve_continuity(u, eps, spec), u, mu0, c0)
+    lag = lagged(limit, spec)
+    rho, u = solve_flow_coupled(limit, lag, eps, spec)
     mu, _ = solve_mu(State(rho, u, mu0, c0), lag, eps, spec)
     c, _ = solve_c(State(rho, u, mu, c0), lag, eps, spec)
     return State(rho, u, mu, c)
@@ -796,10 +755,10 @@ def picard_step(state: State, eps: float, spec: ProblemSpec, damping: float) -> 
     the block's density and velocity and the freshest mu, all three reading
     the one :func:`lagged` record, where the lagging is decided; the proposals
     are blended with the incoming state by ``damping`` (1 takes the proposal;
-    :func:`continuation_solve` starts each stage at ``SolveControls.damping``
-    and halves it on each residual rise, down to 1/8).  The one continuity
-    solve of the step gives the returned density, for the blended velocity,
-    so mass and positivity hold at every iterate.  The residual is the
+    :func:`continuation_solve` starts each stage at 1 and halves it on each
+    residual rise, down to 1/8).  The one continuity solve of the step gives
+    the returned density, for the blended velocity, so mass and positivity
+    hold at every iterate.  The residual is the
     largest relative field update plus both mean-projection magnitudes.
     """
     g, lag = spec.grid, lagged(state, spec)
@@ -855,7 +814,7 @@ class ConvergenceLog(Record):
 def _run_stage(state: State, eps: float, spec: ProblemSpec,
                controls: SolveControls) -> tuple[State, StageLog]:
     log = StageLog(eps)
-    damping = controls.damping
+    damping = 1.0
     for _ in range(controls.max_picard):
         state, res = picard_step(state, eps, spec, damping)
         log.residuals.append(res)
@@ -869,8 +828,7 @@ def _run_stage(state: State, eps: float, spec: ProblemSpec,
         if res <= controls.tol_rel:
             return state, log
         if log.iterations > 1 and res > log.residuals[-2]:
-            # halve, but not below 1/8 (nor below a lower starting factor)
-            damping = max(0.5 * damping, min(damping, 0.125))
+            damping = max(0.5 * damping, 0.125)
     raise NotConverged(
         f"stage eps={eps:g} ended at residual {res:g} "
         f"after {log.iterations} iterations (tol_rel {controls.tol_rel:g})"
@@ -890,11 +848,10 @@ def continuation_solve(
     warm-starts from the previous one; each iterates :func:`picard_step`
     until the residual reaches tol_rel; a stage that spends max_picard steps
     above it raises :class:`NotConverged`.  The damping factor starts each
-    stage at ``controls.damping`` and is halved, down to 1/8, whenever a
-    residual exceeds the one before.  Each stage gets one attempt: five
-    consecutive residual rises totalling more than a factor ten raise
-    :class:`DivergenceError`, whose message names the stage's eps, as no
-    attribute carries it.
+    stage at 1 and is halved, down to 1/8, whenever a residual exceeds the
+    one before.  Each stage gets one attempt: five consecutive residual
+    rises totalling more than a factor ten raise :class:`DivergenceError`,
+    whose message names the stage's eps, as no attribute carries it.
     """
     eps0 = controls.eps_schedule[0]
     state = initial_state if initial_state is not None else hydrostatic_state(spec, eps0)

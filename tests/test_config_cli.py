@@ -11,7 +11,7 @@ from chns1d.config import DEFAULTS, ConfigError, parse_config_text
 from chns1d.diagnostics import DiagnosticsReport
 from chns1d.mesh import Grid
 from chns1d.solver import SolveControls, State
-from conftest import LADDER, assert_honest_fixed_point, traced_peak
+from conftest import assert_honest_fixed_point, traced_peak
 
 
 def read_csv(path):
@@ -88,10 +88,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="problem.m1"):
             parse_config_text("problem.m1 = lots")
 
-    # every solve takes eps from solver.eps_schedule, one stage per value, so
-    # neither a problem eps nor a load-factor schedule has a reader
+    # every solve takes eps from solver.eps_schedule, one stage per value,
+    # and starts each stage undamped, so neither a problem eps, a load-factor
+    # schedule nor a starting damping has a reader
     @pytest.mark.parametrize("key, value", [
-        ("problem.eps", "1e-2"), ("solver.sigma_schedule", "0.5"),
+        ("problem.eps", "1e-2"), ("solver.sigma_schedule", "0.5"), ("solver.damping", "0.5"),
     ])
     def test_problem_eps_is_unknown(self, tmp_path, capsys, key, value):
         with pytest.raises(ConfigError, match=f"^{key}: unknown configuration key$"):
@@ -156,7 +157,6 @@ class TestConfigParsing:
         ("problem.m1", "-1.0"),
         ("problem.m2", "1.0"),
         ("solver.eps_schedule", "1e-3,1e-2"),
-        ("solver.damping", "2.0"),
         ("solver.tol_rel", "0.0"),
         ("solver.max_picard", "0"),
     ])
@@ -446,11 +446,12 @@ class TestCliSolve:
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_iterate_exits_one_and_writes_nothing(self, tmp_path, capsys):
-        # at theta ~ 1e250 a step's c sub-solve leaves c of order 1e230, and
-        # rho dF_delta(c) c' in the next momentum right side overflows; no
+        # the start's block balances sin 1e300 against Pi' of order 1e306 and
+        # leaves u of order 1e276 in the wall row's checkerboard, and
+        # (rho u^2)' in the first step's momentum right side overflows; no
         # numpy warning is printed
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + LADDER + HUGE_THETA)
+        cfg.write_text(HUGE_FORCE)
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
@@ -479,18 +480,17 @@ class TestCliSolve:
 
     def test_overflowing_pressure_matrix_is_named_without_a_warning(self, tmp_path, capsys):
         # Pi' of order 1e307 times the gradient band 1/(2h) passes the float
-        # range where a matrix is first assembled, in the start's Newton step
-        # (the (rho, u) block's assembly is the same product); under the
-        # suite's warnings-as-errors setting a numpy warning there would be a
-        # traceback
+        # range where a matrix is first assembled, in the start's (rho, u)
+        # block; under the suite's warnings-as-errors setting a numpy warning
+        # there would be a traceback
         cfg = tmp_path / "run.cfg"
         cfg.write_text("domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 1e300\n"
                        "fluid.h = 1e307\n")
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "solve failed: NonFiniteError: hydrostatic start balance: the matrix or right side "
-            "is not finite\n"
+            "solve failed: NonFiniteError: (rho, u) block: the matrix or right side is not "
+            "finite\n"
         )
         assert not (tmp_path / "o").exists()
 
@@ -516,7 +516,8 @@ FORCED_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude =
 # the forced default's start is a fixed point within tol_rel; at 15 sin the
 # solve takes 3 Picard iterations
 STRONG_N64 = "domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 15\n"
-HUGE_THETA = "potential.theta0 = 1e250\npotential.thetac = 1.5e250\n"
+HUGE_FORCE = ("domain.n_cells = 64\nforcing.g1.kind = sin\nforcing.g1.amplitude = 1e300\n"
+              "fluid.h = 1e306\n")
 
 
 class TestCliSweep:
@@ -638,7 +639,7 @@ class TestCliSweep:
 
     def test_non_finite_iterate_fails_the_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FORCED_N64 + LADDER + HUGE_THETA)
+        cfg.write_text(HUGE_FORCE)
         out = tmp_path / "out"
         rc = cli.main(
             ["sweep", "--config", str(cfg), "--out", str(out),

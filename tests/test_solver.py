@@ -90,8 +90,9 @@ class TestParamValidation:
             SolveControls(sigma_schedule=(1.0,))
         with pytest.raises(ValueError):
             SolveControls(eps_schedule=(1e-2, 1e-1))
-        with pytest.raises(ValueError):
-            SolveControls(damping=0.0)
+        # nor a starting damping: every stage starts undamped
+        with pytest.raises(TypeError, match="damping"):
+            SolveControls(damping=0.5)
 
     def test_state_rejects_negative_density(self, pot, fluid):
         g = Grid(16, 1.0)
@@ -117,7 +118,7 @@ class TestRecords:
 
     def test_controls_repr_is_the_dataclass_format(self):
         assert repr(SolveControls()) == (
-            "SolveControls(damping=1.0, max_picard=500, tol_rel=1e-08, eps_schedule=(0.001,))"
+            "SolveControls(max_picard=500, tol_rel=1e-08, eps_schedule=(0.001,))"
         )
 
     @pytest.mark.parametrize("record, change, message", [
@@ -381,6 +382,7 @@ class TestFlowCoupledBlock:
         terms = [
             fluid.visc * mesh.laplacian_apply(u, "dirichlet0").values,
             -mesh.gradient(g.field(pi_slope * (rho.values - rho_t)), "neumann").values,
+            spec.g1.values * (rho.values - rho_t),
             -solver._momentum_forcing(state, lagged(state, spec), eps, spec),
         ]
         assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
@@ -445,12 +447,14 @@ def interleaved_block(state: State, eps: float, spec: ProblemSpec):
     flux = rho_f / (2.0 * h)
     correction = tri(flux[1:] - flux[:-1], flux[1:-1], -flux[1:-1])
     momentum_u = spec.fluid.visc * tri(*mesh.bands(mesh.laplacian_apply, g, "dirichlet0"))
-    matrix = sparse.bmat([[continuity, correction], [-grad(lag.pi_slope), momentum_u]])
+    # the bulk force rho g1, implicit in rho: a diagonal g1
+    momentum_rho = sparse.diags(spec.g1.values) - grad(lag.pi_slope)
+    matrix = sparse.bmat([[continuity, correction], [momentum_rho, momentum_u]])
     old_flux = rho_f * uf
     rhs = np.concatenate([
         solver._continuity_rhs(eps, spec) + np.diff(old_flux) / h,
         solver._with_source(solver._momentum_forcing(state, lag, eps, spec), spec, "momentum")
-        - grad(lag.pi_slope) @ rho_t,
+        + momentum_rho @ rho_t,
     ])
     return matrix.tocsr(), rhs
 
@@ -608,26 +612,27 @@ class TestLapackSolves:
             solve_continuity(forced_spec.grid.zeros(), 0.1, forced_spec)
 
     def test_singular_block_is_named(self, forced_spec, monkeypatch):
-        # without the pressure feedback, and with the face velocities blind to
-        # the density (a face density of 1/inv = infinity), the pair sums'
-        # matrix is zero
+        # without the pressure feedback and the bulk force g1, and with the
+        # face velocities blind to the density (a face density of 1/inv =
+        # infinity), the pair sums' matrix is zero
         g, n = forced_spec.grid, forced_spec.grid.n_cells
+        spec = dataclasses.replace(forced_spec, g1=g.zeros())
         pair_sums = solver._pair_sum_solve
-        monkeypatch.setattr(solver, "_pair_sum_solve", lambda name, slope, g1, up, um, inv, *rest:
-                            pair_sums(name, slope, g1, up, um, 0.0 * inv, *rest))
+        monkeypatch.setattr(solver, "_pair_sum_solve", lambda slope, up, um, inv, *rest:
+                            pair_sums(slope, up, um, 0.0 * inv, *rest))
         monkeypatch.setattr(solver, "pressure_slope", lambda rho, delta, fluid: np.zeros(n))
         state = State(g.field(1.0), g.zeros(), g.zeros(), g.field(0.3))
         with pytest.raises(solver.SingularSystemError, match=r"\(rho, u\) block: the matrix is singular"):
-            solve_flow_coupled(state, lagged(state, forced_spec), 0.1, forced_spec)
+            solve_flow_coupled(state, lagged(state, spec), 0.1, spec)
         assert solver.SingularSystemError in solver.SOLVER_ERRORS
         assert mesh.NonFiniteError in solver.SOLVER_ERRORS
 
 
 class TestPicardStep:
-    def test_constant_state_is_fixed_point(self, pot, fluid, controls):
+    def test_constant_state_is_fixed_point(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        _, res = picard_step(state, 1e-2, spec, controls.damping)
+        _, res = picard_step(state, 1e-2, spec, 1.0)
         assert res <= 1e-12
 
     def test_full_damping_equals_composition(self, forced_spec):
@@ -664,11 +669,11 @@ class TestPicardStep:
         assert len(calls) == 1
         assert calls[0] is new.u  # for the damped velocity
 
-    def test_residual_decreases_after_transient(self, forced_spec, controls):
+    def test_residual_decreases_after_transient(self, forced_spec):
         state = constant_state(forced_spec, 1e-1)
         residuals = []
         for _ in range(25):
-            state, res = picard_step(state, 1e-1, forced_spec, controls.damping)
+            state, res = picard_step(state, 1e-1, forced_spec, 1.0)
             residuals.append(res)
         # strictly decreasing until roundoff; below 1e-12 the residual wanders
         assert all(b < a for a, b in zip(residuals, residuals[1:]) if a > 1e-12)
@@ -680,13 +685,13 @@ class TestPicardStep:
         assert solver._diverged([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
         assert not solver._diverged([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
-    def test_projection_residuals_vanish_at_convergence(self, forced_spec, controls):
+    def test_projection_residuals_vanish_at_convergence(self, forced_spec):
         from chns1d.diagnostics import mean_projection_residuals
 
         state = constant_state(forced_spec, 1e-1)
         first = None
         for _ in range(60):
-            state, res = picard_step(state, 1e-1, forced_spec, controls.damping)
+            state, res = picard_step(state, 1e-1, forced_spec, 1.0)
             if first is None:
                 first = mean_projection_residuals(state, forced_spec, 1e-1)
             if res <= 1e-12:
@@ -708,16 +713,11 @@ def stage_iterations(log) -> list[int]:
     return [s.iterations for s in log.stages]
 
 
-def momentum_pair_sums(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
-    """Sums of adjacent momentum rows, F - visc u'', at rest with the
-    continuity velocity of ``rho`` and the limit's phase pair: the equations
-    the hydrostatic start's Newton step solves."""
-    g = spec.grid
-    u = solver._continuity_velocity(rho, eps, spec)
-    state = State(g.field(rho), g.field(u), g.field(dF_delta(spec.c0, spec.potential)),
-                  g.field(spec.c0))
+def momentum_pair_sums(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
+    """Sums of adjacent momentum rows, F - visc u'', at ``state``: the
+    equations the block's Newton step in the density solves."""
     rows = solver._momentum_forcing(state, lagged(state, spec), eps, spec)
-    rows -= spec.fluid.visc * mesh.laplacian_of(u, "dirichlet0", g.spacing_h)
+    rows -= spec.fluid.visc * mesh.laplacian_of(state.u.values, "dirichlet0", spec.grid.spacing_h)
     return rows[:-1] + rows[1:]
 
 
@@ -737,8 +737,9 @@ class TestAdaptiveDamping:
         assert used == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25, 0.125, 0.125, 0.125]
         assert log.stages[0].dampings == used
 
-    def test_low_starting_factor_is_not_raised(self, forced_spec, monkeypatch):
-        scripted = iter([1.0, 2.0, 1e-9])
+    def test_each_stage_starts_undamped(self, forced_spec, monkeypatch):
+        """The factor a stage halved does not carry into the next stage."""
+        scripted = iter([1.0, 2.0, 1e-9, 1e-9])
         used = []
 
         def scripted_step(state, eps, spec, damping):
@@ -746,9 +747,10 @@ class TestAdaptiveDamping:
             return state, next(scripted)
 
         monkeypatch.setattr(solver, "picard_step", scripted_step)
-        ctl = SolveControls(eps_schedule=(1e-1,), damping=0.1)
-        continuation_solve(forced_spec, ctl)
-        assert used == [0.1, 0.1, 0.1]
+        ctl = SolveControls(eps_schedule=(1e-1, 1e-2))
+        _, log = continuation_solve(forced_spec, ctl, initial_state=constant_state(forced_spec, 1e-1))
+        assert used == [1.0, 1.0, 0.5, 1.0]
+        assert [s.dampings for s in log.stages] == [[1.0, 1.0, 0.5], [1.0]]
 
     @pytest.mark.parametrize("amplitude", [2, 10])
     def test_large_forcing_converges(self, amplitude):
@@ -762,53 +764,59 @@ class TestAdaptiveDamping:
     def test_heavier_mixture_converges_faster_than_fixed_half(self):
         # from the constant state: the hydrostatic start is within a few
         # tol_rel of the fixed point here, where m1 = 2 iterates at its noise
-        # floor, and the two counts would compare that noise
-        counts = {}
-        for damping in (1.0, 0.5):
-            cfg = forced_default(f"problem.m1 = 2\nsolver.damping = {damping}\n")
-            start = constant_state(cfg.spec, cfg.controls.eps_schedule[0])
-            _, log = continuation_solve(cfg.spec, cfg.controls, initial_state=start)
-            assert all(s.residuals[-1] <= cfg.controls.tol_rel for s in log.stages)
-            counts[damping] = sum(stage_iterations(log))
-        assert counts[1.0] < counts[0.5]
+        # floor, and the two counts would compare that noise.  Measured: 2
+        # iterations adaptive, 8 at the fixed factor 1/2
+        cfg = forced_default("problem.m1 = 2\n")
+        spec, ctl = cfg.spec, cfg.controls
+        eps = ctl.eps_schedule[0]
+        start = constant_state(spec, eps)
+        _, log = continuation_solve(spec, ctl, initial_state=start)
+        assert all(s.residuals[-1] <= ctl.tol_rel for s in log.stages)
+        state, res, half = start, np.inf, 0
+        while res > ctl.tol_rel and half < ctl.max_picard:
+            state, res = picard_step(state, eps, spec, 0.5)
+            half += 1
+        assert res <= ctl.tol_rel
+        assert sum(stage_iterations(log)) < half
 
     def test_forced_default_iterations(self):
         cfg = forced_default(LADDER)
         _, log = continuation_solve(cfg.spec, cfg.controls)
         assert stage_iterations(log) == [2, 3, 3]
 
-    def test_half_start_solves_what_the_full_start_loses(self):
-        """Sin amplitude 30 with m1 = 0.5 (n = 128): started at 1, the
-        residual wanders between 0.005 and 2 until the five-rise rule names
-        the stage's divergence (after 269 iterations; roundoff decides
-        whether that rule or max_picard ends it); started at 1/2, the stage
-        converges in 37 to a fixed point.  The one measured use of the knob.
-        (With the interleaved block, the start at 1 lost the density
-        proposal's mass.)"""
-        text = ("domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 30\n"
-                "problem.m1 = 0.5\nproblem.m2 = 0.15\nsolver.max_picard = 300\n")
+    @pytest.mark.parametrize("text, iterations", [
+        ("domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 30\n"
+         "problem.m1 = 0.5\nproblem.m2 = 0.15\n", 8),
+        ("domain.n_cells = 256\nforcing.g1.kind = sin\nforcing.g1.amplitude = 100\n", 10),
+        ("domain.n_cells = 1024\nforcing.g1.kind = sin\nforcing.g1.amplitude = 100\n", 8),
+    ], ids=["sin-30-m1-0.5-n128", "sin-100-n256", "sin-100-n1024"])
+    def test_near_vacuum_converges_undamped_to_a_fixed_point(self, text, iterations):
+        """Near vacuum (rho_min/rho0 1.2e-3 and 6.9e-4) the default settings
+        reach an honest fixed point at damping 1.  With the bulk force rho g1
+        lagged in the block, sin 30 with m1 = 0.5 wandered until the
+        five-rise rule named its divergence (after 269 iterations, from a
+        starting damping of 1; 37 from 1/2), and sin 100 ended in a
+        SingularSystemError at n = 256 and 1024 (37 and 44 iterations from
+        1/2)."""
         cfg = parse_config_text(text)
-        with pytest.raises((solver.DivergenceError, solver.NotConverged),
-                           match=r"stage eps=0\.001 (after|ended)"):
-            continuation_solve(cfg.spec, cfg.controls)
-        cfg = parse_config_text(text + "solver.damping = 0.5\n")
         state, log = continuation_solve(cfg.spec, cfg.controls)
-        assert stage_iterations(log) == [37]
+        assert stage_iterations(log) == [iterations]
+        assert log.stages[-1].dampings[-1] == 1.0
         assert_honest_fixed_point(state, log, cfg.spec, cfg.controls)
 
-    def test_half_start_is_the_fixed_half_iteration(self):
-        """Without a residual rise the adaptive rule is fixed damping: one path serves both."""
-        cfg = forced_default(LADDER + "solver.damping = 0.5\n")
+    def test_without_a_rise_the_stage_is_the_undamped_iteration(self):
+        """Without a residual rise the adaptive rule is the plain undamped
+        iteration: one path serves both."""
+        cfg = forced_default(LADDER)
         spec, ctl = cfg.spec, cfg.controls
         state, log = continuation_solve(spec, ctl)
-        assert stage_iterations(log) == [1, 25, 25]
-        assert all(d == 0.5 for s in log.stages for d in s.dampings)
+        assert all(d == 1.0 for s in log.stages for d in s.dampings)
 
-        # reference: every stage iterated at the fixed factor 0.5 from the solve's start
+        # reference: every stage iterated undamped from the solve's start
         ref = hydrostatic_state(spec, ctl.eps_schedule[0])
         for eps in ctl.eps_schedule:
             for _ in range(ctl.max_picard):
-                ref, res = picard_step(ref, eps, spec, 0.5)
+                ref, res = picard_step(ref, eps, spec, 1.0)
                 if res <= ctl.tol_rel:
                     break
         for name in ("rho", "u", "mu", "c"):
@@ -865,14 +873,15 @@ class TestContinuation:
             continuation_solve(forced_spec, ctl)
         assert calls == [1e-1, 1e-2]
 
-    def test_large_cos_forcing_diverges_at_its_stage(self):
-        # one of the 216-config grid's four divergent configs from the constant
-        # state (from the hydrostatic start it converges); the error names its stage
+    def test_strong_forcing_diverges_at_its_stage(self):
+        # sin 15 with m1 = 0.5, lambda1 = 0.1 from the constant state: the
+        # five-rise rule fires after 24 iterations (from the hydrostatic start
+        # it converges in 3); the error names its stage
         cfg = parse_config_text(
-            "domain.n_cells = 128\nforcing.g1.kind = cos\nforcing.g1.amplitude = 20\n"
+            "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 15\n"
             "problem.m1 = 0.5\nproblem.m2 = 0.15\nfluid.lambda1 = 0.1\nsolver.max_picard = 300\n"
         )
-        with pytest.raises(solver.DivergenceError, match=r"stage eps=0\.001 "):
+        with pytest.raises(solver.DivergenceError, match=r"stage eps=0\.001 after 24 iterations"):
             continuation_solve(cfg.spec, cfg.controls, constant_state(cfg.spec, 1e-3))
 
     def test_divergence_reports_stage(self, forced_spec, monkeypatch):
@@ -937,14 +946,15 @@ class TestContinuation:
         assert_honest_fixed_point(state, log, cfg.spec, cfg.controls)
 
     def test_blow_up_is_named_by_the_block(self):
-        """At amplitude 20, from the constant state, the interleaved block's
-        iterate blew up within a few steps, its density proposal losing the
-        mass at Pi' past 1e14.  The pair sums keep the mass, and the stage
-        runs out of its 300 iterations instead, the residual near 0.1,
-        named with its stage.  (From the hydrostatic start it converges.)"""
+        """From the constant state the interleaved block's iterate blew up
+        within a few steps, its density proposal losing the mass at Pi' past
+        1e14.  The pair sums keep the mass: at sin 10 with m1 = 0.5, from the
+        constant state, the stage runs out of its 300 iterations instead, the
+        residual near 0.02 at damping 1/8, named with its stage.  (From the
+        hydrostatic start it converges in 3.)"""
         cfg = parse_config_text(
-            "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 20\n"
-            "solver.max_picard = 300\n"
+            "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 10\n"
+            "problem.m1 = 0.5\nproblem.m2 = 0.15\nsolver.max_picard = 300\n"
         )
         with pytest.raises(solver.NotConverged) as info:
             continuation_solve(cfg.spec, cfg.controls, constant_state(cfg.spec, 1e-3))
@@ -979,39 +989,41 @@ class TestHydrostaticStart:
     def test_positive_with_exact_mass_and_discrete_balance(self, kind, amplitude, g2):
         """rho > 0 with mass m1 to 1e-12 m1.  The limit's density keeps the
         smooth balance: h(rho_i) - h(rho_i-1) is the trapezoid integral of
-        g1 + g2/rho between the two cell centres.  The start's density is that
-        one after a Newton step onto the discrete momentum balance, which cuts
-        the sums of adjacent momentum rows by a factor 200 or more (the
-        largest remaining fraction over these cases is 3.7e-3, cos 30).  The
-        velocity is the one whose continuity solve returns rho.  mu and c are
-        what solve_mu then solve_c return at that (rho, u) from the limit's
-        (dF_delta(c0), c0): they meet the relative-mass constraint, and differ
-        from the limit by O(eps) (at most 0.027 eps for mu and 0.0013 eps for
-        c over these cases)."""
+        g1 + g2/rho between the two cell centres, and its continuity velocity
+        returns it from the continuity solve.  The start is one undamped
+        pass of the step's sub-solves from there: the block's Newton step in
+        the density cuts the sums of adjacent momentum rows by a factor 250
+        or more (the largest remaining fraction over these cases is 3.7e-3,
+        cos 30), and mu and c are what solve_mu then solve_c return at the
+        block's (rho, u) from the limit's (dF_delta(c0), c0): they meet the
+        relative-mass constraint, and differ from the limit by O(eps) (at
+        most 0.027 eps for mu and 0.0013 eps for c over these cases)."""
         eps = 1e-3
         spec = self.forced(kind, amplitude, g2).spec
+        g, h = spec.grid, spec.grid.spacing_h
         state = hydrostatic_state(spec, eps)
-        rho, h = state.rho.values, spec.grid.spacing_h
-        assert rho.min() > 0.0
+        assert state.rho.values.min() > 0.0
         assert abs(mesh.integrate(state.rho) - spec.m1) <= 1e-12 * spec.m1
-        back = solver.solve_continuity(state.u, eps, spec).values
-        assert np.max(np.abs(back - rho)) <= 1e-12 * rho.max(), np.max(np.abs(back - rho))
-        mu0 = dF_delta(spec.c0, spec.potential)
-        limit = State(state.rho, state.u, spec.grid.field(mu0), spec.grid.field(spec.c0))
-        lag = solver.Lagged(*solver.lagged_phase(limit.c.values, spec), None, None)
-        mu, _ = solve_mu(limit, lag, eps, spec)
-        c, _ = solve_c(State(state.rho, state.u, mu, limit.c), lag, eps, spec)
+        smooth = solver.hydrostatic_density(spec)
+        u = g.field(solver._continuity_velocity(smooth, eps, spec))
+        back = solve_continuity(u, eps, spec).values
+        assert np.max(np.abs(back - smooth)) <= 1e-12 * smooth.max(), np.max(np.abs(back - smooth))
+        mu0, c0 = g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0)
+        flow = State(state.rho, state.u, mu0, c0)  # the block's (rho, u), the limit's phase pair
+        lag = lagged(flow, spec)
+        mu, _ = solve_mu(flow, lag, eps, spec)
+        c, _ = solve_c(State(state.rho, state.u, mu, c0), lag, eps, spec)
         assert np.array_equal(state.mu.values, mu.values)
         assert np.array_equal(state.c.values, c.values)
         assert constraint_check(state, spec, eps)[1] <= 1e-15 * spec.m1
-        assert np.max(np.abs(state.mu.values - mu0)) <= 0.05 * eps
+        assert np.max(np.abs(state.mu.values - mu0.values)) <= 0.05 * eps
         assert np.max(np.abs(state.c.values - spec.c0)) <= 0.005 * eps
-        smooth = solver.hydrostatic_density(spec)
         ent = potential.enthalpy(np.log(smooth), spec.potential.delta, spec.fluid)[0]
         f = spec.g1.values + spec.g2.values / smooth
         balance = np.diff(ent) - 0.5 * h * (f[:-1] + f[1:])
         assert np.max(np.abs(balance)) <= 1e-10 * np.max(np.abs(ent)), np.max(np.abs(balance))
-        before, after = (np.abs(momentum_pair_sums(r, eps, spec)).max() for r in (smooth, rho))
+        before = np.abs(momentum_pair_sums(State(g.field(smooth), u, mu0, c0), eps, spec)).max()
+        after = np.abs(momentum_pair_sums(flow, eps, spec)).max()
         assert after <= 5e-3 * before, (before, after)
 
     def test_start_velocity_saves_the_wall_force_an_iteration(self):
