@@ -12,6 +12,7 @@ of the density.
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,18 +77,27 @@ class DiagnosticsReport(Record):
     proj_c: float
 
 
-def total_energy(state: "State", spec: "ProblemSpec") -> float:
+def _slopes(state: "State", spec: "ProblemSpec", dc=None) -> tuple:
+    """u', mu' and c' (``dc`` if given): the ``slopes`` that the functions below read."""
+    h = spec.grid.spacing_h
+    return (mesh.gradient_of(state.u.values, "dirichlet0", h),
+            mesh.gradient_of(state.mu.values, "neumann", h),
+            mesh.gradient_of(state.c.values, "neumann", h) if dc is None else dc)
+
+
+def total_energy(state: "State", spec: "ProblemSpec", slopes=None) -> float:
     """Quadrature of (1/2) rho u^2 + rho f_delta(rho, c) + (1/2) |c'|^2.
 
     The bulk term uses the vacuum convention rho*ln(rho) -> 0 at rho = 0.
     """
     h, rho, u = spec.grid.spacing_h, state.rho.values, state.u.values
     bulk = potential.rho_free_energy_delta(rho, state.c.values, spec.fluid, spec.potential)
-    dc = mesh.gradient_of(state.c.values, "neumann", h)
+    dc = (slopes or _slopes(state, spec))[2]
     return mesh.integral_of(0.5 * rho * u * u + bulk + 0.5 * dc * dc, h)
 
 
-def energy_inequality(state: "State", spec: "ProblemSpec") -> tuple[float, float, float]:
+def energy_inequality(state: "State", spec: "ProblemSpec",
+                      slopes=None) -> tuple[float, float, float]:
     """Dissipation versus external work: (lhs, rhs, slack = rhs - lhs).
 
     lhs integrates lambda1 |u'|^2 + (lambda1 + lambda2)(div u)^2 + |mu'|^2;
@@ -95,8 +105,7 @@ def energy_inequality(state: "State", spec: "ProblemSpec") -> tuple[float, float
     nonnegative up to discretization defects of size EI_SLACK_CONSTANT * h^2.
     """
     fp, h = spec.fluid, spec.grid.spacing_h
-    du = mesh.gradient_of(state.u.values, "dirichlet0", h)
-    dmu = mesh.gradient_of(state.mu.values, "neumann", h)
+    du, dmu, _ = slopes or _slopes(state, spec)
     dissipation = fp.lambda1 * du * du + (fp.lambda1 + fp.lambda2) * du * du + dmu * dmu
     lhs = mesh.integral_of(dissipation, h)
     rhs = mesh.integral_of((state.rho.values * spec.g1.values + spec.g2.values) * state.u.values, h)
@@ -127,6 +136,16 @@ def bound_violation(state: "State", threshold_tau: float) -> float:
     return float(np.count_nonzero(bad)) * state.rho.grid.spacing_h
 
 
+@lru_cache(maxsize=64)
+def _tent_differences(g: "mesh.Grid") -> np.ndarray:
+    """phi(x_i+1) - phi(x_i) of each of the seven tents phi at the cell centres
+    x of ``g``, a row per tent: read-only, built once per grid."""
+    w, centres = _TENT_HALF_WIDTH * g.length_L, np.array(_TENT_CENTERS)[:, None] * g.length_L
+    diffs = np.diff(np.maximum(0.0, 1.0 - np.abs(g.cell_centers() - centres) / w))
+    diffs.flags.writeable = False
+    return diffs
+
+
 def continuity_residual(state: "State") -> float:
     """Weak mass-transport residual against a fixed basis of interior tents.
 
@@ -138,20 +157,13 @@ def continuity_residual(state: "State") -> float:
     normalized by the total mass; it is zero for a constant mass flux.  The
     value is basis-dependent by construction.
     """
-    g = state.rho.grid
-    L = g.length_L
-    flux = _upwind_flux(state.rho.values, state.u.values)
-    x = g.cell_centers()
-    w = _TENT_HALF_WIDTH * L
-    worst = 0.0
-    for frac in _TENT_CENTERS:
-        phi = np.maximum(0.0, 1.0 - np.abs(x - frac * L) / w)
-        worst = max(worst, abs(float(np.sum(flux[1:-1] * (phi[1:] - phi[:-1])))))
+    flux = _upwind_flux(state.rho.values, state.u.values)[1:-1]
+    worst = max(0.0, *(abs(float(np.sum(flux * d))) for d in _tent_differences(state.rho.grid)))
     mass = mesh.integrate(state.rho)
     return worst / mass if mass > 0.0 else worst
 
 
-def norms(state: "State", spec: "ProblemSpec") -> dict:
+def norms(state: "State", spec: "ProblemSpec", slopes=None) -> dict:
     """Lp norms of rho and H1 seminorms of u, mu, c, keyed by report column.
 
     The Lp exponents are 6/5, 3/2, gamma, 2, and the interpolation endpoint
@@ -166,22 +178,18 @@ def norms(state: "State", spec: "ProblemSpec") -> dict:
         "lp_s": 3.0 - 3.0 / spec.fluid.gamma,
     }
     out = {key: float(mesh.integral_of(np.abs(rho) ** p, h) ** (1.0 / p)) for key, p in exps.items()}
-    grads = {
-        "grad_u": mesh.gradient_of(state.u.values, "dirichlet0", h),
-        "grad_mu": mesh.gradient_of(state.mu.values, "neumann", h),
-        "grad_c": mesh.gradient_of(state.c.values, "neumann", h),
-    }
-    out.update((key, float(np.sqrt(mesh.integral_of(d * d, h)))) for key, d in grads.items())
+    grads = zip(("grad_u", "grad_mu", "grad_c"), slopes or _slopes(state, spec))
+    out.update((key, float(np.sqrt(mesh.integral_of(d * d, h)))) for key, d in grads)
     return out
 
 
 def mean_projection_residuals(
-    state: "State", spec: "ProblemSpec", eps: float
+    state: "State", spec: "ProblemSpec", eps: float, phase=None
 ) -> tuple[float, float]:
     """Compatibility defects |∫ rhs| of the two Neumann problems, lagged at this
-    state as a Picard step lags them (:func:`~chns1d.solver.lagged_phase`)."""
+    state as a Picard step lags them (``phase``, :func:`~chns1d.solver.lagged_phase`)."""
     h = spec.grid.spacing_h
-    dF, dc = lagged_phase(state.c.values, spec)
+    dF, dc = phase or lagged_phase(state.c.values, spec)
     proj_mu = abs(mesh.integral_of(_mu_rhs(state, dc, eps, spec), h))
     return proj_mu, abs(mesh.integral_of(_c_rhs(state, dF, spec), h))
 
@@ -190,20 +198,22 @@ def compute_report(
     state: "State", spec: "ProblemSpec", eps: float
 ) -> DiagnosticsReport:
     """Assemble the full report for one state (pure; safe to run concurrently)."""
-    lhs, rhs, slack = energy_inequality(state, spec)
-    proj_mu, proj_c = mean_projection_residuals(state, spec, eps)
+    phase = lagged_phase(state.c.values, spec)
+    slopes = _slopes(state, spec, phase[1])
+    lhs, rhs, slack = energy_inequality(state, spec, slopes)
+    proj_mu, proj_c = mean_projection_residuals(state, spec, eps, phase)
     tau = TAU_SUPPORT_FACTOR * spec.rho0
     rho, h = state.rho.values, spec.grid.spacing_h
     art = potential.artificial_pressure(rho, spec.potential.delta, spec.fluid.art_exponent)
     return DiagnosticsReport(
-        total_energy=total_energy(state, spec),
+        total_energy=total_energy(state, spec, slopes),
         ei_lhs=lhs,
         ei_rhs=rhs,
         ei_slack=slack,
         mass1=mesh.integrate(state.rho),
         mass2=mesh.integral_of(rho * state.c.values, h),
         art_pressure_norm=mesh.integral_of(art, h),
-        **norms(state, spec),
+        **norms(state, spec, slopes),
         bound_violation=bound_violation(state, tau),
         continuity_residual=continuity_residual(state),
         proj_mu=proj_mu,

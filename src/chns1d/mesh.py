@@ -247,25 +247,25 @@ def _check_bc(bc: str) -> None:
         raise ValueError(f"unknown boundary condition {bc!r}; expected one of {BOUNDARY_CONDITIONS}")
 
 
-def _extend(values: np.ndarray, bc: str) -> np.ndarray:
-    sign = 1.0 if bc == "neumann" else -1.0
-    ext = np.empty(values.size + 2)
-    ext[1:-1] = values
-    ext[0], ext[-1] = sign * values[0], sign * values[-1]
-    return ext
-
-
 def gradient_of(values: np.ndarray, bc: str, h: float) -> np.ndarray:
     """Second-order central difference of cell values on a grid of spacing h,
     with ghost cells by reflection (``neumann``) or odd extension."""
-    ext = _extend(values, bc)
-    return (ext[2:] - ext[:-2]) / (2.0 * h)
+    sign, out = (1.0 if bc == "neumann" else -1.0), np.empty(values.size)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[0], out[-1] = values[1] - sign * values[0], sign * values[-1] - values[-2]
+    out /= 2.0 * h
+    return out
 
 
 def laplacian_of(values: np.ndarray, bc: str, h: float) -> np.ndarray:
     """Compact three-point Laplacian of cell values with the ghost extension of ``bc``."""
-    ext = _extend(values, bc)
-    return (ext[:-2] - 2.0 * values + ext[2:]) / h**2
+    sign, out = (1.0 if bc == "neumann" else -1.0), values * -2.0
+    out[1:] += values[:-1]
+    out[0] += sign * values[0]
+    out[:-1] += values[1:]
+    out[-1] += sign * values[-1]
+    out /= h**2
+    return out
 
 
 def integral_of(values: np.ndarray, h: float) -> float:

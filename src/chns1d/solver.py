@@ -410,35 +410,40 @@ def _pair_sum_solve(slope: np.ndarray, up: np.ndarray, um: np.ndarray, inv: np.n
     carrying the left and right cell's density.  So, with w_k the sum of d
     left of face k, duf_k = inv_k ((-eps^4/h - up_k) d_k-1 +
     (eps^4/h - um_k) d_k - eps^2 h w_k), and the sums are banded (2, 2) in
-    w_1 .. w_n-1: one :func:`mesh.solve_banded`, which overwrites ``b``.
-    Call it with numpy's overflow warnings off.
+    w_1 .. w_n-1: one :func:`mesh.solve_banded`, which overwrites ``b``.  The
+    rows are written straight into its (7, n - 1) storage: the two fill-in
+    rows, which LAPACK need not find set, hold c_0 and c_1 until they are
+    zeroed before the solve, and one scratch band holds duf's weight, the
+    diagonal, then c_m1 and c_2.  Call it with numpy's overflow warnings off.
     """
     g, visc = spec.grid, spec.fluid.visc
     n, h = g.n_cells, g.spacing_h
+    ab, band = np.empty((7, n - 1), order="F"), np.empty(n)
     # duf's coefficients at the n+1 faces, times its weight 2 visc/h^2 in the sums
-    e4, weight = eps**4 / h, 2.0 * visc / h**2 * inv
+    e4, weight = eps**4 / h, np.multiply(2.0 * visc / h**2, inv, out=band[:-1])
     left, right, prefix = np.zeros((3, n + 1))
     np.multiply(-e4 - up, weight, out=left[1:-1])
     np.multiply(e4 - um, weight, out=right[1:-1])
     np.multiply(eps**2 * h, weight, out=prefix[1:-1])
-    # the tridiagonal D(slope .) - g1 of each row
+    # pair k at d of cells k-2 .. k+1 (c_m1, c_0, c_1, c_2) from the tridiagonal
+    # D(slope .) - g1 of each row, then at w_k-2 .. w_k+2 in gbsv's band storage
     gd, gu, gl = mesh.bands(mesh.gradient, g, "neumann")
-    diag, upper, lower = gd * slope - spec.g1.values, gu * slope[1:], gl * slope[:-1]
-    # pair k at d of cells k-2 .. k+1, then at w_k-2 .. w_k+2 in gbsv's band storage
-    c_m1, c_2 = -left[:-2], -right[2:]
-    c_m1[1:] += lower[:-1]
-    c_2[:-1] += upper[1:]
-    c_0 = diag[:-1] + lower - right[:-2] + 2.0 * left[1:-1]
-    c_1 = upper + diag[1:] - left[2:] + 2.0 * right[1:-1]
-    ab = np.zeros((7, n - 1), order="F")
-    ab[2, 2:], ab[6, :-2] = c_2[:-2], -c_m1[2:]
-    ab[3, 1:] = c_1[:-1] - c_2[:-1] + prefix[2:-1]
+    c_0, c_1, diag = ab[0], ab[1], np.subtract(gd * slope, spec.g1.values, out=band)
+    c_0[:] = diag[:-1] + gl * slope[:-1] - right[:-2] + 2.0 * left[1:-1]
+    c_1[:] = gu * slope[1:] + diag[1:] - left[2:] + 2.0 * right[1:-1]
     ab[4] = c_0 - c_1 - 2.0 * prefix[1:-1]
-    ab[5, :-1] = c_m1[1:] - c_0[1:] + prefix[1:-2]
-    b[-2], b[-1] = b[-2] - mass * c_2[-2], b[-1] - mass * c_1[-1]  # the pairs that reach w_n
+    band[1:-1] = -left[1:-2] + gl[:-1] * slope[:-2]  # c_m1, then c_2, of pair k at band[k]
+    ab[5, :-1] = band[1:-1] - c_0[1:] + prefix[1:-2]
+    ab[6, :-2] = -band[2:-1]
+    band[:-2] = -right[2:-1] + gu[1:] * slope[2:]
+    ab[2, 2:] = band[:-3]
+    ab[3, 1:] = c_1[:-1] - band[:-2] + prefix[2:-1]
+    b[-2], b[-1] = b[-2] - mass * band[-3], b[-1] - mass * c_1[-1]  # the pairs that reach w_n
+    ab[:2] = ab[2, :2] = ab[3, 0] = ab[5, -1] = ab[6, -2:] = 0.0
     w = np.empty(n + 1)
     w[0], w[-1] = 0.0, mass
     w[1:-1] = mesh.solve_banded("(rho, u) block", 2, 2, ab, b)
+    del ab, band, weight, diag, c_0, c_1  # the band storage, freed before duf's arrays
     d = w[1:] - w[:-1]
     duf = left[1:-1] * d[:-1] + right[1:-1] * d[1:] - prefix[1:-1] * w[1:-1]
     return d, duf * (0.5 * h * h / visc)
@@ -754,7 +759,7 @@ def picard_step(state: State, eps: float, spec: ProblemSpec, damping: float) -> 
     chemical potential and concentration through their Poisson problems with
     the block's density and velocity and the freshest mu, all three reading
     the one :func:`lagged` record, where the lagging is decided; the proposals
-    are blended with the incoming state by ``damping`` (1 takes the proposal;
+    are blended with the incoming state by ``damping`` (1 takes the proposals;
     :func:`continuation_solve` starts each stage at 1 and halves it on each
     residual rise, down to 1/8).  The one continuity solve of the step gives
     the returned density, for the blended velocity, so mass and positivity
@@ -766,9 +771,9 @@ def picard_step(state: State, eps: float, spec: ProblemSpec, damping: float) -> 
     mu_star, proj_mu = solve_mu(State(rho_star, u_star, state.mu, state.c), lag, eps, spec)
     c_star, proj_c = solve_c(State(rho_star, u_star, mu_star, state.c), lag, eps, spec)
 
-    u_new = Field(g, damping * u_star.values + (1.0 - damping) * state.u.values)
-    mu_new = Field(g, damping * mu_star.values + (1.0 - damping) * state.mu.values)
-    c_new = Field(g, damping * c_star.values + (1.0 - damping) * state.c.values)
+    u_new, mu_new, c_new = (
+        star if damping == 1.0 else Field(g, damping * star.values + (1.0 - damping) * old.values)
+        for star, old in ((u_star, state.u), (mu_star, state.mu), (c_star, state.c)))
     new = State(solve_continuity(u_new, eps, spec), u_new, mu_new, c_new)
     update = max(_rel_update(getattr(new, k), getattr(state, k)) for k in ("rho", "u", "mu", "c"))
     return new, update + proj_mu + proj_c

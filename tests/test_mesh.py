@@ -236,6 +236,30 @@ class TestArrayKernels:
         assert integrate(Field(g, v)) == integral_of(v, g.spacing_h)
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    @pytest.mark.parametrize("n", [8, 9, 256])
+    def test_kernels_are_the_ghost_cell_formulas_bit_for_bit(self, n, bc):
+        """The kernels build no ghost copy, yet equal the stencils on the
+        extended values bit for bit, with a non-finite or overflowing value at
+        a wall, beside one or inside, and both walls infinite."""
+        h, sign = 1.0 / n, 1.0 if bc == "neumann" else -1.0
+        rng = np.random.default_rng(n)
+        rows = [rng.standard_normal(n)]
+        for bad in (np.inf, -np.inf, np.nan, 1e308, -1e308):
+            for i in (0, 1, n // 2, n - 2, n - 1):
+                rows.append(rng.standard_normal(n))
+                rows[-1][i] = bad
+        rows.append(rng.standard_normal(n))
+        rows[-1][[0, 1, -1]] = np.inf, np.nan, -np.inf
+        for values in rows:
+            ext = np.concatenate(([sign * values[0]], values, [sign * values[-1]]))
+            with np.errstate(all="ignore"):
+                grad = (ext[2:] - ext[:-2]) / (2.0 * h)
+                lap = (ext[:-2] - 2.0 * values + ext[2:]) / h**2
+                got = gradient_of(values, bc, h), laplacian_of(values, bc, h)
+            assert got[0].tobytes() == grad.tobytes()
+            assert got[1].tobytes() == lap.tobytes()
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
     @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
     def test_bands_are_the_stencil_weights(self, op, bc):
         """The probed bands equal the written-out stencil, wall rows included."""

@@ -306,26 +306,36 @@ class TestNonFiniteConstant:
         )
 
 
+def field_checks_of_one_step(monkeypatch, damping: float) -> int:
+    """The Field checks of one Picard step at ``damping`` on the forced
+    default, counted as bench/spans.py counts them, after a first step that
+    probes the grid's bands."""
+    cfg = parse_config_text(FORCED_DEFAULT)
+    spec, eps = cfg.spec, cfg.controls.eps_schedule[0]
+    state, _ = picard_step(constant_state(spec, eps), eps, spec, 1.0)
+    checks = []
+    field_init = mesh.Field.__post_init__
+
+    def counted(field):
+        checks.append(field)
+        field_init(field)
+
+    monkeypatch.setattr(mesh.Field, "__post_init__", counted)
+    picard_step(state, eps, spec, damping)
+    return len(checks)
+
+
 class TestFieldConstructions:
     def test_one_picard_step_wraps_only_sub_solve_results(self, monkeypatch):
-        """Counted as bench/spans.py counts them: 12 Field checks per step on the
-        forced default.  The flow pair (2); mu and c, each the Laplacian right
-        side, its solution and the constant-shifted result (3 + 3); the blended
-        u, mu, c (3); the density of the continuity solve (1).  Intermediates
-        stay plain arrays.  The first step also probes the grid's bands, once."""
-        cfg = parse_config_text(FORCED_DEFAULT)
-        spec, eps = cfg.spec, cfg.controls.eps_schedule[0]
-        state, _ = picard_step(constant_state(spec, eps), eps, spec, 1.0)
-        checks = []
-        field_init = mesh.Field.__post_init__
+        """9 Field checks per undamped step: the flow pair (2); mu and c, each
+        the Laplacian right side, its solution and the constant-shifted result
+        (3 + 3); the density of the continuity solve (1).  At damping 1 the
+        proposals are the new u, mu and c; intermediates stay plain arrays."""
+        assert field_checks_of_one_step(monkeypatch, 1.0) == 9
 
-        def counted(field):
-            checks.append(field)
-            field_init(field)
-
-        monkeypatch.setattr(mesh.Field, "__post_init__", counted)
-        picard_step(state, eps, spec, 1.0)
-        assert len(checks) == 12
+    def test_one_damped_picard_step_wraps_the_blends_too(self, monkeypatch):
+        """Below damping 1 the blended u, mu and c are three more: 12."""
+        assert field_checks_of_one_step(monkeypatch, 0.5) == 12
 
     def test_one_picard_step_evaluates_each_lagged_coefficient_once(self, monkeypatch):
         """The step's one record is the only place the potential evaluators run."""
@@ -403,15 +413,22 @@ class TestFlowCoupledBlock:
         assert abs(mesh.integrate(rho) - spec.m1) <= 1e-14 * spec.m1
 
     def test_block_assembly_memory_is_bounded(self):
-        """At n = 4096 the (7, n - 1) band storage of the pair sums is 224 KB
-        (the interleaved block's was 640 KB).  One call peaks at 1027 KB, the
-        band storage, the pair sums' coefficients and the face velocities'
-        arrays of n + 1 entries alive together."""
+        """At n = 4096 the (7, n - 1) band storage of the pair sums is 224 KB.
+        Its rows are written in place, so one call peaks at 707 KB: the band
+        storage, one scratch band, the three face-coefficient rows and the
+        block's own face arrays alive together."""
         cfg = parse_config_text("domain.n_cells = 4096\n" + FORCED_DEFAULT)
         state, _ = continuation_solve(cfg.spec, cfg.controls)
         lag = lagged(state, cfg.spec)
         solve_flow_coupled(state, lag, 1e-3, cfg.spec)  # the cached mesh.bands
-        assert traced_peak(lambda: solve_flow_coupled(state, lag, 1e-3, cfg.spec)) < 1100 * 1024
+        assert traced_peak(lambda: solve_flow_coupled(state, lag, 1e-3, cfg.spec)) < 740 * 1024
+
+    def test_solve_memory_is_bounded(self):
+        """A whole forced solve at n = 4096, the start and one Picard step,
+        peaks at 997 KB traced once the grid's cached bands exist."""
+        cfg = parse_config_text("domain.n_cells = 4096\n" + FORCED_DEFAULT)
+        continuation_solve(cfg.spec, cfg.controls)  # the cached mesh.bands
+        assert traced_peak(lambda: continuation_solve(cfg.spec, cfg.controls)) < 1045 * 1024
 
 
 def face_means(a: np.ndarray) -> np.ndarray:
