@@ -191,7 +191,7 @@ def integer_field(obj, name: str, least: int) -> None:
 
 
 class Grid(Record):
-    """Uniform grid of n_cells cells on (0, length_L)."""
+    """Uniform grid of n_cells cells on (0, length_L), of spacing ``spacing_h``."""
 
     n_cells: int
     length_L: float
@@ -200,15 +200,12 @@ class Grid(Record):
         integer_field(self, "n_cells", 8)
         if not self.length_L > 0.0:
             raise ValueError(f"length_L must be positive, got {self.length_L}")
-        h = self.spacing_h
+        h = self.length_L / self.n_cells
         if not sys.float_info.min <= h * h <= sys.float_info.max:
             # the stencils divide by h^2: it must be a normal float
             raise ValueError(f"length_L {self.length_L:g} over {self.n_cells} cells gives spacing "
                              f"h = {h:g}, whose square is not a finite, positive, normal float")
-
-    @property
-    def spacing_h(self) -> float:
-        return self.length_L / self.n_cells
+        object.__setattr__(self, "spacing_h", h)  # every stencil and quadrature reads it
 
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.spacing_h
@@ -388,16 +385,16 @@ def laplacian_solve(rhs: Field) -> tuple[Field, float]:
     its mean removed, which lets the last row hold too.  A right side with a
     mean is therefore no error; the removed integral |mean| L is returned
     with the solution, which has zero mean, for the caller to count as a
-    residual.  A non-finite right side raises :class:`NonFiniteError`.
+    residual.  The right side, a :class:`Field`, is finite, so it is not
+    scanned again; a solution that overflows raises :class:`NonFiniteError`.
     """
     g, f = rhs.grid, rhs.values
-    _check_finite("neumann Laplacian", f)
     n = g.n_cells  # means below as sum / n: what ndarray.mean computes, without its overhead
     mean = float(f.sum() / n)
-    c = np.cumsum(f - mean)
+    c = (f - mean).cumsum()
     u = np.empty(n)
     u[0] = 0.0
-    np.cumsum(c[:-1], out=u[1:])  # u_k - u_0, over h^2
+    c[:-1].cumsum(out=u[1:])  # u_k - u_0, over h^2
     u -= u.sum() / n
     u *= g.spacing_h**2
     return Field(g, u), abs(mean * g.length_L)

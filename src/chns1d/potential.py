@@ -267,7 +267,8 @@ def guarded_power(rho, k: float):
 
 def guarded_powers(rho, ks: tuple[float, ...]) -> tuple:
     """One :func:`guarded_power` of ``rho`` per exponent in ``ks``, from one
-    domain scan and one logarithm, each with the bits of its own call."""
+    domain scan, one logarithm and one scan of it, each with the bits of its
+    own call."""
     arr, scalar = _prep(rho)
     lo, hi = arr.min(initial=np.inf), arr.max(initial=0.0)  # a NaN reaches both
     if not lo >= 0.0:
@@ -277,10 +278,11 @@ def guarded_powers(rho, ks: tuple[float, ...]) -> tuple:
     pos = None if lo > 0.0 else arr > 0.0  # no vacuum cell, no mask
     base = arr if pos is None else arr[pos]
     log_base = np.log(base)
+    top = log_base.max(initial=-np.inf)  # k ln rho peaks at k top for every k > 0
     powers = []
     for k in ks:
         log_power = k * log_base
-        if log_power.max(initial=-np.inf) > _LOG_FLOAT_MAX:
+        if (k * top if k > 0 else log_power.max(initial=-np.inf)) > _LOG_FLOAT_MAX:
             worst = base.flat[np.argmax(log_power)]
             raise OverflowError(f"density {worst:g} to the power {k:g} exceeds the float range")
         if pos is None:
@@ -297,10 +299,20 @@ def artificial_pressure(rho, delta: float, exponent: int = 11):
     return guarded_power(rho, exponent) / np.log(1.0 / delta)
 
 
-def pressure(rho, fp: "FluidParams"):
-    """Total pressure (gamma-1) rho**gamma + H rho; zero at rho = 0."""
+def pressure(rho, fp: "FluidParams", delta: float | None = None):
+    """Total pressure (gamma-1) rho**gamma + H rho; zero at rho = 0.  Given
+    ``delta``, the pair (Pi, Pi') a Picard step lags instead: Pi this pressure
+    plus :func:`artificial_pressure`, summed with overflow warnings off, and
+    Pi' its :func:`pressure_slope`, with their bits from one guarded scan."""
     arr, scalar = _prep(rho)
-    return _ret((fp.gamma - 1.0) * guarded_power(arr, fp.gamma) + fp.H * arr, scalar)
+    if delta is None:
+        return _ret((fp.gamma - 1.0) * guarded_power(arr, fp.gamma) + fp.H * arr, scalar)
+    k, gam, scale = fp.art_exponent, fp.gamma, np.log(1.0 / delta)
+    art1, gas1, art, gas = guarded_powers(arr, (k - 1, gam - 1.0, k, gam))
+    slope = k * art1 / scale + gam * (gam - 1.0) * gas1 + fp.H
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = art / scale + ((gam - 1.0) * gas + fp.H * arr)
+    return _ret(total, scalar), _ret(slope, scalar)
 
 
 def pressure_slope(rho, delta: float, fp: "FluidParams"):
@@ -312,9 +324,9 @@ def pressure_slope(rho, delta: float, fp: "FluidParams"):
     return _ret(out, scalar)
 
 
-def enthalpy(s, delta: float, fp: "FluidParams") -> tuple:
+def enthalpy(s, delta: float, fp: "FluidParams", rho=None) -> tuple:
     """The enthalpy h, with h' = Pi'(rho)/rho, and its slope dh/ds = Pi'(rho),
-    both at rho = exp(s):
+    both at rho = exp(s), which a caller that has it passes as ``rho``:
 
         h = k rho^(k-1) / ((k-1) ln(1/delta)) + gamma rho^(gamma-1) + H s,
 
@@ -323,7 +335,7 @@ def enthalpy(s, delta: float, fp: "FluidParams") -> tuple:
     above its ceiling raises OverflowError."""
     arr, scalar = _prep(s)
     k = fp.art_exponent
-    art, gas = guarded_powers(np.exp(arr), (k - 1, fp.gamma - 1.0))
+    art, gas = guarded_powers(np.exp(arr) if rho is None else rho, (k - 1, fp.gamma - 1.0))
     art = art / np.log(1.0 / delta)
     value = k / (k - 1.0) * art + fp.gamma * gas + fp.H * arr
     slope = k * art + fp.gamma * (fp.gamma - 1.0) * gas + fp.H

@@ -56,14 +56,7 @@ import numpy as np
 
 from . import mesh
 from .mesh import Field, Grid, SingularSystemError
-from .potential import (
-    PotentialParams,
-    artificial_pressure,
-    dF_delta,
-    enthalpy,
-    pressure,
-    pressure_slope,
-)
+from .potential import PotentialParams, dF_delta, enthalpy, pressure
 from .record import Record
 
 __all__ = [
@@ -197,9 +190,10 @@ class State(Record):
     def __post_init__(self) -> None:
         g = self.rho.grid
         for name in ("u", "mu", "c"):
-            if getattr(self, name).grid != g:
+            other = getattr(self, name).grid
+            if other is not g and other != g:  # the sub-solves' fields share rho's grid object
                 raise ValueError(f"{name} lives on a different grid than rho")
-        if (self.rho.values < 0.0).any():
+        if self.rho.values.min() < 0.0:
             raise ValueError("rho must be nonnegative everywhere")
 
 
@@ -256,36 +250,53 @@ def _continuity_rhs(eps: float, spec: ProblemSpec) -> np.ndarray:
 def _continuity_flux(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """The advective mass flux at the n-1 interior faces that the continuity
     rows at ``eps``, summed from the left wall, give for ``rho``: the sum of
-    h (b - eps^2 rho) up to the face plus eps^4 (rho_i+1 - rho_i)/h."""
+    h (b - eps^2 rho) up to the face plus eps^4 (rho_i+1 - rho_i)/h.  Call it
+    with numpy's overflow warnings off."""
     h = spec.grid.spacing_h
-    with np.errstate(over="ignore", invalid="ignore"):
-        flux = np.cumsum(h * (_continuity_rhs(eps, spec) - eps**2 * rho))[:-1]
-        flux += eps**4 / h * (rho[1:] - rho[:-1])
+    flux = (h * (_continuity_rhs(eps, spec) - eps**2 * rho)).cumsum()[:-1]
+    flux += eps**4 / h * (rho[1:] - rho[:-1])
     return flux
 
 
-def _right_side(field: str, sub_solve: str):
-    """Evaluate a right-side builder ``build(state, ...)`` with numpy's overflow
-    and invalid-value warnings off.  The builder works on plain arrays, so a
-    non-finite intermediate reaches the result, where it is checked once: a
-    non-finite entry raises :class:`~chns1d.mesh.NonFiniteError` naming
-    ``field``, ``sub_solve`` and the number of cells, with the incoming state's
-    magnitudes, so a blow-up is named where it starts."""
+def _checked_field(g: Grid, values: np.ndarray, message: Callable[[np.ndarray], str]) -> Field:
+    """``Field(g, values)``, whose construction is the one finiteness scan of
+    ``values``; a non-finite entry raises :class:`~chns1d.mesh.NonFiniteError`
+    with ``message(values)``, built only then, which names the producer."""
+    try:
+        return Field(g, values)
+    except mesh.NonFiniteError:
+        raise mesh.NonFiniteError(message(values)) from None
+
+
+def _right_side(sub_solve: str):
+    """Evaluate a right-side builder ``build(state, ..., spec)`` with numpy's
+    overflow and invalid-value warnings off.  A non-finite intermediate
+    reaches the result, where one scan raises :class:`~chns1d.mesh.NonFiniteError`
+    naming ``sub_solve``'s right side and the bad cells, with the incoming
+    state's magnitudes, so a blow-up is named where it starts.  The builder
+    returns the array; its ``field``, for the sub-solve, adds ``sub_solve``'s
+    manufactured source first and returns the Field, built as that scan."""
     def decorate(build):
+        def message(state, rhs: np.ndarray) -> str:
+            sizes = ", ".join(f"|{k}| {np.max(np.abs(getattr(state, k).values)):.3g}"
+                              for k in ("rho", "u", "mu", "c"))
+            return (f"{sub_solve} sub-solve: the {sub_solve} right side is not finite in "
+                    f"{np.count_nonzero(~np.isfinite(rhs))} of {rhs.size} cells; incoming max {sizes}")
+
         @wraps(build)
         def checked(state, *args):
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs = build(state, *args)
             if np.isfinite(rhs).all():
                 return rhs
-            sizes = ", ".join(
-                f"|{k}| {np.max(np.abs(getattr(state, k).values)):.3g}"
-                for k in ("rho", "u", "mu", "c")
-            )
-            raise mesh.NonFiniteError(
-                f"{sub_solve} sub-solve: the {field} is not finite in "
-                f"{np.count_nonzero(~np.isfinite(rhs))} of {rhs.size} cells; incoming max {sizes}"
-            )
+            raise mesh.NonFiniteError(message(state, rhs))
+
+        def as_field(state, *args):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs = _with_source(build(state, *args), args[-1], sub_solve)
+            return _checked_field(args[-1].grid, rhs, partial(message, state))
+
+        checked.field = as_field
         return checked
     return decorate
 
@@ -310,10 +321,7 @@ def lagged_phase(c: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarr
 
 def lagged(state: State, spec: ProblemSpec) -> Lagged:
     """Evaluate ``state``'s lagged coefficients once."""
-    rho, p, fp = state.rho.values, spec.potential, spec.fluid
-    pi_slope = pressure_slope(rho, p.delta, fp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pi = artificial_pressure(rho, p.delta, fp.art_exponent) + pressure(rho, fp)
+    pi, pi_slope = pressure(state.rho.values, spec.fluid, spec.potential.delta)
     return Lagged(*lagged_phase(state.c.values, spec), pi, pi_slope)
 
 
@@ -352,7 +360,7 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     v = np.zeros(g.n_cells + 1)
     src = None if spec.mms_sources is None else spec.mms_sources.continuity
     if src is not None:
-        np.cumsum(h * src.values, out=v[1:])
+        (h * src.values).cumsum(out=v[1:])
         v[-1] /= eps**2 * h
     v[1:-1] -= rho0 * uf
     v[-2] -= upper[-1] * v[-1]  # the solve leaves V_1 .. V_n-1 in place of the right sides
@@ -363,7 +371,7 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     return Field(g, np.maximum(rho, 0.0))
 
 
-@_right_side("momentum right side", "momentum")
+@_right_side("momentum")
 def _momentum_forcing(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Lagged right side of the momentum balance (everything but visc*u'')."""
     h, dc = spec.grid.spacing_h, lag.dc
@@ -387,7 +395,7 @@ def _alternating_sums(uf: np.ndarray, u0: float) -> np.ndarray:
     u[0] = u0
     np.multiply(uf, -2.0, out=u[1:])
     u[2::2] *= -1.0
-    np.cumsum(u, out=u)
+    u.cumsum(out=u)
     u[1::2] *= -1.0
     return u
 
@@ -476,8 +484,9 @@ def solve_flow_coupled(state: State, lag: Lagged, eps: float,
     g, visc = spec.grid, spec.fluid.visc
     h, s = g.spacing_h, 2.0 * visc / g.spacing_h**2
     rho_t, u_t = state.rho.values, state.u.values
-    f = _with_source(_momentum_forcing(state, lag, eps, spec), spec, "momentum")
+    f = _momentum_forcing(state, lag, eps, spec)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = _with_source(f, spec, "momentum")  # a non-finite sum fails the block's input check
         uf_t = 0.5 * (u_t[:-1] + u_t[1:])
         up, um = _upwind_split(uf_t)
         inv = 2.0 / (rho_t[:-1] + rho_t[1:])  # over the face densities of rho_old
@@ -494,10 +503,9 @@ def solve_flow_coupled(state: State, lag: Lagged, eps: float,
         q0, q1 = lag.pi_slope[:2] * delta[:2]
         f0 = f[0] + (q1 - q0) / (2.0 * h) - spec.g1.values[0] * delta[0]
         u = _alternating_sums(uf, 0.5 * uf[0] - f0 / (2.0 * s))
-    if not np.isfinite(u).all():
-        raise mesh.NonFiniteError("(rho, u) block: the velocity is not finite in "
-                                  f"{np.count_nonzero(~np.isfinite(u))} of {u.size} cells")
-    return Field(g, np.maximum(rho_t + delta, 0.0)), Field(g, u)
+    u = _checked_field(g, u, lambda u: "(rho, u) block: the velocity is not finite in "
+                       f"{np.count_nonzero(~np.isfinite(u))} of {u.size} cells")
+    return Field(g, np.maximum(rho_t + delta, 0.0)), u
 
 
 def _pin_constant(hat: Field, target: float, rho: np.ndarray, weight_integral: float,
@@ -513,14 +521,12 @@ def _pin_constant(hat: Field, target: float, rho: np.ndarray, weight_integral: f
             f"density-weighted constraint is degenerate (integral {weight_integral:g})"
         )
     s = (target - mesh.integral_of(rho * hat.values, spec.grid.spacing_h)) / weight_integral
-    values = hat.values + s
-    if not np.isfinite(values).all():
-        raise mesh.NonFiniteError(f"{sub_solve} sub-solve: the constant of its density-weighted "
-                                  f"constraint is not finite; max |rho| {np.abs(rho).max():.3g}")
-    return Field(spec.grid, values)
+    return _checked_field(spec.grid, hat.values + s, lambda _: (
+        f"{sub_solve} sub-solve: the constant of its density-weighted "
+        f"constraint is not finite; max |rho| {np.abs(rho).max():.3g}"))
 
 
-@_right_side("mu right side", "mu")
+@_right_side("mu")
 def _mu_rhs(state: State, dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """eps rho c + rho u c' - eps rho0 c0, c' lagged as ``dc``: the mu right side
     without its source."""
@@ -528,7 +534,7 @@ def _mu_rhs(state: State, dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.n
     return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
 
 
-@_right_side("c right side", "c")
+@_right_side("c")
 def _c_rhs(state: State, dF: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """rho dF_delta(c) - rho mu, dF_delta(c) lagged as ``dF``: the c right side
     without its source."""
@@ -545,10 +551,8 @@ def solve_mu(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[
     removed integral, which vanishes as the outer iteration converges, is
     returned as the compatibility residual ``proj``.
     """
-    g = spec.grid
-    rhs = _with_source(_mu_rhs(state, lag.dc, eps, spec), spec, "mu")
-    mu_hat, proj = mesh.laplacian_solve(Field(g, rhs))
-    rho, h = state.rho.values, g.spacing_h
+    mu_hat, proj = mesh.laplacian_solve(_mu_rhs.field(state, lag.dc, eps, spec))
+    rho, h = state.rho.values, spec.grid.spacing_h
     with np.errstate(over="ignore", invalid="ignore"):
         target = mesh.integral_of(rho * lag.dF, h)
         return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec, "mu"), proj
@@ -581,10 +585,8 @@ def solve_c(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[F
 
     holds exactly (the gradient term does not see s).
     """
-    g, h = spec.grid, spec.grid.spacing_h
-    rho = state.rho.values
-    rhs = _with_source(_c_rhs(state, lag.dF, spec), spec, "c")
-    c_hat, proj = mesh.laplacian_solve(Field(g, rhs))
+    h, rho = spec.grid.spacing_h, state.rho.values
+    c_hat, proj = mesh.laplacian_solve(_c_rhs.field(state, lag.dF, spec))
     weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
     with np.errstate(over="ignore", invalid="ignore"):
         target = _c_mass_target(rho, c_hat.values, eps, spec)
@@ -610,7 +612,7 @@ def _trapezoid_sums(f: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid integrals of the cell values ``f`` from the first cell centre to each."""
     out = np.empty(f.size)
     out[0] = 0.0
-    np.cumsum(0.5 * h * (f[:-1] + f[1:]), out=out[1:])
+    (0.5 * h * (f[:-1] + f[1:])).cumsum(out=out[1:])
     return out
 
 
@@ -667,16 +669,16 @@ def hydrostatic_density(spec: ProblemSpec, G1: Optional[np.ndarray] = None) -> n
         r, ratio = np.empty(n), np.empty(n)
         ratio[0] = 1.0
         for it in range(1, HYDROSTATIC_MAX_NEWTON + 1):
-            ent, slope = enthalpy(s, delta, fp)
             rho = np.exp(s)
+            ent, slope = enthalpy(s, delta, fp, rho)
             w = half_g2 / rho  # J's trapezoid terms
             r[0] = G1[0] + C - ent[0]
             np.add(w[:-1], w[1:], out=r[1:])
             r[1:] += dG1 - (ent[1:] - ent[:-1])
             diag = slope + w
             diag[0] = slope[0]
-            np.cumprod((slope[:-1] - w[:-1]) / diag[1:], out=ratio[1:])
-            ds = ratio * np.cumsum(r / (diag * ratio))
+            ((slope[:-1] - w[:-1]) / diag[1:]).cumprod(out=ratio[1:])
+            ds = ratio * (r / (diag * ratio)).cumsum()
             y = ratio / diag[0]
             d_c = (target - rho.sum() - (rho * ds).sum()) / (rho * y).sum()
             ds += d_c * y
@@ -704,15 +706,12 @@ def _continuity_velocity(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.n
     density.  They are the means of the adjacent cell values, which fixes u
     up to a checkerboard; the first cell takes half its face's velocity, as
     a u linear at the wall would.  The velocity is O(eps^2) and vanishes
-    where rho = rho0.
+    where rho = rho0; :func:`hydrostatic_state` checks that it is finite.
     """
-    flux = _continuity_flux(rho, eps, spec)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        flux = _continuity_flux(rho, eps, spec)
         uf = flux / np.where(flux > 0.0, rho[:-1], rho[1:])
-        u = _alternating_sums(uf, 0.5 * uf[0])
-    if not np.isfinite(u).all():
-        raise mesh.NonFiniteError("hydrostatic start: the velocity of its mass flux is not finite")
-    return u
+        return _alternating_sums(uf, 0.5 * uf[0])
 
 
 def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
@@ -739,7 +738,8 @@ def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
     g = spec.grid
     rho = hydrostatic_density(spec)
     mu0, c0 = g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0)
-    u = Field(g, _continuity_velocity(rho, eps, spec))
+    u = _checked_field(g, _continuity_velocity(rho, eps, spec),
+                       lambda _: "hydrostatic start: the velocity of its mass flux is not finite")
     limit = State(solve_continuity(u, eps, spec), u, mu0, c0)
     lag = lagged(limit, spec)
     rho, u = solve_flow_coupled(limit, lag, eps, spec)

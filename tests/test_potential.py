@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chns1d import potential
+from chns1d import potential, solver
 from chns1d.potential import (
     DELTA_TEST_GRID,
     DomainError,
@@ -22,6 +22,12 @@ from chns1d.potential import (
     structure_holds,
 )
 
+
+# densities for the guarded powers: vacuum cells, none, near the ceiling
+# RHO_MAX_DEFAULT (where rho^11 is 1e66), a vacuum scalar, a positive one
+DENSITIES = [np.array([0.0, 0.5, 1.7, 0.0, 3.2]), np.array([0.3, 1.0, 2.5]),
+             np.array([0.0, 1.0, 9.99e5, potential.RHO_MAX_DEFAULT]), 0.0, 1.3]
+DENSITY_IDS = ["vacuum-cells", "positive", "near-ceiling", "vacuum", "scalar"]
 
 # test widths that keep the sign/convexity structure at theta0 = 1, thetac = 3/2
 ADMITTED = tuple(d for d in DELTA_TEST_GRID if structure_holds(PotentialParams(1.0, 1.5, d)))
@@ -318,8 +324,7 @@ class TestPressureAndEnergy:
         with pytest.raises(OverflowError, match="density 3 to the power"):
             guarded_power(np.array([0.0, 3.0, 2.0]), 1100)
 
-    @pytest.mark.parametrize("rho", [np.array([0.0, 0.5, 1.7, 0.0, 3.2]), np.array([0.3, 1.0, 2.5]),
-                                     0.0, 1.3], ids=["vacuum-cells", "positive", "vacuum", "scalar"])
+    @pytest.mark.parametrize("rho", DENSITIES, ids=DENSITY_IDS)
     def test_several_exponents_are_the_separate_powers_bit_for_bit(self, rho):
         exponents = (10, 1.0, 2.0, 0.5)
         powers = guarded_powers(rho, exponents)
@@ -328,6 +333,30 @@ class TestPressureAndEnergy:
             one = guarded_power(rho, k)
             assert type(power) is type(one)
             assert np.asarray(power).tobytes() == np.asarray(one).tobytes(), k
+
+    @pytest.mark.parametrize("rho", DENSITIES, ids=DENSITY_IDS)
+    def test_lagged_pair_is_the_separate_evaluations_bit_for_bit(self, pot, fluid, rho):
+        """pressure given delta is (artificial_pressure + pressure,
+        pressure_slope), from one scan and one logarithm."""
+        pi, slope = pressure(rho, fluid, pot.delta)
+        separate = (potential.artificial_pressure(rho, pot.delta, fluid.art_exponent)
+                    + pressure(rho, fluid), pressure_slope(rho, pot.delta, fluid))
+        for got, want in zip((pi, slope), separate):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("rho, art_exponent, error, match", [
+        (np.array([1.0, 2.0e6]), 11, OverflowError, r"^density 2e\+06 exceeds rho_max=1e\+06 in power"),
+        (np.array([0.0, 3.0, 2.0]), 1100, OverflowError, r"^density 3 to the power 1099 exceeds the float"),
+    ], ids=["above-rho-max", "float-overflow"])
+    def test_lagged_pair_raises_as_the_slope_did(self, pot, rho, art_exponent, error, match):
+        """The first power to fail raises, as pressure_slope's did first."""
+        fluid = solver.FluidParams(art_exponent=art_exponent)
+        with pytest.raises(error, match=match) as separate:
+            pressure_slope(rho, pot.delta, fluid)
+        with pytest.raises(error) as fused:
+            pressure(rho, fluid, pot.delta)
+        assert str(fused.value) == str(separate.value)
 
     def test_pressure_slope_keeps_its_bits(self, pot, fluid):
         """One scan for both powers of the slope, the same bits as two."""
@@ -362,9 +391,10 @@ class TestPressureAndEnergy:
                              ids=["negative", "nan", "negative-cell", "nan-cell"])
     @pytest.mark.parametrize("evaluator", [
         lambda rho, fp, p: pressure(rho, fp),
+        lambda rho, fp, p: pressure(rho, fp, p.delta),
         lambda rho, fp, p: potential.free_energy_delta(rho, 0.0, fp, p),
         lambda rho, fp, p: potential.rho_free_energy_delta(rho, 0.0, fp, p),
-    ], ids=["pressure", "free_energy_delta", "rho_free_energy_delta"])
+    ], ids=["pressure", "lagged-pressure", "free_energy_delta", "rho_free_energy_delta"])
     def test_bad_density_meets_the_one_guarded_scan(self, pot, fluid, evaluator, rho):
         """guarded_power's single pass rejects it, before a logarithm could warn
         (warnings are errors in this suite); no evaluator scans first."""

@@ -262,6 +262,26 @@ def _spiked_state(n: int, **spikes) -> State:
     return State(*(g.field(vals[k]) for k in ("rho", "u", "mu", "c")))
 
 
+def _block_at_tiny_viscosity(state: State, spec: ProblemSpec):
+    """The (rho, u) block at lambda1 = 1e-300, where the first row's
+    f_0 / (2 visc / h^2) passes the float range while its rows do not."""
+    spec = dataclasses.replace(spec, fluid=FluidParams(lambda1=1e-300))
+    return solve_flow_coupled(state, lagged(state, spec), 1e-2, spec)
+
+
+def _with_source_at_cell_32(sub_solve, name: str):
+    """``sub_solve`` for a spec whose manufactured source of equation ``name``
+    is 1.797e308 in cell 32, so that adding it to a right side of 1e305 or
+    more there overflows after the builder's own values were finite."""
+    def call(state: State, spec: ProblemSpec):
+        src = np.zeros(spec.grid.n_cells)
+        src[32] = 1.797e308
+        spec = dataclasses.replace(
+            spec, mms_sources=solver.MmsSources(**{name: spec.grid.field(src)}))
+        return sub_solve(state, lagged(state, spec), 1e-2, spec)
+    return call
+
+
 class TestNonFiniteRightSide:
     """An overflowing right side names its field and sub-solve, without a numpy warning."""
 
@@ -273,7 +293,20 @@ class TestNonFiniteRightSide:
          "mu sub-solve: the mu right side is not finite in 1 of 64 cells; incoming max"),
         (lambda s, spec: solve_c(s, lagged(s, spec), 1e-2, spec), {"mu": (32, 1e308)},
          "c sub-solve: the c right side is not finite in 1 of 64 cells; incoming max"),
-    ], ids=["momentum", "mu", "c"])
+        (_block_at_tiny_viscosity, {"u": (32, 1e20)},
+         "(rho, u) block: the velocity is not finite in 64 of 64 cells"),
+        # eps rho c = 1e305 and -rho mu = 2e306 in cell 32, plus the source there
+        (_with_source_at_cell_32(solve_mu, "mu"), {"c": (32, 5e306)},
+         "mu sub-solve: the mu right side is not finite in 1 of 64 cells; "
+         "incoming max |rho| 2, |u| 0, |mu| 0, |c| 5e+306"),
+        (_with_source_at_cell_32(solve_c, "c"), {"mu": (32, -1e306)},
+         "c sub-solve: the c right side is not finite in 1 of 64 cells; "
+         "incoming max |rho| 2, |u| 0, |mu| 1e+306, |c| 0"),
+        # -rho mu c' = 1.28e305 in cell 32, plus the source there
+        (_with_source_at_cell_32(solve_flow_coupled, "momentum"),
+         {"mu": (32, 1e306), "c": (31, 2e-3)},
+         "(rho, u) block: the matrix or right side is not finite"),
+    ], ids=["momentum", "mu", "c", "block-velocity", "mu-source", "c-source", "momentum-source"])
     def test_names_field_and_sub_solve(self, pot, fluid, call, spikes, message):
         spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=2.0)
         with pytest.raises(mesh.NonFiniteError) as info:
@@ -325,6 +358,27 @@ def field_checks_of_one_step(monkeypatch, damping: float) -> int:
     return len(checks)
 
 
+def scans_and_records_of_one_solve(monkeypatch) -> dict:
+    """The np.isfinite scans and the Field and State constructions of one
+    forced n = 256 continuation_solve, after a first that probes the grid's
+    bands."""
+    cfg = parse_config_text("domain.n_cells = 256\n" + FORCED_DEFAULT)
+    continuation_solve(cfg.spec, cfg.controls)
+    counts = dict.fromkeys(("isfinite", "Field", "State"), 0)
+
+    def counting(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "isfinite", counting("isfinite", np.isfinite))
+    monkeypatch.setattr(mesh.Field, "__post_init__", counting("Field", mesh.Field.__post_init__))
+    monkeypatch.setattr(State, "__post_init__", counting("State", State.__post_init__))
+    continuation_solve(cfg.spec, cfg.controls)
+    return counts
+
+
 class TestFieldConstructions:
     def test_one_picard_step_wraps_only_sub_solve_results(self, monkeypatch):
         """9 Field checks per undamped step: the flow pair (2); mu and c, each
@@ -338,11 +392,12 @@ class TestFieldConstructions:
         assert field_checks_of_one_step(monkeypatch, 0.5) == 12
 
     def test_one_picard_step_evaluates_each_lagged_coefficient_once(self, monkeypatch):
-        """The step's one record is the only place the potential evaluators run."""
+        """The step's one record is the only place the potential evaluators
+        run: dF_delta once, and pressure once for both Pi and Pi'."""
         cfg = parse_config_text(FORCED_DEFAULT)
         spec, eps = cfg.spec, cfg.controls.eps_schedule[0]
         state = constant_state(spec, eps)
-        names = ("dF_delta", "artificial_pressure", "pressure", "pressure_slope")
+        names = ("dF_delta", "pressure")
         calls = []
 
         def counting(name, real):
@@ -355,6 +410,31 @@ class TestFieldConstructions:
             monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
         picard_step(state, eps, spec, 1.0)
         assert sorted(calls) == sorted(names)
+
+    def test_one_solve_scans_each_array_once(self, monkeypatch):
+        """A forced n = 256 solve, the start and one Picard step, makes 41
+        finiteness scans: each array's check is the one that names it, most
+        of them a Field's construction (56 when the mu and c right sides, the
+        pinned constants and the two velocities were scanned again as their
+        Field was built, and the Laplacian scanned its Field once more).
+        It builds 21 Fields and 7 States."""
+        assert scans_and_records_of_one_solve(monkeypatch) == {"isfinite": 41, "Field": 21, "State": 7}
+
+    def test_lagged_takes_one_density_logarithm(self, monkeypatch):
+        """Pi and Pi' come from one guarded scan and one logarithm of rho (3
+        when pressure_slope, artificial_pressure and pressure each took one)."""
+        cfg = parse_config_text(FORCED_DEFAULT)
+        spec = cfg.spec
+        state = constant_state(spec, cfg.controls.eps_schedule[0])
+        sizes, log = [], np.log
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counted)
+        lagged(state, spec)
+        assert sizes.count(spec.grid.n_cells) == 1
 
 
 class TestFlowCoupledBlock:
@@ -637,10 +717,10 @@ class TestLapackSolves:
         pair_sums = solver._pair_sum_solve
         monkeypatch.setattr(solver, "_pair_sum_solve", lambda slope, up, um, inv, *rest:
                             pair_sums(slope, up, um, 0.0 * inv, *rest))
-        monkeypatch.setattr(solver, "pressure_slope", lambda rho, delta, fluid: np.zeros(n))
         state = State(g.field(1.0), g.zeros(), g.zeros(), g.field(0.3))
+        lag = lagged(state, spec)._replace(pi_slope=np.zeros(n))
         with pytest.raises(solver.SingularSystemError, match=r"\(rho, u\) block: the matrix is singular"):
-            solve_flow_coupled(state, lagged(state, spec), 0.1, spec)
+            solve_flow_coupled(state, lag, 0.1, spec)
         assert solver.SingularSystemError in solver.SOLVER_ERRORS
         assert mesh.NonFiniteError in solver.SOLVER_ERRORS
 
