@@ -187,18 +187,21 @@ def mean_projection_residuals(
     state: "State", spec: "ProblemSpec", eps: float, phase=None
 ) -> tuple[float, float]:
     """Compatibility defects |∫ rhs| of the two Neumann problems, lagged at this
-    state as a Picard step lags them (``phase``, :func:`~chns1d.solver.lagged_phase`)."""
+    state by the step's own builders (``phase``, :func:`~chns1d.solver.lagged_phase`)."""
     h = spec.grid.spacing_h
-    dF, dc = phase or lagged_phase(state.c.values, spec)
-    proj_mu = abs(mesh.integral_of(_mu_rhs(state, dc, eps, spec), h))
-    return proj_mu, abs(mesh.integral_of(_c_rhs(state, dF, spec), h))
+    fields = state.rho.values, state.u.values, state.mu.values, state.c.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        dF, dc = phase or lagged_phase(state.c.values, spec)
+        proj_mu = abs(mesh.integral_of(_mu_rhs(*fields, dc, eps, spec), h))
+        return proj_mu, abs(mesh.integral_of(_c_rhs(*fields, dF, spec), h))
 
 
 def compute_report(
     state: "State", spec: "ProblemSpec", eps: float
 ) -> DiagnosticsReport:
     """Assemble the full report for one state (pure; safe to run concurrently)."""
-    phase = lagged_phase(state.c.values, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = lagged_phase(state.c.values, spec)
     slopes = _slopes(state, spec, phase[1])
     lhs, rhs, slack = energy_inequality(state, spec, slopes)
     proj_mu, proj_c = mean_projection_residuals(state, spec, eps, phase)

@@ -14,12 +14,13 @@ every banded matrix off those, once per grid.  A :class:`Field` checks its
 values (length, finiteness) when it is built, so the kernels, which the
 solver's inner loop calls on plain arrays, check nothing.
 
-:func:`laplacian_solve` inverts the Neumann Laplacian in closed form, by two
-prefix sums, on the right side less its mean, and returns the removed
-integral with the solution: the one place a Neumann right side is made
-compatible.  The other banded systems go to LAPACK through :func:`solve_tridiagonal`
-(``dgtsv``) and :func:`solve_banded` (``dgbsv``), which overwrite their
-arguments, return the solution and name the solve in every error.
+:func:`laplacian_solve` inverts the Neumann Laplacian on arrays in closed
+form, by two prefix sums, on the right side less its mean, and returns the
+removed integral with the solution: the one place a Neumann right side is
+made compatible.  The other banded systems go to LAPACK through
+:func:`solve_tridiagonal` (``dgtsv``) and :func:`solve_banded` (``dgbsv``),
+which overwrite their arguments.  Each solve returns its solution, scanned
+once, and names itself in every error.
 
 The two routines are numpy's own: numpy's wheels bundle an OpenBLAS that
 exports them under their ILP64 names (``scipy_dgtsv_64_`` in numpy 2,
@@ -336,6 +337,11 @@ def _solve(name: str, routine, *scalars, **arrays) -> np.ndarray:
         raise ValueError(f"{name}: LAPACK argument {-info} had an illegal value (info {info})")
     if info > 0:
         raise SingularSystemError(f"{name}: the matrix is singular (LAPACK info {info})")
+    return _finite_solution(name, x)
+
+
+def _finite_solution(name: str, x: np.ndarray) -> np.ndarray:
+    """``x``, scanned once: :class:`NonFiniteError`, naming solve ``name``, if it is not finite."""
     if not np.isfinite(x).all():
         bad = int(np.count_nonzero(~np.isfinite(x)))
         raise NonFiniteError(f"{name}: the solution is not finite in {bad} of {x.size} entries")
@@ -370,9 +376,9 @@ def solve_banded(name: str, kl: int, ku: int, ab, b) -> np.ndarray:
     return _solve(name, _gbsv, kl, ku, ab=(ab, (2 * kl + ku + 1, n)), b=(b, (n,)))
 
 
-def laplacian_solve(rhs: Field) -> tuple[Field, float]:
-    """Solve Lap(u) = rhs - mean(rhs), the three-point Laplacian with Neumann
-    walls, in closed form by two prefix sums; return u and |mean(rhs)| L.
+def laplacian_solve(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
+    """Solve Lap(u) = rhs - mean(rhs), the three-point Laplacian of ``g`` with
+    Neumann walls, in closed form by two prefix sums; return u and |mean(rhs)| L.
 
     With D_k = u_k - u_{k-1} the difference across face k, row i reads
     D_{i+1} - D_i = h^2 f_i, and the walls give D_0 = 0.  So
@@ -385,16 +391,16 @@ def laplacian_solve(rhs: Field) -> tuple[Field, float]:
     its mean removed, which lets the last row hold too.  A right side with a
     mean is therefore no error; the removed integral |mean| L is returned
     with the solution, which has zero mean, for the caller to count as a
-    residual.  The right side, a :class:`Field`, is finite, so it is not
-    scanned again; a solution that overflows raises :class:`NonFiniteError`.
+    residual.  A right side that is not finite, or a solution that
+    overflows, raises :class:`NonFiniteError` naming the solve; call it with
+    numpy's overflow and invalid-value warnings off where that can happen.
     """
-    g, f = rhs.grid, rhs.values
     n = g.n_cells  # means below as sum / n: what ndarray.mean computes, without its overhead
-    mean = float(f.sum() / n)
-    c = (f - mean).cumsum()
+    mean = float(rhs.sum() / n)
+    c = (rhs - mean).cumsum()
     u = np.empty(n)
     u[0] = 0.0
     c[:-1].cumsum(out=u[1:])  # u_k - u_0, over h^2
     u -= u.sum() / n
     u *= g.spacing_h**2
-    return Field(g, u), abs(mean * g.length_L)
+    return _finite_solution("Neumann Laplacian solve", u), abs(mean * g.length_L)

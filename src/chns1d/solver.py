@@ -39,6 +39,12 @@ are identical to those of the naive splitting.  Density positivity and exact
 mass hold because the density returned is always the upwind continuity
 solve for the damped velocity.
 
+The sub-solves take and return plain arrays; a step, like the start, builds
+one :class:`State`, the one it returns.  Both run the sub-solves through
+:func:`_proposal`, under one numpy warning guard (divide, overflow and
+invalid values off), so a value that is not finite reaches the check that
+names it.
+
 The delta and eps sweeps, :func:`delta_sweep` and :func:`eps_sweep`, return
 one (status, report, state, log) row per value, first value first; each
 value is an independent solve from the hydrostatic start.
@@ -46,6 +52,7 @@ value is an independent solve from the hydrostatic start.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import field, replace
 from functools import partial, wraps
@@ -190,11 +197,19 @@ class State(Record):
     def __post_init__(self) -> None:
         g = self.rho.grid
         for name in ("u", "mu", "c"):
-            other = getattr(self, name).grid
-            if other is not g and other != g:  # the sub-solves' fields share rho's grid object
+            if getattr(self, name).grid != g:
                 raise ValueError(f"{name} lives on a different grid than rho")
         if self.rho.values.min() < 0.0:
             raise ValueError("rho must be nonnegative everywhere")
+
+    @classmethod
+    def _from_solve(cls, g: Grid, *values: np.ndarray) -> "State":
+        """The State of a solve's arrays (rho, u, mu, c) on ``g``, each scanned as its
+        Field is built; rho, which the solve has just clipped at 0, is not checked again."""
+        state = object.__new__(cls)
+        for name, v in zip(cls._names, values):
+            object.__setattr__(state, name, Field(g, v))
+        return state
 
 
 class SolveControls(Record):
@@ -258,45 +273,25 @@ def _continuity_flux(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarr
     return flux
 
 
-def _checked_field(g: Grid, values: np.ndarray, message: Callable[[np.ndarray], str]) -> Field:
-    """``Field(g, values)``, whose construction is the one finiteness scan of
-    ``values``; a non-finite entry raises :class:`~chns1d.mesh.NonFiniteError`
-    with ``message(values)``, built only then, which names the producer."""
-    try:
-        return Field(g, values)
-    except mesh.NonFiniteError:
-        raise mesh.NonFiniteError(message(values)) from None
-
-
 def _right_side(sub_solve: str):
-    """Evaluate a right-side builder ``build(state, ..., spec)`` with numpy's
-    overflow and invalid-value warnings off.  A non-finite intermediate
-    reaches the result, where one scan raises :class:`~chns1d.mesh.NonFiniteError`
-    naming ``sub_solve``'s right side and the bad cells, with the incoming
-    state's magnitudes, so a blow-up is named where it starts.  The builder
-    returns the array; its ``field``, for the sub-solve, adds ``sub_solve``'s
-    manufactured source first and returns the Field, built as that scan."""
+    """Check a right-side builder ``build(rho, u, mu, c, ..., spec)``.  A
+    non-finite intermediate reaches the result, where one scan raises
+    :class:`~chns1d.mesh.NonFiniteError` naming ``sub_solve``'s right side
+    and the bad cells, with the incoming fields' magnitudes, so a blow-up is
+    named where it starts.  With ``source=True`` the scanned result includes
+    ``sub_solve``'s manufactured source: the right side the sub-solve solves with."""
     def decorate(build):
-        def message(state, rhs: np.ndarray) -> str:
-            sizes = ", ".join(f"|{k}| {np.max(np.abs(getattr(state, k).values)):.3g}"
-                              for k in ("rho", "u", "mu", "c"))
-            return (f"{sub_solve} sub-solve: the {sub_solve} right side is not finite in "
-                    f"{np.count_nonzero(~np.isfinite(rhs))} of {rhs.size} cells; incoming max {sizes}")
-
         @wraps(build)
-        def checked(state, *args):
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs = build(state, *args)
+        def checked(*args, source: bool = False) -> np.ndarray:
+            rhs = build(*args)
+            if source:
+                rhs = _with_source(rhs, args[-1], sub_solve)
             if np.isfinite(rhs).all():
                 return rhs
-            raise mesh.NonFiniteError(message(state, rhs))
-
-        def as_field(state, *args):
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs = _with_source(build(state, *args), args[-1], sub_solve)
-            return _checked_field(args[-1].grid, rhs, partial(message, state))
-
-        checked.field = as_field
+            sizes = ", ".join(f"|{k}| {np.max(np.abs(v)):.3g}" for k, v in zip(State._names, args))
+            raise mesh.NonFiniteError(
+                f"{sub_solve} sub-solve: the {sub_solve} right side is not finite in "
+                f"{np.count_nonzero(~np.isfinite(rhs))} of {rhs.size} cells; incoming max {sizes}")
         return checked
     return decorate
 
@@ -313,16 +308,15 @@ class Lagged(NamedTuple):
 def lagged_phase(c: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """dF_delta(c) and c', the concentration's lagged coefficients: the part of
     :func:`lagged` that the mu and c right sides read, and all that the
-    diagnostics' projection residuals evaluate.  A non-finite c passes through,
-    unwarned, to the right sides' checks, which name it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return dF_delta(c, spec.potential), mesh.gradient_of(c, "neumann", spec.grid.spacing_h)
+    diagnostics' projection residuals evaluate.  Call it with numpy's warnings
+    off: a non-finite c passes through to the right sides' checks, which name it."""
+    return dF_delta(c, spec.potential), mesh.gradient_of(c, "neumann", spec.grid.spacing_h)
 
 
-def lagged(state: State, spec: ProblemSpec) -> Lagged:
-    """Evaluate ``state``'s lagged coefficients once."""
-    pi, pi_slope = pressure(state.rho.values, spec.fluid, spec.potential.delta)
-    return Lagged(*lagged_phase(state.c.values, spec), pi, pi_slope)
+def lagged(rho: np.ndarray, c: np.ndarray, spec: ProblemSpec) -> Lagged:
+    """The lagged coefficients of (rho, c), evaluated once; call it with numpy's warnings off."""
+    pi, pi_slope = pressure(rho, spec.fluid, spec.potential.delta)
+    return Lagged(*lagged_phase(c, spec), pi, pi_slope)
 
 
 def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
@@ -342,7 +336,7 @@ def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     return diag, upper, lower
 
 
-def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
+def solve_continuity(u: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Solve the regularized continuity equation for the density, given u.
 
     The rows, summed from the left wall, fix the flux at each interior face
@@ -351,10 +345,10 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     integrate(rho) = m1 holds by construction (manufactured sources
     excepted), and rest returns rho0 exactly, however near singular eps^4/h^2
     makes the rows beside eps^2.  It is the upwind M-matrix system in other
-    unknowns, so rho >= 0.
+    unknowns, so rho >= 0: the density is returned clipped at 0.
     """
     g, h, rho0 = spec.grid, spec.grid.spacing_h, spec.rho0
-    uf = 0.5 * (u.values[:-1] + u.values[1:])
+    uf = 0.5 * (u[:-1] + u[1:])
     diag, upper, lower = _continuity_bands(uf, eps, g)
     # V_0 = 0; V_n and the right sides, the running sums of h (b - eps^2 rho0), hold only a source
     v = np.zeros(g.n_cells + 1)
@@ -368,14 +362,14 @@ def solve_continuity(u: Field, eps: float, spec: ProblemSpec) -> Field:
     rho = rho0 + (v[1:] - v[:-1])
     if rho.min() < -1.0e-9 * max(rho0, 1.0):
         raise SingularSystemError(f"continuity solve produced negative density {rho.min():g}")
-    return Field(g, np.maximum(rho, 0.0))
+    return np.maximum(rho, 0.0)
 
 
 @_right_side("momentum")
-def _momentum_forcing(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> np.ndarray:
+def _momentum_forcing(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray,
+                      lag: Lagged, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Lagged right side of the momentum balance (everything but visc*u'')."""
     h, dc = spec.grid.spacing_h, lag.dc
-    rho, u, mu = state.rho.values, state.u.values, state.mu.values
     return (
         eps**2 * rho * u
         + mesh.gradient_of(rho * u * u, "dirichlet0", h)
@@ -390,7 +384,9 @@ def _momentum_forcing(state: State, lag: Lagged, eps: float, spec: ProblemSpec) 
 
 def _alternating_sums(uf: np.ndarray, u0: float) -> np.ndarray:
     """The cell velocities from ``u0`` whose adjacent means are the face
-    velocities ``uf``: u_i+1 = 2 uf_i - u_i, as alternating prefix sums."""
+    velocities ``uf``: u_i+1 = 2 uf_i - u_i, as alternating prefix sums.  They
+    are all finite exactly when the last is: a prefix sum that is not finite
+    leaves every later one so, and the sign flips keep finiteness."""
     u = np.empty(uf.size + 1)
     u[0] = u0
     np.multiply(uf, -2.0, out=u[1:])
@@ -457,8 +453,8 @@ def _pair_sum_solve(slope: np.ndarray, up: np.ndarray, um: np.ndarray, inv: np.n
     return d, duf * (0.5 * h * h / visc)
 
 
-def solve_flow_coupled(state: State, lag: Lagged, eps: float,
-                       spec: ProblemSpec) -> tuple[Field, Field]:
+def solve_flow_coupled(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray,
+                       lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """One linearized (rho, u) block solve with implicit pressure feedback.
 
     Solves the 2n equations
@@ -479,83 +475,85 @@ def solve_flow_coupled(state: State, lag: Lagged, eps: float,
     proposal keeps by construction (m1 without a manufactured source).  The
     n - 1 sums of adjacent momentum rows fix the density, in one
     :func:`_pair_sum_solve`, and the first row u's checkerboard; a velocity
-    that is not finite raises :class:`~chns1d.mesh.NonFiniteError`.
+    that is not finite raises :class:`~chns1d.mesh.NonFiniteError`.  The density
+    is returned clipped at 0.  Call it with numpy's warnings off.
     """
     g, visc = spec.grid, spec.fluid.visc
     h, s = g.spacing_h, 2.0 * visc / g.spacing_h**2
-    rho_t, u_t = state.rho.values, state.u.values
-    f = _momentum_forcing(state, lag, eps, spec)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = _with_source(f, spec, "momentum")  # a non-finite sum fails the block's input check
-        uf_t = 0.5 * (u_t[:-1] + u_t[1:])
-        up, um = _upwind_split(uf_t)
-        inv = 2.0 / (rho_t[:-1] + rho_t[1:])  # over the face densities of rho_old
-        uf = np.zeros(g.n_cells + 1)  # the face velocities at rho_old, zero at the walls
-        flux = _continuity_flux(rho_t, eps, spec) - up * rho_t[:-1] - um * rho_t[1:]
-        uf[1:-1] = uf_t + inv * flux
-        b = s * (uf[:-2] + uf[2:]) - 2.0 * s * uf[1:-1]
-        b -= f[:-1] + f[1:]
-        mass = (_continuity_rhs(eps, spec) - eps**2 * rho_t).sum() / eps**2
-        delta, duf = _pair_sum_solve(lag.pi_slope, up, um, inv, b, mass, eps, spec)
-        uf = uf[1:-1] + duf
-        # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h - g1_0 delta_0,
-        # q = Pi' delta
-        q0, q1 = lag.pi_slope[:2] * delta[:2]
-        f0 = f[0] + (q1 - q0) / (2.0 * h) - spec.g1.values[0] * delta[0]
-        u = _alternating_sums(uf, 0.5 * uf[0] - f0 / (2.0 * s))
-    u = _checked_field(g, u, lambda u: "(rho, u) block: the velocity is not finite in "
-                       f"{np.count_nonzero(~np.isfinite(u))} of {u.size} cells")
-    return Field(g, np.maximum(rho_t + delta, 0.0)), u
+    # with its source, whose non-finite sum fails the block's input check
+    f = _with_source(_momentum_forcing(rho, u, mu, c, lag, eps, spec), spec, "momentum")
+    uf_t = 0.5 * (u[:-1] + u[1:])
+    up, um = _upwind_split(uf_t)
+    inv = 2.0 / (rho[:-1] + rho[1:])  # over the face densities of rho_old
+    uf = np.zeros(g.n_cells + 1)  # the face velocities at rho_old, zero at the walls
+    flux = _continuity_flux(rho, eps, spec) - up * rho[:-1] - um * rho[1:]
+    uf[1:-1] = uf_t + inv * flux
+    b = s * (uf[:-2] + uf[2:]) - 2.0 * s * uf[1:-1]
+    b -= f[:-1] + f[1:]
+    mass = (_continuity_rhs(eps, spec) - eps**2 * rho).sum() / eps**2
+    delta, duf = _pair_sum_solve(lag.pi_slope, up, um, inv, b, mass, eps, spec)
+    uf = uf[1:-1] + duf
+    # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h - g1_0 delta_0,
+    # q = Pi' delta
+    q0, q1 = lag.pi_slope[:2] * delta[:2]
+    f0 = f[0] + (q1 - q0) / (2.0 * h) - spec.g1.values[0] * delta[0]
+    u_new = _alternating_sums(uf, 0.5 * uf[0] - f0 / (2.0 * s))
+    if not math.isfinite(u_new[-1]):  # finite only if every entry is (_alternating_sums)
+        raise mesh.NonFiniteError("(rho, u) block: the velocity is not finite in "
+                                  f"{np.count_nonzero(~np.isfinite(u_new))} of {u_new.size} cells")
+    return np.maximum(rho + delta, 0.0), u_new
 
 
-def _pin_constant(hat: Field, target: float, rho: np.ndarray, weight_integral: float,
-                  spec: ProblemSpec, sub_solve: str) -> Field:
+def _pin_constant(hat: np.ndarray, target: float, rho: np.ndarray, weight_integral: float,
+                  spec: ProblemSpec, sub_solve: str) -> np.ndarray:
     """Fix the Neumann constant of the sub-solve ``sub_solve``: ``hat + s`` with
     s = (target - integrate(rho hat)) / weight_integral, where weight_integral
     is the coefficient of s in the constraint's rho-weighted integral.  A weight
     integral below 1e-12 max(1, m1) raises :class:`mesh.DegenerateWeightError`,
-    and, called with numpy's overflow warnings off, a result that is not
-    finite :class:`mesh.NonFiniteError`."""
+    and a constant s that is not finite :class:`mesh.NonFiniteError`."""
     if weight_integral <= 1.0e-12 * max(1.0, spec.m1):
         raise mesh.DegenerateWeightError(
             f"density-weighted constraint is degenerate (integral {weight_integral:g})"
         )
-    s = (target - mesh.integral_of(rho * hat.values, spec.grid.spacing_h)) / weight_integral
-    return _checked_field(spec.grid, hat.values + s, lambda _: (
-        f"{sub_solve} sub-solve: the constant of its density-weighted "
-        f"constraint is not finite; max |rho| {np.abs(rho).max():.3g}"))
+    s = (target - mesh.integral_of(rho * hat, spec.grid.spacing_h)) / weight_integral
+    if not math.isfinite(s):
+        raise mesh.NonFiniteError(f"{sub_solve} sub-solve: the constant of its density-weighted "
+                                  f"constraint is not finite; max |rho| {np.abs(rho).max():.3g}")
+    return hat + s
 
 
 @_right_side("mu")
-def _mu_rhs(state: State, dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
+def _mu_rhs(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray,
+            dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """eps rho c + rho u c' - eps rho0 c0, c' lagged as ``dc``: the mu right side
     without its source."""
-    rho, u, c = state.rho.values, state.u.values, state.c.values
     return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
 
 
 @_right_side("c")
-def _c_rhs(state: State, dF: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def _c_rhs(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray,
+           dF: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """rho dF_delta(c) - rho mu, dF_delta(c) lagged as ``dF``: the c right side
     without its source."""
-    rho = state.rho.values
-    return rho * dF - rho * state.mu.values
+    return rho * dF - rho * mu
 
 
-def solve_mu(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
-    """Solve the chemical-potential Poisson problem and pin its constant.
+def solve_mu(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray, lag: Lagged,
+             eps: float, spec: ProblemSpec) -> tuple[np.ndarray, float]:
+    """Solve the chemical-potential Poisson problem and pin its constant (``mu``
+    only enters the message of a right side that is not finite).
 
     :func:`mesh.laplacian_solve` solves with the right side
     eps rho c + rho u c' - eps rho0 c0 less its mean, and the constant
     is fixed so the rho-weighted mean of mu equals that of dF_delta(c).  The
     removed integral, which vanishes as the outer iteration converges, is
-    returned as the compatibility residual ``proj``.
+    returned as the compatibility residual ``proj``.  Call it with numpy's warnings off.
     """
-    mu_hat, proj = mesh.laplacian_solve(_mu_rhs.field(state, lag.dc, eps, spec))
-    rho, h = state.rho.values, spec.grid.spacing_h
-    with np.errstate(over="ignore", invalid="ignore"):
-        target = mesh.integral_of(rho * lag.dF, h)
-        return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec, "mu"), proj
+    rhs = _mu_rhs(rho, u, mu, c, lag.dc, eps, spec, source=True)
+    mu_hat, proj = mesh.laplacian_solve(rhs, spec.grid)
+    h = spec.grid.spacing_h
+    target = mesh.integral_of(rho * lag.dF, h)
+    return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec, "mu"), proj
 
 
 def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec) -> float:
@@ -572,8 +570,10 @@ def _c_mass_target(rho: np.ndarray, c: np.ndarray, eps: float, spec: ProblemSpec
     return spec.m2 + eps * i1 - eps**3 * i2
 
 
-def solve_c(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[Field, float]:
-    """Solve the concentration Poisson problem and impose the relative-mass constraint.
+def solve_c(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray, lag: Lagged,
+            eps: float, spec: ProblemSpec) -> tuple[np.ndarray, float]:
+    """Solve the concentration Poisson problem and impose the relative-mass
+    constraint (``u`` and ``c`` only enter the message of a bad right side).
 
     :func:`mesh.laplacian_solve` solves with the right side
     rho dF_delta(c_prev) - rho mu less its mean (the removed integral
@@ -583,14 +583,13 @@ def solve_c(state: State, lag: Lagged, eps: float, spec: ProblemSpec) -> tuple[F
         integrate(rho (c+s)) = m2 + eps integrate((rho0-rho)(c+s))
                                - eps^3 integrate(rho' c')
 
-    holds exactly (the gradient term does not see s).
+    holds exactly (the gradient term does not see s).  Call it with numpy's warnings off.
     """
-    h, rho = spec.grid.spacing_h, state.rho.values
-    c_hat, proj = mesh.laplacian_solve(_c_rhs.field(state, lag.dF, spec))
+    h = spec.grid.spacing_h
+    c_hat, proj = mesh.laplacian_solve(_c_rhs(rho, u, mu, c, lag.dF, spec, source=True), spec.grid)
     weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        target = _c_mass_target(rho, c_hat.values, eps, spec)
-        return _pin_constant(c_hat, target, rho, weight, spec, "c"), proj
+    target = _c_mass_target(rho, c_hat, eps, spec)
+    return _pin_constant(c_hat, target, rho, weight, spec, "c"), proj
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +602,9 @@ def constant_state(spec: ProblemSpec, eps: float) -> State:
     With zero forcing this is an exact solution for every eps.
     """
     g = spec.grid
-    rho = solve_continuity(g.zeros(), eps, spec)
+    rho = solve_continuity(np.zeros(g.n_cells), eps, spec)
     mu0 = dF_delta(spec.c0, spec.potential)
-    return State(rho, g.zeros(), g.field(mu0), g.field(spec.c0))
+    return State(Field(g, rho), g.zeros(), g.field(mu0), g.field(spec.c0))
 
 
 def _trapezoid_sums(f: np.ndarray, h: float) -> np.ndarray:
@@ -735,21 +734,27 @@ def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
     can sit a few ulps off rho0, which a stiff block amplifies (at
     ``domain.length = 1e-6``, Pi' near 1e60, into a velocity of 1e27).
     With zero forcing the start is the constant state."""
-    g = spec.grid
+    n = spec.grid.n_cells
     rho = hydrostatic_density(spec)
-    mu0, c0 = g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0)
-    u = _checked_field(g, _continuity_velocity(rho, eps, spec),
-                       lambda _: "hydrostatic start: the velocity of its mass flux is not finite")
-    limit = State(solve_continuity(u, eps, spec), u, mu0, c0)
-    lag = lagged(limit, spec)
-    rho, u = solve_flow_coupled(limit, lag, eps, spec)
-    mu, _ = solve_mu(State(rho, u, mu0, c0), lag, eps, spec)
-    c, _ = solve_c(State(rho, u, mu, c0), lag, eps, spec)
-    return State(rho, u, mu, c)
+    mu, c = np.full(n, dF_delta(spec.c0, spec.potential)), np.full(n, float(spec.c0))
+    u = _continuity_velocity(rho, eps, spec)
+    if not math.isfinite(u[-1]):  # finite only if every entry is (_alternating_sums)
+        raise mesh.NonFiniteError("hydrostatic start: the velocity of its mass flux is not finite")
+    rho, u, mu, c, *_ = _proposal(solve_continuity(u, eps, spec), u, mu, c, eps, spec)
+    return State._from_solve(spec.grid, rho, u, mu, c)
 
 
-def _rel_update(new: Field, old: Field) -> float:
-    return float(np.abs(new.values - old.values).max() / (1.0 + np.abs(old.values).max()))
+def _proposal(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray, eps: float,
+              spec: ProblemSpec) -> tuple:
+    """The block's (rho, u), then mu and c with their removed integrals, from
+    the incoming (rho, u, mu, c) and its one :func:`lagged` record, under the
+    one numpy warning guard of a step: the pass that a step and the start share."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lag = lagged(rho, c, spec)
+        rho, u = solve_flow_coupled(rho, u, mu, c, lag, eps, spec)
+        mu, proj_mu = solve_mu(rho, u, mu, c, lag, eps, spec)
+        c, proj_c = solve_c(rho, u, mu, c, lag, eps, spec)
+    return rho, u, mu, c, proj_mu, proj_c
 
 
 def picard_step(state: State, eps: float, spec: ProblemSpec, damping: float) -> tuple[State, float]:
@@ -764,19 +769,17 @@ def picard_step(state: State, eps: float, spec: ProblemSpec, damping: float) -> 
     residual rise, down to 1/8).  The one continuity solve of the step gives
     the returned density, for the blended velocity, so mass and positivity
     hold at every iterate.  The residual is the
-    largest relative field update plus both mean-projection magnitudes.
+    largest relative field update plus both mean-projection magnitudes.  The
+    blend, the continuity solve and the update run outside the warning guard.
     """
-    g, lag = spec.grid, lagged(state, spec)
-    rho_star, u_star = solve_flow_coupled(state, lag, eps, spec)
-    mu_star, proj_mu = solve_mu(State(rho_star, u_star, state.mu, state.c), lag, eps, spec)
-    c_star, proj_c = solve_c(State(rho_star, u_star, mu_star, state.c), lag, eps, spec)
-
-    u_new, mu_new, c_new = (
-        star if damping == 1.0 else Field(g, damping * star.values + (1.0 - damping) * old.values)
-        for star, old in ((u_star, state.u), (mu_star, state.mu), (c_star, state.c)))
-    new = State(solve_continuity(u_new, eps, spec), u_new, mu_new, c_new)
-    update = max(_rel_update(getattr(new, k), getattr(state, k)) for k in ("rho", "u", "mu", "c"))
-    return new, update + proj_mu + proj_c
+    old = state.rho.values, state.u.values, state.mu.values, state.c.values
+    _, *stars, proj_mu, proj_c = _proposal(*old, eps, spec)  # the block's rho feeds mu and c
+    u_new, mu_new, c_new = (star if damping == 1.0 else damping * star + (1.0 - damping) * prev
+                            for star, prev in zip(stars, old[1:]))
+    new = (solve_continuity(u_new, eps, spec), u_new, mu_new, c_new)
+    state = State._from_solve(spec.grid, *new)
+    update = max(float(np.abs(a - b).max() / (1.0 + np.abs(b).max())) for a, b in zip(new, old))
+    return state, update + proj_mu + proj_c
 
 
 def _diverged(residuals: list[float]) -> bool:

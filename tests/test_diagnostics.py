@@ -95,8 +95,10 @@ class TestConstraints:
             g, 1.0 + 0.5 * rng.random(g.n_cells), 0.1 * rng.standard_normal(g.n_cells),
             rng.standard_normal(g.n_cells), 0.3 + 0.2 * rng.standard_normal(g.n_cells),
         )
-        c, _ = solve_c(state, lagged(state, forced_spec), eps, forced_spec)
-        _, err2 = constraint_check(State(state.rho, state.u, state.mu, c), forced_spec, eps=eps)
+        q = state.rho.values, state.u.values, state.mu.values, state.c.values
+        c, _ = solve_c(*q, lagged(q[0], q[3], forced_spec), eps, forced_spec)
+        _, err2 = constraint_check(State(state.rho, state.u, state.mu, g.field(c)), forced_spec,
+                                   eps=eps)
         assert err2 <= 1e-13
 
     def test_converged_state(self, forced_spec, controls):

@@ -49,6 +49,21 @@ def zero_forcing_spec(n: int, pot, fluid) -> ProblemSpec:
     return ProblemSpec(Grid(n, 1.0), pot, fluid, m1=1.0, m2=0.3)
 
 
+def arrays(state: State) -> tuple:
+    """The arrays (rho, u, mu, c) of ``state``, as the sub-solves take them."""
+    return state.rho.values, state.u.values, state.mu.values, state.c.values
+
+
+def lag_of(state: State, spec: ProblemSpec) -> solver.Lagged:
+    return lagged(state.rho.values, state.c.values, spec)
+
+
+def quiet(call, *args):
+    """``call(*args)`` with numpy's warnings off, as the solver calls its sub-solves."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return call(*args)
+
+
 class TestParamValidation:
     def test_fluid_invalid(self):
         with pytest.raises(ValueError):
@@ -167,22 +182,22 @@ class TestRecords:
 class TestContinuity:
     def test_rest_state_exact(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
-        rho = solve_continuity(spec.grid.zeros(), 1e-2, spec)
-        assert np.max(np.abs(rho.values - spec.rho0)) <= 1e-13
+        rho = solve_continuity(np.zeros(64), 1e-2, spec)
+        assert np.max(np.abs(rho - spec.rho0)) <= 1e-13
 
     def test_mass_exact_for_any_velocity(self, pot, fluid):
         spec = zero_forcing_spec(128, pot, fluid)
         x = spec.grid.cell_centers()
-        u = spec.grid.field(0.3 * np.sin(2 * np.pi * x) + 0.1 * np.sin(5 * np.pi * x))
+        u = 0.3 * np.sin(2 * np.pi * x) + 0.1 * np.sin(5 * np.pi * x)
         for eps in (0.5, 1e-1, 1e-2, 1e-3):
             rho = solve_continuity(u, eps, spec)
-            assert abs(mesh.integrate(rho) - spec.m1) <= 1e-12 * spec.m1
+            assert abs(mesh.integral_of(rho, spec.grid.spacing_h) - spec.m1) <= 1e-12 * spec.m1
 
     def test_swamped_transport_matrix_names_the_velocity(self, pot, fluid):
         """Face velocities past 2^52 eps^2 h round eps^2 out of the column
         sums; the message gives max|u_face|/h against eps^2."""
         spec = zero_forcing_spec(128, pot, fluid)
-        u = spec.grid.field(1e12 * np.sin(np.pi * spec.grid.cell_centers()))
+        u = 1e12 * np.sin(np.pi * spec.grid.cell_centers())
         with pytest.raises(solver.SingularSystemError) as info:
             solve_continuity(u, 1e-3, spec)
         found = re.fullmatch(r"transport matrix lost diagonal dominance \(eps=0\.001, n=128\): "
@@ -199,37 +214,37 @@ class TestContinuity:
         spec = dataclasses.replace(spec, mms_sources=solver.MmsSources(continuity=spec.grid.field(source)))
         with pytest.raises(solver.SingularSystemError,
                            match=r"^continuity solve produced negative density -4\.95954e\+07$"):
-            solve_continuity(spec.grid.zeros(), 1e-3, spec)
+            solve_continuity(np.zeros(64), 1e-3, spec)
 
     def test_positivity_under_strong_advection(self, pot, fluid):
         spec = zero_forcing_spec(128, pot, fluid)
         x = spec.grid.cell_centers()
-        u = spec.grid.field(2.0 * np.sin(np.pi * x) * np.cos(3 * np.pi * x))
+        u = 2.0 * np.sin(np.pi * x) * np.cos(3 * np.pi * x)
         rho = solve_continuity(u, 1e-2, spec)
-        assert np.min(rho.values) >= 0.0
+        assert np.min(rho) >= 0.0
 
 
 class TestSubSolveTrivialCases:
     def test_mu_constant_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        mu, proj = solve_mu(state, lagged(state, spec), 1e-2, spec)
+        mu, proj = solve_mu(*arrays(state), lag_of(state, spec), 1e-2, spec)
         assert proj <= 1e-14
-        assert np.max(np.abs(mu.values - dF_delta(spec.c0, pot))) <= 1e-12
+        assert np.max(np.abs(mu - dF_delta(spec.c0, pot))) <= 1e-12
 
     def test_c_constant_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        c, proj = solve_c(state, lagged(state, spec), 1e-2, spec)
+        c, proj = solve_c(*arrays(state), lag_of(state, spec), 1e-2, spec)
         assert proj <= 1e-14
-        assert np.max(np.abs(c.values - spec.c0)) <= 1e-12
+        assert np.max(np.abs(c - spec.c0)) <= 1e-12
 
     def test_flow_coupled_keeps_rest_state(self, pot, fluid):
         spec = zero_forcing_spec(64, pot, fluid)
         state = constant_state(spec, 1e-2)
-        rho, u = solve_flow_coupled(state, lagged(state, spec), 1e-2, spec)
-        assert np.max(np.abs(u.values)) <= 1e-13
-        assert np.max(np.abs(rho.values - spec.rho0)) <= 1e-10
+        rho, u = solve_flow_coupled(*arrays(state), lag_of(state, spec), 1e-2, spec)
+        assert np.max(np.abs(u)) <= 1e-13
+        assert np.max(np.abs(rho - spec.rho0)) <= 1e-10
 
 
 class TestNeumannConstants:
@@ -239,9 +254,9 @@ class TestNeumannConstants:
         state = State(*(spec.grid.field(v) for v in (
             1.0 + 0.3 * np.cos(np.pi * x), 0.1 * np.sin(np.pi * x),
             np.zeros_like(x), 0.2 * np.cos(2 * np.pi * x))))
-        mu, _ = solve_mu(state, lagged(state, spec), 1e-2, spec)
+        mu, _ = solve_mu(*arrays(state), lag_of(state, spec), 1e-2, spec)
         rho, h = state.rho.values, spec.grid.spacing_h
-        lhs = mesh.integral_of(rho * mu.values, h)
+        lhs = mesh.integral_of(rho * mu, h)
         rhs = mesh.integral_of(rho * dF_delta(state.c.values, pot), h)
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
 
@@ -250,7 +265,7 @@ class TestNeumannConstants:
         spec = zero_forcing_spec(32, pot, fluid)
         state = State(spec.grid.zeros(), spec.grid.zeros(), spec.grid.zeros(), spec.grid.field(0.1))
         with pytest.raises(mesh.DegenerateWeightError, match="density-weighted constraint is degenerate"):
-            sub_solve(state, lagged(state, spec), 1e-2, spec)
+            sub_solve(*arrays(state), lag_of(state, spec), 1e-2, spec)
 
 
 def _spiked_state(n: int, **spikes) -> State:
@@ -266,7 +281,7 @@ def _block_at_tiny_viscosity(state: State, spec: ProblemSpec):
     """The (rho, u) block at lambda1 = 1e-300, where the first row's
     f_0 / (2 visc / h^2) passes the float range while its rows do not."""
     spec = dataclasses.replace(spec, fluid=FluidParams(lambda1=1e-300))
-    return solve_flow_coupled(state, lagged(state, spec), 1e-2, spec)
+    return solve_flow_coupled(*arrays(state), lag_of(state, spec), 1e-2, spec)
 
 
 def _with_source_at_cell_32(sub_solve, name: str):
@@ -278,20 +293,23 @@ def _with_source_at_cell_32(sub_solve, name: str):
         src[32] = 1.797e308
         spec = dataclasses.replace(
             spec, mms_sources=solver.MmsSources(**{name: spec.grid.field(src)}))
-        return sub_solve(state, lagged(state, spec), 1e-2, spec)
+        return sub_solve(*arrays(state), lag_of(state, spec), 1e-2, spec)
     return call
 
 
 class TestNonFiniteRightSide:
-    """An overflowing right side names its field and sub-solve, without a numpy warning."""
+    """An overflowing right side names its field and sub-solve, called with
+    numpy's warnings off as the solver calls it."""
 
     @pytest.mark.parametrize("call, spikes, message", [
-        (lambda s, spec: solver._momentum_forcing(s, lagged(s, spec), 1e-2, spec), {"u": (32, 1e200)},
+        (lambda s, spec: solver._momentum_forcing(*arrays(s), lag_of(s, spec), 1e-2, spec),
+         {"u": (32, 1e200)},
          "momentum sub-solve: the momentum right side is not finite in 2 of 64 cells; "
          "incoming max |rho| 2, |u| 1e+200"),
-        (lambda s, spec: solve_mu(s, lagged(s, spec), 1e-2, spec), {"u": (32, 1e300), "c": (33, 1e10)},
+        (lambda s, spec: solve_mu(*arrays(s), lag_of(s, spec), 1e-2, spec),
+         {"u": (32, 1e300), "c": (33, 1e10)},
          "mu sub-solve: the mu right side is not finite in 1 of 64 cells; incoming max"),
-        (lambda s, spec: solve_c(s, lagged(s, spec), 1e-2, spec), {"mu": (32, 1e308)},
+        (lambda s, spec: solve_c(*arrays(s), lag_of(s, spec), 1e-2, spec), {"mu": (32, 1e308)},
          "c sub-solve: the c right side is not finite in 1 of 64 cells; incoming max"),
         (_block_at_tiny_viscosity, {"u": (32, 1e20)},
          "(rho, u) block: the velocity is not finite in 64 of 64 cells"),
@@ -310,13 +328,13 @@ class TestNonFiniteRightSide:
     def test_names_field_and_sub_solve(self, pot, fluid, call, spikes, message):
         spec = ProblemSpec(Grid(64, 1.0), pot, fluid, m1=2.0)
         with pytest.raises(mesh.NonFiniteError) as info:
-            call(_spiked_state(64, **spikes), spec)
+            quiet(call, _spiked_state(64, **spikes), spec)
         assert str(info.value).startswith(message)
 
 
 class TestNonFiniteConstant:
     """A Neumann constant whose rho-weighted integral overflows names its
-    sub-solve, without a numpy warning."""
+    sub-solve, called with numpy's warnings off as the solver calls it."""
 
     @pytest.mark.parametrize("sub_solve, field", [(solve_mu, "c"), (solve_c, "mu")],
                              ids=["mu", "c"])
@@ -330,9 +348,9 @@ class TestNonFiniteConstant:
         fields = {"rho": g.field(1e160), "u": g.zeros(), "mu": g.zeros(), "c": g.field(0.1)}
         fields[field] = g.field(1e140 * np.cos(np.pi * g.cell_centers()))
         state = State(**fields)
-        lag = solver.Lagged(*solver.lagged_phase(state.c.values, spec), None, None)
+        lag = quiet(solver.lagged_phase, state.c.values, spec)
         with pytest.raises(mesh.NonFiniteError) as info:
-            sub_solve(state, lag, 1e-2, spec)
+            quiet(sub_solve, *arrays(state), solver.Lagged(*lag, None, None), 1e-2, spec)
         assert str(info.value) == (
             f"{sub_solve.__name__[6:]} sub-solve: the constant of its density-weighted "
             "constraint is not finite; max |rho| 1e+160"
@@ -359,12 +377,12 @@ def field_checks_of_one_step(monkeypatch, damping: float) -> int:
 
 
 def scans_and_records_of_one_solve(monkeypatch) -> dict:
-    """The np.isfinite scans and the Field and State constructions of one
-    forced n = 256 continuation_solve, after a first that probes the grid's
-    bands."""
+    """The np.isfinite scans, the Field and State constructions and the
+    np.errstate guards of one forced n = 256 continuation_solve, after a
+    first that probes the grid's bands."""
     cfg = parse_config_text("domain.n_cells = 256\n" + FORCED_DEFAULT)
     continuation_solve(cfg.spec, cfg.controls)
-    counts = dict.fromkeys(("isfinite", "Field", "State"), 0)
+    counts = dict.fromkeys(("isfinite", "Field", "State", "errstate"), 0)
 
     def counting(key, real):
         def call(*args, **kwargs):
@@ -375,21 +393,23 @@ def scans_and_records_of_one_solve(monkeypatch) -> dict:
     monkeypatch.setattr(np, "isfinite", counting("isfinite", np.isfinite))
     monkeypatch.setattr(mesh.Field, "__post_init__", counting("Field", mesh.Field.__post_init__))
     monkeypatch.setattr(State, "__post_init__", counting("State", State.__post_init__))
+    monkeypatch.setattr(State, "_from_solve", counting("State", State._from_solve))
+    monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
     continuation_solve(cfg.spec, cfg.controls)
     return counts
 
 
 class TestFieldConstructions:
     def test_one_picard_step_wraps_only_sub_solve_results(self, monkeypatch):
-        """9 Field checks per undamped step: the flow pair (2); mu and c, each
-        the Laplacian right side, its solution and the constant-shifted result
-        (3 + 3); the density of the continuity solve (1).  At damping 1 the
-        proposals are the new u, mu and c; intermediates stay plain arrays."""
-        assert field_checks_of_one_step(monkeypatch, 1.0) == 9
+        """4 Field checks per undamped step: the returned (rho, u, mu, c).
+        The sub-solves take and return arrays (9 when each returned Fields and
+        the mu and c solves wrapped their right sides and Laplacian solutions)."""
+        assert field_checks_of_one_step(monkeypatch, 1.0) == 4
 
     def test_one_damped_picard_step_wraps_the_blends_too(self, monkeypatch):
-        """Below damping 1 the blended u, mu and c are three more: 12."""
-        assert field_checks_of_one_step(monkeypatch, 0.5) == 12
+        """Below damping 1 the blended u, mu and c are the returned fields: 4
+        (12 when the proposals were Fields as well)."""
+        assert field_checks_of_one_step(monkeypatch, 0.5) == 4
 
     def test_one_picard_step_evaluates_each_lagged_coefficient_once(self, monkeypatch):
         """The step's one record is the only place the potential evaluators
@@ -412,13 +432,17 @@ class TestFieldConstructions:
         assert sorted(calls) == sorted(names)
 
     def test_one_solve_scans_each_array_once(self, monkeypatch):
-        """A forced n = 256 solve, the start and one Picard step, makes 41
-        finiteness scans: each array's check is the one that names it, most
-        of them a Field's construction (56 when the mu and c right sides, the
-        pinned constants and the two velocities were scanned again as their
-        Field was built, and the Laplacian scanned its Field once more).
-        It builds 21 Fields and 7 States."""
-        assert scans_and_records_of_one_solve(monkeypatch) == {"isfinite": 41, "Field": 21, "State": 7}
+        """A forced n = 256 solve, the start and one Picard step, makes 36
+        finiteness scans, each by the check that names its array; the two
+        velocities' checks read only the last prefix sum (41 when the
+        sub-solves returned Fields; 56 before that).  It builds 8 Fields, the
+        two returned States' (21 when the sub-solves passed (rho, u, mu, c)
+        as States), and 2 States (7).  It enters 6 numpy warning guards: one
+        each in hydrostatic_density and the start's continuity velocity, and
+        one per start and per step around the sub-solves, with pressure's own
+        inside it (18 when each sub-solve and right side entered its own)."""
+        assert scans_and_records_of_one_solve(monkeypatch) == {
+            "isfinite": 36, "Field": 8, "State": 2, "errstate": 6}
 
     def test_lagged_takes_one_density_logarithm(self, monkeypatch):
         """Pi and Pi' come from one guarded scan and one logarithm of rho (3
@@ -433,7 +457,7 @@ class TestFieldConstructions:
             return log(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "log", counted)
-        lagged(state, spec)
+        lag_of(state, spec)
         assert sizes.count(spec.grid.n_cells) == 1
 
 
@@ -443,22 +467,22 @@ class TestFlowCoupledBlock:
         """Away from rest the returned pair satisfies both equations of the docstring."""
         eps = 0.1
         spec = make_forced_spec(n, pot, fluid)
-        g, h = spec.grid, spec.grid.spacing_h
+        h = spec.grid.spacing_h
         rng = np.random.default_rng(n)
         rho_t = 1.0 + 0.3 * rng.random(n)
         u_t = 0.05 * rng.standard_normal(n)
         mu_t, c_t = rng.standard_normal(n), 0.3 * rng.random(n)
-        state = State(g.field(rho_t), g.field(u_t), g.field(mu_t), g.field(c_t))
-        rho, u = solve_flow_coupled(state, lagged(state, spec), eps, spec)
-        assert np.min(rho.values) > 0.0
+        lag = lagged(rho_t, c_t, spec)
+        rho, u = solve_flow_coupled(rho_t, u_t, mu_t, c_t, lag, eps, spec)
+        assert np.min(rho) > 0.0
 
-        rho_f, uf = face_means(rho_t), face_means(u.values)
+        rho_f, uf = face_means(rho_t), face_means(u)
         correction = rho_f * (uf - face_means(u_t))
         terms = [
-            eps**2 * rho.values,
-            np.diff(solver._upwind_flux(rho.values, u_t)) / h,
+            eps**2 * rho,
+            np.diff(solver._upwind_flux(rho, u_t)) / h,
             np.diff(correction) / h,
-            -eps**4 * mesh.laplacian_apply(rho, "neumann").values,
+            -eps**4 * mesh.laplacian_of(rho, "neumann", h),
             -np.full(n, eps**2 * spec.rho0),
         ]
         assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
@@ -470,10 +494,10 @@ class TestFlowCoupledBlock:
             + fluid.H
         )
         terms = [
-            fluid.visc * mesh.laplacian_apply(u, "dirichlet0").values,
-            -mesh.gradient(g.field(pi_slope * (rho.values - rho_t)), "neumann").values,
-            spec.g1.values * (rho.values - rho_t),
-            -solver._momentum_forcing(state, lagged(state, spec), eps, spec),
+            fluid.visc * mesh.laplacian_of(u, "dirichlet0", h),
+            -mesh.gradient_of(pi_slope * (rho - rho_t), "neumann", h),
+            spec.g1.values * (rho - rho_t),
+            -solver._momentum_forcing(rho_t, u_t, mu_t, c_t, lag, eps, spec),
         ]
         assert np.max(np.abs(sum(terms))) <= 1e-10 * max(np.max(np.abs(t)) for t in terms)
 
@@ -488,9 +512,9 @@ class TestFlowCoupledBlock:
         rng = np.random.default_rng(n)
         state = State(g.field(1.0 + 0.3 * rng.random(n)), g.field(0.05 * rng.standard_normal(n)),
                       g.field(rng.standard_normal(n)), g.field(0.3 * rng.random(n)))
-        rho, _ = solve_flow_coupled(state, lagged(state, spec), 1e-3, spec)
-        assert np.min(rho.values) > 0.0  # unclipped, so rho is the proposal
-        assert abs(mesh.integrate(rho) - spec.m1) <= 1e-14 * spec.m1
+        rho, _ = solve_flow_coupled(*arrays(state), lag_of(state, spec), 1e-3, spec)
+        assert np.min(rho) > 0.0  # unclipped, so rho is the proposal
+        assert abs(mesh.integral_of(rho, g.spacing_h) - spec.m1) <= 1e-14 * spec.m1
 
     def test_block_assembly_memory_is_bounded(self):
         """At n = 4096 the (7, n - 1) band storage of the pair sums is 224 KB.
@@ -499,9 +523,10 @@ class TestFlowCoupledBlock:
         block's own face arrays alive together."""
         cfg = parse_config_text("domain.n_cells = 4096\n" + FORCED_DEFAULT)
         state, _ = continuation_solve(cfg.spec, cfg.controls)
-        lag = lagged(state, cfg.spec)
-        solve_flow_coupled(state, lag, 1e-3, cfg.spec)  # the cached mesh.bands
-        assert traced_peak(lambda: solve_flow_coupled(state, lag, 1e-3, cfg.spec)) < 740 * 1024
+        lag = lag_of(state, cfg.spec)
+        solve_flow_coupled(*arrays(state), lag, 1e-3, cfg.spec)  # the cached mesh.bands
+        peak = traced_peak(lambda: solve_flow_coupled(*arrays(state), lag, 1e-3, cfg.spec))
+        assert peak < 740 * 1024
 
     def test_solve_memory_is_bounded(self):
         """A whole forced solve at n = 4096, the start and one Picard step,
@@ -523,7 +548,7 @@ def interleaved_block(state: State, eps: float, spec: ProblemSpec):
     as a sparse matrix in (rho, u) and a right side, assembled from the
     equations of the solve_flow_coupled docstring: the system the solver
     once solved as one interleaved banded LU, kept as the oracle."""
-    g, lag = spec.grid, lagged(state, spec)
+    g, lag = spec.grid, lag_of(state, spec)
     n, h = g.n_cells, g.spacing_h
     rho_t = state.rho.values
     uf, rho_f = face_means(state.u.values), face_means(rho_t)
@@ -550,7 +575,8 @@ def interleaved_block(state: State, eps: float, spec: ProblemSpec):
     old_flux = rho_f * uf
     rhs = np.concatenate([
         solver._continuity_rhs(eps, spec) + np.diff(old_flux) / h,
-        solver._with_source(solver._momentum_forcing(state, lag, eps, spec), spec, "momentum")
+        solver._with_source(solver._momentum_forcing(*arrays(state), lag, eps, spec), spec,
+                            "momentum")
         + momentum_rho @ rho_t,
     ])
     return matrix.tocsr(), rhs
@@ -559,9 +585,9 @@ def interleaved_block(state: State, eps: float, spec: ProblemSpec):
 def block_row_residual(state: State, eps: float, spec: ProblemSpec) -> float:
     """The largest residual of the 2n block rows at solve_flow_coupled's
     (rho, u), each row scaled by the sum of its terms' magnitudes."""
-    rho, u = solve_flow_coupled(state, lagged(state, spec), eps, spec)
+    rho, u = solve_flow_coupled(*arrays(state), lag_of(state, spec), eps, spec)
     matrix, rhs = interleaved_block(state, eps, spec)
-    z = np.concatenate([rho.values, u.values])
+    z = np.concatenate([rho, u])
     scale = abs(matrix) @ np.abs(z) + np.abs(rhs)
     return float(np.max(np.abs(matrix @ z - rhs) / scale))
 
@@ -610,10 +636,10 @@ class TestBlockAgainstTheInterleavedRows:
         state, eps, spec = self.start(
             "domain.n_cells = 128\nforcing.g1.kind = sin\nforcing.g1.amplitude = 5\n"
             "problem.m1 = 2\nproblem.m2 = 0.6\nfluid.lambda1 = 0.1\n")
-        rho, u = solve_flow_coupled(state, lagged(state, spec), eps, spec)
+        rho, u = solve_flow_coupled(*arrays(state), lag_of(state, spec), eps, spec)
         matrix, rhs = interleaved_block(state, eps, spec)
         n = spec.grid.n_cells
-        residual = matrix @ np.concatenate([rho.values, u.values]) - rhs
+        residual = matrix @ np.concatenate([rho, u]) - rhs
         assert np.abs(residual[:n]).max() <= 1e-12 * np.abs(rhs[:n]).max()
 
 
@@ -625,12 +651,12 @@ class TestUpwindFlux:
         n, eps = 64, 0.1
         spec = ProblemSpec(Grid(n, 1.0), PotentialParams(), FluidParams(), m1=1.3)
         rng = np.random.default_rng(7)
-        u = spec.grid.field(0.05 * rng.standard_normal(n))
+        u = 0.05 * rng.standard_normal(n)
         rho = solve_continuity(u, eps, spec)
         terms = [
-            eps**2 * rho.values,
-            np.diff(solver._upwind_flux(rho.values, u.values)) / spec.grid.spacing_h,
-            -eps**4 * mesh.laplacian_apply(rho, "neumann").values,
+            eps**2 * rho,
+            np.diff(solver._upwind_flux(rho, u)) / spec.grid.spacing_h,
+            -eps**4 * mesh.laplacian_of(rho, "neumann", spec.grid.spacing_h),
             -np.full(n, eps**2 * spec.rho0),
         ]
         assert np.max(np.abs(sum(terms))) <= 1e-13 * max(np.max(np.abs(t)) for t in terms)
@@ -706,7 +732,7 @@ class TestLapackSolves:
         zero = (np.zeros(n - 1), np.zeros(n - 1), np.zeros(n - 1))
         monkeypatch.setattr(solver, "_continuity_bands", lambda uf, eps, g: zero)
         with pytest.raises(solver.SingularSystemError, match="continuity: the matrix is singular"):
-            solve_continuity(forced_spec.grid.zeros(), 0.1, forced_spec)
+            solve_continuity(np.zeros(n), 0.1, forced_spec)
 
     def test_singular_block_is_named(self, forced_spec, monkeypatch):
         # without the pressure feedback and the bulk force g1, and with the
@@ -718,9 +744,9 @@ class TestLapackSolves:
         monkeypatch.setattr(solver, "_pair_sum_solve", lambda slope, up, um, inv, *rest:
                             pair_sums(slope, up, um, 0.0 * inv, *rest))
         state = State(g.field(1.0), g.zeros(), g.zeros(), g.field(0.3))
-        lag = lagged(state, spec)._replace(pi_slope=np.zeros(n))
+        lag = lag_of(state, spec)._replace(pi_slope=np.zeros(n))
         with pytest.raises(solver.SingularSystemError, match=r"\(rho, u\) block: the matrix is singular"):
-            solve_flow_coupled(state, lag, 0.1, spec)
+            quiet(solve_flow_coupled, *arrays(state), lag, 0.1, spec)
         assert solver.SingularSystemError in solver.SOLVER_ERRORS
         assert mesh.NonFiniteError in solver.SOLVER_ERRORS
 
@@ -738,19 +764,18 @@ class TestPicardStep:
 
         # mu and c see the block density; the returned density is the
         # continuity solve for the (undamped) velocity
-        lag = lagged(state, forced_spec)  # all three read the incoming state's record
-        rho_star, u_star = solve_flow_coupled(state, lag, 1e-1, forced_spec)
-        mu_star, _ = solve_mu(State(rho_star, u_star, state.mu, state.c), lag, 1e-1, forced_spec)
-        c_star, _ = solve_c(State(rho_star, u_star, mu_star, state.c), lag, 1e-1, forced_spec)
-        assert np.array_equal(new_full.u.values, u_star.values)
-        assert np.array_equal(new_full.mu.values, mu_star.values)
-        assert np.array_equal(new_full.c.values, c_star.values)
-        assert np.array_equal(
-            new_full.rho.values, solve_continuity(u_star, 1e-1, forced_spec).values
-        )
+        rho, u, mu, c = arrays(state)
+        lag = lagged(rho, c, forced_spec)  # all three read the incoming state's record
+        rho_star, u_star = solve_flow_coupled(rho, u, mu, c, lag, 1e-1, forced_spec)
+        mu_star, _ = solve_mu(rho_star, u_star, mu, c, lag, 1e-1, forced_spec)
+        c_star, _ = solve_c(rho_star, u_star, mu_star, c, lag, 1e-1, forced_spec)
+        assert np.array_equal(new_full.u.values, u_star)
+        assert np.array_equal(new_full.mu.values, mu_star)
+        assert np.array_equal(new_full.c.values, c_star)
+        assert np.array_equal(new_full.rho.values, solve_continuity(u_star, 1e-1, forced_spec))
 
         new_half, _ = picard_step(state, 1e-1, forced_spec, 0.5)
-        blend = 0.5 * u_star.values + 0.5 * state.u.values
+        blend = 0.5 * u_star + 0.5 * u
         assert np.array_equal(new_half.u.values, blend)
 
     def test_one_continuity_solve_per_step(self, forced_spec, monkeypatch):
@@ -764,7 +789,7 @@ class TestPicardStep:
         monkeypatch.setattr(solver, "solve_continuity", counting)
         new, _ = picard_step(state, 1e-1, forced_spec, 0.5)
         assert len(calls) == 1
-        assert calls[0] is new.u  # for the damped velocity
+        assert calls[0] is new.u.values  # for the damped velocity
 
     def test_residual_decreases_after_transient(self, forced_spec):
         state = constant_state(forced_spec, 1e-1)
@@ -813,7 +838,7 @@ def stage_iterations(log) -> list[int]:
 def momentum_pair_sums(state: State, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Sums of adjacent momentum rows, F - visc u'', at ``state``: the
     equations the block's Newton step in the density solves."""
-    rows = solver._momentum_forcing(state, lagged(state, spec), eps, spec)
+    rows = solver._momentum_forcing(*arrays(state), lag_of(state, spec), eps, spec)
     rows -= spec.fluid.visc * mesh.laplacian_of(state.u.values, "dirichlet0", spec.grid.spacing_h)
     return rows[:-1] + rows[1:]
 
@@ -1103,15 +1128,15 @@ class TestHydrostaticStart:
         assert abs(mesh.integrate(state.rho) - spec.m1) <= 1e-12 * spec.m1
         smooth = solver.hydrostatic_density(spec)
         u = g.field(solver._continuity_velocity(smooth, eps, spec))
-        back = solve_continuity(u, eps, spec).values
+        back = solve_continuity(u.values, eps, spec)
         assert np.max(np.abs(back - smooth)) <= 1e-12 * smooth.max(), np.max(np.abs(back - smooth))
         mu0, c0 = g.field(dF_delta(spec.c0, spec.potential)), g.field(spec.c0)
         flow = State(state.rho, state.u, mu0, c0)  # the block's (rho, u), the limit's phase pair
-        lag = lagged(flow, spec)
-        mu, _ = solve_mu(flow, lag, eps, spec)
-        c, _ = solve_c(State(state.rho, state.u, mu, c0), lag, eps, spec)
-        assert np.array_equal(state.mu.values, mu.values)
-        assert np.array_equal(state.c.values, c.values)
+        lag = lag_of(flow, spec)
+        mu, _ = solve_mu(*arrays(flow), lag, eps, spec)
+        c, _ = solve_c(state.rho.values, state.u.values, mu, c0.values, lag, eps, spec)
+        assert np.array_equal(state.mu.values, mu)
+        assert np.array_equal(state.c.values, c)
         assert constraint_check(state, spec, eps)[1] <= 1e-15 * spec.m1
         assert np.max(np.abs(state.mu.values - mu0.values)) <= 0.05 * eps
         assert np.max(np.abs(state.c.values - spec.c0)) <= 0.005 * eps
@@ -1243,8 +1268,8 @@ class TestManufacturedSolutions:
         for n in (256, 512, 1024, 2048):
             grid = Grid(n, 1.0)
             spec = mms.spec(grid)
-            rho = solve_continuity(grid.field(mms.u(grid.cell_centers())), mms.eps, spec)
-            errs.append(np.max(np.abs(rho.values - mms.rho(grid.cell_centers()))))
+            rho = solve_continuity(mms.u(grid.cell_centers()), mms.eps, spec)
+            errs.append(np.max(np.abs(rho - mms.rho(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 0.9
 
     def test_flow_coupled_order(self):
@@ -1257,9 +1282,9 @@ class TestManufacturedSolutions:
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
             x = grid.cell_centers()
-            rho, u = solve_flow_coupled(state, lagged(state, spec), mms.eps, spec)
-            errs["rho"].append(np.max(np.abs(rho.values - mms.rho(x))))
-            errs["u"].append(np.max(np.abs(u.values - mms.u(x))))
+            rho, u = solve_flow_coupled(*arrays(state), lag_of(state, spec), mms.eps, spec)
+            errs["rho"].append(np.max(np.abs(rho - mms.rho(x))))
+            errs["u"].append(np.max(np.abs(u - mms.u(x))))
         for name, e in errs.items():
             orders = observed_orders(e)
             assert all(1.9 <= o <= 2.1 for o in orders), (name, orders)
@@ -1274,9 +1299,9 @@ class TestManufacturedSolutions:
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
             x = grid.cell_centers()
-            rho, u = solve_flow_coupled(state, lagged(state, spec), mms.eps, spec)
-            errs["rho"].append(np.max(np.abs(rho.values - mms.rho(x))))
-            errs["u"].append(np.max(np.abs(u.values - mms.u(x))))
+            rho, u = solve_flow_coupled(*arrays(state), lag_of(state, spec), mms.eps, spec)
+            errs["rho"].append(np.max(np.abs(rho - mms.rho(x))))
+            errs["u"].append(np.max(np.abs(u - mms.u(x))))
         for name, e in errs.items():
             orders = observed_orders(e)
             assert all(0.9 <= o <= 1.1 for o in orders), (name, orders)
@@ -1291,7 +1316,8 @@ class TestManufacturedSolutions:
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
             x = grid.cell_centers()
-            got = solver._momentum_forcing(state, lagged(state, spec), mms.eps, spec) + mms.s_u(x)
+            got = solver._momentum_forcing(*arrays(state), lag_of(state, spec), mms.eps, spec)
+            got += mms.s_u(x)
             want = mms.fluid.visc * -np.pi**2 * mms.u(x)  # u* = 0.1 sin(pi x)
             errs.append(np.max(np.abs(got - want)))
         assert min(observed_orders(errs)) >= 1.9
@@ -1302,8 +1328,8 @@ class TestManufacturedSolutions:
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
-            mu, _ = solve_mu(state, lagged(state, spec), mms.eps, spec)
-            errs.append(np.max(np.abs(mu.values - mms.mu(grid.cell_centers()))))
+            mu, _ = solve_mu(*arrays(state), lag_of(state, spec), mms.eps, spec)
+            errs.append(np.max(np.abs(mu - mms.mu(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 1.9
 
     def test_c_order(self):
@@ -1312,8 +1338,8 @@ class TestManufacturedSolutions:
         for n in (64, 128, 256, 512):
             grid = Grid(n, 1.0)
             state, spec = mms.state(grid), mms.spec(grid)
-            c, _ = solve_c(state, lagged(state, spec), mms.eps, spec)
-            errs.append(np.max(np.abs(c.values - mms.c(grid.cell_centers()))))
+            c, _ = solve_c(*arrays(state), lag_of(state, spec), mms.eps, spec)
+            errs.append(np.max(np.abs(c - mms.c(grid.cell_centers()))))
         assert min(observed_orders(errs)) >= 1.9
 
 
