@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics, mesh, potential, solver
 from .config import RunConfig
-from .mesh import Field, Grid
+from .mesh import Grid
 from .record import Record
 
 __all__ = ["CheckResult", "run_all_checks"]
@@ -151,18 +151,18 @@ def _mesh_checks() -> list[CheckResult]:
     )
 
     g = Grid(128, L)
-    x = g.cell_centers()
+    x, h = g.cell_centers(), g.spacing_h
     f = g.field(np.sin(np.pi * x / L) * (1.0 + 0.3 * x))
     w = g.field(np.cos(np.pi * x / L) + 0.1 * x * x)
-    sbp = mesh.integrate(Field(g, w.values * mesh.gradient(f, "dirichlet0").values))
-    sbp += mesh.integrate(Field(g, f.values * mesh.gradient(w, "neumann").values))
+    sbp = mesh.integral_of(w.values * mesh.gradient(f, "dirichlet0").values, h)
+    sbp += mesh.integral_of(f.values * mesh.gradient(w, "neumann").values, h)
     out.append(_result("mesh.summation_by_parts", abs(sbp) <= 1.0e-12, f"defect {sbp:.2e}"))
 
-    cons = mesh.integrate(mesh.gradient(f, "dirichlet0"))
+    cons = mesh.integral_of(mesh.gradient(f, "dirichlet0").values, h)
     out.append(_result("mesh.flux_conservation", abs(cons) <= 1.0e-12, f"defect {cons:.2e}"))
 
     lin = Grid(100, 1.0)
-    val = mesh.integrate(lin.field(lin.cell_centers()))
+    val = mesh.integral_of(lin.cell_centers(), lin.spacing_h)
     out.append(_result("mesh.midpoint_exact_linear", abs(val - 0.5) <= 1.0e-14, f"{val:.16f}"))
     return out
 

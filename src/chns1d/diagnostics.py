@@ -121,10 +121,9 @@ def constraint_check(
     constraint including its eps-level corrections; pass eps=0 to check the
     uncorrected form integrate(rho c) = m2.
     """
-    rho, c = state.rho.values, state.c.values
-    err1 = abs(mesh.integrate(state.rho) - spec.m1)
-    target = _c_mass_target(rho, c, eps, spec)
-    err2 = abs(mesh.integral_of(rho * c, spec.grid.spacing_h) - target)
+    rho, c, h = state.rho.values, state.c.values, spec.grid.spacing_h
+    err1 = abs(mesh.integral_of(rho, h) - spec.m1)
+    err2 = abs(mesh.integral_of(rho * c, h) - _c_mass_target(rho, c, eps, spec))
     return err1, err2
 
 
@@ -159,7 +158,7 @@ def continuity_residual(state: "State") -> float:
     """
     flux = _upwind_flux(state.rho.values, state.u.values)[1:-1]
     worst = max(0.0, *(abs(float(np.sum(flux * d))) for d in _tent_differences(state.rho.grid)))
-    mass = mesh.integrate(state.rho)
+    mass = mesh.integral_of(state.rho.values, state.rho.grid.spacing_h)
     return worst / mass if mass > 0.0 else worst
 
 
@@ -187,7 +186,8 @@ def mean_projection_residuals(
     state: "State", spec: "ProblemSpec", eps: float, phase=None
 ) -> tuple[float, float]:
     """Compatibility defects |∫ rhs| of the two Neumann problems, lagged at this
-    state by the step's own builders (``phase``, :func:`~chns1d.solver.lagged_phase`)."""
+    state by the step's own builders (``phase``, :func:`~chns1d.solver.lagged_phase`),
+    manufactured sources included: the integrals that solve_mu and solve_c remove."""
     h = spec.grid.spacing_h
     fields = state.rho.values, state.u.values, state.mu.values, state.c.values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,7 +213,7 @@ def compute_report(
         ei_lhs=lhs,
         ei_rhs=rhs,
         ei_slack=slack,
-        mass1=mesh.integrate(state.rho),
+        mass1=mesh.integral_of(rho, h),
         mass2=mesh.integral_of(rho * state.c.values, h),
         art_pressure_norm=mesh.integral_of(art, h),
         **norms(state, spec, slopes),

@@ -8,11 +8,11 @@ doubles as the divergence, satisfies exact summation by parts for these
 extensions, and the midpoint quadrature makes flux divergences telescope
 exactly, which is what the mass bookkeeping of the solvers relies on.  The
 array kernels :func:`gradient_of`, :func:`laplacian_of` and :func:`integral_of`
-are the one place a stencil is written; :func:`gradient`, :func:`laplacian_apply`
-and :func:`integrate` apply them to a :class:`Field`, and :func:`bands` reads
-every banded matrix off those, once per grid.  A :class:`Field` checks its
-values (length, finiteness) when it is built, so the kernels, which the
-solver's inner loop calls on plain arrays, check nothing.
+are the one place a stencil is applied; the solver writes the weights of the
+banded matrices it assembles, 1/2h and 1/h^2, in closed form.  A
+:class:`Field` checks its values (length, finiteness) when it is built, so
+the kernels, which the solver's inner loop calls on plain arrays, check
+nothing; :func:`gradient` is :func:`gradient_of` on a :class:`Field`.
 
 :func:`laplacian_solve` inverts the Neumann Laplacian on arrays in closed
 form, by two prefix sums, on the right side less its mean, and returns the
@@ -41,7 +41,6 @@ import importlib.util
 import os
 import sys
 from dataclasses import field
-from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from types import SimpleNamespace
 
@@ -58,13 +57,10 @@ __all__ = [
     "SingularSystemError",
     "gradient",
     "gradient_of",
-    "laplacian_apply",
     "laplacian_of",
     "laplacian_solve",
-    "bands",
     "solve_tridiagonal",
     "solve_banded",
-    "integrate",
     "integral_of",
     "integer_field",
     "BOUNDARY_CONDITIONS",
@@ -275,41 +271,6 @@ def gradient(f: Field, bc: str) -> Field:
     """:func:`gradient_of` applied to a grid function."""
     _check_bc(bc)
     return Field(f.grid, gradient_of(f.values, bc, f.grid.spacing_h))
-
-
-def laplacian_apply(f: Field, bc: str) -> Field:
-    """:func:`laplacian_of` applied to a grid function."""
-    _check_bc(bc)
-    return Field(f.grid, laplacian_of(f.values, bc, f.grid.spacing_h))
-
-
-def integrate(f: Field) -> float:
-    """Midpoint quadrature (:func:`integral_of`) of a grid function."""
-    return integral_of(f.values, f.grid.spacing_h)
-
-
-@lru_cache(maxsize=64)
-def bands(op, g: Grid, bc: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bands (diag, upper, lower) of the three-point operator ``op``, such as
-    :func:`gradient`, with ``upper[i]`` = entry (i, i+1) and ``lower[i]`` = (i+1, i).
-
-    Columns three apart touch disjoint rows, so ``op`` applied to three combs
-    (1.0 in every third cell) reads off every column, wall rows included.  The
-    bands depend on the grid alone, so they are probed once per (op, g, bc)
-    and every later call returns the same read-only arrays.
-    """
-    n = g.n_cells
-    diag, upper, lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    for k in range(3):
-        comb = np.zeros(n)
-        comb[k::3] = 1.0
-        col = op(Field(g, comb), bc).values
-        diag[k::3] = col[k::3]
-        upper[(k - 1) % 3::3] = col[(k - 1) % 3:-1:3]
-        lower[k::3] = col[k + 1::3]
-    for a in (diag, upper, lower):
-        a.flags.writeable = False
-    return diag, upper, lower
 
 
 def _check_finite(name: str, *arrays) -> None:

@@ -274,18 +274,17 @@ def _continuity_flux(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarr
 
 
 def _right_side(sub_solve: str):
-    """Check a right-side builder ``build(rho, u, mu, c, ..., spec)``.  A
-    non-finite intermediate reaches the result, where one scan raises
-    :class:`~chns1d.mesh.NonFiniteError` naming ``sub_solve``'s right side
-    and the bad cells, with the incoming fields' magnitudes, so a blow-up is
-    named where it starts.  With ``source=True`` the scanned result includes
-    ``sub_solve``'s manufactured source: the right side the sub-solve solves with."""
+    """Complete and check a right-side builder ``build(rho, u, mu, c, ...,
+    spec)``: the result is ``sub_solve``'s right side with its manufactured
+    source, if the spec carries one, the right side that the step, the start
+    and the diagnostics all evaluate.  A non-finite intermediate reaches the
+    result, where one scan raises :class:`~chns1d.mesh.NonFiniteError` naming
+    ``sub_solve``'s right side and the bad cells, with the incoming fields'
+    magnitudes, so a blow-up is named where it starts."""
     def decorate(build):
         @wraps(build)
-        def checked(*args, source: bool = False) -> np.ndarray:
-            rhs = build(*args)
-            if source:
-                rhs = _with_source(rhs, args[-1], sub_solve)
+        def checked(*args) -> np.ndarray:
+            rhs = _with_source(build(*args), args[-1], sub_solve)
             if np.isfinite(rhs).all():
                 return rhs
             sizes = ", ".join(f"|{k}| {np.max(np.abs(v)):.3g}" for k, v in zip(State._names, args))
@@ -368,7 +367,7 @@ def solve_continuity(u: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray
 @_right_side("momentum")
 def _momentum_forcing(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray,
                       lag: Lagged, eps: float, spec: ProblemSpec) -> np.ndarray:
-    """Lagged right side of the momentum balance (everything but visc*u'')."""
+    """Lagged right side of the momentum balance (everything but visc*u''), plus its source."""
     h, dc = spec.grid.spacing_h, lag.dc
     return (
         eps**2 * rho * u
@@ -430,16 +429,18 @@ def _pair_sum_solve(slope: np.ndarray, up: np.ndarray, um: np.ndarray, inv: np.n
     np.multiply(e4 - um, weight, out=right[1:-1])
     np.multiply(eps**2 * h, weight, out=prefix[1:-1])
     # pair k at d of cells k-2 .. k+1 (c_m1, c_0, c_1, c_2) from the tridiagonal
-    # D(slope .) - g1 of each row, then at w_k-2 .. w_k+2 in gbsv's band storage
-    gd, gu, gl = mesh.bands(mesh.gradient, g, "neumann")
-    c_0, c_1, diag = ab[0], ab[1], np.subtract(gd * slope, spec.g1.values, out=band)
-    c_0[:] = diag[:-1] + gl * slope[:-1] - right[:-2] + 2.0 * left[1:-1]
-    c_1[:] = gu * slope[1:] + diag[1:] - left[2:] + 2.0 * right[1:-1]
+    # D(slope .) - g1 of each row, D's weights -r and +r beside the diagonal and on
+    # it in the two wall rows, then at w_k-2 .. w_k+2 in gbsv's band storage
+    r, g1 = 0.5 / h, spec.g1.values
+    c_0, c_1, diag = ab[0], ab[1], np.subtract(0.0, g1, out=band)
+    diag[0], diag[-1] = -r * slope[0] - g1[0], r * slope[-1] - g1[-1]
+    c_0[:] = diag[:-1] - r * slope[:-1] - right[:-2] + 2.0 * left[1:-1]
+    c_1[:] = r * slope[1:] + diag[1:] - left[2:] + 2.0 * right[1:-1]
     ab[4] = c_0 - c_1 - 2.0 * prefix[1:-1]
-    band[1:-1] = -left[1:-2] + gl[:-1] * slope[:-2]  # c_m1, then c_2, of pair k at band[k]
+    band[1:-1] = -left[1:-2] - r * slope[:-2]  # c_m1, then c_2, of pair k at band[k]
     ab[5, :-1] = band[1:-1] - c_0[1:] + prefix[1:-2]
     ab[6, :-2] = -band[2:-1]
-    band[:-2] = -right[2:-1] + gu[1:] * slope[2:]
+    band[:-2] = -right[2:-1] + r * slope[2:]
     ab[2, 2:] = band[:-3]
     ab[3, 1:] = c_1[:-1] - band[:-2] + prefix[2:-1]
     b[-2], b[-1] = b[-2] - mass * band[-3], b[-1] - mass * c_1[-1]  # the pairs that reach w_n
@@ -480,8 +481,7 @@ def solve_flow_coupled(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.nda
     """
     g, visc = spec.grid, spec.fluid.visc
     h, s = g.spacing_h, 2.0 * visc / g.spacing_h**2
-    # with its source, whose non-finite sum fails the block's input check
-    f = _with_source(_momentum_forcing(rho, u, mu, c, lag, eps, spec), spec, "momentum")
+    f = _momentum_forcing(rho, u, mu, c, lag, eps, spec)
     uf_t = 0.5 * (u[:-1] + u[1:])
     up, um = _upwind_split(uf_t)
     inv = 2.0 / (rho[:-1] + rho[1:])  # over the face densities of rho_old
@@ -525,16 +525,14 @@ def _pin_constant(hat: np.ndarray, target: float, rho: np.ndarray, weight_integr
 @_right_side("mu")
 def _mu_rhs(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray,
             dc: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
-    """eps rho c + rho u c' - eps rho0 c0, c' lagged as ``dc``: the mu right side
-    without its source."""
+    """eps rho c + rho u c' - eps rho0 c0, c' lagged as ``dc``, plus the mu source."""
     return eps * rho * c + rho * u * dc - eps * spec.rho0 * spec.c0
 
 
 @_right_side("c")
 def _c_rhs(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray,
            dF: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """rho dF_delta(c) - rho mu, dF_delta(c) lagged as ``dF``: the c right side
-    without its source."""
+    """rho dF_delta(c) - rho mu, dF_delta(c) lagged as ``dF``, plus the c source."""
     return rho * dF - rho * mu
 
 
@@ -544,13 +542,13 @@ def solve_mu(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray, lag:
     only enters the message of a right side that is not finite).
 
     :func:`mesh.laplacian_solve` solves with the right side
-    eps rho c + rho u c' - eps rho0 c0 less its mean, and the constant
-    is fixed so the rho-weighted mean of mu equals that of dF_delta(c).  The
-    removed integral, which vanishes as the outer iteration converges, is
-    returned as the compatibility residual ``proj``.  Call it with numpy's warnings off.
+    eps rho c + rho u c' - eps rho0 c0, plus any source, less its mean, and
+    the constant is fixed so the rho-weighted mean of mu equals that of
+    dF_delta(c).  The removed integral, which vanishes as the outer iteration
+    converges, is returned as the compatibility residual ``proj``.  Call it
+    with numpy's warnings off.
     """
-    rhs = _mu_rhs(rho, u, mu, c, lag.dc, eps, spec, source=True)
-    mu_hat, proj = mesh.laplacian_solve(rhs, spec.grid)
+    mu_hat, proj = mesh.laplacian_solve(_mu_rhs(rho, u, mu, c, lag.dc, eps, spec), spec.grid)
     h = spec.grid.spacing_h
     target = mesh.integral_of(rho * lag.dF, h)
     return _pin_constant(mu_hat, target, rho, mesh.integral_of(rho, h), spec, "mu"), proj
@@ -576,8 +574,8 @@ def solve_c(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray, lag: 
     constraint (``u`` and ``c`` only enter the message of a bad right side).
 
     :func:`mesh.laplacian_solve` solves with the right side
-    rho dF_delta(c_prev) - rho mu less its mean (the removed integral
-    is returned as ``proj``, as by :func:`solve_mu`), and the additive
+    rho dF_delta(c_prev) - rho mu, plus any source, less its mean (the
+    removed integral is returned as ``proj``, as by :func:`solve_mu`), and the additive
     constant s is chosen so that
 
         integrate(rho (c+s)) = m2 + eps integrate((rho0-rho)(c+s))
@@ -586,7 +584,7 @@ def solve_c(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.ndarray, lag: 
     holds exactly (the gradient term does not see s).  Call it with numpy's warnings off.
     """
     h = spec.grid.spacing_h
-    c_hat, proj = mesh.laplacian_solve(_c_rhs(rho, u, mu, c, lag.dF, spec, source=True), spec.grid)
+    c_hat, proj = mesh.laplacian_solve(_c_rhs(rho, u, mu, c, lag.dF, spec), spec.grid)
     weight = mesh.integral_of(rho, h) - eps * mesh.integral_of(spec.rho0 - rho, h)
     target = _c_mass_target(rho, c_hat, eps, spec)
     return _pin_constant(c_hat, target, rho, weight, spec, "c"), proj
@@ -821,13 +819,13 @@ class ConvergenceLog(Record):
 
 def _run_stage(state: State, eps: float, spec: ProblemSpec,
                controls: SolveControls) -> tuple[State, StageLog]:
-    log = StageLog(eps)
+    log, h = StageLog(eps), spec.grid.spacing_h
     damping = 1.0
     for _ in range(controls.max_picard):
         state, res = picard_step(state, eps, spec, damping)
         log.residuals.append(res)
         log.dampings.append(damping)
-        log.mass_errors.append(abs(mesh.integrate(state.rho) - spec.m1))
+        log.mass_errors.append(abs(mesh.integral_of(state.rho.values, h) - spec.m1))
         if _diverged(log.residuals):
             raise DivergenceError(
                 f"residual diverged at stage eps={eps:g} "

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from _mms import build_manufactured
 from chns1d import cli, diagnostics, mesh, potential
 from chns1d.diagnostics import (
     DiagnosticsReport,
@@ -16,7 +17,15 @@ from chns1d.diagnostics import (
     total_energy,
 )
 from chns1d.mesh import Grid
-from chns1d.solver import ProblemSpec, State, constant_state, continuation_solve, lagged, solve_c
+from chns1d.solver import (
+    ProblemSpec,
+    State,
+    constant_state,
+    continuation_solve,
+    lagged,
+    solve_c,
+    solve_mu,
+)
 
 
 def synthetic_state(grid: Grid, rho, u, mu, c) -> State:
@@ -37,7 +46,7 @@ class TestTotalEnergy:
         x = spec.grid.cell_centers()
         state = synthetic_state(spec.grid, 0.0, 0.0, 0.0, 0.2 * np.cos(np.pi * x))
         dc = mesh.gradient(state.c, "neumann").values
-        grad_part = mesh.integrate(spec.grid.field(0.5 * dc * dc))
+        grad_part = mesh.integral_of(0.5 * dc * dc, spec.grid.spacing_h)
         assert total_energy(state, spec) == pytest.approx(grad_part, rel=1e-12)
 
     def test_kinetic_quadratic_scaling(self, pot, fluid):
@@ -46,7 +55,7 @@ class TestTotalEnergy:
         u = np.sin(np.pi * x)
         s1 = synthetic_state(spec.grid, 1.0, u, 0.0, 0.0)
         s2 = synthetic_state(spec.grid, 1.0, 2.0 * u, 0.0, 0.0)
-        kinetic = mesh.integrate(spec.grid.field(0.5 * u * u))
+        kinetic = mesh.integral_of(0.5 * u * u, spec.grid.spacing_h)
         assert total_energy(s2, spec) - total_energy(s1, spec) == pytest.approx(
             3.0 * kinetic, rel=1e-12
         )
@@ -217,6 +226,21 @@ class TestReport:
         assert (rep.proj_mu, rep.proj_c) == mean_projection_residuals(state, forced_spec, eps)
         for key, value in norms(state, forced_spec).items():
             assert getattr(rep, key) == value, key
+
+    @pytest.mark.parametrize("index, sub_solve", [(0, solve_mu), (1, solve_c)], ids=["mu", "c"])
+    def test_projection_residuals_are_the_steps_with_sources(self, index, sub_solve):
+        """At the variable-density manufactured state, whose spec carries four
+        sources, the report's proj_mu and proj_c equal the integrals that
+        solve_mu and solve_c remove: the report builds the same right sides,
+        sources included (proj_mu 6.3e-6; 0.0159 with the sources left out)."""
+        mms = build_manufactured(eps=0.1)
+        grid = Grid(64, 1.0)
+        state, spec = mms.state(grid), mms.spec(grid)
+        rho, c = state.rho.values, state.c.values
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            _, proj = sub_solve(rho, state.u.values, state.mu.values, c, lagged(rho, c, spec),
+                                mms.eps, spec)
+        assert mean_projection_residuals(state, spec, mms.eps)[index] == proj
 
     def test_serialization_roundtrip(self, forced_spec, controls):
         state, log = continuation_solve(forced_spec, controls)

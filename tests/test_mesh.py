@@ -13,12 +13,9 @@ from chns1d.mesh import (
     Grid,
     NonFiniteError,
     SingularSystemError,
-    bands,
     gradient,
     gradient_of,
     integral_of,
-    integrate,
-    laplacian_apply,
     laplacian_of,
     laplacian_solve,
 )
@@ -91,7 +88,7 @@ class TestRecord:
         assert (g.n_cells, g.length_L) == (64, 1.0) and "extra" not in vars(g)
 
     def test_equal_grids_share_a_hash(self):
-        # so that mesh.bands finds one cache entry per grid (test_bands_probed_once_per_grid)
+        # so that a table cached per grid (diagnostics' tent differences) has one entry per grid
         a, b = Grid(64, 1.0), Grid(n_cells=64, length_L=1.0)
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != Grid(64, 2.0) and a != Grid(128, 1.0) and a != (64, 1.0)
@@ -156,7 +153,7 @@ class TestDivergenceIdentities:
         g = Grid(128, 1.0)
         x = g.cell_centers()
         f = g.field(np.sin(np.pi * x) * (1.0 + x))
-        total = integrate(gradient(f, "dirichlet0"))
+        total = integral_of(gradient(f, "dirichlet0").values, g.spacing_h)
         assert abs(total) <= 1e-12 * np.max(np.abs(f.values))
 
     def test_summation_by_parts(self):
@@ -164,76 +161,38 @@ class TestDivergenceIdentities:
         x = g.cell_centers()
         f = g.field(np.sin(np.pi * x) * (2.0 - x))
         w = g.field(np.cos(np.pi * x) + x * x)
-        lhs = integrate(Field(g, w.values * gradient(f, "dirichlet0").values))
-        rhs = integrate(Field(g, f.values * gradient(w, "neumann").values))
+        lhs = integral_of(w.values * gradient(f, "dirichlet0").values, g.spacing_h)
+        rhs = integral_of(f.values * gradient(w, "neumann").values, g.spacing_h)
         scale = np.max(np.abs(f.values)) * np.max(np.abs(w.values))
         assert abs(lhs + rhs) <= 1e-12 * scale
 
 
-class TestBands:
-    """The banded matrices are read off the matrix-free operators."""
-
-    @pytest.mark.parametrize("n", [9, 10, 11])
-    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
-    @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
-    def test_bands_reproduce_operator(self, op, bc, n):
-        g = Grid(n, 1.3)
-        f = np.random.default_rng(n).standard_normal(n)
-        diag, upper, lower = bands(op, g, bc)
-        applied = diag * f
-        applied[:-1] += upper * f[1:]
-        applied[1:] += lower * f[:-1]
-        want = op(Field(g, f), bc).values
-        assert np.max(np.abs(applied - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_banded_storage_inverts_laplacian(self):
-        # the dirichlet0 bands, which the (rho, u) block's velocity rows hold,
-        # solved as a banded matrix, invert the operator
-        g = Grid(10, 1.0)
-        f = np.random.default_rng(1).standard_normal(10)
-        lap = laplacian_apply(Field(g, f), "dirichlet0").values
-        diag, upper, lower = bands(laplacian_apply, g, "dirichlet0")
-        back = solve_banded((1, 1), np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]]), lap)
-        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
-
-    def test_dirichlet_bands_solve_parabola(self):
-        # u'' = 1 with u(0) = u(1) = 0 through the dirichlet0 bands is second
-        # order in max norm: the wall rows the block's velocity rows use
-        errs = []
-        for n in (32, 64, 128, 256):
-            g = Grid(n, 1.0)
-            x = g.cell_centers()
-            diag, upper, lower = bands(laplacian_apply, g, "dirichlet0")
-            got = solve_banded((1, 1), np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]]), np.ones(n))
-            errs.append(np.max(np.abs(got - 0.5 * x * (x - 1.0))))
-        assert min(orders(errs)) >= 1.9
-
-    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
-    @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
-    def test_bands_probed_once_per_grid(self, op, bc):
-        g = Grid(11, 1.3)
-        first = bands(op, g, bc)
-        again = bands(op, Grid(11, 1.3), bc)  # an equal grid hits the same entry
-        fresh = bands.__wrapped__(op, g, bc)
-        for a, b, c in zip(first, again, fresh):
-            assert a is b
-            assert not a.flags.writeable
-            assert np.array_equal(a, c)
-        with pytest.raises(ValueError, match="read-only"):
-            first[0][0] = 1.0
-
-
 class TestArrayKernels:
-    """The Field API and the solver's array kernels are one stencil."""
+    """The Field form of the gradient and the solver's array kernels are one stencil."""
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
-    @pytest.mark.parametrize("op, kernel", [(gradient, gradient_of), (laplacian_apply, laplacian_of)],
-                             ids=["gradient", "laplacian"])
-    def test_field_api_applies_the_kernel(self, op, kernel, bc):
+    def test_field_api_applies_the_kernel(self, bc):
         g = Grid(37, 1.3)
         v = np.random.default_rng(5).standard_normal(37)
-        assert np.array_equal(op(Field(g, v), bc).values, kernel(v, bc, g.spacing_h))
-        assert integrate(Field(g, v)) == integral_of(v, g.spacing_h)
+        assert np.array_equal(gradient(Field(g, v), bc).values, gradient_of(v, bc, g.spacing_h))
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
+    @pytest.mark.parametrize("kernel", [gradient_of, laplacian_of], ids=["gradient", "laplacian"])
+    def test_kernel_columns_are_the_stencil_weights(self, kernel, bc):
+        """The kernel of each column of the identity is the written-out stencil,
+        wall rows included, bit for bit: the closed-form weights, 0.5/h and
+        1/h^2, that the solver's banded matrices are assembled from."""
+        n, g = 11, Grid(11, 1.3)
+        h, wall = g.spacing_h, 1.0 if bc == "neumann" else -1.0  # the ghost cell's sign
+        if kernel is gradient_of:
+            want = np.diag(np.full(n - 1, 0.5 / h), 1) - np.diag(np.full(n - 1, 0.5 / h), -1)
+            want[0, 0], want[-1, -1] = -wall * 0.5 / h, wall * 0.5 / h
+        else:
+            want = np.diag(np.full(n, -2.0 / h**2))
+            want += np.diag(np.full(n - 1, 1.0 / h**2), 1) + np.diag(np.full(n - 1, 1.0 / h**2), -1)
+            want[0, 0] = want[-1, -1] = (wall - 2.0) / h**2
+        got = np.column_stack([kernel(e, bc, h) for e in np.eye(n)])
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
     @pytest.mark.parametrize("n", [8, 9, 256])
@@ -259,37 +218,20 @@ class TestArrayKernels:
             assert got[0].tobytes() == grad.tobytes()
             assert got[1].tobytes() == lap.tobytes()
 
-    @pytest.mark.parametrize("bc", ["neumann", "dirichlet0"])
-    @pytest.mark.parametrize("op", [gradient, laplacian_apply], ids=["gradient", "laplacian"])
-    def test_bands_are_the_stencil_weights(self, op, bc):
-        """The probed bands equal the written-out stencil, wall rows included."""
-        n, g = 11, Grid(11, 1.3)
-        h, wall = g.spacing_h, 1.0 if bc == "neumann" else -1.0  # the ghost cell's sign
-        if op is gradient:
-            diag = np.zeros(n)
-            diag[0], diag[-1] = -wall / (2.0 * h), wall / (2.0 * h)
-            off = (np.full(n - 1, 1.0 / (2.0 * h)), np.full(n - 1, -1.0 / (2.0 * h)))
-        else:
-            diag = np.full(n, -2.0 / h**2)
-            diag[0] = diag[-1] = (wall - 2.0) / h**2
-            off = (np.full(n - 1, 1.0 / h**2),) * 2
-        for got, want in zip(bands(op, g, bc), (diag, *off)):
-            assert np.array_equal(got, want)
-
 
 class TestIntegrate:
     def test_constant(self):
-        assert integrate(Grid(32, 2.0).field(1.0)) == pytest.approx(2.0, rel=1e-15)
+        assert integral_of(np.ones(32), Grid(32, 2.0).spacing_h) == pytest.approx(2.0, rel=1e-15)
 
     def test_linear_exact(self):
         g = Grid(100, 1.0)
-        assert integrate(g.field(g.cell_centers())) == pytest.approx(0.5, abs=1e-15)
+        assert integral_of(g.cell_centers(), g.spacing_h) == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_second_order(self):
         errs = []
         for n in (50, 100, 200):
             g = Grid(n, 1.0)
-            errs.append(abs(integrate(g.field(g.cell_centers() ** 2)) - 1.0 / 3.0))
+            errs.append(abs(integral_of(g.cell_centers() ** 2, g.spacing_h) - 1.0 / 3.0))
         assert min(orders(errs)) >= 1.9
 
 
@@ -386,9 +328,10 @@ class TestLaplacianSolve:
         """The oracle solves the same banded matrix with its first row pinning
         u_0 = 0; both solutions are compared with zero mean."""
         g = Grid(n, 1.0)
-        diag, upper, lower = bands(laplacian_apply, g, "neumann")
-        ab = np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
-        ab[1, 0], ab[0, 1] = 1.0, 0.0
+        # the three-point Neumann Laplacian, its wall rows reading their ghost cell's reflection
+        ab = np.array([np.full(n, 1.0), np.full(n, -2.0), np.full(n, 1.0)]) / g.spacing_h**2
+        ab[1, -1] += 1.0 / g.spacing_h**2
+        ab[1, 0], ab[0, 1], ab[2, -1] = 1.0, 0.0, 0.0
         for seed in range(5):
             _, f = self.white_noise(g, seed)
             f = f - f.mean()
@@ -485,9 +428,10 @@ class TestLapackCall:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_arguments_lapack_cannot_write_are_rejected_unwritten(self, binding):
-        """A read-only array (a cached band) or a C-ordered band storage raises
-        the same ValueError on either binding, before anything is written."""
-        diag, upper, lower = bands(laplacian_apply, Grid(16, 1.0), "dirichlet0")
+        """A read-only array or a C-ordered band storage raises the same
+        ValueError on either binding, before anything is written."""
+        lower, diag, upper = _tridiagonal(16, 0)
+        lower.flags.writeable = False
         b = np.ones(16)
         with pytest.raises(ValueError, match=r"demo: LAPACK argument lower must be a writeable, "
                                              r"Fortran-ordered float64 array of shape \(15,\), "
@@ -521,9 +465,10 @@ class TestNumpyBinding:
             assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
 
     def test_read_only_arrays_are_never_written(self, monkeypatch):
-        """A read-only array (a cached band, say) is rejected, not written."""
+        """A read-only array is rejected, not written."""
         use_binding(monkeypatch, "numpy")
-        diag, upper, lower = bands(laplacian_apply, Grid(16, 1.0), "dirichlet0")
+        lower, diag, upper = _tridiagonal(16, 0)
+        diag.flags.writeable = False
         kept = copies(diag, upper, lower)
         with pytest.raises(ValueError, match="LAPACK argument diag must be .* read-only"):
             mesh.solve_tridiagonal("demo", lower.copy(), diag, upper.copy(), np.ones(16))
