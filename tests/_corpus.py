@@ -11,8 +11,9 @@ The corpus is
 Each config solves from the hydrostatic start.  Its row in ``corpus.csv``
 gives its key; its outcome, ``converged`` or the class of the solver error;
 its Picard iterations and final damping; rho_min/rho0 to 3 digits; and
-whether the result is an honest fixed point (:func:`honest`).  A failed
-solve has ``-`` in the last four places.  ``test_corpus.py`` re-solves
+whether the result is an honest fixed point (:func:`conftest.honesty_defect`,
+the predicate of the tests' ``assert_honest_fixed_point``).  A failed solve
+has ``-`` in the last four places.  ``test_corpus.py`` re-solves
 every config and compares each row exactly.  A change of numerics regenerates the table, and
 the diff is its list of movers.
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from chns1d import solver
 from chns1d.config import parse_config_text
-from conftest import assert_honest_fixed_point
+from conftest import honesty_defect
 
 TABLE = Path(__file__).with_name("corpus.csv")
 HEADER = "key,outcome,iterations,damping,rho_min_over_rho0,honest"
@@ -94,15 +95,6 @@ def solutions() -> dict:
     return {key: solve(text) for key, text in configs()}
 
 
-def honest(spec, controls, state, log) -> bool:
-    """Whether the solve passes :func:`conftest.assert_honest_fixed_point`."""
-    try:
-        assert_honest_fixed_point(state, log, spec, controls)
-    except AssertionError:
-        return False
-    return True
-
-
 def row(key: str, solved) -> str:
     """The table row of one config's :func:`solve`."""
     if isinstance(solved, Exception):
@@ -110,7 +102,7 @@ def row(key: str, solved) -> str:
     spec, controls, state, log = solved
     iterations = sum(stage.iterations for stage in log.stages)
     rho_min = state.rho.values.min() / spec.rho0
-    mark = "yes" if honest(*solved) else "no"
+    mark = "no" if honesty_defect(state, log, spec, controls) else "yes"
     return f"{key},converged,{iterations},{log.stages[-1].dampings[-1]:g},{rho_min:.2e},{mark}"
 
 

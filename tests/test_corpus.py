@@ -84,5 +84,5 @@ def test_honesty_takes_the_next_step_undamped(solved):
     the solve is no honest fixed point, as its row says."""
     spec, controls, state, log = solved["grid cos 30 m1=1 lambda1=1"]
     assert log.stages[-1].dampings[-1] == 0.5
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="undamped next step moves"):
         assert_honest_fixed_point(state, log, spec, controls)
