@@ -14,6 +14,16 @@ banded matrices it assembles, 1/2h and 1/h^2, in closed form.  A
 the kernels, which the solver's inner loop calls on plain arrays, check
 nothing; :func:`gradient` is :func:`gradient_of` on a :class:`Field`.
 
+The package's reductions on the solve path call the ufunc directly,
+``np.add.reduce(x, axis=None)`` for ``x.sum()`` and likewise
+``np.maximum``, ``np.minimum`` and ``np.logical_and`` for ``max``, ``min``
+and ``all``: the method is a Python wrapper in numpy's ``_methods.py`` around
+that same call, so the bits are the same and a forced n = 256 solve, whose
+time is mostly per-call overhead, enters about 100 fewer Python frames.  The
+prefix sums and products call ``np.add.accumulate`` and
+``np.multiply.accumulate`` for the same reason: ``cumsum`` and ``cumprod``
+look that method up and call it with keyword arguments on every call.
+
 :func:`laplacian_solve` inverts the Neumann Laplacian on arrays in closed
 form, by two prefix sums, on the right side less its mean, and returns the
 removed integral with the solution: the one place a Neumann right side is
@@ -120,11 +130,10 @@ def _numpy_lapack():
 _ONE = ctypes.c_int64(1)  # every solve has one right side; LAPACK only reads it
 
 
-def _ref(a: np.ndarray, ctype=ctypes.c_double):
-    """The first element of the writeable, C-ordered array ``a``, for LAPACK
-    to get by reference: a ctypes view of ``a``'s memory that holds ``a`` while
-    it lives, at half the cost of ``a.ctypes``."""
-    return ctype.from_buffer(a)
+# The first element of a writeable, C-ordered float64 array, for LAPACK to get
+# by reference: a ctypes view of the array's memory that holds the array while
+# it lives, at half the cost of ``a.ctypes``, and called bound, without a frame.
+_ref = ctypes.c_double.from_buffer
 
 
 # One adapter per routine and binding: each takes checked arguments, which
@@ -139,7 +148,7 @@ def _numpy_gbsv(kl, ku, ab, b):
     i64, info = ctypes.c_int64, ctypes.c_int64()
     n_ref, ipiv = i64(len(b)), np.empty(len(b), np.int64)
     # ab.T: the C-ordered view of the Fortran-ordered band storage
-    _routines.dgbsv(n_ref, i64(kl), i64(ku), _ONE, _ref(ab.T), i64(len(ab)), _ref(ipiv, i64),
+    _routines.dgbsv(n_ref, i64(kl), i64(ku), _ONE, _ref(ab.T), i64(len(ab)), i64.from_buffer(ipiv),
                     _ref(b), n_ref, info)
     return b, info.value
 
@@ -230,7 +239,7 @@ class Field(Record):
             raise ValueError(
                 f"field length {arr.shape} does not match grid with {self.grid.n_cells} cells"
             )
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             bad = int(np.count_nonzero(~np.isfinite(arr)))
             raise NonFiniteError(f"field values must be finite ({bad} of {arr.size} are not)")
         object.__setattr__(self, "values", arr)
@@ -264,7 +273,7 @@ def laplacian_of(values: np.ndarray, bc: str, h: float) -> np.ndarray:
 
 def integral_of(values: np.ndarray, h: float) -> float:
     """Midpoint quadrature of cell values; exact for values linear in x."""
-    return float(values.sum() * h)
+    return float(np.add.reduce(values, axis=None) * h)
 
 
 def gradient(f: Field, bc: str) -> Field:
@@ -273,17 +282,12 @@ def gradient(f: Field, bc: str) -> Field:
     return Field(f.grid, gradient_of(f.values, bc, f.grid.spacing_h))
 
 
-def _check_finite(name: str, *arrays) -> None:
-    """:class:`NonFiniteError`, naming the solve, if an array holds NaN or infinity."""
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NonFiniteError(f"{name}: the matrix or right side is not finite")
-
-
 def _solve(name: str, routine, *scalars, **arrays) -> np.ndarray:
     """The solution that the adapter ``routine`` returns for ``scalars`` and
-    the arrays ``label=(a, shape)``, checked as :func:`solve_tridiagonal` says."""
-    for label, (a, shape) in arrays.items():
+    the arrays ``label=(a, shape)``, checked as :func:`solve_tridiagonal` says:
+    every array's type and layout first, then each one's finiteness."""
+    args, shapes = zip(*arrays.values())
+    for label, a, shape in zip(arrays, args, shapes):
         if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
                 and a.flags.f_contiguous and a.flags.writeable):
             got = type(a).__name__ if not isinstance(a, np.ndarray) else (
@@ -291,8 +295,9 @@ def _solve(name: str, routine, *scalars, **arrays) -> np.ndarray:
                 + ("" if a.flags.writeable else ", read-only"))
             raise ValueError(f"{name}: LAPACK argument {label} must be a writeable, Fortran-"
                              f"ordered float64 array of shape {shape}, got {got}")
-    args = [a for a, _ in arrays.values()]
-    _check_finite(name, *args)
+    for a in args:
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
+            raise NonFiniteError(f"{name}: the matrix or right side is not finite")
     x, info = routine(*scalars, *args)
     if info < 0:
         raise ValueError(f"{name}: LAPACK argument {-info} had an illegal value (info {info})")
@@ -303,7 +308,7 @@ def _solve(name: str, routine, *scalars, **arrays) -> np.ndarray:
 
 def _finite_solution(name: str, x: np.ndarray) -> np.ndarray:
     """``x``, scanned once: :class:`NonFiniteError`, naming solve ``name``, if it is not finite."""
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         bad = int(np.count_nonzero(~np.isfinite(x)))
         raise NonFiniteError(f"{name}: the solution is not finite in {bad} of {x.size} entries")
     return x
@@ -357,11 +362,11 @@ def laplacian_solve(rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, float]:
     numpy's overflow and invalid-value warnings off where that can happen.
     """
     n = g.n_cells  # means below as sum / n: what ndarray.mean computes, without its overhead
-    mean = float(rhs.sum() / n)
-    c = (rhs - mean).cumsum()
+    mean = float(np.add.reduce(rhs, axis=None) / n)
+    c = np.add.accumulate(rhs - mean)
     u = np.empty(n)
     u[0] = 0.0
-    c[:-1].cumsum(out=u[1:])  # u_k - u_0, over h^2
-    u -= u.sum() / n
+    np.add.accumulate(c[:-1], out=u[1:])  # u_k - u_0, over h^2
+    u -= np.add.reduce(u, axis=None) / n
     u *= g.spacing_h**2
     return _finite_solution("Neumann Laplacian solve", u), abs(mean * g.length_L)

@@ -20,7 +20,9 @@ linearly for large |c|; its derivative dF_delta is constant beyond 1+delta and
 of size O(ln(1/delta)) there.
 
 All evaluators accept scalars or numpy arrays, are pure, and are safe to call
-from any thread.
+from any thread.  Each public one converts its argument to an array once, on
+entry, works on arrays through the private helpers, and returns a float where
+it was given a scalar; no helper converts again.
 """
 
 from __future__ import annotations
@@ -117,15 +119,6 @@ class PotentialConstants(Record):
     bound_M_estimate: float
 
 
-def _prep(c) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(c, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
-
-
 def _xlogx(x):
     """x ln x with its limit 0 at x = 0; NaN (and a negative x) gives NaN, silently."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,18 +182,22 @@ def _piece(j: int, a, p: PotentialParams, order: int):
     return _horner(orders[order], a - knot)
 
 
-def _piecewise(a: np.ndarray, p: PotentialParams, order: int) -> np.ndarray:
-    if (a <= 1.0 - p.delta).all():  # the core alone: no table needed
-        return _core(a, p, order)
-    # piece j holds knot_j < a <= knot_j+1; NaN passes no knot, so it falls to
-    # the core, which returns it as NaN
-    above = [a > knot for knot, _ in _table(p)]
-    masks = [~above[0]] + [lo & ~hi for lo, hi in zip(above, above[1:])] + [above[-1]]
-    out = np.full_like(a, np.nan)
-    for j, mask in enumerate(masks):
-        if mask.any():
-            out[mask] = _piece(j, a[mask], p, order)
-    return out
+def _piecewise(c: np.ndarray, p: PotentialParams, order: int) -> np.ndarray:
+    """f2_delta^(order) at the array ``c``: each a = |c| on its piece, with the
+    sign of c for the odd first derivative."""
+    a = np.abs(c)
+    if np.logical_and.reduce(a <= 1.0 - p.delta, axis=None):  # the core alone: no table needed
+        out = _core(a, p, order)
+    else:
+        # piece j holds knot_j < a <= knot_j+1; NaN passes no knot, so it falls
+        # to the core, which returns it as NaN
+        above = [a > knot for knot, _ in _table(p)]
+        masks = [~above[0]] + [lo & ~hi for lo, hi in zip(above, above[1:])] + [above[-1]]
+        out = np.full_like(a, np.nan)
+        for j, mask in enumerate(masks):
+            if np.logical_or.reduce(mask, axis=None):
+                out[mask] = _piece(j, a[mask], p, order)
+    return np.sign(c) * out if order == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +206,32 @@ def _piecewise(a: np.ndarray, p: PotentialParams, order: int) -> np.ndarray:
 
 def f2_singular(c, p: PotentialParams):
     """Singular mixing entropy (theta0/2)((1+c)ln(1+c) + (1-c)ln(1-c)), |c| < 1."""
-    arr, scalar = _prep(c)
+    arr = np.asarray(c, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise DomainError("f2_singular requires |c| < 1")
-    return _ret(_core(arr, p, 0), scalar)
+    out = _core(arr, p, 0)
+    return out if arr.ndim else float(out)
 
 
 def f2_delta(c, p: PotentialParams):
     """Regularized extension of f2_singular; defined for all real c, even in c."""
-    arr, scalar = _prep(c)
-    return _ret(_piecewise(np.abs(arr), p, 0), scalar)
+    arr = np.asarray(c, dtype=float)
+    out = _piecewise(arr, p, 0)
+    return out if arr.ndim else float(out)
 
 
 def f2_delta_prime(c, p: PotentialParams):
     """First derivative of f2_delta; odd in c, with value 0 at c = 0."""
-    arr, scalar = _prep(c)
-    return _ret(np.sign(arr) * _piecewise(np.abs(arr), p, 1), scalar)
+    arr = np.asarray(c, dtype=float)
+    out = _piecewise(arr, p, 1)
+    return out if arr.ndim else float(out)
 
 
 def f2_delta_prime2(c, p: PotentialParams):
     """Second derivative of f2_delta; even in c, constant thetac beyond 1+delta."""
-    arr, scalar = _prep(c)
-    return _ret(_piecewise(np.abs(arr), p, 2), scalar)
+    arr = np.asarray(c, dtype=float)
+    out = _piecewise(arr, p, 2)
+    return out if arr.ndim else float(out)
 
 
 def dF_delta(c, p: PotentialParams):
@@ -244,14 +245,16 @@ def dF_delta(c, p: PotentialParams):
     delta > 0.22570, and the constant tail value turns negative for delta >
     0.31142 (it is 1 + (1/2) ln 3 - 15/8 at delta = 0.5).
     """
-    arr, scalar = _prep(c)
-    return _ret(f2_delta_prime(arr, p) - p.thetac * arr, scalar)
+    arr = np.asarray(c, dtype=float)
+    out = _piecewise(arr, p, 1) - p.thetac * arr
+    return out if arr.ndim else float(out)
 
 
 def F_delta(c, p: PotentialParams):
     """Effective double-well potential f2_delta(c) - (thetac/2) c^2."""
-    arr, scalar = _prep(c)
-    return _ret(f2_delta(arr, p) - 0.5 * p.thetac * arr * arr, scalar)
+    arr = np.asarray(c, dtype=float)
+    out = _piecewise(arr, p, 0) - 0.5 * p.thetac * arr * arr
+    return out if arr.ndim else float(out)
 
 
 def guarded_power(rho, k: float):
@@ -269,8 +272,16 @@ def guarded_powers(rho, ks: tuple[float, ...]) -> tuple:
     """One :func:`guarded_power` of ``rho`` per exponent in ``ks``, from one
     domain scan, one logarithm and one scan of it, each with the bits of its
     own call."""
-    arr, scalar = _prep(rho)
-    lo, hi = arr.min(initial=np.inf), arr.max(initial=0.0)  # a NaN reaches both
+    arr = np.asarray(rho, dtype=float)
+    powers = _guarded_powers(arr, ks)
+    return powers if arr.ndim else tuple(map(float, powers))
+
+
+def _guarded_powers(arr: np.ndarray, ks: tuple[float, ...]) -> tuple:
+    """:func:`guarded_powers` of the float64 array, or numpy float, ``arr``,
+    each power of the same kind: no float is made."""
+    lo = np.minimum.reduce(arr, axis=None, initial=np.inf)  # a NaN reaches both
+    hi = np.maximum.reduce(arr, axis=None, initial=0.0)
     if not lo >= 0.0:
         raise DomainError("guarded_power requires rho >= 0 (NaN is rejected)")
     if hi > RHO_MAX_DEFAULT:
@@ -278,19 +289,20 @@ def guarded_powers(rho, ks: tuple[float, ...]) -> tuple:
     pos = None if lo > 0.0 else arr > 0.0  # no vacuum cell, no mask
     base = arr if pos is None else arr[pos]
     log_base = np.log(base)
-    top = log_base.max(initial=-np.inf)  # k ln rho peaks at k top for every k > 0
+    top = np.maximum.reduce(log_base, axis=None, initial=-np.inf)  # k ln rho peaks at k top, k > 0
     powers = []
     for k in ks:
         log_power = k * log_base
-        if (k * top if k > 0 else log_power.max(initial=-np.inf)) > _LOG_FLOAT_MAX:
+        peak = k * top if k > 0 else np.maximum.reduce(log_power, axis=None, initial=-np.inf)
+        if peak > _LOG_FLOAT_MAX:
             worst = base.flat[np.argmax(log_power)]
             raise OverflowError(f"density {worst:g} to the power {k:g} exceeds the float range")
         if pos is None:
-            powers.append(_ret(np.exp(log_power), scalar))
+            powers.append(np.exp(log_power))
         else:
             out = np.zeros_like(arr)
             out[pos] = np.exp(log_power)
-            powers.append(_ret(out, scalar))
+            powers.append(out)
     return tuple(powers)
 
 
@@ -304,24 +316,25 @@ def pressure(rho, fp: "FluidParams", delta: float | None = None):
     ``delta``, the pair (Pi, Pi') a Picard step lags instead: Pi this pressure
     plus :func:`artificial_pressure`, summed with overflow warnings off, and
     Pi' its :func:`pressure_slope`, with their bits from one guarded scan."""
-    arr, scalar = _prep(rho)
+    arr = np.asarray(rho, dtype=float)
     if delta is None:
-        return _ret((fp.gamma - 1.0) * guarded_power(arr, fp.gamma) + fp.H * arr, scalar)
+        total = (fp.gamma - 1.0) * _guarded_powers(arr, (fp.gamma,))[0] + fp.H * arr
+        return total if arr.ndim else float(total)
     k, gam, scale = fp.art_exponent, fp.gamma, np.log(1.0 / delta)
-    art1, gas1, art, gas = guarded_powers(arr, (k - 1, gam - 1.0, k, gam))
+    art1, gas1, art, gas = _guarded_powers(arr, (k - 1, gam - 1.0, k, gam))
     slope = k * art1 / scale + gam * (gam - 1.0) * gas1 + fp.H
     with np.errstate(over="ignore", invalid="ignore"):
         total = art / scale + ((gam - 1.0) * gas + fp.H * arr)
-    return _ret(total, scalar), _ret(slope, scalar)
+    return (total, slope) if arr.ndim else (float(total), float(slope))
 
 
 def pressure_slope(rho, delta: float, fp: "FluidParams"):
     """Slope Pi'(rho) of Pi = artificial_pressure(rho, delta, fp.art_exponent) + pressure(rho, fp)."""
-    arr, scalar = _prep(rho)
+    arr = np.asarray(rho, dtype=float)
     k = fp.art_exponent
-    art, gas = guarded_powers(arr, (k - 1, fp.gamma - 1.0))
+    art, gas = _guarded_powers(arr, (k - 1, fp.gamma - 1.0))
     out = k * art / np.log(1.0 / delta) + fp.gamma * (fp.gamma - 1.0) * gas + fp.H
-    return _ret(out, scalar)
+    return out if arr.ndim else float(out)
 
 
 def enthalpy(s, delta: float, fp: "FluidParams", rho=None) -> tuple:
@@ -333,13 +346,14 @@ def enthalpy(s, delta: float, fp: "FluidParams", rho=None) -> tuple:
     from the powers of :func:`pressure_slope`.  Taken in s = ln rho, h has no
     pole at vacuum; the powers go through :func:`guarded_power`, so a density
     above its ceiling raises OverflowError."""
-    arr, scalar = _prep(s)
+    arr = np.asarray(s, dtype=float)
     k = fp.art_exponent
-    art, gas = guarded_powers(np.exp(arr) if rho is None else rho, (k - 1, fp.gamma - 1.0))
+    rho = np.exp(arr) if rho is None else np.asarray(rho, dtype=float)
+    art, gas = _guarded_powers(rho, (k - 1, fp.gamma - 1.0))
     art = art / np.log(1.0 / delta)
     value = k / (k - 1.0) * art + fp.gamma * gas + fp.H * arr
     slope = k * art + fp.gamma * (fp.gamma - 1.0) * gas + fp.H
-    return _ret(value, scalar), _ret(slope, scalar)
+    return (value, slope) if arr.ndim else (float(value), float(slope))
 
 
 def free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):
@@ -349,18 +363,19 @@ def free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):
     :func:`rho_free_energy_delta`, which applies the rho*ln(rho) -> 0 vacuum
     convention.
     """
-    arr, scalar = _prep(rho)
-    power = guarded_power(arr, fp.gamma - 1.0)  # before the logarithm can warn
+    arr = np.asarray(rho, dtype=float)
+    power = _guarded_powers(arr, (fp.gamma - 1.0,))[0]  # before the logarithm can warn
     with np.errstate(divide="ignore"):
         logr = np.log(arr)
-    return _ret(power + fp.H * logr + F_delta(c, p), scalar)
+    out = power + fp.H * logr + F_delta(c, p)
+    return out if arr.ndim else float(out)
 
 
 def rho_free_energy_delta(rho, c, fp: "FluidParams", p: PotentialParams):
     """Energy integrand rho * f_delta(rho, c) with rho*ln(rho) -> 0 at vacuum."""
-    arr, scalar = _prep(rho)
-    out = guarded_power(arr, fp.gamma) + fp.H * _xlogx(arr) + arr * F_delta(c, p)
-    return _ret(out, scalar)
+    arr = np.asarray(rho, dtype=float)
+    out = _guarded_powers(arr, (fp.gamma,))[0] + fp.H * _xlogx(arr) + arr * F_delta(c, p)
+    return out if arr.ndim else float(out)
 
 
 def _c_star(p: PotentialParams) -> float:

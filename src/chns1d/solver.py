@@ -105,7 +105,8 @@ class NotConverged(RuntimeError):
 
 
 class FluidParams(Record):
-    """Adiabatic exponent, viscosities, mixing coefficient, artificial-pressure exponent."""
+    """Adiabatic exponent, viscosities, mixing coefficient, artificial-pressure
+    exponent, and ``visc`` = 2 lambda1 + lambda2, derived from them."""
 
     gamma: float = 2.0
     lambda1: float = 1.0
@@ -132,11 +133,8 @@ class FluidParams(Record):
         if not self.H > 0.0:
             raise ValueError(f"H must be positive, got {self.H}")
         mesh.integer_field(self, "art_exponent", 2)
-
-    @property
-    def visc(self) -> float:
-        """Coefficient 2*lambda1 + lambda2 of the 1-D viscous operator (always > 0)."""
-        return 2.0 * self.lambda1 + self.lambda2
+        # the coefficient of the 1-D viscous operator (always > 0), read by every step
+        object.__setattr__(self, "visc", 2.0 * self.lambda1 + self.lambda2)
 
 
 class MmsSources(Record):
@@ -149,7 +147,9 @@ class MmsSources(Record):
 
 
 class ProblemSpec(Record):
-    """Domain, parameters, masses, forcing, and regularization of one problem."""
+    """Domain, parameters, masses, forcing, and regularization of one problem,
+    with the mean density ``rho0`` = m1 / L and mean concentration ``c0`` =
+    m2 / m1 derived from them."""
 
     grid: Grid
     potential: PotentialParams
@@ -174,16 +174,9 @@ class ProblemSpec(Record):
                 object.__setattr__(self, name, self.grid.zeros())
             elif f.grid != self.grid:
                 raise ValueError(f"{name} lives on a different grid")
-
-    @property
-    def rho0(self) -> float:
-        """Mean density m1 / L."""
-        return self.m1 / self.grid.length_L
-
-    @property
-    def c0(self) -> float:
-        """Mean concentration m2 / m1."""
-        return self.m2 / self.m1
+        # derived once, as Grid.spacing_h is: the sub-solves read them every step
+        object.__setattr__(self, "rho0", self.m1 / self.grid.length_L)
+        object.__setattr__(self, "c0", self.m2 / self.m1)
 
 
 class State(Record):
@@ -199,7 +192,7 @@ class State(Record):
         for name in ("u", "mu", "c"):
             if getattr(self, name).grid != g:
                 raise ValueError(f"{name} lives on a different grid than rho")
-        if self.rho.values.min() < 0.0:
+        if np.minimum.reduce(self.rho.values, axis=None) < 0.0:
             raise ValueError("rho must be nonnegative everywhere")
 
     @classmethod
@@ -257,9 +250,10 @@ def _with_source(rhs: np.ndarray, spec: ProblemSpec, name: str) -> np.ndarray:
     return rhs if src is None else rhs + src.values
 
 
-def _continuity_rhs(eps: float, spec: ProblemSpec) -> np.ndarray:
-    """Right side eps^2 rho0 of the continuity equation, plus its manufactured source."""
-    return _with_source(np.full(spec.grid.n_cells, eps**2 * spec.rho0), spec, "continuity")
+def _continuity_rhs(eps: float, spec: ProblemSpec):
+    """Right side eps^2 rho0 of the continuity equation, a scalar, or with the
+    spec's manufactured source added, an array."""
+    return _with_source(eps**2 * spec.rho0, spec, "continuity")
 
 
 def _continuity_flux(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
@@ -268,7 +262,7 @@ def _continuity_flux(rho: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarr
     h (b - eps^2 rho) up to the face plus eps^4 (rho_i+1 - rho_i)/h.  Call it
     with numpy's overflow warnings off."""
     h = spec.grid.spacing_h
-    flux = (h * (_continuity_rhs(eps, spec) - eps**2 * rho)).cumsum()[:-1]
+    flux = np.add.accumulate(h * (_continuity_rhs(eps, spec) - eps**2 * rho))[:-1]
     flux += eps**4 / h * (rho[1:] - rho[:-1])
     return flux
 
@@ -285,7 +279,7 @@ def _right_side(sub_solve: str):
         @wraps(build)
         def checked(*args) -> np.ndarray:
             rhs = _with_source(build(*args), args[-1], sub_solve)
-            if np.isfinite(rhs).all():
+            if np.logical_and.reduce(np.isfinite(rhs), axis=None):
                 return rhs
             sizes = ", ".join(f"|{k}| {np.max(np.abs(v)):.3g}" for k, v in zip(State._names, args))
             raise mesh.NonFiniteError(
@@ -327,10 +321,10 @@ def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
     e4 = eps**4 / h
     lower, upper = -e4 - up, um - e4  # at V_k-1 and V_k+1 in the row of face k
     diag = (up - um) + (2.0 * e4 + eps**2 * h)
-    if (diag + lower + upper).min() <= 0.5 * eps**2 * h:
+    if np.minimum.reduce(diag + lower + upper, axis=None) <= 0.5 * eps**2 * h:
         raise SingularSystemError(
             f"transport matrix lost diagonal dominance (eps={eps:g}, n={g.n_cells}): incoming "
-            f"max|u_face|/h {np.abs(uf).max() / h:.3g} against eps^2 {eps**2:.3g}"
+            f"max|u_face|/h {np.max(np.abs(uf)) / h:.3g} against eps^2 {eps**2:.3g}"
         )
     return diag, upper, lower
 
@@ -353,14 +347,15 @@ def solve_continuity(u: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray
     v = np.zeros(g.n_cells + 1)
     src = None if spec.mms_sources is None else spec.mms_sources.continuity
     if src is not None:
-        (h * src.values).cumsum(out=v[1:])
+        np.add.accumulate(h * src.values, out=v[1:])
         v[-1] /= eps**2 * h
     v[1:-1] -= rho0 * uf
     v[-2] -= upper[-1] * v[-1]  # the solve leaves V_1 .. V_n-1 in place of the right sides
     mesh.solve_tridiagonal("continuity", lower[1:], diag, upper[:-1], v[1:-1])
     rho = rho0 + (v[1:] - v[:-1])
-    if rho.min() < -1.0e-9 * max(rho0, 1.0):
-        raise SingularSystemError(f"continuity solve produced negative density {rho.min():g}")
+    low = np.minimum.reduce(rho, axis=None)
+    if low < -1.0e-9 * max(rho0, 1.0):
+        raise SingularSystemError(f"continuity solve produced negative density {low:g}")
     return np.maximum(rho, 0.0)
 
 
@@ -390,7 +385,7 @@ def _alternating_sums(uf: np.ndarray, u0: float) -> np.ndarray:
     u[0] = u0
     np.multiply(uf, -2.0, out=u[1:])
     u[2::2] *= -1.0
-    u.cumsum(out=u)
+    np.add.accumulate(u, out=u)
     u[1::2] *= -1.0
     return u
 
@@ -490,7 +485,7 @@ def solve_flow_coupled(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.nda
     uf[1:-1] = uf_t + inv * flux
     b = s * (uf[:-2] + uf[2:]) - 2.0 * s * uf[1:-1]
     b -= f[:-1] + f[1:]
-    mass = (_continuity_rhs(eps, spec) - eps**2 * rho).sum() / eps**2
+    mass = np.add.reduce(_continuity_rhs(eps, spec) - eps**2 * rho, axis=None) / eps**2
     delta, duf = _pair_sum_solve(lag.pi_slope, up, um, inv, b, mass, eps, spec)
     uf = uf[1:-1] + duf
     # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h - g1_0 delta_0,
@@ -518,7 +513,7 @@ def _pin_constant(hat: np.ndarray, target: float, rho: np.ndarray, weight_integr
     s = (target - mesh.integral_of(rho * hat, spec.grid.spacing_h)) / weight_integral
     if not math.isfinite(s):
         raise mesh.NonFiniteError(f"{sub_solve} sub-solve: the constant of its density-weighted "
-                                  f"constraint is not finite; max |rho| {np.abs(rho).max():.3g}")
+                                  f"constraint is not finite; max |rho| {np.max(np.abs(rho)):.3g}")
     return hat + s
 
 
@@ -609,7 +604,7 @@ def _trapezoid_sums(f: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid integrals of the cell values ``f`` from the first cell centre to each."""
     out = np.empty(f.size)
     out[0] = 0.0
-    (0.5 * h * (f[:-1] + f[1:])).cumsum(out=out[1:])
+    np.add.accumulate(0.5 * h * (f[:-1] + f[1:]), out=out[1:])
     return out
 
 
@@ -655,14 +650,15 @@ def hydrostatic_density(spec: ProblemSpec, G1: Optional[np.ndarray] = None) -> n
         P = G1 + _trapezoid_sums(spec.g2.values, h) / spec.rho0
         s0 = np.log(spec.rho0)
         ent0, slope0 = enthalpy(s0, delta, fp)
-        C = ent0 - P.sum() / n
-        if not (np.isfinite(P).all() and np.isfinite(C)):
+        C = ent0 - np.add.reduce(P, axis=None) / n
+        if not (np.logical_and.reduce(np.isfinite(P), axis=None) and np.isfinite(C)):
             raise mesh.NonFiniteError(
                 "hydrostatic start: the potential of the forcing, or its mean, is not finite"
             )
         half_g2, dG1, target = 0.5 * h * spec.g2.values, G1[1:] - G1[:-1], spec.m1 / h
         ds = (P + C - ent0) / slope0
-        s = s0 + _capped(float(ds.max()), -float(ds.min())) * ds
+        s = s0 + _capped(float(np.maximum.reduce(ds, axis=None)),
+                         -float(np.minimum.reduce(ds, axis=None))) * ds
         r, ratio = np.empty(n), np.empty(n)
         ratio[0] = 1.0
         for it in range(1, HYDROSTATIC_MAX_NEWTON + 1):
@@ -674,12 +670,14 @@ def hydrostatic_density(spec: ProblemSpec, G1: Optional[np.ndarray] = None) -> n
             r[1:] += dG1 - (ent[1:] - ent[:-1])
             diag = slope + w
             diag[0] = slope[0]
-            ((slope[:-1] - w[:-1]) / diag[1:]).cumprod(out=ratio[1:])
-            ds = ratio * (r / (diag * ratio)).cumsum()
+            np.multiply.accumulate((slope[:-1] - w[:-1]) / diag[1:], out=ratio[1:])
+            ds = ratio * np.add.accumulate(r / (diag * ratio))
             y = ratio / diag[0]
-            d_c = (target - rho.sum() - (rho * ds).sum()) / (rho * y).sum()
+            d_c = ((target - np.add.reduce(rho, axis=None) - np.add.reduce(rho * ds, axis=None))
+                   / np.add.reduce(rho * y, axis=None))
             ds += d_c * y
-            rise, fall = float(ds.max()), -float(ds.min())
+            rise = float(np.maximum.reduce(ds, axis=None))
+            fall = -float(np.minimum.reduce(ds, axis=None))
             size = max(rise, fall)  # NaN if a step is NaN: both are
             if not 1.0e-8 < size < np.inf:  # converged, or a step that is not finite
                 break
@@ -687,7 +685,7 @@ def hydrostatic_density(spec: ProblemSpec, G1: Optional[np.ndarray] = None) -> n
             s += scale * ds
             C += scale * d_c
         # a step that vanishes while the rows, in s, do not is no convergence
-        if size <= 1.0e-8 and np.abs(r / diag).max() <= 1.0e-6:
+        if size <= 1.0e-8 and np.maximum.reduce(np.abs(r / diag), axis=None) <= 1.0e-6:
             rho = np.exp(s + ds)
             return rho * (spec.m1 / mesh.integral_of(rho, h))
     raise NotConverged(
@@ -734,7 +732,9 @@ def hydrostatic_state(spec: ProblemSpec, eps: float) -> State:
     With zero forcing the start is the constant state."""
     n = spec.grid.n_cells
     rho = hydrostatic_density(spec)
-    mu, c = np.full(n, dF_delta(spec.c0, spec.potential)), np.full(n, float(spec.c0))
+    mu, c = np.empty(n), np.empty(n)  # filled in place: np.full is a Python wrapper of two calls
+    mu.fill(dF_delta(spec.c0, spec.potential))
+    c.fill(spec.c0)
     u = _continuity_velocity(rho, eps, spec)
     if not math.isfinite(u[-1]):  # finite only if every entry is (_alternating_sums)
         raise mesh.NonFiniteError("hydrostatic start: the velocity of its mass flux is not finite")
@@ -772,11 +772,13 @@ def picard_step(state: State, eps: float, spec: ProblemSpec, damping: float) -> 
     """
     old = state.rho.values, state.u.values, state.mu.values, state.c.values
     _, *stars, proj_mu, proj_c = _proposal(*old, eps, spec)  # the block's rho feeds mu and c
-    u_new, mu_new, c_new = (star if damping == 1.0 else damping * star + (1.0 - damping) * prev
-                            for star, prev in zip(stars, old[1:]))
-    new = (solve_continuity(u_new, eps, spec), u_new, mu_new, c_new)
+    if damping != 1.0:
+        stars = [damping * star + (1.0 - damping) * prev for star, prev in zip(stars, old[1:])]
+    new = (solve_continuity(stars[0], eps, spec), *stars)
     state = State._from_solve(spec.grid, *new)
-    update = max(float(np.abs(a - b).max() / (1.0 + np.abs(b).max())) for a, b in zip(new, old))
+    peak = np.maximum.reduce
+    update = max([float(peak(np.abs(a - b), axis=None) / (1.0 + peak(np.abs(b), axis=None)))
+                  for a, b in zip(new, old)])
     return state, update + proj_mu + proj_c
 
 

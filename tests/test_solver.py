@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import pickle
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,6 +461,51 @@ class TestFieldConstructions:
         monkeypatch.setattr(np, "log", counted)
         lag_of(state, spec)
         assert sizes.count(spec.grid.n_cells) == 1
+
+
+def frames_of_one_warm_solve() -> dict:
+    """The Python frames, per code file, that a forced n = 256
+    continuation_solve enters after one solve of the same problem, as
+    ``sys.setprofile`` reports them (a generator's every resumption counts)."""
+    cfg = parse_config_text("domain.n_cells = 256\n" + FORCED_DEFAULT)
+    continuation_solve(cfg.spec, cfg.controls)
+    frames = {}
+
+    def count(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename
+            frames[path] = frames.get(path, 0) + 1
+
+    sys.setprofile(count)
+    try:
+        continuation_solve(cfg.spec, cfg.controls)
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+class TestCallBudget:
+    """A forced n = 256 solve costs about as much in calls as in arithmetic,
+    so its Python frames are budgeted."""
+
+    def test_no_reduction_goes_through_numpy_methods(self):
+        """Every reduction calls its ufunc's ``reduce``: ``.sum()``, ``.max()``,
+        ``.min()`` and ``.all()`` each entered numpy's ``_methods.py`` first
+        (107 of 417 frames)."""
+        numpy_dir = Path(np.__file__).parent
+        methods = {path: k for path, k in frames_of_one_warm_solve().items()
+                   if Path(path).name == "_methods.py" and numpy_dir in Path(path).parents}
+        assert methods == {}
+
+    def test_calls_into_the_package_stay_within_budget(self):
+        """173 frames in chns1d on CPython 3.11, budgeted at 180 (275 when
+        the spec's constants were properties, the potential evaluators
+        converted scalars in helpers and the LAPACK adapters took each
+        pointer through one)."""
+        package = Path(solver.__file__).parent
+        calls = sum(k for path, k in frames_of_one_warm_solve().items()
+                    if Path(path).parent == package)
+        assert calls <= 180
 
 
 class TestFlowCoupledBlock:

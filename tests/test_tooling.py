@@ -141,6 +141,39 @@ def test_lapack_binding_is_the_same_in_either_import_order(first):
     assert _run("-c", ROUTINES_PROBE, first).split() == ["True", "True", "True"]
 
 
+FLAPACK_PROBE = """
+import json, sys
+import numpy as np
+from chns1d import mesh
+module = mesh._load_flapack()
+same = []
+if mesh._routines is not None:
+    rng = np.random.default_rng(7)
+    n = 9
+    off, diag, b = rng.standard_normal(n - 1), 4.0 + rng.random(n), rng.standard_normal(n)
+    ab = np.asfortranarray(rng.standard_normal((7, n)))
+    ab[4] += 8.0
+    for pair, args in (((mesh._flapack_gtsv, mesh._numpy_gtsv), (off, diag, off[::-1], b)),
+                       ((mesh._flapack_gbsv, mesh._numpy_gbsv), (2, 2, ab, b))):
+        (x, info), (y, info_y) = [
+            adapter(*[a.copy(order="F") if isinstance(a, np.ndarray) else a for a in args])
+            for adapter in pair]
+        same.append(info == info_y == 0 and x.tobytes() == y.tobytes())
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("scipy")),
+                  sys.modules.get("scipy.linalg._flapack") is module, module.__name__, same]))
+"""
+
+
+def test_flapack_loads_alone_and_solves_as_numpy_lapack_does():
+    """The fallback loader, in a fresh interpreter, executes scipy's _flapack
+    extension without importing the scipy package: it is the one scipy
+    module loaded, registered under its canonical name.  Where numpy exports
+    the routines too, both bindings' adapters give the same bits."""
+    loaded, registered, name, same = json.loads(_run("-c", FLAPACK_PROBE))
+    assert loaded == ["scipy.linalg._flapack"] and registered and name == "scipy.linalg._flapack"
+    assert same == ([True, True] if NUMPY_LAPACK else [])
+
+
 # Makes the lookup of numpy's LAPACK fail, so that mesh falls back to _flapack.
 NO_NUMPY_LAPACK = """
 import ctypes
