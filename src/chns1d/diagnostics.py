@@ -77,27 +77,18 @@ class DiagnosticsReport(Record):
     proj_c: float
 
 
-def _slopes(state: "State", spec: "ProblemSpec", dc=None) -> tuple:
-    """u', mu' and c' (``dc`` if given): the ``slopes`` that the functions below read."""
-    h = spec.grid.spacing_h
-    return (mesh.gradient_of(state.u.values, "dirichlet0", h),
-            mesh.gradient_of(state.mu.values, "neumann", h),
-            mesh.gradient_of(state.c.values, "neumann", h) if dc is None else dc)
-
-
-def total_energy(state: "State", spec: "ProblemSpec", slopes=None) -> float:
+def total_energy(state: "State", spec: "ProblemSpec") -> float:
     """Quadrature of (1/2) rho u^2 + rho f_delta(rho, c) + (1/2) |c'|^2.
 
     The bulk term uses the vacuum convention rho*ln(rho) -> 0 at rho = 0.
     """
     h, rho, u = spec.grid.spacing_h, state.rho.values, state.u.values
     bulk = potential.rho_free_energy_delta(rho, state.c.values, spec.fluid, spec.potential)
-    dc = (slopes or _slopes(state, spec))[2]
+    dc = mesh.gradient_of(state.c.values, "neumann", h)
     return mesh.integral_of(0.5 * rho * u * u + bulk + 0.5 * dc * dc, h)
 
 
-def energy_inequality(state: "State", spec: "ProblemSpec",
-                      slopes=None) -> tuple[float, float, float]:
+def energy_inequality(state: "State", spec: "ProblemSpec") -> tuple[float, float, float]:
     """Dissipation versus external work: (lhs, rhs, slack = rhs - lhs).
 
     lhs integrates lambda1 |u'|^2 + (lambda1 + lambda2)(div u)^2 + |mu'|^2;
@@ -105,7 +96,8 @@ def energy_inequality(state: "State", spec: "ProblemSpec",
     nonnegative up to discretization defects of size EI_SLACK_CONSTANT * h^2.
     """
     fp, h = spec.fluid, spec.grid.spacing_h
-    du, dmu, _ = slopes or _slopes(state, spec)
+    du = mesh.gradient_of(state.u.values, "dirichlet0", h)
+    dmu = mesh.gradient_of(state.mu.values, "neumann", h)
     dissipation = fp.lambda1 * du * du + (fp.lambda1 + fp.lambda2) * du * du + dmu * dmu
     lhs = mesh.integral_of(dissipation, h)
     rhs = mesh.integral_of((state.rho.values * spec.g1.values + spec.g2.values) * state.u.values, h)
@@ -163,7 +155,7 @@ def continuity_residual(state: "State") -> float:
     return worst / mass if mass > 0.0 else worst
 
 
-def norms(state: "State", spec: "ProblemSpec", slopes=None) -> dict:
+def norms(state: "State", spec: "ProblemSpec") -> dict:
     """Lp norms of rho and H1 seminorms of u, mu, c, keyed by report column.
 
     The Lp exponents are 6/5, 3/2, gamma, 2, and the interpolation endpoint
@@ -178,21 +170,21 @@ def norms(state: "State", spec: "ProblemSpec", slopes=None) -> dict:
         "lp_s": 3.0 - 3.0 / spec.fluid.gamma,
     }
     out = {key: float(mesh.integral_of(np.abs(rho) ** p, h) ** (1.0 / p)) for key, p in exps.items()}
-    grads = zip(("grad_u", "grad_mu", "grad_c"), slopes or _slopes(state, spec))
-    out.update((key, float(np.sqrt(mesh.integral_of(d * d, h)))) for key, d in grads)
+    grads = {"grad_u": mesh.gradient_of(state.u.values, "dirichlet0", h),
+             "grad_mu": mesh.gradient_of(state.mu.values, "neumann", h),
+             "grad_c": mesh.gradient_of(state.c.values, "neumann", h)}
+    out.update((key, float(np.sqrt(mesh.integral_of(d * d, h)))) for key, d in grads.items())
     return out
 
 
-def mean_projection_residuals(
-    state: "State", spec: "ProblemSpec", eps: float, phase=None
-) -> tuple[float, float]:
+def mean_projection_residuals(state: "State", spec: "ProblemSpec", eps: float) -> tuple[float, float]:
     """Compatibility defects |∫ rhs| of the two Neumann problems, lagged at this
-    state by the step's own builders (``phase``, :func:`~chns1d.solver.lagged_phase`),
+    state by the step's own builders (:func:`~chns1d.solver.lagged_phase`),
     manufactured sources included: the integrals that solve_mu and solve_c remove."""
     h = spec.grid.spacing_h
     fields = state.rho.values, state.u.values, state.mu.values, state.c.values
     with np.errstate(over="ignore", invalid="ignore"):
-        dF, dc = phase or lagged_phase(state.c.values, spec)
+        dF, dc = lagged_phase(state.c.values, spec)
         proj_mu = abs(mesh.integral_of(_mu_rhs(*fields, dc, eps, spec), h))
         return proj_mu, abs(mesh.integral_of(_c_rhs(*fields, dF, spec), h))
 
@@ -200,24 +192,22 @@ def mean_projection_residuals(
 def compute_report(
     state: "State", spec: "ProblemSpec", eps: float
 ) -> DiagnosticsReport:
-    """Assemble the full report for one state (pure; safe to run concurrently)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = lagged_phase(state.c.values, spec)
-    slopes = _slopes(state, spec, phase[1])
-    lhs, rhs, slack = energy_inequality(state, spec, slopes)
-    proj_mu, proj_c = mean_projection_residuals(state, spec, eps, phase)
+    """Assemble the full report for one state from the public diagnostics
+    above (pure; safe to run concurrently)."""
+    lhs, rhs, slack = energy_inequality(state, spec)
+    proj_mu, proj_c = mean_projection_residuals(state, spec, eps)
     tau = TAU_SUPPORT_FACTOR * spec.rho0
     rho, h = state.rho.values, spec.grid.spacing_h
     art = potential.artificial_pressure(rho, spec.potential.delta, spec.fluid.art_exponent)
     return DiagnosticsReport(
-        total_energy=total_energy(state, spec, slopes),
+        total_energy=total_energy(state, spec),
         ei_lhs=lhs,
         ei_rhs=rhs,
         ei_slack=slack,
         mass1=mesh.integral_of(rho, h),
         mass2=mesh.integral_of(rho * state.c.values, h),
         art_pressure_norm=mesh.integral_of(art, h),
-        **norms(state, spec, slopes),
+        **norms(state, spec),
         bound_violation=bound_violation(state, tau),
         continuity_residual=continuity_residual(state),
         proj_mu=proj_mu,

@@ -306,9 +306,22 @@ def _guarded_powers(arr: np.ndarray, ks: tuple[float, ...]) -> tuple:
     return tuple(powers)
 
 
+def _log_inverse(delta: float):
+    """ln(1/delta), the artificial pressure's divisor: at most 37.43 where delta > 2^-54."""
+    return np.log(1.0 / delta)
+
+
+def _slope_and_powers(arr: np.ndarray, delta: float, fp: "FluidParams", ks: tuple = ()) -> tuple:
+    """Pi'(arr) of Pi = artificial_pressure + pressure, ln(1/delta), and the
+    powers ``ks`` of ``arr``, from one guarded scan after the slope's two powers."""
+    k, gam, scale = fp.art_exponent, fp.gamma, _log_inverse(delta)
+    art1, gas1, *powers = _guarded_powers(arr, (k - 1, gam - 1.0, *ks))
+    return k * art1 / scale + gam * (gam - 1.0) * gas1 + fp.H, scale, powers
+
+
 def artificial_pressure(rho, delta: float, exponent: int = 11):
     """Integrability-restoring pressure term rho**exponent / ln(1/delta)."""
-    return guarded_power(rho, exponent) / np.log(1.0 / delta)
+    return guarded_power(rho, exponent) / _log_inverse(delta)
 
 
 def pressure(rho, fp: "FluidParams", delta: float | None = None):
@@ -320,20 +333,16 @@ def pressure(rho, fp: "FluidParams", delta: float | None = None):
     if delta is None:
         total = (fp.gamma - 1.0) * _guarded_powers(arr, (fp.gamma,))[0] + fp.H * arr
         return total if arr.ndim else float(total)
-    k, gam, scale = fp.art_exponent, fp.gamma, np.log(1.0 / delta)
-    art1, gas1, art, gas = _guarded_powers(arr, (k - 1, gam - 1.0, k, gam))
-    slope = k * art1 / scale + gam * (gam - 1.0) * gas1 + fp.H
+    slope, scale, (art, gas) = _slope_and_powers(arr, delta, fp, (fp.art_exponent, fp.gamma))
     with np.errstate(over="ignore", invalid="ignore"):
-        total = art / scale + ((gam - 1.0) * gas + fp.H * arr)
+        total = art / scale + ((fp.gamma - 1.0) * gas + fp.H * arr)
     return (total, slope) if arr.ndim else (float(total), float(slope))
 
 
 def pressure_slope(rho, delta: float, fp: "FluidParams"):
     """Slope Pi'(rho) of Pi = artificial_pressure(rho, delta, fp.art_exponent) + pressure(rho, fp)."""
     arr = np.asarray(rho, dtype=float)
-    k = fp.art_exponent
-    art, gas = _guarded_powers(arr, (k - 1, fp.gamma - 1.0))
-    out = k * art / np.log(1.0 / delta) + fp.gamma * (fp.gamma - 1.0) * gas + fp.H
+    out = _slope_and_powers(arr, delta, fp)[0]
     return out if arr.ndim else float(out)
 
 
@@ -350,7 +359,10 @@ def enthalpy(s, delta: float, fp: "FluidParams", rho=None) -> tuple:
     k = fp.art_exponent
     rho = np.exp(arr) if rho is None else np.asarray(rho, dtype=float)
     art, gas = _guarded_powers(rho, (k - 1, fp.gamma - 1.0))
-    art = art / np.log(1.0 / delta)
+    # the slope takes k (rho^(k-1) / ln), not _slope_and_powers' (k rho^(k-1)) / ln:
+    # near vacuum, roundoff picks the failure class, and that order moves the start of
+    # cos 160 at n = 256 from a SingularSystemError to a DivergenceError
+    art = art / _log_inverse(delta)
     value = k / (k - 1.0) * art + fp.gamma * gas + fp.H * arr
     slope = k * art + fp.gamma * (fp.gamma - 1.0) * gas + fp.H
     return (value, slope) if arr.ndim else (float(value), float(slope))

@@ -231,14 +231,23 @@ class SolveControls(Record):
 # Elementary sub-solves
 # ---------------------------------------------------------------------------
 
-def _upwind_split(uf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max(uf, 0), min(uf, 0)): the velocity carrying the left and the right cell's density."""
-    return np.maximum(uf, 0.0), np.minimum(uf, 0.0)
+def _continuity_bands(u: np.ndarray, eps: float, h: float) -> tuple:
+    """The transport coefficients of the continuity rows summed from the left
+    wall at the cell velocities ``u``, formed here only: the face means uf at
+    the n-1 interior faces, their upwind split up = max(uf, 0) and
+    um = min(uf, 0), the velocities carrying the left and the right cell's
+    density, then the bands (diag, upper, lower) in the unknowns of
+    :func:`solve_continuity`, with the diffusion eps^4/h."""
+    uf = 0.5 * (u[:-1] + u[1:])
+    up, um, e4 = np.maximum(uf, 0.0), np.minimum(uf, 0.0), eps**4 / h
+    lower, upper = -e4 - up, um - e4  # at V_k-1 and V_k+1 in the row of face k
+    diag = (up - um) + (2.0 * e4 + eps**2 * h)
+    return uf, up, um, diag, upper, lower
 
 
 def _upwind_flux(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Mass flux at the n+1 faces as the continuity rows take it (zero at the walls)."""
-    up, um = _upwind_split(0.5 * (u[:-1] + u[1:]))
+    """Mass flux at the n+1 faces as the continuity rows take it (zero at the walls; no eps or h)."""
+    _, up, um, *_ = _continuity_bands(u, 0.0, 1.0)
     flux = np.zeros(rho.size + 1)
     flux[1:-1] = up * rho[:-1] + um * rho[1:]
     return flux
@@ -312,23 +321,6 @@ def lagged(rho: np.ndarray, c: np.ndarray, spec: ProblemSpec) -> Lagged:
     return Lagged(*lagged_phase(c, spec), pi, pi_slope)
 
 
-def _continuity_bands(uf: np.ndarray, eps: float, g: Grid):
-    """Bands (diag, upper, lower) of the continuity rows summed from the left
-    wall, in the unknowns of :func:`solve_continuity`.  A loss of their
-    diagonal excess eps^2 h to the advection raises :class:`SingularSystemError`."""
-    h = g.spacing_h
-    up, um = _upwind_split(uf)
-    e4 = eps**4 / h
-    lower, upper = -e4 - up, um - e4  # at V_k-1 and V_k+1 in the row of face k
-    diag = (up - um) + (2.0 * e4 + eps**2 * h)
-    if np.minimum.reduce(diag + lower + upper, axis=None) <= 0.5 * eps**2 * h:
-        raise SingularSystemError(
-            f"transport matrix lost diagonal dominance (eps={eps:g}, n={g.n_cells}): incoming "
-            f"max|u_face|/h {np.max(np.abs(uf)) / h:.3g} against eps^2 {eps**2:.3g}"
-        )
-    return diag, upper, lower
-
-
 def solve_continuity(u: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray:
     """Solve the regularized continuity equation for the density, given u.
 
@@ -338,11 +330,16 @@ def solve_continuity(u: np.ndarray, eps: float, spec: ProblemSpec) -> np.ndarray
     integrate(rho) = m1 holds by construction (manufactured sources
     excepted), and rest returns rho0 exactly, however near singular eps^4/h^2
     makes the rows beside eps^2.  It is the upwind M-matrix system in other
-    unknowns, so rho >= 0: the density is returned clipped at 0.
+    unknowns, so rho >= 0: the density is returned clipped at 0.  Bands that
+    lose their diagonal excess eps^2 h to the advection raise SingularSystemError.
     """
     g, h, rho0 = spec.grid, spec.grid.spacing_h, spec.rho0
-    uf = 0.5 * (u[:-1] + u[1:])
-    diag, upper, lower = _continuity_bands(uf, eps, g)
+    uf, _, _, diag, upper, lower = _continuity_bands(u, eps, h)
+    if np.minimum.reduce(diag + lower + upper, axis=None) <= 0.5 * eps**2 * h:
+        raise SingularSystemError(
+            f"transport matrix lost diagonal dominance (eps={eps:g}, n={g.n_cells}): incoming "
+            f"max|u_face|/h {np.max(np.abs(uf)) / h:.3g} against eps^2 {eps**2:.3g}"
+        )
     # V_0 = 0; V_n and the right sides, the running sums of h (b - eps^2 rho0), hold only a source
     v = np.zeros(g.n_cells + 1)
     src = None if spec.mms_sources is None else spec.mms_sources.continuity
@@ -390,7 +387,7 @@ def _alternating_sums(uf: np.ndarray, u0: float) -> np.ndarray:
     return u
 
 
-def _pair_sum_solve(slope: np.ndarray, up: np.ndarray, um: np.ndarray, inv: np.ndarray,
+def _pair_sum_solve(slope: np.ndarray, lower: np.ndarray, upper: np.ndarray, inv: np.ndarray,
                     b: np.ndarray, mass: float, eps: float,
                     spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The density change d, of sum ``mass``, that meets the n - 1 sums of
@@ -404,24 +401,24 @@ def _pair_sum_solve(slope: np.ndarray, up: np.ndarray, um: np.ndarray, inv: np.n
     dependence of the pressure and of the bulk force rho g1.  A row reads u
     only through the face velocities, u_i + u_i+1 = 2 uf_i+1, zero at the
     walls.  Each is the flux of the continuity rows summed from the left
-    wall over the face density 1/``inv``, ``up`` and ``um`` the velocities
-    carrying the left and right cell's density.  So, with w_k the sum of d
-    left of face k, duf_k = inv_k ((-eps^4/h - up_k) d_k-1 +
-    (eps^4/h - um_k) d_k - eps^2 h w_k), and the sums are banded (2, 2) in
-    w_1 .. w_n-1: one :func:`mesh.solve_banded`, which overwrites ``b``.  The
-    rows are written straight into its (7, n - 1) storage: the two fill-in
-    rows, which LAPACK need not find set, hold c_0 and c_1 until they are
-    zeroed before the solve, and one scratch band holds duf's weight, the
-    diagonal, then c_m1 and c_2.  Call it with numpy's overflow warnings off.
+    wall over the face density 1/``inv``, with ``lower`` and ``upper`` their
+    :func:`_continuity_bands`.  So, with w_k the sum of d left of face k,
+    duf_k = inv_k (lower_k d_k-1 - upper_k d_k - eps^2 h w_k), and the sums
+    are banded (2, 2) in w_1 .. w_n-1: one :func:`mesh.solve_banded`, which
+    overwrites ``b``.  The rows are written straight into its (7, n - 1)
+    storage: the two fill-in rows, which LAPACK need not find set, hold c_0
+    and c_1 until they are zeroed before the solve, and one scratch band
+    holds duf's weight, the diagonal, then c_m1 and c_2.  Call it with
+    numpy's overflow warnings off.
     """
     g, visc = spec.grid, spec.fluid.visc
     n, h = g.n_cells, g.spacing_h
     ab, band = np.empty((7, n - 1), order="F"), np.empty(n)
     # duf's coefficients at the n+1 faces, times its weight 2 visc/h^2 in the sums
-    e4, weight = eps**4 / h, np.multiply(2.0 * visc / h**2, inv, out=band[:-1])
+    weight = np.multiply(2.0 * visc / h**2, inv, out=band[:-1])
     left, right, prefix = np.zeros((3, n + 1))
-    np.multiply(-e4 - up, weight, out=left[1:-1])
-    np.multiply(e4 - um, weight, out=right[1:-1])
+    np.multiply(lower, weight, out=left[1:-1])
+    np.multiply(-upper, weight, out=right[1:-1])
     np.multiply(eps**2 * h, weight, out=prefix[1:-1])
     # pair k at d of cells k-2 .. k+1 (c_m1, c_0, c_1, c_2) from the tridiagonal
     # D(slope .) - g1 of each row, D's weights -r and +r beside the diagonal and on
@@ -477,16 +474,15 @@ def solve_flow_coupled(rho: np.ndarray, u: np.ndarray, mu: np.ndarray, c: np.nda
     g, visc = spec.grid, spec.fluid.visc
     h, s = g.spacing_h, 2.0 * visc / g.spacing_h**2
     f = _momentum_forcing(rho, u, mu, c, lag, eps, spec)
-    uf_t = 0.5 * (u[:-1] + u[1:])
-    up, um = _upwind_split(uf_t)
+    uf_t, up, um, diag, upper, lower = _continuity_bands(u, eps, h)
     inv = 2.0 / (rho[:-1] + rho[1:])  # over the face densities of rho_old
     uf = np.zeros(g.n_cells + 1)  # the face velocities at rho_old, zero at the walls
-    flux = _continuity_flux(rho, eps, spec) - up * rho[:-1] - um * rho[1:]
-    uf[1:-1] = uf_t + inv * flux
+    uf[1:-1] = uf_t + inv * (_continuity_flux(rho, eps, spec) - up * rho[:-1] - um * rho[1:])
+    del uf_t, up, um, diag  # freed before the pair sums' band storage
     b = s * (uf[:-2] + uf[2:]) - 2.0 * s * uf[1:-1]
     b -= f[:-1] + f[1:]
     mass = np.add.reduce(_continuity_rhs(eps, spec) - eps**2 * rho, axis=None) / eps**2
-    delta, duf = _pair_sum_solve(lag.pi_slope, up, um, inv, b, mass, eps, spec)
+    delta, duf = _pair_sum_solve(lag.pi_slope, lower, upper, inv, b, mass, eps, spec)
     uf = uf[1:-1] + duf
     # the first row, visc (2 uf_1 - 4 u_0) / h^2 = f_0 + (q_1 - q_0) / 2h - g1_0 delta_0,
     # q = Pi' delta

@@ -286,13 +286,18 @@ class TestConstants:
 
     def test_delta_must_leave_the_knot_below_the_pole(self):
         """A delta that rounds 1 - delta to 1 puts the core's knot on the pole
-        c = 1; the smallest delta that does not still gives a finite table."""
+        c = 1: 1 - 2^-54 ties to 1, so delta > 2^-54 exactly.  The smallest
+        delta admitted, the float after 2^-54, still gives a finite table and
+        an artificial-pressure coefficient 1/ln(1/delta) of at least 1/37.43."""
         for delta in (1e-17, 5.55e-17, 2.0**-54):
             with pytest.raises(ValueError, match=r"^delta must leave 1 - delta below 1"):
                 PotentialParams(1.0, 1.5, delta)
-        p = PotentialParams(1.0, 1.5, 5.6e-17)
-        assert 1.0 - p.delta < 1.0
-        assert np.isfinite(figure1_table(p, np.linspace(-1.5, 1.5, 601))).all()
+        smallest = float(np.nextafter(2.0**-54, 1.0))
+        for delta in (smallest, 5.6e-17):
+            p = PotentialParams(1.0, 1.5, delta)
+            assert 1.0 - p.delta < 1.0
+            assert np.isfinite(figure1_table(p, np.linspace(-1.5, 1.5, 601))).all()
+        assert potential.artificial_pressure(1.0, smallest) >= 1.0 / (54.0 * np.log(2.0)) > 0.0267
 
 
 class TestPressureAndEnergy:

@@ -498,10 +498,11 @@ class TestCallBudget:
         assert methods == {}
 
     def test_calls_into_the_package_stay_within_budget(self):
-        """173 frames in chns1d on CPython 3.11, budgeted at 180 (275 when
-        the spec's constants were properties, the potential evaluators
-        converted scalars in helpers and the LAPACK adapters took each
-        pointer through one)."""
+        """178 frames in chns1d on CPython 3.11, budgeted at 180 (173 before
+        ln(1/delta) and Pi' each had one helper in potential, at 5 and 2
+        frames, and the bands took the upwind split in, at -4; 275 when the
+        spec's constants were properties, the potential evaluators converted
+        scalars in helpers and the LAPACK adapters took each pointer through one)."""
         package = Path(solver.__file__).parent
         calls = sum(k for path, k in frames_of_one_warm_solve().items()
                     if Path(path).parent == package)
@@ -565,9 +566,10 @@ class TestFlowCoupledBlock:
 
     def test_block_assembly_memory_is_bounded(self):
         """At n = 4096 the (7, n - 1) band storage of the pair sums is 224 KB.
-        Its rows are written in place, so one call peaks at 707 KB: the band
+        Its rows are written in place, so one call peaks at 642 KB: the band
         storage, one scratch band, the three face-coefficient rows and the
-        block's own face arrays alive together."""
+        block's own face arrays alive together (707 KB before the block freed
+        the transport coefficients it has read before the band storage)."""
         cfg = parse_config_text("domain.n_cells = 4096\n" + FORCED_DEFAULT)
         state, _ = continuation_solve(cfg.spec, cfg.controls)
         lag = lag_of(state, cfg.spec)
@@ -577,7 +579,7 @@ class TestFlowCoupledBlock:
 
     def test_solve_memory_is_bounded(self):
         """A whole forced solve at n = 4096, the start and one Picard step,
-        peaks at 997 KB traced after a first solve."""
+        peaks at 931 KB traced after a first solve."""
         cfg = parse_config_text("domain.n_cells = 4096\n" + FORCED_DEFAULT)
         continuation_solve(cfg.spec, cfg.controls)  # a process's one-time allocations
         assert traced_peak(lambda: continuation_solve(cfg.spec, cfg.controls)) < 1045 * 1024
@@ -789,9 +791,13 @@ class TestLapackSolves:
                     assert np.array_equal(solve(name, *copies(*args)), x), (name, binding)
 
     def test_singular_continuity_is_named(self, forced_spec, monkeypatch):
+        # tridiag(1, 0, 1) of odd order n - 1 is singular, and its row sums of
+        # 2 pass solve_continuity's diagonal-dominance check
         n = forced_spec.grid.n_cells
-        zero = (np.zeros(n - 1), np.zeros(n - 1), np.zeros(n - 1))
-        monkeypatch.setattr(solver, "_continuity_bands", lambda uf, eps, g: zero)
+        assert (n - 1) % 2 == 1
+        zero, one = np.zeros(n - 1), np.ones(n - 1)
+        bands = (zero, zero, zero, zero, one, one)  # uf, up, um, diag, upper, lower
+        monkeypatch.setattr(solver, "_continuity_bands", lambda u, eps, h: bands)
         with pytest.raises(solver.SingularSystemError, match="continuity: the matrix is singular"):
             solve_continuity(np.zeros(n), 0.1, forced_spec)
 
@@ -802,8 +808,8 @@ class TestLapackSolves:
         g, n = forced_spec.grid, forced_spec.grid.n_cells
         spec = dataclasses.replace(forced_spec, g1=g.zeros())
         pair_sums = solver._pair_sum_solve
-        monkeypatch.setattr(solver, "_pair_sum_solve", lambda slope, up, um, inv, *rest:
-                            pair_sums(slope, up, um, 0.0 * inv, *rest))
+        monkeypatch.setattr(solver, "_pair_sum_solve", lambda slope, lower, upper, inv, *rest:
+                            pair_sums(slope, lower, upper, 0.0 * inv, *rest))
         state = State(g.field(1.0), g.zeros(), g.zeros(), g.field(0.3))
         lag = lag_of(state, spec)._replace(pi_slope=np.zeros(n))
         with pytest.raises(solver.SingularSystemError, match=r"\(rho, u\) block: the matrix is singular"):
